@@ -74,9 +74,13 @@ class SystemMatrices:
     - ``stab_trace``   (trace x trace): <tau eta_n, eta_m>
     - ``coriolis``     (vector x vector): (f z_l-perp, z_k), antisymmetric
 
-    The batched arrays keep the per-element facet tensors so solvers can
-    build element-local Schur complements without touching the global
-    sparse structure.
+    The batched arrays keep the per-element facet tensors and local
+    masses, and the properties rebuild from them the element blocks of
+    every sparse coupling, so solvers can build element-local Schur
+    complements without touching the global sparse structure.  Element
+    blocks against the trace take their columns in the order of
+    ``trace_cols``: the k+1 trace dofs of each of the element's three
+    facets, facet by facet.
     """
 
     div_pair: sparse.csr_matrix
@@ -87,6 +91,7 @@ class SystemMatrices:
     coriolis: sparse.csr_matrix
 
     stab_local_blocks: np.ndarray      # (ne, m, m), tau included
+    coriolis_mass: np.ndarray          # (ne, m, m), (f phi_l, phi_k)
     facet_tensor: np.ndarray           # (ne, 3, m, k+1), no tau
     facet_elem_mass: np.ndarray        # (ne, 3, m, m), no tau
     facet_trace_mass: np.ndarray       # (ne, 3, k+1, k+1), no tau
@@ -104,6 +109,52 @@ class SystemMatrices:
     @property
     def mesh(self):
         return self.spaces.mesh
+
+    @property
+    def div_blocks(self):
+        """(ne, 2m, m) element blocks of ``div_pair``."""
+        return np.concatenate([self.vol_dx, self.vol_dy], axis=1)
+
+    @property
+    def coriolis_blocks(self):
+        """(ne, 2m, 2m) element blocks of ``coriolis``."""
+        return _coriolis_blocks(self.coriolis_mass)
+
+    @property
+    def flux_blocks(self):
+        """(ne, 2m, 3(k+1)) element blocks of ``flux_pair``."""
+        return _element_columns(_flux_facet_blocks(self.normals_signed, self.facet_tensor))
+
+    @property
+    def stab_mixed_blocks(self):
+        """(ne, m, 3(k+1)) element blocks of ``stab_mixed``."""
+        return _element_columns(self.params.tau * self.facet_tensor)
+
+    @property
+    def trace_cols(self):
+        """(ne, 3(k+1)) trace dofs of each element, facet by facet."""
+        return self.mdofs[self.mesh.element_facets].reshape(self.wdofs.shape[0], -1)
+
+
+def _coriolis_blocks(fmass):
+    m = fmass.shape[1]
+    blocks = np.zeros((fmass.shape[0], 2 * m, 2 * m))
+    blocks[:, :m, m:] = fmass
+    blocks[:, m:, :m] = -fmass
+    return blocks
+
+
+def _flux_facet_blocks(normals_signed, facet_tensor):
+    # (ne, 3, 2m, k+1): <eta_m, z_k . n> per element edge
+    return np.concatenate([normals_signed[:, :, 0, None, None] * facet_tensor,
+                           normals_signed[:, :, 1, None, None] * facet_tensor], axis=2)
+
+
+def _element_columns(blocks):
+    """(ne, 3, a, k+1) per-facet blocks as (ne, a, 3(k+1)) element blocks
+    whose columns follow ``SystemMatrices.trace_cols``."""
+    ne, _, a, md = blocks.shape
+    return blocks.transpose(0, 2, 1, 3).reshape(ne, a, 3 * md)
 
 
 def _scatter(blocks, rows, cols, shape):
@@ -147,10 +198,7 @@ def assemble_all(mesh, spaces, params):
         w.shape)
     fmass = np.einsum("eq,eqk,eql->ekl", w * fvals, sc.tab, sc.tab)
     fmass = 0.5 * (fmass + fmass.transpose(0, 2, 1))    # keep A + A^T exactly 0
-    cor_blocks = np.zeros((ne, 2 * m, 2 * m))
-    cor_blocks[:, :m, m:] = fmass
-    cor_blocks[:, m:, :m] = -fmass
-    coriolis = _scatter(cor_blocks, vdofs.reshape(ne, 2 * m),
+    coriolis = _scatter(_coriolis_blocks(fmass), vdofs.reshape(ne, 2 * m),
                         vdofs.reshape(ne, 2 * m), (2 * ne * m, 2 * ne * m))
 
     # facet pairings, one tensor per element edge
@@ -172,10 +220,7 @@ def assemble_all(mesh, spaces, params):
     stab_mixed = _scatter(tau * facet_tensor.reshape(3 * ne, m, md),
                           rows_w, cols_m, (ne * m, tr.ndof))
 
-    flux_blocks = np.concatenate([
-        normals_signed[:, :, 0, None, None] * facet_tensor,
-        normals_signed[:, :, 1, None, None] * facet_tensor,
-    ], axis=2)                                                     # (ne, 3, 2m, md)
+    flux_blocks = _flux_facet_blocks(normals_signed, facet_tensor)
     rows_v = np.broadcast_to(vdofs.reshape(ne, 1, 2 * m), (ne, 3, 2 * m))
     flux_pair = _scatter(flux_blocks.reshape(3 * ne, 2 * m, md),
                          rows_v.reshape(3 * ne, 2 * m), cols_m,
@@ -189,7 +234,8 @@ def assemble_all(mesh, spaces, params):
     return SystemMatrices(
         div_pair=div_pair, flux_pair=flux_pair, stab_local=stab_local,
         stab_mixed=stab_mixed, stab_trace=stab_trace, coriolis=coriolis,
-        stab_local_blocks=stab_local_blocks, facet_tensor=facet_tensor,
+        stab_local_blocks=stab_local_blocks, coriolis_mass=fmass,
+        facet_tensor=facet_tensor,
         facet_elem_mass=facet_elem_mass, facet_trace_mass=facet_trace_mass,
         normals_signed=normals_signed,
         vol_dx=vol_dx, vol_dy=vol_dy,

@@ -1,11 +1,13 @@
-"""Potential recovery, the condensed wave operator, and the stationary
-vector-Laplacian initialization solve.
+"""Static condensation onto the trace dofs, potential recovery, the
+condensed wave operator, and the stationary vector-Laplacian
+initialization solve.
 
-The recovery factorization eliminates the element-local potential block
-(identity plus boundary stabilization, block diagonal per element) and
-factors the remaining symmetric positive definite trace system once per
-mesh/degree/stabilization; every operator application and every implicit
-stage reuses it.
+:class:`CondensedSolver` is the hybridization kernel shared by every
+implicit solve of the time-dependent problem: element-local unknowns are
+eliminated block by block, and only the remaining trace system is
+factored.  The recovery of the height from the flux is its simplest
+instance (the local block is identity plus boundary stabilization); the
+implicit stages of both schemes reuse it with larger local blocks.
 """
 
 import logging
@@ -22,51 +24,105 @@ from .mesh import WALL, boundary_loops
 log = logging.getLogger(__name__)
 
 
+def _block_rows(blocks, cols, ncols):
+    """CSR matrix whose row e * n + i holds blocks[e, i] at the columns
+    cols[e]; repeated columns within a row add up in every product."""
+    ne, n, c = blocks.shape
+    indices = np.broadcast_to(cols[:, None, :], (ne, n, c)).reshape(-1)
+    indptr = np.arange(0, ne * n * c + 1, c)
+    return sparse.csr_matrix((blocks.reshape(-1), indices, indptr),
+                             shape=(ne * n, ncols))
+
+
+def _invert_blocks(blocks):
+    """Batched inverse of (ne, n, n) blocks; a singular block raises
+    RuntimeError naming the first offending element."""
+    try:
+        inv = np.linalg.inv(blocks)
+    except np.linalg.LinAlgError:
+        inv = None
+    if inv is None or not np.isfinite(inv).all():
+        sv = np.linalg.svd(blocks, compute_uv=False)
+        n = blocks.shape[-1]
+        bad = np.flatnonzero(~(sv[:, -1] > n * np.finfo(float).eps * sv[:, 0]))
+        first = int(bad[0]) if bad.size else int(np.argmin(sv[:, -1] / sv[:, 0]))
+        raise RuntimeError(f"local block of element {first} is singular")
+    return inv
+
+
+class CondensedSolver:
+    """Direct solver for a hybridized block system, condensed onto the
+    trace dofs.
+
+    The system couples n element-local unknowns per element (element by
+    element, so local dof ``e * n + i``) with the trace unknowns t:
+
+        A x + B t = f
+        C x + T t = g
+
+    A is block diagonal with blocks A_e (n x n); B and C couple element e
+    only to the trace dofs ``cols[e]`` of its facets, through the blocks
+    B_e (n x c) and C_e (c x n); T is sparse on the trace.  Every A_e is
+    inverted in one batch, the Schur complement T - sum_e C_e A_e^-1 B_e
+    is factored once, and each solve costs one batched local apply, two
+    sparse products and one trace LU solve.
+
+    A singular A_e or a failed trace factorization raises RuntimeError.
+    """
+
+    def __init__(self, local, from_trace, to_trace, trace, cols):
+        ne, n, _ = local.shape
+        nt = trace.shape[0]
+        self._local_inv = _invert_blocks(local)
+        lift = self._local_inv @ from_trace         # A_e^-1 B_e
+        schur = trace - _scatter(to_trace @ lift, cols, cols, (nt, nt))
+        try:
+            self.lu = splu(schur.tocsc())
+        except RuntimeError as err:
+            raise RuntimeError(f"trace factorization failed: {err}") from None
+        self._lift = _block_rows(lift, cols, nt)
+        restrict = (to_trace @ self._local_inv).transpose(0, 2, 1)  # (C_e A_e^-1)^T
+        self._restrict = _block_rows(restrict, cols, nt).T.tocsr()
+
+    def _local_apply(self, f):
+        """A^-1 f, one element block at a time."""
+        ne, n, _ = self._local_inv.shape
+        return np.einsum("eij,ej->ei", self._local_inv, f.reshape(ne, n)).reshape(-1)
+
+    def solve(self, f, g):
+        """Local and trace parts (x, t) of the solution for data (f, g)."""
+        t = self.lu.solve(g - self._restrict @ f)
+        return self._local_apply(f) - self._lift @ t, t
+
+
 class PhiRecovery:
     """Cached factorizations for recovering the height field from the flux.
 
     Eliminating the element-local block leaves a symmetric positive
     definite system on the trace dofs (the stabilization trace mass minus
-    the condensed mixed coupling); its sparse LU is the witness that the
-    recovery problem is well posed for the given stabilization.
+    the condensed mixed coupling); its sparse LU ``schur`` is the witness
+    that the recovery problem is well posed for the given stabilization.
     """
 
     def __init__(self, matrices):
         mats = matrices
-        sc = mats.spaces.scalar
-        tr = mats.spaces.trace
-        ne, m = sc.mesh.num_elements, sc.dim_local
-        md = tr.dim_local
-
-        local = mats.stab_local_blocks + np.eye(m)
-        self.local_inv = np.linalg.inv(local)
-
-        mixed = mats.params.tau * mats.facet_tensor          # blocks of the W x M coupling
-        big = mixed.transpose(0, 2, 1, 3).reshape(ne, m, 3 * md)
-        schur_blocks = np.einsum("eia,eij,ejb->eab", big, self.local_inv, big)
-        cols = mats.mdofs[mats.mesh.element_facets].reshape(ne, 3 * md)
-        schur = mats.stab_trace - _scatter(schur_blocks, cols, cols, (tr.ndof, tr.ndof))
+        m = mats.spaces.scalar.dim_local
+        mixed = mats.stab_mixed_blocks
         try:
-            self.schur = splu(schur.tocsc())
+            self.solver = CondensedSolver(
+                mats.stab_local_blocks + np.eye(m), -mixed,
+                -mixed.transpose(0, 2, 1), mats.stab_trace, mats.trace_cols)
         except RuntimeError as err:
             raise RuntimeError(f"recovery factorization failed: {err}") from None
-
+        self.schur = self.solver.lu
         self.mats = mats
         self._div_T = mats.div_pair.T.tocsr()
         self._flux_T = mats.flux_pair.T.tocsr()
-        self._mixed_T = mats.stab_mixed.T.tocsr()
-
-    def _local_solve(self, r):
-        ne, m = self.mats.mesh.num_elements, self.mats.spaces.scalar.dim_local
-        return np.einsum("eij,ej->ei", self.local_inv, r.reshape(ne, m)).reshape(-1)
 
     def solve_saddle(self, r_local, r_trace):
         """Solve the symmetric recovery block system for arbitrary data
         (r_local, r_trace) in the (height, trace) rows."""
-        rhs = r_trace + self._mixed_T @ self._local_solve(r_local)
-        phat = self.schur.solve(rhs)
-        p = self._local_solve(r_local + self.mats.stab_mixed @ phat)
-        return p, phat
+        return self.solver.solve(r_local, r_trace)
 
     def recover(self, w):
         """Height and trace coefficients induced by flux coefficients w."""
@@ -76,16 +132,6 @@ class PhiRecovery:
         """Action of the condensed wave operator on flux coefficients."""
         p, phat = self.recover(w)
         return self.mats.flux_pair @ phat - self.mats.div_pair @ p
-
-
-def recover_phi(recovery, w):
-    """Recover the height coefficients (volume, trace) from the flux."""
-    return recovery.recover(w)
-
-
-def apply_K(recovery, w):
-    """Condensed wave operator: the force the recovered height exerts."""
-    return recovery.apply(w)
 
 
 @dataclass

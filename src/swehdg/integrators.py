@@ -7,20 +7,18 @@ The semidiscrete dynamics is the affine linear system
 
 where the wave operator is the condensed SPD map applied by
 :class:`~swehdg.elliptic.PhiRecovery`.  Two stepper families are provided:
-diagonally implicit compositions of the midpoint rule, which solve one
-sparse monolithic stage system per stage, and explicit partitioned
-schemes that alternate flux and velocity updates so each stage costs one
-wave-operator application.
+diagonally implicit compositions of the midpoint rule, whose stages
+eliminate every element-local unknown and solve only a factored system on
+the trace dofs, and explicit partitioned schemes that alternate flux and
+velocity updates so each stage costs one wave-operator application.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
-from scipy.sparse.linalg import splu
 
 from .assembly import SystemMatrices
-from .elliptic import PhiRecovery
+from .elliptic import CondensedSolver, PhiRecovery
 
 _ROWSUM_TOL = 1e-14
 _SYMPLECTIC_TOL = 1e-14
@@ -213,9 +211,6 @@ class SemidiscreteSystem:
         nv = self.nv
         return y[:nv], y[nv:]
 
-    def join(self, w, u):
-        return np.concatenate([w, u])
-
     def flux_slope(self, u):
         return self.phi * u
 
@@ -227,42 +222,98 @@ class SemidiscreteSystem:
         return np.concatenate([self.flux_slope(u), self.velocity_slope(w, u)])
 
 
+def uw_stage_blocks(matrices, phi, delta):
+    """Element blocks (A_e, B_e, C_e) of the flux-scheme stage with stage
+    scale delta, for :class:`~swehdg.elliptic.CondensedSolver`.
+
+    The stage system in (flux w, velocity u, height p, trace p_hat) reads
+
+        w - delta phi u                              = r_w
+        (I - delta Cor) u - delta D p + delta F p_hat = r_u
+        D^T w + (I + S_l) p - S_m p_hat              = 0
+        -F^T w - S_m^T p + S_t p_hat                 = 0
+
+    with D = div_pair, F = flux_pair, Cor = coriolis and the S blocks the
+    stabilization.  Substituting w = r_w + delta phi u leaves (u, p) as
+    the element-local unknowns, with the blocks
+
+        A_e = [[I - delta Cor_e, -delta D_e], [delta phi D_e^T, I + S_l,e]]
+
+    against the trace unknown p_hat.  Every A_e is invertible for any
+    real delta: scaling its p rows by 1/phi makes its symmetric part
+    diag(I, (I + S_l,e) / phi), because Cor_e is antisymmetric and the
+    off-diagonal blocks cancel, and that part is positive definite.  The
+    local unknowns are ordered (u_e, p_e) per element, and the data of
+    the local rows is (r_u, -D^T r_w) and of the trace rows F^T r_w.
+    """
+    mats = matrices
+    div, flux, mixed = mats.div_blocks, mats.flux_blocks, mats.stab_mixed_blocks
+    ne, nu, m = div.shape
+    local = np.empty((ne, nu + m, nu + m))
+    local[:, :nu, :nu] = np.eye(nu) - delta * mats.coriolis_blocks
+    local[:, :nu, nu:] = -delta * div
+    local[:, nu:, :nu] = delta * phi * div.transpose(0, 2, 1)
+    local[:, nu:, nu:] = np.eye(m) + mats.stab_local_blocks
+    from_trace = np.concatenate([delta * flux, -mixed], axis=1)
+    to_trace = np.concatenate([-delta * phi * flux.transpose(0, 2, 1),
+                               -mixed.transpose(0, 2, 1)], axis=2)
+    return local, from_trace, to_trace
+
+
+def stage_solvers(tableau, dt, stage_blocks, trace, cols):
+    """One CondensedSolver per distinct stage scale dt * a_ii of the
+    tableau, keyed by that scale; ``stage_blocks(scale)`` gives the
+    element blocks.  A failure raises RuntimeError naming the scale."""
+    solvers = {}
+    for delta in dt * tableau.a.diagonal():
+        if delta in solvers:
+            continue
+        try:
+            solvers[delta] = CondensedSolver(*stage_blocks(delta), trace, cols)
+        except RuntimeError as exc:
+            raise RuntimeError(
+                f"stage factorization failed for stage scale {delta}: {exc}") from exc
+    return solvers
+
+
 class SdirkIntegrator:
     """Fixed-step diagonally implicit stepper.
 
-    Each stage solves one sparse monolithic system in the flux, velocity,
-    height and trace unknowns, so the wave operator stays factored and is
-    never formed densely.  One factorization per distinct diagonal entry
-    of the tableau is computed up front and reused for every step.
+    Each stage eliminates the flux exactly and the velocity and height
+    element by element (see :func:`uw_stage_blocks`), so only a system on
+    the trace dofs is factored, with the sparsity of the recovery Schur
+    complement.  One factorization per distinct diagonal entry of the
+    tableau is computed up front and reused for every step; the trace
+    ``SuperLU`` objects are kept in ``trace_factors``, keyed by stage
+    scale.
     """
 
     def __init__(self, system, tableau, dt):
         self.system = system
         self.tableau = tableau
         self.dt = float(dt)
-        self._solvers = {}
-        for aii in tableau.a.diagonal():
-            delta = self.dt * aii
-            if delta not in self._solvers:
-                self._solvers[delta] = self._factorize(delta)
+        m = system.matrices
+        self._div_T = m.div_pair.T.tocsr()
+        self._flux_T = m.flux_pair.T.tocsr()
+        self._solvers = stage_solvers(
+            tableau, self.dt, lambda delta: uw_stage_blocks(m, system.phi, delta),
+            m.stab_trace, m.trace_cols)
+        self.trace_factors = {d: s.lu for d, s in self._solvers.items()}
 
-    def _factorize(self, delta):
-        m = self.system.matrices
-        nv = self.system.nv
-        eye_v = sparse.identity(nv, format="csr")
-        eye_w = sparse.identity(m.stab_local.shape[0], format="csr")
-        block = sparse.bmat([
-            [eye_v, -delta * self.system.phi * eye_v, None, None],
-            [None, eye_v - delta * m.coriolis,
-             -delta * m.div_pair, delta * m.flux_pair],
-            [m.div_pair.T, None, eye_w + m.stab_local, -m.stab_mixed],
-            [-m.flux_pair.T, None, -m.stab_mixed.T, m.stab_trace],
-        ], format="csc")
-        try:
-            return splu(block)
-        except RuntimeError as exc:
-            raise RuntimeError(
-                f"stage factorization failed for stage scale {delta}") from exc
+    def solve_stage(self, delta, acc):
+        """Velocity, height and trace of the stage with scale delta whose
+        explicit part is acc = [flux; velocity]."""
+        sysm = self.system
+        nv = sysm.nv
+        ne, m = sysm.matrices.wdofs.shape
+        nu = 2 * m
+        r_w = acc[:nv]
+        r_u = acc[nv:] + delta * sysm.forcing
+        f = np.concatenate([r_u.reshape(ne, nu),
+                            -(self._div_T @ r_w).reshape(ne, m)], axis=1)
+        x, phat = self._solvers[delta].solve(f.reshape(-1), self._flux_T @ r_w)
+        x = x.reshape(ne, nu + m)
+        return x[:, :nu].reshape(-1), x[:, nu:].reshape(-1), phat
 
     def step(self, y):
         sysm = self.system
@@ -270,22 +321,10 @@ class SdirkIntegrator:
         tab = self.tableau
         dt = self.dt
         nv = sysm.nv
-        nw = m.stab_local.shape[0]
         slopes = np.empty((tab.stages, 2 * nv))
         for i in range(tab.stages):
             acc = y + dt * (tab.a[i, :i] @ slopes[:i])
-            delta = dt * tab.a[i, i]
-            rhs = np.concatenate([
-                acc[:nv],
-                acc[nv:] + delta * sysm.forcing,
-                np.zeros(nw),
-                np.zeros(m.stab_trace.shape[0]),
-            ])
-            x = self._solvers[delta].solve(rhs)
-            w_i = x[:nv]
-            u_i = x[nv:2 * nv]
-            p_i = x[2 * nv:2 * nv + nw]
-            phat_i = x[2 * nv + nw:]
+            u_i, p_i, phat_i = self.solve_stage(dt * tab.a[i, i], acc)
             slopes[i, :nv] = sysm.phi * u_i
             slopes[i, nv:] = (m.div_pair @ p_i - m.flux_pair @ phat_i
                               + m.coriolis @ u_i + sysm.forcing)
@@ -325,17 +364,6 @@ class SeprkIntegrator:
         w1 = w0 + dt * (tab.b @ flux_slopes)
         u1 = u0 + dt * (tab.b_hat @ vel_slopes)
         return np.concatenate([w1, u1])
-
-
-def sdirk_step(system, tableau, dt, y):
-    """Single implicit step; build an SdirkIntegrator to reuse the
-    stage factorizations across many steps."""
-    return SdirkIntegrator(system, tableau, dt).step(y)
-
-
-def seprk_step(system, tableau, dt, y):
-    """Single explicit partitioned step."""
-    return SeprkIntegrator(system, tableau, dt).step(y)
 
 
 _IMPLICIT_NAMES = {"midpoint": 2, "sdirk2": 2, "sdirk4": 4}

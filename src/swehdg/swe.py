@@ -3,20 +3,19 @@
 A problem binds a mesh, physical parameters, initial data, and an
 optional bathymetry profile.  Two semidiscrete systems can be built from
 it: the energy-conserving flux scheme stepped by the symplectic
-integrators, and the dissipative height scheme whose stages solve a
-monolithic (height, velocity, trace) system.
+integrators, and the dissipative height scheme whose stages eliminate the
+element-local (height, velocity) unknowns and solve a factored system on
+the trace dofs.
 """
 
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy import sparse
-from scipy.sparse.linalg import splu
 
 from .assembly import PhysicalParams, assemble_all, assemble_bathymetry_load
 from .elliptic import InitState, PhiRecovery, initialize_state
 from .fespace import SpaceSet, build_spaces
-from .integrators import SemidiscreteSystem
+from .integrators import SemidiscreteSystem, stage_solvers
 from .mesh import Mesh
 
 _SQRT2 = np.sqrt(2.0)
@@ -304,44 +303,60 @@ def phiu_trace_mismatch(run, q, qhat):
             + qhat @ (m.stab_trace @ qhat))
 
 
+def phiu_stage_blocks(matrices, phi, delta):
+    """Element blocks (A_e, B_e, C_e) of the height-scheme stage with stage
+    scale delta, for :class:`~swehdg.elliptic.CondensedSolver`; the trace
+    block is -S_t.
+
+    The stage system in (height q, velocity u, trace q_hat) reads
+
+        (I + delta S_l) q + delta phi D^T u - delta S_m q_hat = r_q
+        -delta D q + (I - delta Cor) u + delta F q_hat        = r_u
+        S_m^T q + phi F^T u - S_t q_hat                       = 0
+
+    with D = div_pair, F = flux_pair, Cor = coriolis and the S blocks the
+    stabilization; (q, u) are the element-local unknowns, ordered
+    (q_e, u_e) per element.  Scaling the u rows of a local block by phi
+    makes its symmetric part diag(I + delta S_l,e, phi I), positive
+    definite for delta >= 0; a negative scale (the middle stage of
+    sdirk4) needs no such guarantee and is caught by the solver's
+    singular-block check instead.
+    """
+    mats = matrices
+    div, flux, mixed = mats.div_blocks, mats.flux_blocks, mats.stab_mixed_blocks
+    ne, nu, m = div.shape
+    local = np.empty((ne, m + nu, m + nu))
+    local[:, :m, :m] = np.eye(m) + delta * mats.stab_local_blocks
+    local[:, :m, m:] = delta * phi * div.transpose(0, 2, 1)
+    local[:, m:, :m] = -delta * div
+    local[:, m:, m:] = np.eye(nu) - delta * mats.coriolis_blocks
+    from_trace = np.concatenate([-delta * mixed, delta * flux], axis=1)
+    to_trace = np.concatenate([mixed.transpose(0, 2, 1),
+                               phi * flux.transpose(0, 2, 1)], axis=2)
+    return local, from_trace, to_trace
+
+
 class PhiuIntegrator:
     """Diagonally implicit stepper for the dissipative scheme.
 
-    Each stage solves one sparse monolithic system in (height, velocity,
-    trace); the trace equation is enforced at every stage, so the
-    per-step energy drop equals the stabilized jump norm of the stage
-    values exactly when the midpoint tableau is used.
+    Each stage eliminates the height and velocity element by element (see
+    :func:`phiu_stage_blocks`) and solves a factored system on the trace
+    dofs; the trace equation is enforced at every stage, so the per-step
+    energy drop equals the stabilized jump norm of the stage values
+    exactly when the midpoint tableau is used.  The trace ``SuperLU``
+    objects are kept in ``trace_factors``, keyed by stage scale.
     """
 
     def __init__(self, run, tableau, dt):
         self.run = run
         self.tableau = tableau
         self.dt = float(dt)
-        self._solvers = {}
-        for aii in tableau.a.diagonal():
-            delta = self.dt * aii
-            if delta not in self._solvers:
-                self._solvers[delta] = self._factorize(delta)
-
-    def _factorize(self, delta):
-        m = self.run.matrices
-        phi = self.run.spec.params.phi
-        nw = self.run.spaces.scalar.ndof
-        nv = self.run.spaces.vector.ndof
-        eye_w = sparse.identity(nw, format="csr")
-        eye_v = sparse.identity(nv, format="csr")
-        block = sparse.bmat([
-            [eye_w + delta * m.stab_local, delta * phi * m.div_pair.T,
-             -delta * m.stab_mixed],
-            [-delta * m.div_pair, eye_v - delta * m.coriolis,
-             delta * m.flux_pair],
-            [m.stab_mixed.T, phi * m.flux_pair.T, -m.stab_trace],
-        ], format="csc")
-        try:
-            return splu(block)
-        except RuntimeError as exc:
-            raise RuntimeError(
-                f"stage factorization failed for stage scale {delta}") from exc
+        m = run.matrices
+        phi = run.spec.params.phi
+        self._solvers = stage_solvers(
+            tableau, self.dt, lambda delta: phiu_stage_blocks(m, phi, delta),
+            -m.stab_trace, m.trace_cols)
+        self.trace_factors = {d: s.lu for d, s in self._solvers.items()}
 
     def _slopes(self, q, u, qhat):
         m = self.run.matrices
@@ -363,16 +378,20 @@ class PhiuIntegrator:
         run, tab, dt = self.run, self.tableau, self.dt
         nw = run.spaces.scalar.ndof
         nv = run.spaces.vector.ndof
+        ne, m = run.matrices.wdofs.shape
+        nu = 2 * m
+        zero_trace = np.zeros(run.matrices.stab_trace.shape[0])
         slopes = np.empty((tab.stages, nw + nv))
         stages = []
         for i in range(tab.stages):
             acc = y + dt * (tab.a[i, :i] @ slopes[:i])
             delta = dt * tab.a[i, i]
-            rhs = np.concatenate([acc[:nw],
-                                  acc[nw:] + delta * run.forcing,
-                                  np.zeros(run.matrices.stab_trace.shape[0])])
-            x = self._solvers[delta].solve(rhs)
-            q_i, u_i, qhat_i = x[:nw], x[nw:nw + nv], x[nw + nv:]
+            f = np.concatenate([acc[:nw].reshape(ne, m),
+                                (acc[nw:] + delta * run.forcing).reshape(ne, nu)],
+                               axis=1)
+            x, qhat_i = self._solvers[delta].solve(f.reshape(-1), zero_trace)
+            x = x.reshape(ne, m + nu)
+            q_i, u_i = x[:, :m].reshape(-1), x[:, m:].reshape(-1)
             stages.append((q_i, u_i, qhat_i))
             slopes[i] = self._slopes(q_i, u_i, qhat_i)
         return y + dt * (tab.b @ slopes), stages

@@ -11,7 +11,7 @@ from scipy.linalg import expm
 from swehdg.assembly import PhysicalParams, assemble_all
 from swehdg.cli import RunConfig, _convergence_task
 from swehdg.diagnostics import conserved_quantities, eoc
-from swehdg.elliptic import PhiRecovery, apply_K, initialize_state
+from swehdg.elliptic import PhiRecovery, initialize_state
 from swehdg.fespace import build_spaces
 from swehdg.integrators import (
     ButcherTableau,
@@ -234,7 +234,7 @@ def test_criterion_7_oracle_equivalence():
         mats = assemble_all(mesh, spaces, PhysicalParams(tau=0.8))
         rec = PhiRecovery(mats)
         dense = _dense_wave_operator(mats)
-        applied = np.column_stack([apply_K(rec, col)
+        applied = np.column_stack([rec.apply(col)
                                    for col in np.eye(spaces.vector.ndof)])
         scale = np.abs(dense).max()
         worst_rel = max(worst_rel, np.abs(applied - dense).max() / scale)

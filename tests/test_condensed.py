@@ -1,0 +1,288 @@
+"""Trace-condensed stage solves against monolithic oracles, the failure
+contract of the condensed solver, and the shape of the held factors."""
+
+from dataclasses import replace
+
+import numpy as np
+import pytest
+from scipy import sparse
+from scipy.sparse.linalg import splu
+
+from swehdg.assembly import PhysicalParams, _scatter, assemble_all
+from swehdg.elliptic import CondensedSolver, PhiRecovery
+from swehdg.fespace import build_spaces
+from swehdg.integrators import (
+    SdirkIntegrator,
+    SemidiscreteSystem,
+    make_sdirk,
+    uw_stage_blocks,
+)
+from swehdg.mesh import (
+    generate_rect_with_hole,
+    generate_uniform_rect,
+    generate_uniform_square,
+    pair_periodic,
+)
+from swehdg.swe import (
+    PhiuIntegrator,
+    build_phiu_system,
+    make_problem,
+    phiu_stage_blocks,
+)
+
+PARAMS = dict(phi=1.7, f0=0.3, beta=0.2, y_mid=0.4, tau=1.3)
+DT = 0.2
+
+
+def _mesh(kind):
+    if kind == "wall":
+        return generate_uniform_rect(2, 3)
+    if kind == "periodic":
+        return pair_periodic(generate_uniform_square(2), "both")
+    return generate_rect_with_hole((0.0, 3.0, 0.0, 3.0), (1.5, 1.5), 0.6, 1.2)
+
+
+def _matrices(kind, k):
+    mesh = _mesh(kind)
+    spaces = build_spaces(mesh, k)
+    return spaces, assemble_all(mesh, spaces, PhysicalParams(**PARAMS))
+
+
+# monolithic stage systems, factored whole: the oracles of the condensed solves
+
+def _monolithic_uw_stage(m, phi, delta):
+    nv = m.div_pair.shape[0]
+    eye_v = sparse.identity(nv, format="csr")
+    eye_w = sparse.identity(m.stab_local.shape[0], format="csr")
+    return splu(sparse.bmat([
+        [eye_v, -delta * phi * eye_v, None, None],
+        [None, eye_v - delta * m.coriolis, -delta * m.div_pair, delta * m.flux_pair],
+        [m.div_pair.T, None, eye_w + m.stab_local, -m.stab_mixed],
+        [-m.flux_pair.T, None, -m.stab_mixed.T, m.stab_trace],
+    ], format="csc"))
+
+
+def _monolithic_phiu_stage(m, phi, delta):
+    nw, nv = m.div_pair.shape[1], m.div_pair.shape[0]
+    eye_w = sparse.identity(nw, format="csr")
+    eye_v = sparse.identity(nv, format="csr")
+    return splu(sparse.bmat([
+        [eye_w + delta * m.stab_local, delta * phi * m.div_pair.T, -delta * m.stab_mixed],
+        [-delta * m.div_pair, eye_v - delta * m.coriolis, delta * m.flux_pair],
+        [m.stab_mixed.T, phi * m.flux_pair.T, -m.stab_trace],
+    ], format="csc"))
+
+
+def _oracle_uw_step(system, tab, dt, y):
+    m, nv = system.matrices, system.nv
+    nw, nm = m.stab_local.shape[0], m.stab_trace.shape[0]
+    slopes = np.empty((tab.stages, 2 * nv))
+    for i in range(tab.stages):
+        acc = y + dt * (tab.a[i, :i] @ slopes[:i])
+        delta = dt * tab.a[i, i]
+        lu = _monolithic_uw_stage(m, system.phi, delta)
+        x = lu.solve(np.concatenate([acc[:nv], acc[nv:] + delta * system.forcing,
+                                     np.zeros(nw + nm)]))
+        u, p, phat = x[nv:2 * nv], x[2 * nv:2 * nv + nw], x[2 * nv + nw:]
+        slopes[i, :nv] = system.phi * u
+        slopes[i, nv:] = (m.div_pair @ p - m.flux_pair @ phat + m.coriolis @ u
+                          + system.forcing)
+    return y + dt * (tab.b @ slopes)
+
+
+def _oracle_phiu_stages(run, tab, dt, y):
+    m, phi = run.matrices, run.spec.params.phi
+    nw, nv = m.div_pair.shape[1], m.div_pair.shape[0]
+    stages = []
+    slopes = np.empty((tab.stages, nw + nv))
+    for i in range(tab.stages):
+        acc = y + dt * (tab.a[i, :i] @ slopes[:i])
+        delta = dt * tab.a[i, i]
+        lu = _monolithic_phiu_stage(m, phi, delta)
+        x = lu.solve(np.concatenate([acc[:nw], acc[nw:] + delta * run.forcing,
+                                     np.zeros(m.stab_trace.shape[0])]))
+        q, u, qhat = x[:nw], x[nw:nw + nv], x[nw + nv:]
+        stages.append((q, u, qhat))
+        slopes[i, :nw] = -phi * (m.div_pair.T @ u) - m.stab_local @ q + m.stab_mixed @ qhat
+        slopes[i, nw:] = (m.div_pair @ q - m.flux_pair @ qhat + m.coriolis @ u
+                          + run.forcing)
+    return y + dt * (tab.b @ slopes), stages
+
+
+def _rel(a, b):
+    return np.abs(a - b).max() / max(np.abs(b).max(), 1e-300)
+
+
+@pytest.mark.parametrize("order", [2, 4])
+@pytest.mark.parametrize("kind", ["wall", "periodic", "holed"])
+@pytest.mark.parametrize("k", [0, 1, 2, 3])
+def test_uw_stages_match_monolithic_oracle(k, kind, order):
+    spaces, mats = _matrices(kind, k)
+    rng = np.random.default_rng(100 * k + order)
+    system = SemidiscreteSystem(matrices=mats, recovery=PhiRecovery(mats),
+                                forcing=rng.standard_normal(spaces.vector.ndof))
+    tab = make_sdirk(order)
+    stepper = SdirkIntegrator(system, tab, DT)
+    if order == 4:
+        assert min(stepper.trace_factors) < 0.0       # sdirk4's middle scale
+    nv = system.nv
+    for delta in stepper.trace_factors:
+        acc = rng.standard_normal(2 * nv)
+        x = _monolithic_uw_stage(mats, system.phi, delta).solve(
+            np.concatenate([acc[:nv], acc[nv:] + delta * system.forcing,
+                            np.zeros(spaces.scalar.ndof + spaces.trace.ndof)]))
+        u, p, phat = stepper.solve_stage(delta, acc)
+        assert _rel(np.concatenate([u, p, phat]), x[nv:]) <= 1e-11
+    y = rng.standard_normal(2 * nv)
+    assert _rel(stepper.step(y), _oracle_uw_step(system, tab, DT, y)) <= 1e-11
+
+
+@pytest.mark.parametrize("order", [2, 4])
+@pytest.mark.parametrize("kind", ["wall", "periodic", "holed"])
+@pytest.mark.parametrize("k", [0, 1, 2, 3])
+def test_phiu_stages_match_monolithic_oracle(k, kind, order):
+    mesh = _mesh(kind)
+    spec = make_problem("moving_bump", mesh, k, **PARAMS)
+    run = build_phiu_system(spec)
+    rng = np.random.default_rng(200 + 10 * k + order)
+    run.forcing = rng.standard_normal(run.spaces.vector.ndof)
+    tab = make_sdirk(order)
+    y = rng.standard_normal(run.y0.size)
+    y1, stages = PhiuIntegrator(run, tab, DT).step_with_stages(y)
+    y1_ref, stages_ref = _oracle_phiu_stages(run, tab, DT, y)
+    assert _rel(y1, y1_ref) <= 1e-11
+    for got, ref in zip(stages, stages_ref):
+        assert _rel(np.concatenate(got), np.concatenate(ref)) <= 1e-11
+
+
+def _old_recover(mats, w):
+    # the recovery as first written: condensed blocks from the facet
+    # tensors, a COO scatter, and two local solves around the trace solve
+    ne, m = mats.div_blocks.shape[0], mats.div_blocks.shape[2]
+    md = mats.spaces.trace.dim_local
+    nm = mats.stab_trace.shape[0]
+    local_inv = np.linalg.inv(mats.stab_local_blocks + np.eye(m))
+    big = (mats.params.tau * mats.facet_tensor).transpose(0, 2, 1, 3).reshape(ne, m, 3 * md)
+    blocks = np.einsum("eia,eij,ejb->eab", big, local_inv, big)
+    cols = mats.mdofs[mats.mesh.element_facets].reshape(ne, 3 * md)
+    schur = splu((mats.stab_trace - _scatter(blocks, cols, cols, (nm, nm))).tocsc())
+
+    def local_solve(r):
+        return np.einsum("eij,ej->ei", local_inv, r.reshape(ne, m)).reshape(-1)
+
+    r_local, r_trace = -(mats.div_pair.T @ w), mats.flux_pair.T @ w
+    phat = schur.solve(r_trace + mats.stab_mixed.T @ local_solve(r_local))
+    return local_solve(r_local + mats.stab_mixed @ phat), phat
+
+
+@pytest.mark.parametrize("kind", ["wall", "periodic", "holed"])
+@pytest.mark.parametrize("k", [0, 1, 2, 3])
+def test_zero_scale_stage_is_the_recovery(k, kind):
+    spaces, mats = _matrices(kind, k)
+    rec = PhiRecovery(mats)
+    system = SemidiscreteSystem(matrices=mats, recovery=rec)
+    stepper = SdirkIntegrator(system, make_sdirk(2), 0.0)
+    assert list(stepper.trace_factors) == [0.0]
+    rng = np.random.default_rng(300 + k)
+    acc = rng.standard_normal(2 * system.nv)
+    p_ref, phat_ref = _old_recover(mats, acc[:system.nv])
+    ref = np.concatenate([p_ref, phat_ref])
+    u, p, phat = stepper.solve_stage(0.0, acc)
+    assert np.array_equal(u, acc[system.nv:])
+    assert _rel(np.concatenate([p, phat]), ref) <= 1e-11
+    assert _rel(np.concatenate(rec.recover(acc[:system.nv])), ref) <= 1e-11
+
+
+@pytest.mark.parametrize("kind", ["wall", "periodic", "holed"])
+def test_uw_local_blocks_invertible_for_any_scale(kind):
+    # the p rows scaled by 1/phi give symmetric part diag(I, (I + S_l) / phi)
+    spaces, mats = _matrices(kind, 2)
+    phi = mats.params.phi
+    ne, nu, m = mats.div_blocks.shape
+    expected = np.zeros((ne, nu + m, nu + m))
+    expected[:, :nu, :nu] = np.eye(nu)
+    expected[:, nu:, nu:] = (np.eye(m) + mats.stab_local_blocks) / phi
+    rng = np.random.default_rng(7)
+    for delta in np.concatenate([rng.uniform(-50.0, 50.0, 8), [-1e6, 1e6]]):
+        local = uw_stage_blocks(mats, phi, delta)[0]
+        local[:, nu:] /= phi
+        sym = 0.5 * (local + local.transpose(0, 2, 1))
+        assert np.abs(sym - expected).max() <= 1e-12 * max(1.0, abs(delta))
+        assert np.linalg.eigvalsh(sym).min() > 0.0
+        assert np.all(np.isfinite(np.linalg.inv(local)))
+
+
+@pytest.mark.parametrize("kind", ["wall", "periodic", "holed"])
+def test_phiu_local_blocks_invertible_for_nonnegative_scale(kind):
+    # the u rows scaled by phi give symmetric part diag(I + delta S_l, phi I)
+    spaces, mats = _matrices(kind, 2)
+    phi = mats.params.phi
+    ne, nu, m = mats.div_blocks.shape
+    rng = np.random.default_rng(8)
+    for delta in np.concatenate([[0.0], rng.uniform(0.0, 50.0, 8), [1e6]]):
+        local = phiu_stage_blocks(mats, phi, delta)[0]
+        local[:, m:] *= phi
+        sym = 0.5 * (local + local.transpose(0, 2, 1))
+        expected = np.zeros_like(sym)
+        expected[:, :m, :m] = np.eye(m) + delta * mats.stab_local_blocks
+        expected[:, m:, m:] = phi * np.eye(nu)
+        assert np.abs(sym - expected).max() <= 1e-12 * max(1.0, delta)
+        assert np.linalg.eigvalsh(sym).min() > 0.0
+
+
+def test_singular_local_block_names_the_element():
+    rng = np.random.default_rng(5)
+    local = np.repeat(np.eye(3)[None], 4, axis=0) + 0.1 * rng.standard_normal((4, 3, 3))
+    local[2, :, 1] = 0.0
+    local[3] = 0.0
+    cols = np.array([[0, 1], [1, 2], [2, 3], [3, 0]])
+    with pytest.raises(RuntimeError, match="element 2 is singular"):
+        CondensedSolver(local, np.zeros((4, 3, 2)), np.zeros((4, 2, 3)),
+                        sparse.identity(4, format="csr"), cols)
+
+
+def test_stage_failures_name_the_scale():
+    spaces, mats = _matrices("wall", 1)
+    system = SemidiscreteSystem(matrices=mats, recovery=PhiRecovery(mats))
+    m = spaces.scalar.dim_local
+
+    # I + S_l of element 3 made zero: singular local block at scale 0
+    blocks = mats.stab_local_blocks.copy()
+    blocks[3] = -np.eye(m)
+    broken = replace(system, matrices=replace(mats, stab_local_blocks=blocks))
+    with pytest.raises(RuntimeError, match=r"stage scale 0\.0: local block of element 3 is singular"):
+        SdirkIntegrator(broken, make_sdirk(2), 0.0)
+
+    # no trace coupling and no trace block: the trace factorization fails
+    zero = replace(mats, stab_trace=0.0 * mats.stab_trace,
+                   facet_tensor=0.0 * mats.facet_tensor)
+    spec = make_problem("standing_wave", mats.mesh, 1)
+    run = replace(build_phiu_system(spec, spaces=spaces, matrices=mats), matrices=zero)
+    with pytest.raises(RuntimeError, match=r"stage scale 0\.025: trace factorization failed"):
+        PhiuIntegrator(run, make_sdirk(2), 0.05)
+    with pytest.raises(RuntimeError, match="recovery factorization failed: trace"):
+        PhiRecovery(zero)
+
+
+def _held_factors(holder):
+    found = []
+    for value in vars(holder).values():
+        items = value.values() if isinstance(value, dict) else (value,)
+        found.extend(f for f in items if hasattr(f, "L") and hasattr(f, "U"))
+    return found
+
+
+def test_every_held_factor_is_on_the_trace():
+    mesh = pair_periodic(generate_uniform_square(2), "both")
+    spec = make_problem("moving_bump", mesh, 2, final_time=0.1, dt=0.05)
+    run = build_phiu_system(spec)
+    nm = run.spaces.trace.ndof
+    rec = PhiRecovery(run.matrices)
+    system = SemidiscreteSystem(matrices=run.matrices, recovery=rec)
+    assert rec.schur.shape == (nm, nm)
+    for order, scales in ((2, 1), (4, 2)):
+        for stepper in (SdirkIntegrator(system, make_sdirk(order), 0.05),
+                        PhiuIntegrator(run, make_sdirk(order), 0.05)):
+            factors = _held_factors(stepper)
+            assert len(factors) == len(stepper.trace_factors) == scales
+            assert all(f.shape == (nm, nm) for f in factors)

@@ -6,9 +6,7 @@ import pytest
 from swehdg.assembly import PhysicalParams, assemble_all
 from swehdg.elliptic import (
     PhiRecovery,
-    apply_K,
     initialize_state,
-    recover_phi,
     solve_vector_laplacian,
 )
 from swehdg.fespace import build_spaces
@@ -42,7 +40,7 @@ def _l2_error_vector(vspace, coeffs, exact):
 
 def test_recover_zero_and_linearity():
     spaces, mats, rec = _setup(generate_uniform_square(2), 1)
-    p, phat = recover_phi(rec, np.zeros(spaces.vector.ndof))
+    p, phat = rec.recover(np.zeros(spaces.vector.ndof))
     assert np.abs(p).max() == 0.0 and np.abs(phat).max() == 0.0
 
     rng = np.random.default_rng(0)
@@ -102,7 +100,7 @@ def test_wave_operator_matches_dense_oracle(nx, ny, k):
     sol = np.linalg.solve(block, rhs)
     dense = (np.hstack([-mats.div_pair.toarray(), mats.flux_pair.toarray()]) @ sol)
 
-    applied = np.column_stack([apply_K(rec, col) for col in np.eye(nv)])
+    applied = np.column_stack([rec.apply(col) for col in np.eye(nv)])
     scale = np.abs(dense).max()
     assert np.abs(applied - dense).max() <= 1e-11 * scale
     assert np.abs(dense - dense.T).max() <= 1e-12 * scale

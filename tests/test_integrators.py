@@ -17,8 +17,6 @@ from swehdg.integrators import (
     make_integrator,
     make_sdirk,
     make_seprk,
-    sdirk_step,
-    seprk_step,
 )
 from swehdg.mesh import generate_uniform_rect, generate_uniform_square
 
@@ -168,8 +166,8 @@ def test_step_dt_zero_is_identity():
     _, system = _make_system(mesh, 1, f0=0.4)
     rng = np.random.default_rng(3)
     y = rng.standard_normal(2 * system.nv)
-    assert np.array_equal(sdirk_step(system, make_sdirk(4), 0.0, y), y)
-    assert np.array_equal(seprk_step(system, make_seprk(3), 0.0, y), y)
+    assert np.array_equal(SdirkIntegrator(system, make_sdirk(4), 0.0).step(y), y)
+    assert np.array_equal(SeprkIntegrator(system, make_seprk(3), 0.0).step(y), y)
 
 
 def test_zero_state_stays_zero():
