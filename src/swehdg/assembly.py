@@ -23,8 +23,6 @@ class PhysicalParams:
         Mean geopotential, positive.
     f0, beta, y_mid : float
         Coriolis law f(x, y) = f0 + beta (y - y_mid).
-    gravity : float
-        Recorded for completeness; the linear operator never uses it.
     tau : float
         HDG stabilization, positive.
     alpha : float
@@ -38,7 +36,6 @@ class PhysicalParams:
     f0: float = 0.0
     beta: float = 0.0
     y_mid: float = 0.0
-    gravity: float = 1.0
     tau: float = 1.0
     alpha: float = 1.0
     gamma: float = 0.0

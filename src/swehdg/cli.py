@@ -43,6 +43,7 @@ from .diagnostics import (
     eoc,
     init_errors,
     l2_errors,
+    total_energy,
 )
 from .integrators import make_integrator, make_sdirk
 from .mesh import (
@@ -440,7 +441,10 @@ def cmd_compare_dissipative(cfg, out_dir, threads):
     spec = make_problem(cfg.preset, mesh, degree, **cfg.overrides)
     label = f"k={degree}, h={mesh.h_nominal:g}"
 
-    uw = build_uw_system(spec)
+    try:
+        uw = build_uw_system(spec)
+    except RuntimeError as exc:
+        raise RunFailure(f"init solve failed for {label}: {exc}") from exc
     _check_residual(uw.init.init.residual, label)
     phiu = build_phiu_system(spec)
 
@@ -449,16 +453,15 @@ def cmd_compare_dissipative(cfg, out_dir, threads):
     uw_stepper = make_integrator(cfg.integrator or "midpoint", uw.system, dt)
     phiu_stepper = PhiuIntegrator(phiu, make_sdirk(2), dt)
 
-    def uw_energy(y):
-        rec = conserved_quantities(uw, y, 0.0)
-        return rec.total_energy
-
-    rows = [[_fmt(0.0), _fmt(uw_energy(uw.y0)), _fmt(phiu_energy(phiu, phiu.y0))]]
+    rows = [[_fmt(0.0), _fmt(total_energy(uw, uw.y0)), _fmt(phiu_energy(phiu, phiu.y0))]]
     y_uw, y_phiu = uw.y0, phiu.y0
     for n in range(1, nsteps + 1):
         y_uw = uw_stepper.step(y_uw)
         y_phiu = phiu_stepper.step(y_phiu)
-        rows.append([_fmt(n * dt), _fmt(uw_energy(y_uw)),
+        for scheme, y in (("conserving", y_uw), ("dissipative", y_phiu)):
+            if not np.all(np.isfinite(y)):
+                raise RunFailure(f"{scheme} solution blew up for {label} at step {n}")
+        rows.append([_fmt(n * dt), _fmt(total_energy(uw, y_uw)),
                      _fmt(phiu_energy(phiu, y_phiu))])
     base = cfg.basename or "energy_compare"
     _write_csv(out_dir / f"{base}.csv",

@@ -64,10 +64,37 @@ def _height_state(run, y):
     return y[:nw], None, y[nw:], None
 
 
+def _energy_parts(run, p, phat, u):
+    """Kinetic, potential, trace and bathymetry parts of the energy, the
+    quantity the conserving stepper holds flat; their sum, in this order,
+    is the energy."""
+    m = run.matrices
+    kinetic = 0.5 * run.spec.params.phi * (u @ u)
+    potential = 0.5 * (p @ p)
+    if phat is not None:
+        trace_term = 0.5 * (p @ (m.stab_local @ p)
+                            - 2.0 * p @ (m.stab_mixed @ phat)
+                            + phat @ (m.stab_trace @ phat))
+    else:
+        trace_term = 0.0
+    bath = 0.0
+    if getattr(run, "bathymetry_coeffs", None) is not None:
+        bath = float(run.bathymetry_coeffs @ p)
+    return kinetic, potential, trace_term, bath
+
+
+def total_energy(run, y):
+    """Energy of one state snapshot, bathymetry pairing included; equal
+    to ``conserved_quantities(run, y).total_energy`` without evaluating
+    the other functionals."""
+    p, phat, u, _ = _height_state(run, y)
+    kinetic, potential, trace_term, bath = _energy_parts(run, p, phat, u)
+    return kinetic + potential + trace_term + bath
+
+
 def conserved_quantities(run, y, t=0.0):
     """Evaluate every monitored functional for one state snapshot."""
     p, phat, u, _ = _height_state(run, y)
-    m = run.matrices
     params = run.spec.params
     big_phi = params.phi
     sc = run.spaces.scalar
@@ -81,19 +108,8 @@ def conserved_quantities(run, y, t=0.0):
     rot_q = vec.rot_values(u)
     f_q = params.coriolis(xq, yq)
 
-    kinetic = 0.5 * big_phi * (u @ u)
-    potential = 0.5 * (p @ p)
-    if phat is not None:
-        trace_term = 0.5 * (p @ (m.stab_local @ p)
-                            - 2.0 * p @ (m.stab_mixed @ phat)
-                            + phat @ (m.stab_trace @ phat))
-    else:
-        trace_term = 0.0
-
+    kinetic, potential, trace_term, bath = _energy_parts(run, p, phat, u)
     vort = float(np.sum(wts * rot_q))
-    bath = 0.0
-    if getattr(run, "bathymetry_coeffs", None) is not None:
-        bath = float(run.bathymetry_coeffs @ p)
 
     return QuantityRecord(
         t=float(t),

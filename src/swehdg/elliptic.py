@@ -3,11 +3,13 @@ condensed wave operator, and the stationary vector-Laplacian
 initialization solve.
 
 :class:`CondensedSolver` is the hybridization kernel shared by every
-implicit solve of the time-dependent problem: element-local unknowns are
-eliminated block by block, and only the remaining trace system is
-factored.  The recovery of the height from the flux is its simplest
-instance (the local block is identity plus boundary stabilization); the
-implicit stages of both schemes reuse it with larger local blocks.
+implicit solve: element-local unknowns are eliminated block by block,
+and only the remaining trace system is factored.  The recovery of the
+height from the flux is its simplest instance (the local block is
+identity plus boundary stabilization); the implicit stages of both
+schemes reuse it with larger local blocks, and the init solve eliminates
+(rotation, height, flux) per element onto the (height trace, tangential
+flux trace) system, bordered by its gauge multipliers.
 """
 
 import logging
@@ -17,7 +19,7 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse.linalg import splu
 
-from .assembly import _scatter, assemble_all
+from .assembly import _element_columns, _scatter, assemble_all
 from .fespace import GridFunction, TangentialTraceSpace
 from .mesh import WALL, boundary_loops
 
@@ -67,22 +69,45 @@ class CondensedSolver:
     is factored once, and each solve costs one batched local apply, two
     sparse products and one trace LU solve.
 
+    An optional ``border`` (CSR, local rows then trace rows, one column
+    per constraint) adds multipliers lam and bordered rows and columns:
+
+        A x + B t + E_l lam = f
+        C x + T t + E_t lam = g
+        E_l^T x + E_t^T t   = h
+
+    The multipliers are condensed like extra trace unknowns: the Schur
+    complement is bordered by E_t - C A^-1 E_l and E_t^T - E_l^T A^-1 B,
+    with corner -E_l^T A^-1 E_l, so sparse border columns stay sparse.
+    The trace part of a solve is then (t, lam) and takes data (g, h).
+
     A singular A_e or a failed trace factorization raises RuntimeError.
     """
 
-    def __init__(self, local, from_trace, to_trace, trace, cols):
+    def __init__(self, local, from_trace, to_trace, trace, cols, border=None):
         ne, n, _ = local.shape
         nt = trace.shape[0]
         self._local_inv = _invert_blocks(local)
         lift = self._local_inv @ from_trace         # A_e^-1 B_e
         schur = trace - _scatter(to_trace @ lift, cols, cols, (nt, nt))
+        self._lift = _block_rows(lift, cols, nt)
+        restrict = (to_trace @ self._local_inv).transpose(0, 2, 1)  # (C_e A_e^-1)^T
+        self._restrict = _block_rows(restrict, cols, nt).T.tocsr()
+        if border is not None:
+            b_local, b_trace = border[:ne * n], border[ne * n:]
+            dense = b_local.toarray().reshape(ne, n, -1)
+            lift_b = sparse.csr_matrix((self._local_inv @ dense).reshape(ne * n, -1))
+            restrict_b = sparse.csr_matrix(
+                (self._local_inv.transpose(0, 2, 1) @ dense).reshape(ne * n, -1)).T
+            schur = sparse.vstack([
+                sparse.hstack([schur, b_trace - self._restrict @ b_local]),
+                sparse.hstack([b_trace.T - b_local.T @ self._lift, -(restrict_b @ b_local)])])
+            self._lift = sparse.hstack([self._lift, lift_b], format="csr")
+            self._restrict = sparse.vstack([self._restrict, restrict_b], format="csr")
         try:
             self.lu = splu(schur.tocsc())
         except RuntimeError as err:
             raise RuntimeError(f"trace factorization failed: {err}") from None
-        self._lift = _block_rows(lift, cols, nt)
-        restrict = (to_trace @ self._local_inv).transpose(0, 2, 1)  # (C_e A_e^-1)^T
-        self._restrict = _block_rows(restrict, cols, nt).T.tocsr()
 
     def _local_apply(self, f):
         """A^-1 f, one element block at a time."""
@@ -90,7 +115,8 @@ class CondensedSolver:
         return np.einsum("eij,ej->ei", self._local_inv, f.reshape(ne, n)).reshape(-1)
 
     def solve(self, f, g):
-        """Local and trace parts (x, t) of the solution for data (f, g)."""
+        """Local and trace parts (x, t) of the solution for data (f, g);
+        with a border, g and t end with the constraint rows."""
         t = self.lu.solve(g - self._restrict @ f)
         return self._local_apply(f) - self._lift @ t, t
 
@@ -154,60 +180,76 @@ class InitState:
     init: InitSolution
 
 
-def _init_blocks(mats, tangential):
-    """Couplings specific to the init system, built from the shared
-    facet tensors: rotation pairing, tangential-trace couplings, and the
-    boundary penalties of the flux definitions."""
+def _init_blocks(mats, tangential, alpha):
+    """Element and trace blocks of the init system for
+    :class:`CondensedSolver`, built from the shared facet tensors.
+
+    Returns (local, from_trace, trace, cols): the local blocks A_e over
+    (sigma_e, phi_e, w_e), the couplings B_e = C_e^T of each element to
+    the (phi_hat, psi_hat) dofs ``cols[e]`` of its facets, and the trace
+    block diag(-S_t, Z / alpha) over (phi_hat, psi_hat).
+    """
     mesh = mats.mesh
-    sc = mats.spaces.scalar
-    tr = mats.spaces.trace
-    ne, m, md = mesh.num_elements, sc.dim_local, tr.dim_local
+    ne, m = mats.wdofs.shape
+    nm = mats.stab_trace.shape[0]
     ef = mesh.element_facets
-    nw, nv, nm = sc.ndof, 2 * sc.ndof, tr.ndof
+    ainv = 1.0 / alpha
 
     # (z_k, curl phi_i) over elements; curl phi = (dphi/dy, -dphi/dx)
-    dc_blocks = np.concatenate([mats.vol_dy.transpose(0, 2, 1),
-                                -mats.vol_dx.transpose(0, 2, 1)], axis=1)
-    curl_pair = _scatter(dc_blocks, mats.vdofs.reshape(ne, 2 * m), mats.wdofs, (nv, nw))
+    curl = np.concatenate([mats.vol_dy.transpose(0, 2, 1),
+                           -mats.vol_dx.transpose(0, 2, 1)], axis=1)
+    div = mats.div_blocks
 
     nk = mats.normals_signed
     nperp = np.stack([nk[..., 1], -nk[..., 0]], axis=-1)     # outward n rotated by -90
     tdot = np.einsum("efd,efd->ef", tangential.tangent[ef], nperp)
 
     wt = mats.facet_tensor
-    rows_w = np.broadcast_to(mats.wdofs[:, None, :], (ne, 3, m)).reshape(3 * ne, m)
-    rows_v = np.broadcast_to(mats.vdofs.reshape(ne, 1, 2 * m), (ne, 3, 2 * m))
+    tang_pair = _element_columns(tdot[..., None, None] * wt)
+    tang_flux = _element_columns(tdot[..., None, None] * np.concatenate(
+        [nperp[..., 0, None, None] * wt, nperp[..., 1, None, None] * wt], axis=2))
+
+    # tangential boundary penalty of the flux, and of its trace
+    norm_pen = np.einsum("efa,efb,efij->eaibj", nperp, nperp,
+                         mats.facet_elem_mass).reshape(ne, 2 * m, 2 * m)
+    norm_pen = 0.5 * (norm_pen + norm_pen.transpose(0, 2, 1))
+    md = mats.mdofs.shape[1]
     cols_m = mats.mdofs[ef].reshape(3 * ne, md)
+    tang_pen = _scatter(((tdot ** 2)[..., None, None] * mats.facet_trace_mass)
+                        .reshape(3 * ne, md, md), cols_m, cols_m, (nm, nm))
 
-    t_blocks = tdot[..., None, None] * wt
-    tang_pair = _scatter(t_blocks.reshape(3 * ne, m, md), rows_w, cols_m, (nw, nm))
+    local = np.zeros((ne, 4 * m, 4 * m))
+    local[:, :m, :m] = -np.eye(m)
+    local[:, :m, 2 * m:] = curl.transpose(0, 2, 1)
+    local[:, m:2 * m, m:2 * m] = -(mats.stab_local_blocks + np.eye(m))
+    local[:, m:2 * m, 2 * m:] = -div.transpose(0, 2, 1)
+    local[:, 2 * m:, :m] = curl
+    local[:, 2 * m:, m:2 * m] = -div
+    local[:, 2 * m:, 2 * m:] = ainv * norm_pen
 
-    y_blocks = tdot[..., None, None] * np.concatenate(
-        [nperp[..., 0, None, None] * wt, nperp[..., 1, None, None] * wt], axis=2)
-    tang_flux = _scatter(y_blocks.reshape(3 * ne, 2 * m, md),
-                         rows_v.reshape(3 * ne, 2 * m), cols_m, (nv, nm))
+    nc = tang_pair.shape[2]
+    from_trace = np.zeros((ne, 4 * m, 2 * nc))
+    from_trace[:, :m, nc:] = -tang_pair
+    from_trace[:, m:2 * m, :nc] = mats.stab_mixed_blocks
+    from_trace[:, 2 * m:, :nc] = mats.flux_blocks
+    from_trace[:, 2 * m:, nc:] = -ainv * tang_flux
 
-    xw = np.einsum("efa,efb,efij->eaibj", nperp, nperp,
-                   mats.facet_elem_mass).reshape(ne, 2 * m, 2 * m)
-    xw = 0.5 * (xw + xw.transpose(0, 2, 1))
-    norm_pen = _scatter(xw, mats.vdofs.reshape(ne, 2 * m),
-                        mats.vdofs.reshape(ne, 2 * m), (nv, nv))
-
-    z_blocks = (tdot ** 2)[..., None, None] * mats.facet_trace_mass
-    tang_pen = _scatter(z_blocks.reshape(3 * ne, md, md), cols_m, cols_m, (nm, nm))
-
-    return curl_pair, tang_pair, tang_flux, norm_pen, tang_pen
+    trace = sparse.block_diag([-mats.stab_trace, ainv * tang_pen], format="csr")
+    cols = np.concatenate([mats.trace_cols, nm + mats.trace_cols], axis=1)
+    return local, from_trace, trace, cols
 
 
-def _gauge_constraints(mesh, spaces, offsets):
-    """Border columns pinning the discrete harmonic components.
+def _gauge_constraints(mesh, spaces):
+    """Border columns pinning the discrete harmonic components, over the
+    init unknowns in solver order: the element-local (sigma, phi, w)
+    blocks of every element, then phi_hat, then psi_hat.
 
     On periodic domains the init operator has constant flux fields in its
     kernel (one per periodic direction); every interior hole adds one
     circulation field.  All of them are invisible to the recovery and the
     dynamics.  Returns (sparse_cols, dense_cols): the sparse columns (a
     one-element component mean per periodic direction, one circulation row
-    per hole) keep the LU factorization fill low; the dense global-mean
+    per hole) keep the trace factorization fill low; the dense global-mean
     columns are the border actually enforced, restored afterwards through
     a low-rank correction, because they spread the absorption of any
     inconsistent data component evenly instead of concentrating it on one
@@ -215,23 +257,22 @@ def _gauge_constraints(mesh, spaces, offsets):
     the intended one.
     """
     sc, tr = spaces.scalar, spaces.trace
-    off_w, off_psi, total = offsets
+    ne, m = mesh.num_elements, sc.dim_local
+    off_psi = 4 * ne * m + tr.ndof
+    total = off_psi + tr.ndof
     cols = []
     dense = []
 
     moments = np.einsum("eq,eqi->ei", sc.qweights, sc.tab)
-    m = sc.dim_local
     for axis, active in ((0, mesh.periodic_x), (1, mesh.periodic_y)):
         if not active:
             continue
+        dofs = (np.arange(ne) * 4 * m)[:, None] + (2 + axis) * m + np.arange(m)[None, :]
         col = np.zeros(total)
-        dofs = off_w + axis * m + np.arange(m)
-        col[dofs] = moments[0]
+        col[dofs[0]] = moments[0]
         cols.append(col / np.linalg.norm(col))
 
         full = np.zeros(total)
-        dofs = off_w + (np.arange(mesh.num_elements) * 2 * m)[:, None] \
-            + axis * m + np.arange(m)[None, :]
         full[dofs.reshape(-1)] = moments.reshape(-1)
         dense.append(full / np.linalg.norm(full))
 
@@ -257,83 +298,109 @@ def _gauge_constraints(mesh, spaces, offsets):
 def solve_vector_laplacian(mesh, spaces, f, params, matrices=None):
     """Stationary vector-Laplacian solve for the initial flux field.
 
-    Unknowns are the rotation, height, flux, height trace, and
-    tangential flux trace; both flux definitions carry their
-    stabilization terms (tau for the normal part, 1/alpha for the
-    tangential part).  The system is assembled symmetric indefinite and
-    solved by a sparse LU, with gauge bordering on topologically
-    nontrivial domains.
+    Unknowns are the rotation sigma, height phi, flux w, height trace
+    phi_hat, and tangential flux trace psi_hat; both flux definitions
+    carry their stabilization terms (tau for the normal part, 1/alpha for
+    the tangential part).  The system is symmetric indefinite and is
+    solved by static condensation (:class:`CondensedSolver`): per element
+    the local unknowns (sigma, phi, w) are eliminated through
+
+        A_e = [[-I,      0,              curl_e^T],
+               [ 0,      -(I + S_l,e),   -D_e^T  ],
+               [ curl_e, -D_e,           N_e / alpha]]
+
+    and only the (phi_hat, psi_hat) trace system is factored.  Every A_e
+    is invertible: its (sigma, phi) part is negative definite, and the
+    Schur complement left on w, N_e / alpha + curl_e curl_e^T
+    + D_e (I + S_l,e)^-1 D_e^T, is positive definite.  It is a sum of
+    semidefinite terms, and a w in the kernel of all three has zero
+    tangential trace on the element boundary (the tangential boundary
+    penalty N_e), zero divergence (D_e) and then, integrating the curl
+    pairing by parts, zero rotation (curl_e): the gradient of a harmonic
+    polynomial that is constant on the boundary, so w = 0.
+
+    On topologically nontrivial domains the trace system is bordered with
+    gauge multipliers (see :func:`_gauge_constraints`).  The residual is
+    measured on the full, uncondensed bordered operator, applied block by
+    block, and reported relative to max(1, |rhs|).  A singular local
+    block or trace system raises RuntimeError("init solve factorization
+    failed: ...").
     """
     if spaces.tangential is None:
         spaces.tangential = TangentialTraceSpace(mesh, spaces.k, spaces.trace.quad_degree)
     mats = matrices if matrices is not None else assemble_all(mesh, spaces, params)
 
     sc, tr, tg = spaces.scalar, spaces.trace, spaces.tangential
-    nw, nv, nm = sc.ndof, spaces.vector.ndof, tr.ndof
-    curl_pair, tang_pair, tang_flux, norm_pen, tang_pen = _init_blocks(mats, tg)
+    ne, m = mats.wdofs.shape
+    nm = tr.ndof
+    local, from_trace, trace, tcols = _init_blocks(mats, tg, params.alpha)
+    n_local, n_trace = 4 * ne * m, trace.shape[0]
+    total = n_local + n_trace
 
-    ainv = 1.0 / params.alpha
-    eye_w = sparse.identity(nw, format="csr")
-    local = mats.stab_local + eye_w
-    blocks = [
-        [-eye_w, None, curl_pair.T, None, -tang_pair],
-        [None, -local, -mats.div_pair.T, mats.stab_mixed, None],
-        [curl_pair, -mats.div_pair, ainv * norm_pen, mats.flux_pair, -ainv * tang_flux],
-        [None, mats.stab_mixed.T, mats.flux_pair.T, -mats.stab_trace, None],
-        [-tang_pair.T, None, -ainv * tang_flux.T, None, ainv * tang_pen],
-    ]
-    system = sparse.bmat(blocks, format="csr")
-
-    total = nw + nw + nv + nm + nm
-    off_w = 2 * nw
-    off_psi = total - nm
-    cols, dense_cols = _gauge_constraints(mesh, spaces, (off_w, off_psi, total))
-    fixes = []
-    if cols:
-        border = sparse.csr_matrix(np.column_stack(cols))
-        system = sparse.bmat([[system, border], [border.T, None]], format="csr")
-        n_tot = system.shape[0]
-        for slot, (col, full) in enumerate(zip(cols, dense_cols)):
-            if full is None:
-                continue
-            delta = np.zeros(n_tot)
-            delta[:total] = full - col
-            picker = np.zeros(n_tot)
-            picker[total + slot] = 1.0
-            fixes.append((delta, picker))
-
-    rhs = np.zeros(system.shape[0])
-    rhs[off_w:off_w + nv] = spaces.vector.project(f).coeffs
-
+    cols, dense_cols = _gauge_constraints(mesh, spaces)
+    border = sparse.csr_matrix(np.column_stack(cols)) if cols else None
     try:
-        lu = splu(system.tocsc())
+        solver = CondensedSolver(local, from_trace, from_trace.transpose(0, 2, 1),
+                                 trace, tcols, border=border)
     except RuntimeError as err:
         raise RuntimeError(f"init solve factorization failed: {err}") from None
+
+    n_tot = total + len(cols)
+    fixes = []
+    for slot, (col, full) in enumerate(zip(cols, dense_cols)):
+        if full is None:
+            continue
+        delta = np.zeros(n_tot)
+        delta[:total] = full - col
+        picker = np.zeros(n_tot)
+        picker[total + slot] = 1.0
+        fixes.append((delta, picker))
+
+    rhs_local = np.zeros((ne, 4 * m))
+    rhs_local[:, 2 * m:] = spaces.vector.project(f).coeffs.reshape(ne, 2 * m)
+    rhs = np.zeros(n_tot)
+    rhs[:n_local] = rhs_local.reshape(-1)
+
+    def base_solve(b):
+        x, t = solver.solve(b[:n_local], b[n_local:])
+        return np.concatenate([x, t])
+
+    def base_apply(v):
+        # the uncondensed bordered operator, from the element blocks
+        x, t, lam = v[:n_local], v[n_local:total], v[total:]
+        xe = x.reshape(ne, 4 * m)
+        out = np.empty(n_tot)
+        out[:n_local] = (np.einsum("eij,ej->ei", local, xe)
+                         + np.einsum("eij,ej->ei", from_trace, t[tcols])).reshape(-1)
+        out[n_local:total] = trace @ t + np.bincount(
+            tcols.reshape(-1), weights=np.einsum("eij,ei->ej", from_trace, xe).reshape(-1),
+            minlength=n_trace)
+        if border is not None:
+            out[:total] += border @ lam
+            out[total:] = border.T @ v[:total]
+        return out
 
     if fixes:
         # swap the factored sparse border columns for the dense ones:
         # the enforced system is S + W C W^T with W = [deltas | pickers]
         # and C the antidiagonal pairing (C^-1 = C), inverted through the
-        # Woodbury identity so the LU keeps its sparse fill
+        # Woodbury identity so the trace LU keeps its sparse fill
         r = len(fixes)
         w_mat = np.column_stack([d for d, _ in fixes] + [p for _, p in fixes])
         c_mat = np.zeros((2 * r, 2 * r))
         c_mat[:r, r:] = np.eye(r)
         c_mat[r:, :r] = np.eye(r)
-        y_mat = lu.solve(w_mat)
+        y_mat = np.column_stack([base_solve(col) for col in w_mat.T])
         small = c_mat + w_mat.T @ y_mat
 
         def solve_fn(b):
-            yb = lu.solve(b)
+            yb = base_solve(b)
             return yb - y_mat @ np.linalg.solve(small, w_mat.T @ yb)
 
         def apply_fn(v):
-            return system @ v + w_mat @ (c_mat @ (w_mat.T @ v))
+            return base_apply(v) + w_mat @ (c_mat @ (w_mat.T @ v))
     else:
-        solve_fn = lu.solve
-
-        def apply_fn(v):
-            return system @ v
+        solve_fn, apply_fn = base_solve, base_apply
 
     x = solve_fn(rhs)
     residual = np.linalg.norm(apply_fn(x) - rhs) / max(1.0, np.linalg.norm(rhs))
@@ -343,12 +410,13 @@ def solve_vector_laplacian(mesh, spaces, f, params, matrices=None):
         log.info("init solve: gauge multipliers %.3e absorb the harmonic part "
                  "of the data", np.abs(lam).max())
 
+    xe = x[:n_local].reshape(ne, 4 * m)
     return InitSolution(
-        sigma=GridFunction(sc, x[:nw]),
-        phi=GridFunction(sc, x[nw:2 * nw]),
-        w=GridFunction(spaces.vector, x[off_w:off_w + nv]),
-        phi_hat=GridFunction(tr, x[off_w + nv:off_w + nv + nm]),
-        w_tangent=GridFunction(tg, x[off_psi:off_psi + nm]),
+        sigma=GridFunction(sc, xe[:, :m].reshape(-1)),
+        phi=GridFunction(sc, xe[:, m:2 * m].reshape(-1)),
+        w=GridFunction(spaces.vector, xe[:, 2 * m:].reshape(-1)),
+        phi_hat=GridFunction(tr, x[n_local:n_local + nm]),
+        w_tangent=GridFunction(tg, x[n_local + nm:total]),
         residual=float(residual),
         multipliers=lam,
     )

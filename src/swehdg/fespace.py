@@ -388,11 +388,6 @@ class GridFunction:
         return float(c[1] @ gx[0, 0] - c[0] @ gy[0, 0])
 
 
-def project(space, func):
-    """L2 projection of an analytic function onto any of the spaces."""
-    return space.project(func)
-
-
 @dataclass
 class SpaceSet:
     """The spaces of one discretization, all on the same mesh and degree."""

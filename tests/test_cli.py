@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from swehdg import cli, elliptic
 from swehdg.cli import RunConfig, _explicit_name, _pick_dt, load_config, main
 
 
@@ -200,6 +201,53 @@ def test_compare_dissipation_scales_with_tau(tmp_path):
         drops[tau] = pu[0] - pu[-1]
     ratio = drops[1e-8] / drops[1.0]
     assert 1e-9 <= ratio <= 1e-7
+
+
+def test_compare_singular_init_block_names_the_run(tmp_path, capsys, monkeypatch):
+    real = elliptic._init_blocks
+
+    def singular(*args):
+        local, from_trace, trace, cols = real(*args)
+        local[3] = 0.0
+        return local, from_trace, trace, cols
+
+    monkeypatch.setattr(elliptic, "_init_blocks", singular)
+    cfg = _write(tmp_path, "c.ini", COMPARE.format(tau=1.0, T=0.01))
+    assert main(["compare_dissipative", "--config", cfg,
+                 "--out", str(tmp_path)]) == 1
+    assert ("init solve failed for k=1, h=0.25: init solve factorization failed: "
+            "local block of element 3 is singular") in capsys.readouterr().err
+    assert not (tmp_path / "energy_compare.csv").exists()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_compare_conserving_blow_up_names_the_step(tmp_path, capsys):
+    text = COMPARE.format(tau=1.0, T=200.0).replace("dt = 0.001", "dt = 1.0")
+    cfg = _write(tmp_path, "c.ini", text + "integrator = seprk4\n")
+    assert main(["compare_dissipative", "--config", cfg,
+                 "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert "conserving solution blew up for k=1, h=0.25 at step " in err
+    assert not (tmp_path / "energy_compare.csv").exists()
+
+
+def test_compare_dissipative_blow_up_names_the_step(tmp_path, capsys, monkeypatch):
+    class Poisoned(cli.PhiuIntegrator):
+        calls = 0
+
+        def step(self, y):
+            self.calls += 1
+            y = super().step(y)
+            if self.calls == 3:
+                y[0] = np.nan
+            return y
+
+    monkeypatch.setattr(cli, "PhiuIntegrator", Poisoned)
+    cfg = _write(tmp_path, "c.ini", COMPARE.format(tau=1.0, T=0.01))
+    assert main(["compare_dissipative", "--config", cfg,
+                 "--out", str(tmp_path)]) == 1
+    assert ("dissipative solution blew up for k=1, h=0.25 at step 3"
+            in capsys.readouterr().err)
 
 
 def test_unknown_preset_fails_cleanly(tmp_path, capsys):

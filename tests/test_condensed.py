@@ -1,5 +1,6 @@
-"""Trace-condensed stage solves against monolithic oracles, the failure
-contract of the condensed solver, and the shape of the held factors."""
+"""Trace-condensed stage and init solves against monolithic oracles, the
+failure contract of the condensed solver, and the shape of the held
+factors."""
 
 from dataclasses import replace
 
@@ -9,7 +10,12 @@ from scipy import sparse
 from scipy.sparse.linalg import splu
 
 from swehdg.assembly import PhysicalParams, _scatter, assemble_all
-from swehdg.elliptic import CondensedSolver, PhiRecovery
+from swehdg.elliptic import (
+    CondensedSolver,
+    PhiRecovery,
+    _init_blocks,
+    solve_vector_laplacian,
+)
 from swehdg.fespace import build_spaces
 from swehdg.integrators import (
     SdirkIntegrator,
@@ -18,6 +24,8 @@ from swehdg.integrators import (
     uw_stage_blocks,
 )
 from swehdg.mesh import (
+    WALL,
+    boundary_loops,
     generate_rect_with_hole,
     generate_uniform_rect,
     generate_uniform_square,
@@ -39,6 +47,9 @@ def _mesh(kind):
         return generate_uniform_rect(2, 3)
     if kind == "periodic":
         return pair_periodic(generate_uniform_square(2), "both")
+    if kind == "holed-periodic":
+        return pair_periodic(generate_rect_with_hole(
+            (-10.0, 10.0, -10.0, 10.0), (3.0, 0.0), 1.0, 2.0), "both")
     return generate_rect_with_hole((0.0, 3.0, 0.0, 3.0), (1.5, 1.5), 0.6, 1.2)
 
 
@@ -241,6 +252,39 @@ def test_singular_local_block_names_the_element():
                         sparse.identity(4, format="csr"), cols)
 
 
+def test_bordered_solve_matches_dense_system():
+    # nonsymmetric blocks, a repeated trace column, and a border with both
+    # local and trace entries, against the dense bordered system
+    rng = np.random.default_rng(11)
+    ne, n, nt, r = 4, 3, 5, 2
+    local = 3.0 * np.eye(n) + rng.standard_normal((ne, n, n))
+    from_trace = rng.standard_normal((ne, n, 2))
+    to_trace = rng.standard_normal((ne, 2, n))
+    cols = np.array([[0, 1], [1, 2], [2, 3], [4, 4]])
+    trace = sparse.csr_matrix(5.0 * np.eye(nt) + rng.standard_normal((nt, nt)))
+    border = np.zeros((ne * n + nt, r))
+    border[[1, 4], 0] = rng.standard_normal(2)
+    border[ne * n + 2, 0] = 1.0
+    border[ne * n + np.array([0, 3]), 1] = rng.standard_normal(2)
+
+    dense = np.zeros((ne * n + nt + r, ne * n + nt + r))
+    for e in range(ne):
+        rows = e * n + np.arange(n)
+        dense[np.ix_(rows, rows)] = local[e]
+        for j, c in enumerate(cols[e]):
+            dense[rows, ne * n + c] += from_trace[e, :, j]
+            dense[ne * n + c, rows] += to_trace[e, j]
+    dense[ne * n:ne * n + nt, ne * n:ne * n + nt] = trace.toarray()
+    dense[:ne * n + nt, ne * n + nt:] = border
+    dense[ne * n + nt:, :ne * n + nt] = border.T
+
+    solver = CondensedSolver(local, from_trace, to_trace, trace, cols,
+                             border=sparse.csr_matrix(border))
+    rhs = rng.standard_normal(dense.shape[0])
+    x, t = solver.solve(rhs[:ne * n], rhs[ne * n:])
+    assert _rel(np.concatenate([x, t]), np.linalg.solve(dense, rhs)) <= 1e-12
+
+
 def test_stage_failures_name_the_scale():
     spaces, mats = _matrices("wall", 1)
     system = SemidiscreteSystem(matrices=mats, recovery=PhiRecovery(mats))
@@ -286,3 +330,175 @@ def test_every_held_factor_is_on_the_trace():
             factors = _held_factors(stepper)
             assert len(factors) == len(stepper.trace_factors) == scales
             assert all(f.shape == (nm, nm) for f in factors)
+
+
+# the init solve as first written: the five-block system in (sigma, phi,
+# w, phi_hat, psi_hat) assembled whole, bordered, and factored by one LU
+
+def _monolithic_init_couplings(mats, tangential):
+    mesh = mats.mesh
+    sc, tr = mats.spaces.scalar, mats.spaces.trace
+    ne, m, md = mesh.num_elements, sc.dim_local, tr.dim_local
+    ef = mesh.element_facets
+    nw, nv, nm = sc.ndof, 2 * sc.ndof, tr.ndof
+
+    dc_blocks = np.concatenate([mats.vol_dy.transpose(0, 2, 1),
+                                -mats.vol_dx.transpose(0, 2, 1)], axis=1)
+    curl_pair = _scatter(dc_blocks, mats.vdofs.reshape(ne, 2 * m), mats.wdofs, (nv, nw))
+
+    nk = mats.normals_signed
+    nperp = np.stack([nk[..., 1], -nk[..., 0]], axis=-1)
+    tdot = np.einsum("efd,efd->ef", tangential.tangent[ef], nperp)
+
+    wt = mats.facet_tensor
+    rows_w = np.broadcast_to(mats.wdofs[:, None, :], (ne, 3, m)).reshape(3 * ne, m)
+    rows_v = np.broadcast_to(mats.vdofs.reshape(ne, 1, 2 * m), (ne, 3, 2 * m))
+    cols_m = mats.mdofs[ef].reshape(3 * ne, md)
+
+    t_blocks = tdot[..., None, None] * wt
+    tang_pair = _scatter(t_blocks.reshape(3 * ne, m, md), rows_w, cols_m, (nw, nm))
+    y_blocks = tdot[..., None, None] * np.concatenate(
+        [nperp[..., 0, None, None] * wt, nperp[..., 1, None, None] * wt], axis=2)
+    tang_flux = _scatter(y_blocks.reshape(3 * ne, 2 * m, md),
+                         rows_v.reshape(3 * ne, 2 * m), cols_m, (nv, nm))
+    xw = np.einsum("efa,efb,efij->eaibj", nperp, nperp,
+                   mats.facet_elem_mass).reshape(ne, 2 * m, 2 * m)
+    xw = 0.5 * (xw + xw.transpose(0, 2, 1))
+    norm_pen = _scatter(xw, mats.vdofs.reshape(ne, 2 * m),
+                        mats.vdofs.reshape(ne, 2 * m), (nv, nv))
+    z_blocks = (tdot ** 2)[..., None, None] * mats.facet_trace_mass
+    tang_pen = _scatter(z_blocks.reshape(3 * ne, md, md), cols_m, cols_m, (nm, nm))
+    return curl_pair, tang_pair, tang_flux, norm_pen, tang_pen
+
+
+def _monolithic_gauge(mesh, spaces, off_w, off_psi, total):
+    sc, tr = spaces.scalar, spaces.trace
+    cols, dense = [], []
+    moments = np.einsum("eq,eqi->ei", sc.qweights, sc.tab)
+    m = sc.dim_local
+    for axis, active in ((0, mesh.periodic_x), (1, mesh.periodic_y)):
+        if not active:
+            continue
+        col = np.zeros(total)
+        col[off_w + axis * m + np.arange(m)] = moments[0]
+        cols.append(col / np.linalg.norm(col))
+        full = np.zeros(total)
+        dofs = off_w + (np.arange(mesh.num_elements) * 2 * m)[:, None] \
+            + axis * m + np.arange(m)[None, :]
+        full[dofs.reshape(-1)] = moments.reshape(-1)
+        dense.append(full / np.linalg.norm(full))
+    lo, hi = mesh.nodes.min(axis=0), mesh.nodes.max(axis=0)
+    tol = 1e-9 * max(hi - lo)
+    for facets, signs in boundary_loops(mesh, WALL):
+        pts = mesh.nodes[np.unique(mesh.facet_nodes[facets])]
+        if (np.all(np.abs(pts.min(axis=0) - lo) <= tol)
+                and np.all(np.abs(pts.max(axis=0) - hi) <= tol)):
+            continue
+        col = np.zeros(total)
+        for f, s in zip(facets, signs):
+            col[off_psi + tr.owner_row[f] * tr.dim_local] += s * np.sqrt(mesh.facet_lengths[f])
+        cols.append(col / np.linalg.norm(col))
+        dense.append(None)
+    return cols, dense
+
+
+def _monolithic_init(mesh, spaces, f, params, mats):
+    """(sigma, phi, w, phi_hat, psi_hat, multipliers) and the residual of
+    the monolithic bordered solve."""
+    nw, nv, nm = spaces.scalar.ndof, spaces.vector.ndof, spaces.trace.ndof
+    curl_pair, tang_pair, tang_flux, norm_pen, tang_pen = \
+        _monolithic_init_couplings(mats, spaces.tangential)
+    ainv = 1.0 / params.alpha
+    eye_w = sparse.identity(nw, format="csr")
+    system = sparse.bmat([
+        [-eye_w, None, curl_pair.T, None, -tang_pair],
+        [None, -(mats.stab_local + eye_w), -mats.div_pair.T, mats.stab_mixed, None],
+        [curl_pair, -mats.div_pair, ainv * norm_pen, mats.flux_pair, -ainv * tang_flux],
+        [None, mats.stab_mixed.T, mats.flux_pair.T, -mats.stab_trace, None],
+        [-tang_pair.T, None, -ainv * tang_flux.T, None, ainv * tang_pen],
+    ], format="csr")
+    total = 2 * nw + nv + 2 * nm
+    cols, dense_cols = _monolithic_gauge(mesh, spaces, 2 * nw, total - nm, total)
+    w_mat = None
+    if cols:
+        border = sparse.csr_matrix(np.column_stack(cols))
+        system = sparse.bmat([[system, border], [border.T, None]], format="csr")
+        fixes = []
+        for slot, (col, full) in enumerate(zip(cols, dense_cols)):
+            if full is not None:
+                delta = np.zeros(system.shape[0])
+                delta[:total] = full - col
+                picker = np.zeros(system.shape[0])
+                picker[total + slot] = 1.0
+                fixes.append((delta, picker))
+        if fixes:
+            r = len(fixes)
+            w_mat = np.column_stack([d for d, _ in fixes] + [p for _, p in fixes])
+            c_mat = np.kron(np.array([[0.0, 1.0], [1.0, 0.0]]), np.eye(r))
+    rhs = np.zeros(system.shape[0])
+    rhs[2 * nw:2 * nw + nv] = spaces.vector.project(f).coeffs
+    lu = splu(system.tocsc())
+    x = lu.solve(rhs)
+    if w_mat is not None:
+        y_mat = lu.solve(w_mat)
+        small = c_mat + w_mat.T @ y_mat
+        x = x - y_mat @ np.linalg.solve(small, w_mat.T @ x)
+        applied = system @ x + w_mat @ (c_mat @ (w_mat.T @ x))
+    else:
+        applied = system @ x
+    residual = np.linalg.norm(applied - rhs) / max(1.0, np.linalg.norm(rhs))
+    bounds = np.cumsum([0, nw, nw, nv, nm, nm])
+    return [x[a:b] for a, b in zip(bounds[:-1], bounds[1:])] + [x[total:]], residual
+
+
+def _init_data(x, y):
+    # a nonzero mean in both components gives the gauge multipliers work
+    return np.sin(x) + 0.3 * y + 0.2, x * np.cos(y) - 0.1
+
+
+INIT_PARAMS = dict(PARAMS, alpha=0.7)
+INIT_KINDS = ["wall", "periodic", "holed-periodic"]
+
+
+@pytest.mark.parametrize("kind", INIT_KINDS)
+@pytest.mark.parametrize("k", [0, 1, 2, 3])
+def test_init_solve_matches_monolithic_oracle(k, kind):
+    mesh = _mesh(kind)
+    spaces = build_spaces(mesh, k, tangential=True)
+    params = PhysicalParams(**INIT_PARAMS)
+    mats = assemble_all(mesh, spaces, params)
+    sol = solve_vector_laplacian(mesh, spaces, _init_data, params, matrices=mats)
+    ref, ref_residual = _monolithic_init(mesh, spaces, _init_data, params, mats)
+    got = [sol.sigma.coeffs, sol.phi.coeffs, sol.w.coeffs, sol.phi_hat.coeffs,
+           sol.w_tangent.coeffs, sol.multipliers]
+    expected_gauges = {"wall": 0, "periodic": 2, "holed-periodic": 3}[kind]
+    assert sol.multipliers.size == expected_gauges
+    for field, expected in zip(got, ref):
+        assert field.shape == expected.shape
+        if expected.size:
+            assert _rel(field, expected) <= 1e-11
+    assert sol.residual <= 1e-12 and ref_residual <= 1e-12
+
+
+@pytest.mark.parametrize("kind", INIT_KINDS)
+@pytest.mark.parametrize("k", [0, 1, 2, 3])
+def test_init_local_blocks_invertible(k, kind):
+    # (sigma, phi) part negative definite; the w Schur complement
+    # N/alpha + curl curl^T + D (I + S_l)^-1 D^T positive definite
+    mesh = _mesh(kind)
+    spaces = build_spaces(mesh, k, tangential=True)
+    params = PhysicalParams(**INIT_PARAMS)
+    mats = assemble_all(mesh, spaces, params)
+    local = _init_blocks(mats, spaces.tangential, params.alpha)[0]
+    m = spaces.scalar.dim_local
+    assert np.abs(local - local.transpose(0, 2, 1)).max() == 0.0
+    head, cross, tail = local[:, :2 * m, :2 * m], local[:, 2 * m:, :2 * m], local[:, 2 * m:, 2 * m:]
+    assert np.linalg.eigvalsh(head).max() < 0.0
+    schur = tail - cross @ np.linalg.solve(head, cross.transpose(0, 2, 1))
+    curl, div = cross[:, :, :m], -cross[:, :, m:]
+    expected = (tail + curl @ curl.transpose(0, 2, 1)
+                + div @ np.linalg.solve(np.eye(m) + mats.stab_local_blocks,
+                                        div.transpose(0, 2, 1)))
+    assert np.abs(schur - expected).max() <= 1e-12 * np.abs(expected).max()
+    assert np.linalg.eigvalsh(0.5 * (schur + schur.transpose(0, 2, 1))).min() > 0.0
+    assert np.all(np.isfinite(np.linalg.inv(local)))

@@ -10,6 +10,7 @@ from swehdg.diagnostics import (
     eoc,
     init_errors,
     l2_errors,
+    total_energy,
 )
 from swehdg.fespace import build_spaces
 from swehdg.integrators import make_integrator
@@ -65,6 +66,23 @@ def test_record_energy_split_is_consistent():
     w, _ = run.system.split(y)
     form = 0.5 * (w @ run.recovery.apply(w))
     assert abs(form - (rec.potential + rec.trace_term)) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("preset,mesh", [
+    ("standing_wave", generate_uniform_square(2)),
+    ("gaussian_pulse", generate_uniform_rect(6, 2, bounds=(-20.0, 10.0, -5.0, 5.0))),
+])
+def test_total_energy_equals_record_energy(preset, mesh):
+    run = build_uw_system(make_problem(preset, mesh, 1))
+    assert (run.bathymetry_coeffs is not None) == (preset == "gaussian_pulse")
+    stepper = make_integrator("midpoint", run.system, 0.03)
+    y = run.y0
+    for _ in range(3):
+        rec = conserved_quantities(run, y)
+        assert total_energy(run, y) == rec.total_energy
+        if run.bathymetry_coeffs is not None:
+            assert rec.bathymetry_term != 0.0
+        y = stepper.step(y)
 
 
 @pytest.mark.parametrize("degree,level,tol", [(1, 3, 4e-4), (2, 3, 1e-6)])

@@ -11,7 +11,6 @@ from swehdg.fespace import (
     TangentialTraceSpace,
     TraceSpace,
     VectorSpace,
-    project,
     quadrature,
 )
 from swehdg.mesh import generate_rect_with_hole, generate_uniform_square, pair_periodic
@@ -185,8 +184,8 @@ def test_tangential_trace_normal_free():
     assert np.abs(np.abs(tdot) - np.abs(tg.values(coeffs))).max() <= 1e-13
 
 
-def test_module_level_project():
+def test_project_reproduces_linear_field():
     mesh = generate_uniform_square(1)
     sp = ScalarSpace(mesh, 1)
-    gf = project(sp, lambda x, y: 2.0 * x - y)
+    gf = sp.project(lambda x, y: 2.0 * x - y)
     assert gf.eval(0.3, 0.7) == pytest.approx(2.0 * 0.3 - 0.7, abs=1e-12)
