@@ -21,13 +21,15 @@ compare_dissipative
     schemes; writes ``time,energy_conserving,energy_dissipative``.
 
 Configs are INI files with [problem], [mesh], [time], [output] sections;
-missing keys fall back to the defaults documented in ``RunConfig``.  The
+missing keys fall back to the defaults documented in ``RunConfig``, and an
+unknown section or key, or a conflicting pair of keys, is an error.  The
 ``SWEHDG_LOG`` environment variable sets the log level.  Identical
 configs produce byte-identical CSV files.
 """
 
 import argparse
 import configparser
+import difflib
 import logging
 import os
 import sys
@@ -123,11 +125,49 @@ def _ints(text):
     return tuple(int(v) for v in text.replace(",", " ").split())
 
 
+# every key load_config reads, by section, and the pairs that exclude each other
+_CONFIG_KEYS = {
+    "problem": ("preset", "degree", "degrees", "tau", "alpha", "f0", "beta",
+                "y_mid", "phi"),
+    "mesh": ("kind", "levels", "level", "nx", "ny", "bounds", "center",
+             "radius", "target_h", "periodic", "path"),
+    "time": ("final_time", "dt", "dt_scale", "integrator"),
+    "output": ("basename", "cadence", "fields", "snapshot_every"),
+}
+_CONFIG_CONFLICTS = (("problem", "degree", "degrees"), ("time", "dt", "dt_scale"))
+
+
+def _did_you_mean(word, choices):
+    close = difflib.get_close_matches(word, choices, n=1)
+    return f"; did you mean {close[0]}?" if close else ""
+
+
+def _check_config_keys(parser, path):
+    """Reject unknown sections and keys, naming the closest known one, and
+    conflicting pairs of keys."""
+    if parser.defaults():
+        raise RunFailure(f"{path}: keys in [DEFAULT] are not supported")
+    for section in parser.sections():
+        known = _CONFIG_KEYS.get(section)
+        if known is None:
+            raise RunFailure(f"{path}: unknown section [{section}]"
+                             + _did_you_mean(section, _CONFIG_KEYS))
+        for key in parser[section]:
+            if key not in known:
+                raise RunFailure(f"{path}: unknown key {key!r} in [{section}]"
+                                 + _did_you_mean(key, known))
+    for section, first, second in _CONFIG_CONFLICTS:
+        if parser.has_option(section, first) and parser.has_option(section, second):
+            raise RunFailure(f"{path}: [{section}] sets both {first} and {second}; "
+                             "keep one")
+
+
 def load_config(path):
     """Read one INI config file into a RunConfig."""
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     if not parser.read(path):
         raise RunFailure(f"config file not found or unreadable: {path}")
+    _check_config_keys(parser, path)
     cfg = RunConfig()
 
     if parser.has_section("problem"):
@@ -216,6 +256,15 @@ def _explicit_name(degree):
     while order not in _EXPLICIT_ORDERS:
         order += 1
     return f"seprk{order}"
+
+
+def _build_stepper(label, factory, *args):
+    """factory(*args), with a failed stage factorization turned into a
+    RunFailure naming the run."""
+    try:
+        return factory(*args)
+    except RuntimeError as exc:
+        raise RunFailure(f"stepper setup failed for {label}: {exc}") from exc
 
 
 def _check_residual(residual, label):
@@ -317,7 +366,7 @@ def _convergence_task(cfg, degree, level, with_time):
     final_time = cfg.final_time if cfg.final_time > 0.0 else 0.5
     nsteps, dt = step_count(final_time, _pick_dt(cfg, degree, mesh.h_nominal))
     name = cfg.integrator or _explicit_name(degree)
-    stepper = make_integrator(name, run.system, dt)
+    stepper = _build_stepper(label, make_integrator, name, run.system, dt)
     cadence = cfg.cadence if cfg.cadence > 0 else 1
     worst = l2_errors(run, run.y0, ms, 0.0, quad=quad)
     y = run.y0
@@ -418,7 +467,7 @@ def cmd_run(cfg, out_dir, threads):
         write_vtk_snapshot(out_dir / f"{base}_0000.vtk", run, run.y0)
 
     if nsteps > 0:
-        stepper = make_integrator(name, run.system, dt)
+        stepper = _build_stepper(label, make_integrator, name, run.system, dt)
         y = run.y0
         for n in range(1, nsteps + 1):
             y = stepper.step(y)
@@ -450,8 +499,9 @@ def cmd_compare_dissipative(cfg, out_dir, threads):
 
     nsteps, dt = step_count(cfg.final_time,
                             _pick_dt(cfg, degree, mesh.h_nominal, long_run=True))
-    uw_stepper = make_integrator(cfg.integrator or "midpoint", uw.system, dt)
-    phiu_stepper = PhiuIntegrator(phiu, make_sdirk(2), dt)
+    uw_stepper = _build_stepper(label, make_integrator,
+                                cfg.integrator or "midpoint", uw.system, dt)
+    phiu_stepper = _build_stepper(label, PhiuIntegrator, phiu, make_sdirk(2), dt)
 
     rows = [[_fmt(0.0), _fmt(total_energy(uw, uw.y0)), _fmt(phiu_energy(phiu, phiu.y0))]]
     y_uw, y_phiu = uw.y0, phiu.y0

@@ -69,6 +69,19 @@ class CondensedSolver:
     is factored once, and each solve costs one batched local apply, two
     sparse products and one trace LU solve.
 
+    Every trace Schur complement built here is structurally symmetric, and
+    several are indefinite (the init system, the stages), so the factor
+    orders the columns by minimum degree on A^T + A and runs SuperLU in
+    symmetric mode: pivots stay on the diagonal unless one falls below
+    0.1 times the largest entry of its column.  Both settings are needed.
+    The minimum-degree ordering alone, under partial pivoting, raises
+    the fill of the indefinite init systems above COLAMD's, because
+    off-diagonal pivots break the symmetric elimination order it was
+    chosen for.  Pure diagonal pivoting (threshold 0) breaks down on
+    them: the standing-wave init solve at level 5, k = 1 then has a
+    relative residual above 1.  With both, the fill is about half of
+    COLAMD's or less on every system.
+
     An optional ``border`` (CSR, local rows then trace rows, one column
     per constraint) adds multipliers lam and bordered rows and columns:
 
@@ -105,7 +118,8 @@ class CondensedSolver:
             self._lift = sparse.hstack([self._lift, lift_b], format="csr")
             self._restrict = sparse.vstack([self._restrict, restrict_b], format="csr")
         try:
-            self.lu = splu(schur.tocsc())
+            self.lu = splu(schur.tocsc(), permc_spec="MMD_AT_PLUS_A",
+                           diag_pivot_thresh=0.1, options=dict(SymmetricMode=True))
         except RuntimeError as err:
             raise RuntimeError(f"trace factorization failed: {err}") from None
 
@@ -128,6 +142,18 @@ class PhiRecovery:
     definite system on the trace dofs (the stabilization trace mass minus
     the condensed mixed coupling); its sparse LU ``schur`` is the witness
     that the recovery problem is well posed for the given stabilization.
+
+    The condensed wave operator F p_hat - D p of :meth:`apply` is linear in
+    the flux w, so its pieces are composed once into three CSR operators
+    over the flux dofs:
+
+        G  = F^T + C A^-1 D^T       (trace data of the recovery)
+        H  = F + D A^-1 B           (flux_pair plus the lifted trace)
+        Mw = D A^-1 D^T             (element-local part, block diagonal)
+
+    with D = div_pair, F = flux_pair, A the local blocks I + S_l and B, C
+    the mixed couplings, and an application is H (schur^-1 G w) + Mw w:
+    one gather, one trace LU solve, and one scatter plus a local term.
     """
 
     def __init__(self, matrices):
@@ -145,6 +171,12 @@ class PhiRecovery:
         self._div_T = mats.div_pair.T.tocsr()
         self._flux_T = mats.flux_pair.T.tocsr()
 
+        solver, div = self.solver, mats.div_pair
+        local_inv = _block_rows(solver._local_inv, mats.wdofs, mats.wdofs.size)
+        self._G = (self._flux_T + solver._restrict @ self._div_T).tocsr()
+        self._H = (mats.flux_pair + div @ solver._lift).tocsr()
+        self._Mw = (div @ local_inv @ self._div_T).tocsr()
+
     def solve_saddle(self, r_local, r_trace):
         """Solve the symmetric recovery block system for arbitrary data
         (r_local, r_trace) in the (height, trace) rows."""
@@ -156,8 +188,7 @@ class PhiRecovery:
 
     def apply(self, w):
         """Action of the condensed wave operator on flux coefficients."""
-        p, phat = self.recover(w)
-        return self.mats.flux_pair @ phat - self.mats.div_pair @ p
+        return self._H @ self.schur.solve(self._G @ w) + self._Mw @ w
 
 
 @dataclass

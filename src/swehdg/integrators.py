@@ -10,7 +10,8 @@ where the wave operator is the condensed SPD map applied by
 diagonally implicit compositions of the midpoint rule, whose stages
 eliminate every element-local unknown and solve only a factored system on
 the trace dofs, and explicit partitioned schemes that alternate flux and
-velocity updates so each stage costs one wave-operator application.
+velocity updates, with at most one wave-operator application per stage
+(none for a stage whose velocity slope has weight zero everywhere).
 """
 
 from dataclasses import dataclass
@@ -336,7 +337,12 @@ class SeprkIntegrator:
 
     The stage recursion alternates flux slopes (phi times the staged
     velocity) and velocity slopes (wave operator on the staged flux plus
-    rotation and forcing); every stage costs one condensed SPD solve.
+    rotation and forcing).  A velocity slope costs one wave-operator
+    application; it is skipped for a stage whose column of the velocity
+    coefficients is zero (b_hat[i] and a_hat[i+1:, i] all zero), since it
+    would only ever be multiplied by zero.  The leapfrog compositions end
+    with such a stage, so seprk2/4/6 apply the operator 1/3/7 times per
+    step.
 
     The rotation term is evaluated explicitly at the staged velocity, so
     the composition retains its declared order only when rotation is
@@ -348,6 +354,8 @@ class SeprkIntegrator:
         self.system = system
         self.tableau = tableau
         self.dt = float(dt)
+        weights = np.vstack([tableau.a_hat, tableau.b_hat])
+        self._live = np.any(weights != 0.0, axis=0)
 
     def step(self, y):
         sysm = self.system
@@ -355,12 +363,13 @@ class SeprkIntegrator:
         dt = self.dt
         w0, u0 = sysm.split(y)
         flux_slopes = np.empty((tab.stages, w0.size))
-        vel_slopes = np.empty((tab.stages, w0.size))
+        vel_slopes = np.zeros((tab.stages, w0.size))
         for i in range(tab.stages):
             u_stage = u0 + dt * (tab.a_hat[i, :i] @ vel_slopes[:i])
             flux_slopes[i] = sysm.phi * u_stage
-            w_stage = w0 + dt * (tab.a[i, :i + 1] @ flux_slopes[:i + 1])
-            vel_slopes[i] = sysm.velocity_slope(w_stage, u_stage)
+            if self._live[i]:
+                w_stage = w0 + dt * (tab.a[i, :i + 1] @ flux_slopes[:i + 1])
+                vel_slopes[i] = sysm.velocity_slope(w_stage, u_stage)
         w1 = w0 + dt * (tab.b @ flux_slopes)
         u1 = u0 + dt * (tab.b_hat @ vel_slopes)
         return np.concatenate([w1, u1])

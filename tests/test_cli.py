@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from swehdg import cli, elliptic
+from swehdg import cli, elliptic, integrators
 from swehdg.cli import RunConfig, _explicit_name, _pick_dt, load_config, main
 
 
@@ -320,3 +320,84 @@ def test_shipped_configs_parse():
     for name in names:
         cfg = load_config(root / name)
         assert cfg.preset in ("standing_wave", "moving_bump", "gaussian_pulse")
+
+
+class _FailingStage:
+    def __init__(self, *args, **kwargs):
+        raise RuntimeError("trace factorization failed: forced")
+
+
+STAGE_RUN = """
+[problem]
+preset = standing_wave
+degree = 1
+
+[mesh]
+kind = uniform_square
+level = 2
+
+[time]
+final_time = 0.01
+dt = 0.005
+integrator = {integrator}
+"""
+
+
+@pytest.mark.parametrize("subcommand,text", [
+    ("run", STAGE_RUN.format(integrator="midpoint")),
+    ("converge", TIME_SWEEP.replace("levels = 2, 3", "levels = 2")
+     + "integrator = sdirk4\n"),
+    ("compare_dissipative", STAGE_RUN.format(integrator="midpoint")),
+    # the flux stepper is explicit, so the primal stepper's build fails
+    ("compare_dissipative", STAGE_RUN.format(integrator="seprk4")),
+])
+def test_stepper_setup_failure_names_the_run(tmp_path, capsys, monkeypatch,
+                                             subcommand, text):
+    # the recovery keeps its own solver; only the stage builds fail
+    monkeypatch.setattr(integrators, "CondensedSolver", _FailingStage)
+    cfg = _write(tmp_path, "c.ini", text)
+    assert main([subcommand, "--config", cfg, "--out", str(tmp_path)]) == 1
+    assert ("stepper setup failed for k=1, h=0.25: stage factorization failed "
+            "for stage scale ") in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.csv"))
+
+
+@pytest.mark.parametrize("text,message", [
+    ("[problem]\ndegre = 3\n", "unknown key 'degre' in [problem]; did you mean degree?"),
+    ("[time]\nintegrater = seprk4\n",
+     "unknown key 'integrater' in [time]; did you mean integrator?"),
+    ("[problm]\npreset = standing_wave\n", "unknown section [problm]; did you mean problem?"),
+    ("[mesh]\ncolour = red\n", "unknown key 'colour' in [mesh]"),
+    ("[solver]\nkind = lu\n", "unknown section [solver]"),
+    ("[DEFAULT]\ndegree = 2\n[problem]\npreset = standing_wave\n", "[DEFAULT]"),
+    ("[problem]\ndegree = 1\ndegrees = 1, 2\n",
+     "[problem] sets both degree and degrees; keep one"),
+    ("[time]\ndt = 0.1\ndt_scale = 0.05\n", "[time] sets both dt and dt_scale; keep one"),
+])
+def test_config_typos_and_conflicts_are_errors(tmp_path, capsys, text, message):
+    cfg = _write(tmp_path, "c.ini", text)
+    with pytest.raises(cli.RunFailure) as info:
+        load_config(cfg)
+    assert message in str(info.value)
+    assert main(["run", "--config", cfg, "--out", str(tmp_path)]) == 1
+    assert message in capsys.readouterr().err
+
+
+def test_unknown_key_without_close_match_has_no_suggestion(tmp_path):
+    cfg = _write(tmp_path, "c.ini", "[output]\nzzz = 1\n")
+    with pytest.raises(cli.RunFailure, match="unknown key 'zzz' in") as info:
+        load_config(cfg)
+    assert "did you mean" not in str(info.value)
+
+
+def test_benchmark_configs_parse(tmp_path):
+    import importlib.util
+    import pathlib
+    path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("_bench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    for name, workload in workloads.WORKLOADS.items():
+        for seed in (1, 2, 3):
+            cfg = load_config(_write(tmp_path, f"{name}{seed}.ini", workload.config(seed)))
+            assert cfg.preset in ("standing_wave", "moving_bump")

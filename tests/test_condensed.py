@@ -9,6 +9,7 @@ import pytest
 from scipy import sparse
 from scipy.sparse.linalg import splu
 
+from swehdg import elliptic
 from swehdg.assembly import PhysicalParams, _scatter, assemble_all
 from swehdg.elliptic import (
     CondensedSolver,
@@ -34,6 +35,7 @@ from swehdg.mesh import (
 from swehdg.swe import (
     PhiuIntegrator,
     build_phiu_system,
+    build_uw_system,
     make_problem,
     phiu_stage_blocks,
 )
@@ -202,6 +204,34 @@ def test_zero_scale_stage_is_the_recovery(k, kind):
     assert np.array_equal(u, acc[system.nv:])
     assert _rel(np.concatenate([p, phat]), ref) <= 1e-11
     assert _rel(np.concatenate(rec.recover(acc[:system.nv])), ref) <= 1e-11
+
+
+@pytest.mark.parametrize("kind", ["wall", "periodic", "holed"])
+@pytest.mark.parametrize("k", [0, 1, 2, 3])
+def test_one_pass_apply_matches_recovery(k, kind):
+    # the precomposed wave operator against F p_hat - D p from recover()
+    spaces, mats = _matrices(kind, k)
+    rec = PhiRecovery(mats)
+    rng = np.random.default_rng(400 + k)
+    for w in rng.standard_normal((3, spaces.vector.ndof)):
+        p, phat = rec.recover(w)
+        assert _rel(rec.apply(w), mats.flux_pair @ phat - mats.div_pair @ p) <= 1e-12
+
+
+def test_init_residual_where_diagonal_pivoting_breaks_down(monkeypatch):
+    # the standing-wave init system at level 5, k = 1: a purely diagonal
+    # pivot order leaves a residual above 1 there, the threshold-0.1
+    # symmetric-mode factorization a residual at rounding level
+    spec = make_problem("standing_wave", generate_uniform_square(5), 1)
+    assert build_uw_system(spec).init.init.residual <= 1e-12
+
+    real = elliptic.splu
+
+    def diagonal_only(matrix, **kwargs):
+        return real(matrix, **dict(kwargs, diag_pivot_thresh=0.0))
+
+    monkeypatch.setattr(elliptic, "splu", diagonal_only)
+    assert build_uw_system(spec).init.init.residual > 1e-10
 
 
 @pytest.mark.parametrize("kind", ["wall", "periodic", "holed"])

@@ -307,3 +307,44 @@ def test_make_integrator_names():
         make_integrator("rk4", system, 1e-2)
     with pytest.raises(ValueError):
         make_integrator("seprkx", system, 1e-2)
+
+
+def _every_stage_seprk_step(stepper, y):
+    # the stage recursion with every velocity slope evaluated
+    sysm, tab, dt = stepper.system, stepper.tableau, stepper.dt
+    w0, u0 = sysm.split(y)
+    flux_slopes = np.empty((tab.stages, w0.size))
+    vel_slopes = np.empty((tab.stages, w0.size))
+    for i in range(tab.stages):
+        u_stage = u0 + dt * (tab.a_hat[i, :i] @ vel_slopes[:i])
+        flux_slopes[i] = sysm.phi * u_stage
+        w_stage = w0 + dt * (tab.a[i, :i + 1] @ flux_slopes[:i + 1])
+        vel_slopes[i] = sysm.velocity_slope(w_stage, u_stage)
+    return np.concatenate([w0 + dt * (tab.b @ flux_slopes),
+                           u0 + dt * (tab.b_hat @ vel_slopes)])
+
+
+@pytest.mark.parametrize("order,applies", [(1, 1), (2, 1), (3, 3), (4, 3), (6, 7)])
+def test_seprk_skips_zero_weight_velocity_stages(order, applies):
+    mesh = generate_uniform_square(1)
+    rng = np.random.default_rng(20 + order)
+    spaces, system = _make_system(mesh, 1, f0=0.4)
+    system.forcing = rng.standard_normal(system.nv)
+    stepper = SeprkIntegrator(system, make_seprk(order), 0.05)
+    assert np.count_nonzero(stepper.tableau.b_hat) == applies
+
+    calls = []
+    real_apply = system.recovery.apply
+
+    def counting_apply(w):
+        calls.append(1)
+        return real_apply(w)
+
+    system.recovery.apply = counting_apply
+    y = rng.standard_normal(2 * system.nv)
+    for _ in range(3):
+        calls.clear()
+        y_next = stepper.step(y)
+        assert len(calls) == applies
+        assert np.array_equal(y_next, _every_stage_seprk_step(stepper, y))
+        y = y_next
