@@ -197,6 +197,7 @@ def assemble_all(mesh, spaces, params):
     fmass = 0.5 * (fmass + fmass.transpose(0, 2, 1))    # keep A + A^T exactly 0
     coriolis = _scatter(_coriolis_blocks(fmass), vdofs.reshape(ne, 2 * m),
                         vdofs.reshape(ne, 2 * m), (2 * ne * m, 2 * ne * m))
+    coriolis.eliminate_zeros()      # the zero diagonal blocks; every block if f = 0
 
     # facet pairings, one tensor per element edge
     ef = mesh.element_facets

@@ -267,9 +267,17 @@ def _build_stepper(label, factory, *args):
         raise RunFailure(f"stepper setup failed for {label}: {exc}") from exc
 
 
-def _check_residual(residual, label):
+def _build_flux_run(label, spec):
+    """build_uw_system(spec), with a failed init solve or an init residual
+    out of bounds turned into a RunFailure naming the run."""
+    try:
+        run = build_uw_system(spec)
+    except RuntimeError as exc:
+        raise RunFailure(f"init solve failed for {label}: {exc}") from exc
+    residual = run.init.init.residual
     if not np.isfinite(residual) or residual > _INIT_RESIDUAL_LIMIT:
         raise RunFailure(f"init residual {residual:.3e} out of bounds for {label}")
+    return run
 
 
 def _fmt(value):
@@ -352,11 +360,7 @@ def _convergence_task(cfg, degree, level, with_time):
         raise RunFailure(f"preset {cfg.preset} has no closed-form solution")
     ms = preset.manufactured
     spec = make_problem(cfg.preset, mesh, degree, **cfg.overrides)
-    try:
-        run = build_uw_system(spec)
-    except RuntimeError as exc:
-        raise RunFailure(f"init solve failed for {label}: {exc}") from exc
-    _check_residual(run.init.init.residual, label)
+    run = _build_flux_run(label, spec)
     quad = ErrorQuadrature(run.spaces)
 
     if not with_time:
@@ -450,11 +454,7 @@ def cmd_run(cfg, out_dir, threads):
     degree = cfg.degree
     label = f"k={degree}, h={mesh.h_nominal:g}"
     spec = make_problem(cfg.preset, mesh, degree, **cfg.overrides)
-    try:
-        run = build_uw_system(spec)
-    except RuntimeError as exc:
-        raise RunFailure(f"init solve failed for {label}: {exc}") from exc
-    _check_residual(run.init.init.residual, label)
+    run = _build_flux_run(label, spec)
 
     nsteps, dt = step_count(cfg.final_time,
                             _pick_dt(cfg, degree, mesh.h_nominal, long_run=True))
@@ -490,11 +490,7 @@ def cmd_compare_dissipative(cfg, out_dir, threads):
     spec = make_problem(cfg.preset, mesh, degree, **cfg.overrides)
     label = f"k={degree}, h={mesh.h_nominal:g}"
 
-    try:
-        uw = build_uw_system(spec)
-    except RuntimeError as exc:
-        raise RunFailure(f"init solve failed for {label}: {exc}") from exc
-    _check_residual(uw.init.init.residual, label)
+    uw = _build_flux_run(label, spec)
     phiu = build_phiu_system(spec)
 
     nsteps, dt = step_count(cfg.final_time,

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fespace import quadrature
+from .fespace import element_quadrature
 
 _ERROR_DEGREE_MARGIN = 4
 
@@ -139,15 +139,7 @@ class ErrorQuadrature:
         if degree is None:
             degree = 2 * sc.k + _ERROR_DEGREE_MARGIN
         degree = max(degree, 2 * sc.k + _ERROR_DEGREE_MARGIN)
-        rule = quadrature("triangle", degree)
-        verts = mesh.nodes[mesh.elements]
-        v0 = verts[:, 0]
-        e1 = verts[:, 1] - v0
-        e2 = verts[:, 2] - v0
-        self.points = (v0[:, None, :]
-                       + rule.points[None, :, 0, None] * e1[:, None, :]
-                       + rule.points[None, :, 1, None] * e2[:, None, :])
-        self.weights = rule.weights[None, :] * (2.0 * mesh.element_areas)[:, None]
+        self.points, self.weights = element_quadrature(mesh, degree)
         self.tab = sc.batch_values(np.arange(mesh.num_elements), self.points)
         self.dim_local = sc.dim_local
         self.num_elements = mesh.num_elements

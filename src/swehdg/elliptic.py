@@ -9,7 +9,7 @@ height from the flux is its simplest instance (the local block is
 identity plus boundary stabilization); the implicit stages of both
 schemes reuse it with larger local blocks, and the init solve eliminates
 (rotation, height, flux) per element onto the (height trace, tangential
-flux trace) system, bordered by its gauge multipliers.
+flux trace) system, with its gauge multipliers as extra trace unknowns.
 """
 
 import logging
@@ -82,23 +82,15 @@ class CondensedSolver:
     relative residual above 1.  With both, the fill is about half of
     COLAMD's or less on every system.
 
-    An optional ``border`` (CSR, local rows then trace rows, one column
-    per constraint) adds multipliers lam and bordered rows and columns:
-
-        A x + B t + E_l lam = f
-        C x + T t + E_t lam = g
-        E_l^T x + E_t^T t   = h
-
-    The multipliers are condensed like extra trace unknowns: the Schur
-    complement is bordered by E_t - C A^-1 E_l and E_t^T - E_l^T A^-1 B,
-    with corner -E_l^T A^-1 E_l, so sparse border columns stay sparse.
-    The trace part of a solve is then (t, lam) and takes data (g, h).
+    A trace unknown need not sit on a facet.  The init solve adds its
+    gauge multipliers as trace unknowns shared by every element: they
+    appear in every element's ``cols`` and border T, and the same scatter
+    forms their rows, columns and corner of the Schur complement.
 
     A singular A_e or a failed trace factorization raises RuntimeError.
     """
 
-    def __init__(self, local, from_trace, to_trace, trace, cols, border=None):
-        ne, n, _ = local.shape
+    def __init__(self, local, from_trace, to_trace, trace, cols):
         nt = trace.shape[0]
         self._local_inv = _invert_blocks(local)
         lift = self._local_inv @ from_trace         # A_e^-1 B_e
@@ -106,17 +98,6 @@ class CondensedSolver:
         self._lift = _block_rows(lift, cols, nt)
         restrict = (to_trace @ self._local_inv).transpose(0, 2, 1)  # (C_e A_e^-1)^T
         self._restrict = _block_rows(restrict, cols, nt).T.tocsr()
-        if border is not None:
-            b_local, b_trace = border[:ne * n], border[ne * n:]
-            dense = b_local.toarray().reshape(ne, n, -1)
-            lift_b = sparse.csr_matrix((self._local_inv @ dense).reshape(ne * n, -1))
-            restrict_b = sparse.csr_matrix(
-                (self._local_inv.transpose(0, 2, 1) @ dense).reshape(ne * n, -1)).T
-            schur = sparse.vstack([
-                sparse.hstack([schur, b_trace - self._restrict @ b_local]),
-                sparse.hstack([b_trace.T - b_local.T @ self._lift, -(restrict_b @ b_local)])])
-            self._lift = sparse.hstack([self._lift, lift_b], format="csr")
-            self._restrict = sparse.vstack([self._restrict, restrict_b], format="csr")
         try:
             self.lu = splu(schur.tocsc(), permc_spec="MMD_AT_PLUS_A",
                            diag_pivot_thresh=0.1, options=dict(SymmetricMode=True))
@@ -129,8 +110,7 @@ class CondensedSolver:
         return np.einsum("eij,ej->ei", self._local_inv, f.reshape(ne, n)).reshape(-1)
 
     def solve(self, f, g):
-        """Local and trace parts (x, t) of the solution for data (f, g);
-        with a border, g and t end with the constraint rows."""
+        """Local and trace parts (x, t) of the solution for data (f, g)."""
         t = self.lu.solve(g - self._restrict @ f)
         return self._local_apply(f) - self._lift @ t, t
 
@@ -271,59 +251,49 @@ def _init_blocks(mats, tangential, alpha):
 
 
 def _gauge_constraints(mesh, spaces):
-    """Border columns pinning the discrete harmonic components, over the
-    init unknowns in solver order: the element-local (sigma, phi, w)
-    blocks of every element, then phi_hat, then psi_hat.
+    """Gauge multiplier columns of the init system, one per constraint.
 
     On periodic domains the init operator has constant flux fields in its
     kernel (one per periodic direction); every interior hole adds one
     circulation field.  All of them are invisible to the recovery and the
-    dynamics.  Returns (sparse_cols, dense_cols): the sparse columns (a
-    one-element component mean per periodic direction, one circulation row
-    per hole) keep the trace factorization fill low; the dense global-mean
-    columns are the border actually enforced, restored afterwards through
-    a low-rank correction, because they spread the absorption of any
-    inconsistent data component evenly instead of concentrating it on one
-    element.  Dense entries are None where the sparse column is already
-    the intended one.
+    dynamics.  Returns (local, trace): the parts of the r columns over
+    each element's (sigma, phi, w) block, (ne, 4m, r), and over the
+    (phi_hat, psi_hat) trace dofs, (n_trace, r).  A periodic direction
+    pins the global mean of that flux component, spread over the local
+    parts of every element, so any inconsistent data component is
+    absorbed evenly; a hole pins the circulation of psi_hat around it, a
+    trace part only.  Columns are normalized, periodic x and y first.
     """
     sc, tr = spaces.scalar, spaces.trace
     ne, m = mesh.num_elements, sc.dim_local
-    off_psi = 4 * ne * m + tr.ndof
-    total = off_psi + tr.ndof
-    cols = []
-    dense = []
-
-    moments = np.einsum("eq,eqi->ei", sc.qweights, sc.tab)
-    for axis, active in ((0, mesh.periodic_x), (1, mesh.periodic_y)):
-        if not active:
-            continue
-        dofs = (np.arange(ne) * 4 * m)[:, None] + (2 + axis) * m + np.arange(m)[None, :]
-        col = np.zeros(total)
-        col[dofs[0]] = moments[0]
-        cols.append(col / np.linalg.norm(col))
-
-        full = np.zeros(total)
-        full[dofs.reshape(-1)] = moments.reshape(-1)
-        dense.append(full / np.linalg.norm(full))
+    axes = [axis for axis, active in ((0, mesh.periodic_x), (1, mesh.periodic_y))
+            if active]
 
     span = mesh.nodes.max(axis=0) - mesh.nodes.min(axis=0)
     tol = 1e-9 * max(span)
     outer_lo = mesh.nodes.min(axis=0)
     outer_hi = mesh.nodes.max(axis=0)
+    holes = []
     for facets, signs in boundary_loops(mesh, WALL):
         pts = mesh.nodes[np.unique(mesh.facet_nodes[facets])]
         is_outer = (np.all(np.abs(pts.min(axis=0) - outer_lo) <= tol)
                     and np.all(np.abs(pts.max(axis=0) - outer_hi) <= tol))
         if is_outer:
             continue
-        col = np.zeros(total)
+        col = np.zeros(2 * tr.ndof)
         for f, s in zip(facets, signs):
-            dof = off_psi + tr.owner_row[f] * tr.dim_local
-            col[dof] += s * np.sqrt(mesh.facet_lengths[f])
-        cols.append(col / np.linalg.norm(col))
-        dense.append(None)
-    return cols, dense
+            col[tr.ndof + tr.owner_row[f] * tr.dim_local] += s * np.sqrt(mesh.facet_lengths[f])
+        holes.append(col / np.linalg.norm(col))
+
+    r = len(axes) + len(holes)
+    local = np.zeros((ne, 4 * m, r))
+    moments = np.einsum("eq,eqi->ei", sc.qweights, sc.tab)
+    for j, axis in enumerate(axes):
+        local[:, (2 + axis) * m:(3 + axis) * m, j] = moments / np.linalg.norm(moments)
+    trace = np.zeros((2 * tr.ndof, r))
+    for j, col in enumerate(holes, start=len(axes)):
+        trace[:, j] = col
+    return local, trace
 
 
 def solve_vector_laplacian(mesh, spaces, f, params, matrices=None):
@@ -350,12 +320,14 @@ def solve_vector_laplacian(mesh, spaces, f, params, matrices=None):
     pairing by parts, zero rotation (curl_e): the gradient of a harmonic
     polynomial that is constant on the boundary, so w = 0.
 
-    On topologically nontrivial domains the trace system is bordered with
-    gauge multipliers (see :func:`_gauge_constraints`).  The residual is
-    measured on the full, uncondensed bordered operator, applied block by
-    block, and reported relative to max(1, |rhs|).  A singular local
-    block or trace system raises RuntimeError("init solve factorization
-    failed: ...").
+    On topologically nontrivial domains the gauge multipliers of
+    :func:`_gauge_constraints` are appended to the trace unknowns: each
+    element couples to them through its local part of the constraint
+    columns, and the trace block is bordered by their trace parts with a
+    zero corner.  The residual is measured on the full, uncondensed
+    bordered operator, applied block by block, and reported relative to
+    max(1, |rhs|).  A singular local block or trace system raises
+    RuntimeError("init solve factorization failed: ...").
     """
     if spaces.tangential is None:
         spaces.tangential = TangentialTraceSpace(mesh, spaces.k, spaces.trace.quad_degree)
@@ -365,89 +337,44 @@ def solve_vector_laplacian(mesh, spaces, f, params, matrices=None):
     ne, m = mats.wdofs.shape
     nm = tr.ndof
     local, from_trace, trace, tcols = _init_blocks(mats, tg, params.alpha)
-    n_local, n_trace = 4 * ne * m, trace.shape[0]
-    total = n_local + n_trace
+    n_trace = trace.shape[0]
 
-    cols, dense_cols = _gauge_constraints(mesh, spaces)
-    border = sparse.csr_matrix(np.column_stack(cols)) if cols else None
+    gauge_local, gauge_trace = _gauge_constraints(mesh, spaces)
+    r = gauge_local.shape[2]
+    from_trace = np.concatenate([from_trace, gauge_local], axis=2)
+    tcols = np.concatenate([tcols, np.broadcast_to(n_trace + np.arange(r), (ne, r))], axis=1)
+    trace = sparse.bmat([[trace, gauge_trace], [gauge_trace.T, None]], format="csr")
     try:
         solver = CondensedSolver(local, from_trace, from_trace.transpose(0, 2, 1),
-                                 trace, tcols, border=border)
+                                 trace, tcols)
     except RuntimeError as err:
         raise RuntimeError(f"init solve factorization failed: {err}") from None
 
-    n_tot = total + len(cols)
-    fixes = []
-    for slot, (col, full) in enumerate(zip(cols, dense_cols)):
-        if full is None:
-            continue
-        delta = np.zeros(n_tot)
-        delta[:total] = full - col
-        picker = np.zeros(n_tot)
-        picker[total + slot] = 1.0
-        fixes.append((delta, picker))
+    rhs = np.zeros((ne, 4 * m))
+    rhs[:, 2 * m:] = spaces.vector.project(f).coeffs.reshape(ne, 2 * m)
+    x, t = solver.solve(rhs.reshape(-1), np.zeros(n_trace + r))
 
-    rhs_local = np.zeros((ne, 4 * m))
-    rhs_local[:, 2 * m:] = spaces.vector.project(f).coeffs.reshape(ne, 2 * m)
-    rhs = np.zeros(n_tot)
-    rhs[:n_local] = rhs_local.reshape(-1)
+    # the uncondensed bordered operator, from the element blocks
+    xe = x.reshape(ne, 4 * m)
+    out_local = (np.einsum("eij,ej->ei", local, xe)
+                 + np.einsum("eij,ej->ei", from_trace, t[tcols]))
+    out_trace = trace @ t + np.bincount(
+        tcols.reshape(-1), weights=np.einsum("eij,ei->ej", from_trace, xe).reshape(-1),
+        minlength=n_trace + r)
+    residual = (np.linalg.norm(np.concatenate([(out_local - rhs).reshape(-1), out_trace]))
+                / max(1.0, np.linalg.norm(rhs)))
 
-    def base_solve(b):
-        x, t = solver.solve(b[:n_local], b[n_local:])
-        return np.concatenate([x, t])
-
-    def base_apply(v):
-        # the uncondensed bordered operator, from the element blocks
-        x, t, lam = v[:n_local], v[n_local:total], v[total:]
-        xe = x.reshape(ne, 4 * m)
-        out = np.empty(n_tot)
-        out[:n_local] = (np.einsum("eij,ej->ei", local, xe)
-                         + np.einsum("eij,ej->ei", from_trace, t[tcols])).reshape(-1)
-        out[n_local:total] = trace @ t + np.bincount(
-            tcols.reshape(-1), weights=np.einsum("eij,ei->ej", from_trace, xe).reshape(-1),
-            minlength=n_trace)
-        if border is not None:
-            out[:total] += border @ lam
-            out[total:] = border.T @ v[:total]
-        return out
-
-    if fixes:
-        # swap the factored sparse border columns for the dense ones:
-        # the enforced system is S + W C W^T with W = [deltas | pickers]
-        # and C the antidiagonal pairing (C^-1 = C), inverted through the
-        # Woodbury identity so the trace LU keeps its sparse fill
-        r = len(fixes)
-        w_mat = np.column_stack([d for d, _ in fixes] + [p for _, p in fixes])
-        c_mat = np.zeros((2 * r, 2 * r))
-        c_mat[:r, r:] = np.eye(r)
-        c_mat[r:, :r] = np.eye(r)
-        y_mat = np.column_stack([base_solve(col) for col in w_mat.T])
-        small = c_mat + w_mat.T @ y_mat
-
-        def solve_fn(b):
-            yb = base_solve(b)
-            return yb - y_mat @ np.linalg.solve(small, w_mat.T @ yb)
-
-        def apply_fn(v):
-            return base_apply(v) + w_mat @ (c_mat @ (w_mat.T @ v))
-    else:
-        solve_fn, apply_fn = base_solve, base_apply
-
-    x = solve_fn(rhs)
-    residual = np.linalg.norm(apply_fn(x) - rhs) / max(1.0, np.linalg.norm(rhs))
-
-    lam = x[total:]
+    lam = t[n_trace:]
     if lam.size and np.abs(lam).max() > 1e-8 * max(1.0, np.abs(rhs).max()):
         log.info("init solve: gauge multipliers %.3e absorb the harmonic part "
                  "of the data", np.abs(lam).max())
 
-    xe = x[:n_local].reshape(ne, 4 * m)
     return InitSolution(
         sigma=GridFunction(sc, xe[:, :m].reshape(-1)),
         phi=GridFunction(sc, xe[:, m:2 * m].reshape(-1)),
         w=GridFunction(spaces.vector, xe[:, 2 * m:].reshape(-1)),
-        phi_hat=GridFunction(tr, x[n_local:n_local + nm]),
-        w_tangent=GridFunction(tg, x[n_local + nm:total]),
+        phi_hat=GridFunction(tr, t[:nm]),
+        w_tangent=GridFunction(tg, t[nm:n_trace]),
         residual=float(residual),
         multipliers=lam,
     )

@@ -56,6 +56,21 @@ def quadrature(domain, degree):
     raise ValueError(f"unknown quadrature domain {domain!r}")
 
 
+def element_quadrature(mesh, degree):
+    """The triangle rule of exactness ``degree`` mapped onto every element:
+    points (ne, nq, 2) and weights (ne, nq)."""
+    rule = quadrature("triangle", degree)
+    verts = mesh.nodes[mesh.elements]
+    v0 = verts[:, 0]
+    e1 = verts[:, 1] - v0
+    e2 = verts[:, 2] - v0
+    points = (v0[:, None, :]
+              + rule.points[None, :, 0, None] * e1[:, None, :]
+              + rule.points[None, :, 1, None] * e2[:, None, :])
+    weights = rule.weights[None, :] * (2.0 * mesh.element_areas)[:, None]
+    return points, weights
+
+
 def _monomial_exponents(k):
     exps = [(a, d - a) for d in range(k + 1) for a in range(d, -1, -1)]
     return np.array([e[0] for e in exps]), np.array([e[1] for e in exps])
@@ -102,18 +117,9 @@ class ScalarSpace:
         self.quad_degree = 2 * k + 3 if quad_degree is None else quad_degree
         self.ndof = mesh.num_elements * self.dim_local
 
-        rule = quadrature("triangle", self.quad_degree)
-        verts = mesh.nodes[mesh.elements]
-        v0 = verts[:, 0]
-        e1 = verts[:, 1] - v0
-        e2 = verts[:, 2] - v0
-        ref = rule.points
-        self.qref = rule
-        self.qpoints = (v0[:, None, :]
-                        + ref[None, :, 0, None] * e1[:, None, :]
-                        + ref[None, :, 1, None] * e2[:, None, :])
-        self.qweights = rule.weights[None, :] * (2.0 * mesh.element_areas)[:, None]
+        self.qpoints, self.qweights = element_quadrature(mesh, self.quad_degree)
 
+        verts = mesh.nodes[mesh.elements]
         self.centers = verts.mean(axis=1)
         self.scales = np.linalg.norm(verts - self.centers[:, None, :], axis=2).max(axis=1)
 
@@ -154,11 +160,6 @@ class ScalarSpace:
         """Field values at the volume quadrature points, (ne, nq)."""
         u = np.asarray(coeffs).reshape(self.mesh.num_elements, self.dim_local)
         return np.einsum("eqi,ei->eq", self.tab, u)
-
-    def grad_values(self, coeffs):
-        u = np.asarray(coeffs).reshape(self.mesh.num_elements, self.dim_local)
-        return (np.einsum("eqi,ei->eq", self.tab_dx, u),
-                np.einsum("eqi,ei->eq", self.tab_dy, u))
 
     def project(self, func):
         """L2 projection of ``func(x, y)``; exact for degree <= k data."""
@@ -243,7 +244,6 @@ class TraceSpace:
         self.ndof = len(self.owned) * self.dim_local
 
         rule = quadrature("segment", self.quad_degree)
-        self.qref = rule
         a = mesh.nodes[mesh.facet_nodes[:, 0]]
         b = mesh.nodes[mesh.facet_nodes[:, 1]]
         t = rule.points

@@ -188,10 +188,6 @@ class Mesh:
     def area(self):
         return float(self.element_areas.sum())
 
-    def element_vertices(self, e):
-        """Vertex coordinates of element ``e`` as a (3, 2) array."""
-        return self.nodes[self.elements[e]]
-
 
 def generate_uniform_rect(nx, ny, bounds=(0.0, 1.0, 0.0, 1.0)):
     """Structured triangulation of a rectangle, nx by ny cells.

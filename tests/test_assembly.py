@@ -33,6 +33,7 @@ def test_params_validation():
 def test_zero_coriolis_gives_zero_matrix():
     mats, _ = _assembled(generate_uniform_square(1), 2)
     assert abs(mats.coriolis).max() == 0.0
+    assert mats.coriolis.nnz == 0
 
 
 @pytest.mark.parametrize("kw", [dict(f0=0.7), dict(f0=0.3, beta=1.5, y_mid=0.5)])

@@ -283,8 +283,10 @@ def test_singular_local_block_names_the_element():
 
 
 def test_bordered_solve_matches_dense_system():
-    # nonsymmetric blocks, a repeated trace column, and a border with both
-    # local and trace entries, against the dense bordered system
+    # nonsymmetric blocks, a repeated trace column, and two multipliers as
+    # extra trace unknowns: one coupled to every element's local rows (and
+    # one trace row), one bordering the trace block only; against the
+    # dense bordered system
     rng = np.random.default_rng(11)
     ne, n, nt, r = 4, 3, 5, 2
     local = 3.0 * np.eye(n) + rng.standard_normal((ne, n, n))
@@ -293,7 +295,7 @@ def test_bordered_solve_matches_dense_system():
     cols = np.array([[0, 1], [1, 2], [2, 3], [4, 4]])
     trace = sparse.csr_matrix(5.0 * np.eye(nt) + rng.standard_normal((nt, nt)))
     border = np.zeros((ne * n + nt, r))
-    border[[1, 4], 0] = rng.standard_normal(2)
+    border[:ne * n, 0] = rng.standard_normal(ne * n)
     border[ne * n + 2, 0] = 1.0
     border[ne * n + np.array([0, 3]), 1] = rng.standard_normal(2)
 
@@ -308,8 +310,13 @@ def test_bordered_solve_matches_dense_system():
     dense[:ne * n + nt, ne * n + nt:] = border
     dense[ne * n + nt:, :ne * n + nt] = border.T
 
-    solver = CondensedSolver(local, from_trace, to_trace, trace, cols,
-                             border=sparse.csr_matrix(border))
+    gauge = border[:ne * n, :1].reshape(ne, n, 1)
+    b_trace = border[ne * n:]
+    solver = CondensedSolver(
+        local, np.concatenate([from_trace, gauge], axis=2),
+        np.concatenate([to_trace, gauge.transpose(0, 2, 1)], axis=1),
+        sparse.bmat([[trace, b_trace], [b_trace.T, None]], format="csr"),
+        np.concatenate([cols, np.full((ne, 1), nt)], axis=1))
     rhs = rng.standard_normal(dense.shape[0])
     x, t = solver.solve(rhs[:ne * n], rhs[ne * n:])
     assert _rel(np.concatenate([x, t]), np.linalg.solve(dense, rhs)) <= 1e-12
