@@ -27,9 +27,6 @@ class PhysicalParams:
         HDG stabilization, positive.
     alpha : float
         Stabilization of the stationary init solve, positive.
-    gamma : float
-        Linear friction; only the frictionless model is implemented, so
-        this must stay 0.
     """
 
     phi: float = 1.0
@@ -38,7 +35,6 @@ class PhysicalParams:
     y_mid: float = 0.0
     tau: float = 1.0
     alpha: float = 1.0
-    gamma: float = 0.0
 
     def __post_init__(self):
         if self.phi <= 0.0:
@@ -47,8 +43,6 @@ class PhysicalParams:
             raise ValueError("stabilization tau must be positive")
         if self.alpha <= 0.0:
             raise ValueError("stabilization alpha must be positive")
-        if self.gamma != 0.0:
-            raise ValueError("friction gamma must be 0 (frictionless model only)")
 
     def coriolis(self, x, y):
         return self.f0 + self.beta * (y - self.y_mid)

@@ -22,7 +22,9 @@ compare_dissipative
 
 Configs are INI files with [problem], [mesh], [time], [output] sections;
 missing keys fall back to the defaults documented in ``RunConfig``, and an
-unknown section or key, or a conflicting pair of keys, is an error.  The
+unknown section or key, a conflicting pair of keys, an empty ``degrees`` or
+``levels`` and a negative ``final_time``, ``dt`` or ``dt_scale`` are
+errors, as is an explicit seprk integrator on a rotating problem.  The
 ``SWEHDG_LOG`` environment variable sets the log level.  Identical
 configs produce byte-identical CSV files.
 """
@@ -212,6 +214,14 @@ def load_config(path):
         cfg.fields = sec.getboolean("fields", cfg.fields)
         cfg.snapshot_every = sec.getint("snapshot_every", cfg.snapshot_every)
 
+    for section, key, value in (("problem", "degrees", cfg.degrees),
+                                ("mesh", "levels", cfg.levels)):
+        if parser.has_option(section, key) and not value:
+            raise RunFailure(f"{path}: [{section}] {key} is empty")
+    for key in ("final_time", "dt", "dt_scale"):
+        value = getattr(cfg, key)
+        if value is not None and not value >= 0.0:
+            raise RunFailure(f"{path}: [time] {key} must be >= 0, got {value:g}")
     if cfg.mesh_path and not Path(cfg.mesh_path).exists():
         raise RunFailure(f"mesh file does not exist: {cfg.mesh_path}")
     return cfg
@@ -258,13 +268,16 @@ def _explicit_name(degree):
     return f"seprk{order}"
 
 
-def _build_stepper(label, factory, *args):
-    """factory(*args), with a failed stage factorization turned into a
+def _build_stepper(label, preset, factory, *args):
+    """factory(*args), with a failed stage factorization or a refused
+    integrator (an explicit one on a rotating problem) turned into a
     RunFailure naming the run."""
     try:
         return factory(*args)
     except RuntimeError as exc:
         raise RunFailure(f"stepper setup failed for {label}: {exc}") from exc
+    except ValueError as exc:
+        raise RunFailure(f"integrator refused for {label}, preset {preset}: {exc}") from exc
 
 
 def _build_flux_run(label, spec):
@@ -370,7 +383,7 @@ def _convergence_task(cfg, degree, level, with_time):
     final_time = cfg.final_time if cfg.final_time > 0.0 else 0.5
     nsteps, dt = step_count(final_time, _pick_dt(cfg, degree, mesh.h_nominal))
     name = cfg.integrator or _explicit_name(degree)
-    stepper = _build_stepper(label, make_integrator, name, run.system, dt)
+    stepper = _build_stepper(label, cfg.preset, make_integrator, name, run.system, dt)
     cadence = cfg.cadence if cfg.cadence > 0 else 1
     worst = l2_errors(run, run.y0, ms, 0.0, quad=quad)
     y = run.y0
@@ -467,7 +480,7 @@ def cmd_run(cfg, out_dir, threads):
         write_vtk_snapshot(out_dir / f"{base}_0000.vtk", run, run.y0)
 
     if nsteps > 0:
-        stepper = _build_stepper(label, make_integrator, name, run.system, dt)
+        stepper = _build_stepper(label, cfg.preset, make_integrator, name, run.system, dt)
         y = run.y0
         for n in range(1, nsteps + 1):
             y = stepper.step(y)
@@ -495,9 +508,10 @@ def cmd_compare_dissipative(cfg, out_dir, threads):
 
     nsteps, dt = step_count(cfg.final_time,
                             _pick_dt(cfg, degree, mesh.h_nominal, long_run=True))
-    uw_stepper = _build_stepper(label, make_integrator,
+    uw_stepper = _build_stepper(label, cfg.preset, make_integrator,
                                 cfg.integrator or "midpoint", uw.system, dt)
-    phiu_stepper = _build_stepper(label, PhiuIntegrator, phiu, make_sdirk(2), dt)
+    phiu_stepper = _build_stepper(label, cfg.preset, PhiuIntegrator, phiu,
+                                  make_sdirk(2), dt)
 
     rows = [[_fmt(0.0), _fmt(total_energy(uw, uw.y0)), _fmt(phiu_energy(phiu, phiu.y0))]]
     y_uw, y_phiu = uw.y0, phiu.y0

@@ -2,8 +2,8 @@
 
 All integrals use the quadrature owned by the spaces, so the reported
 quantities are exact functionals of the discrete fields.  Error norms
-against closed-form solutions use an elevated rule (degree at least
-2k + 4) on the same basis.
+against closed-form solutions use an elevated rule (degree 2k + 4) on
+the same basis.
 
 Note on the recorded vorticity columns: the vorticity value is the raw
 global integral of the elementwise rotation, which starts near zero for
@@ -20,8 +20,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fespace import element_quadrature
-
-_ERROR_DEGREE_MARGIN = 4
 
 
 @dataclass
@@ -130,16 +128,13 @@ def conserved_quantities(run, y, t=0.0):
 
 
 class ErrorQuadrature:
-    """Elevated-degree quadrature bound to the spaces of one run, for
-    L2 errors against closed-form fields."""
+    """Elevated-degree quadrature (exact to degree 2k + 4) bound to the
+    spaces of one run, for L2 errors against closed-form fields."""
 
-    def __init__(self, spaces, degree=None):
+    def __init__(self, spaces):
         sc = spaces.scalar
         mesh = sc.mesh
-        if degree is None:
-            degree = 2 * sc.k + _ERROR_DEGREE_MARGIN
-        degree = max(degree, 2 * sc.k + _ERROR_DEGREE_MARGIN)
-        self.points, self.weights = element_quadrature(mesh, degree)
+        self.points, self.weights = element_quadrature(mesh, 2 * sc.k + 4)
         self.tab = sc.batch_values(np.arange(mesh.num_elements), self.points)
         self.dim_local = sc.dim_local
         self.num_elements = mesh.num_elements

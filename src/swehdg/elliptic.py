@@ -330,7 +330,7 @@ def solve_vector_laplacian(mesh, spaces, f, params, matrices=None):
     RuntimeError("init solve factorization failed: ...").
     """
     if spaces.tangential is None:
-        spaces.tangential = TangentialTraceSpace(mesh, spaces.k, spaces.trace.quad_degree)
+        spaces.tangential = TangentialTraceSpace(mesh, spaces.k)
     mats = matrices if matrices is not None else assemble_all(mesh, spaces, params)
 
     sc, tr, tg = spaces.scalar, spaces.trace, spaces.tangential

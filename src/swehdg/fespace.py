@@ -101,23 +101,20 @@ class ScalarSpace:
     ----------
     mesh : Mesh
     k : int
-        Polynomial degree, 0 to 6.
-    quad_degree : int, optional
-        Volume quadrature exactness, default 2k + 3.  Raise it when
-        integrating rough coefficient functions.
+        Polynomial degree, 0 to 6.  Volume integrals use the triangle rule
+        of exactness 2k + 3.
     """
 
-    def __init__(self, mesh, k, quad_degree=None):
+    def __init__(self, mesh, k):
         if not 0 <= k <= 6:
             raise ValueError("degree k must be between 0 and 6")
         self.mesh = mesh
         self.k = k
         self.aexp, self.bexp = _monomial_exponents(k)
         self.dim_local = len(self.aexp)
-        self.quad_degree = 2 * k + 3 if quad_degree is None else quad_degree
         self.ndof = mesh.num_elements * self.dim_local
 
-        self.qpoints, self.qweights = element_quadrature(mesh, self.quad_degree)
+        self.qpoints, self.qweights = element_quadrature(mesh, 2 * k + 3)
 
         verts = mesh.nodes[mesh.elements]
         self.centers = verts.mean(axis=1)
@@ -147,14 +144,6 @@ class ScalarSpace:
         element ids ``elems`` give an (n, q, dim_local) array."""
         mono = self._monomials(elems, pts)
         return np.einsum("eij,eqj->eqi", self.coeff[elems], mono)
-
-    def batch_grads(self, elems, pts):
-        """Basis gradients, returned as a pair of (n, q, dim_local) arrays."""
-        mono = self._monomials(elems, pts)
-        inv_s = 1.0 / self.scales[elems][:, None, None]
-        gx = np.einsum("eij,eqj->eqi", self.coeff_dx[elems], mono) * inv_s
-        gy = np.einsum("eij,eqj->eqi", self.coeff_dy[elems], mono) * inv_s
-        return gx, gy
 
     def values(self, coeffs):
         """Field values at the volume quadrature points, (ne, nq)."""
@@ -198,11 +187,6 @@ class VectorSpace:
         return (np.einsum("eqi,ei->eq", self.scalar.tab_dx, u[:, 1])
                 - np.einsum("eqi,ei->eq", self.scalar.tab_dy, u[:, 0]))
 
-    def div_values(self, coeffs):
-        u = self.reshape(coeffs)
-        return (np.einsum("eqi,ei->eq", self.scalar.tab_dx, u[:, 0])
-                + np.einsum("eqi,ei->eq", self.scalar.tab_dy, u[:, 1]))
-
     def project(self, func):
         """L2 projection of a vector field given as func(x, y) -> (z1, z2)."""
         s = self.scalar
@@ -224,13 +208,12 @@ class TraceSpace:
     integrals on either side of a paired boundary hit the same dofs.
     """
 
-    def __init__(self, mesh, k, quad_degree=None):
+    def __init__(self, mesh, k):
         if not 0 <= k <= 6:
             raise ValueError("degree k must be between 0 and 6")
         self.mesh = mesh
         self.k = k
         self.dim_local = k + 1
-        self.quad_degree = 2 * k + 3 if quad_degree is None else quad_degree
 
         nf = mesh.num_facets
         owned_mask = np.array([t != PERIODIC_SLAVE for t in mesh.facet_tag])
@@ -243,7 +226,7 @@ class TraceSpace:
         self.owner = np.where(owned_mask, np.arange(nf), mesh.facet_pair)
         self.ndof = len(self.owned) * self.dim_local
 
-        rule = quadrature("segment", self.quad_degree)
+        rule = quadrature("segment", 2 * k + 3)
         a = mesh.nodes[mesh.facet_nodes[:, 0]]
         b = mesh.nodes[mesh.facet_nodes[:, 1]]
         t = rule.points
@@ -264,14 +247,6 @@ class TraceSpace:
         scale = np.sqrt((2.0 * np.arange(self.dim_local) + 1.0)[None, :] / length[:, None])
         vander = legvander(2.0 * s - 1.0, self.k)
         return vander * scale[:, None, :]
-
-    def facet_values(self, facet, pts):
-        """Basis values of ``facet``'s dofs at points on that facet."""
-        return self._tabulate(np.array([facet]), pts[None])[0]
-
-    def dofs_of_facet(self, facet):
-        r = self.owner_row[facet]
-        return r * self.dim_local + np.arange(self.dim_local)
 
     def project(self, func):
         """Per-facet L2 projection of ``func(x, y)`` (owned facets only)."""
@@ -300,19 +275,13 @@ class TangentialTraceSpace(TraceSpace):
     construction.
     """
 
-    def __init__(self, mesh, k, quad_degree=None):
-        super().__init__(mesh, k, quad_degree)
+    def __init__(self, mesh, k):
+        super().__init__(mesh, k)
         self.tangent = mesh.facet_tangents[self.owner]
-
-    def vector_values(self, coeffs, facets=None):
-        if facets is None:
-            facets = np.arange(self.mesh.num_facets)
-        scal = self.values(coeffs, facets)
-        return scal[..., None] * self.tangent[facets][:, None, :]
 
 
 class GridFunction:
-    """Coefficient vector bound to a space, with pointwise evaluation."""
+    """Coefficient vector bound to a space."""
 
     def __init__(self, space, coeffs=None):
         self.space = space
@@ -322,70 +291,6 @@ class GridFunction:
         if coeffs.shape != (space.ndof,):
             raise ValueError("coefficient vector length does not match the space")
         self.coeffs = coeffs
-
-    def _locate(self, x, y):
-        mesh = self.space.mesh
-        p = np.array([x, y])
-        verts = mesh.nodes[mesh.elements]
-        v0, v1, v2 = verts[:, 0], verts[:, 1], verts[:, 2]
-        d = p - v0
-        e1 = v1 - v0
-        e2 = v2 - v0
-        det = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
-        lam1 = (d[:, 0] * e2[:, 1] - d[:, 1] * e2[:, 0]) / det
-        lam2 = (e1[:, 0] * d[:, 1] - e1[:, 1] * d[:, 0]) / det
-        ok = (lam1 >= -1e-12) & (lam2 >= -1e-12) & (lam1 + lam2 <= 1.0 + 1e-12)
-        hits = np.where(ok)[0]
-        if len(hits) == 0:
-            raise ValueError(f"point ({x}, {y}) lies outside the mesh")
-        return int(hits[0])
-
-    def _element_coeffs(self, e):
-        if isinstance(self.space, VectorSpace):
-            return self.space.reshape(self.coeffs)[e]
-        m = self.space.dim_local
-        return self.coeffs[e * m:(e + 1) * m]
-
-    def eval(self, x, y):
-        """Field value at a point (scalar, or length-2 array)."""
-        e = self._locate(x, y)
-        pts = np.array([[[x, y]]])
-        if isinstance(self.space, VectorSpace):
-            basis = self.space.scalar.batch_values(np.array([e]), pts)[0, 0]
-            c = self._element_coeffs(e)
-            return c @ basis
-        basis = self.space.batch_values(np.array([e]), pts)[0, 0]
-        return float(self._element_coeffs(e) @ basis)
-
-    def eval_grad(self, x, y):
-        """Gradient of a scalar field at a point."""
-        if isinstance(self.space, VectorSpace):
-            raise ValueError("eval_grad applies to scalar fields")
-        e = self._locate(x, y)
-        pts = np.array([[[x, y]]])
-        gx, gy = self.space.batch_grads(np.array([e]), pts)
-        c = self._element_coeffs(e)
-        return np.array([float(c @ gx[0, 0]), float(c @ gy[0, 0])])
-
-    def eval_div(self, x, y):
-        """Divergence of a vector field at a point."""
-        if not isinstance(self.space, VectorSpace):
-            raise ValueError("eval_div applies to vector fields")
-        e = self._locate(x, y)
-        pts = np.array([[[x, y]]])
-        gx, gy = self.space.scalar.batch_grads(np.array([e]), pts)
-        c = self._element_coeffs(e)
-        return float(c[0] @ gx[0, 0] + c[1] @ gy[0, 0])
-
-    def eval_rot(self, x, y):
-        """rot z = dz2/dx - dz1/dy of a vector field at a point."""
-        if not isinstance(self.space, VectorSpace):
-            raise ValueError("eval_rot applies to vector fields")
-        e = self._locate(x, y)
-        pts = np.array([[[x, y]]])
-        gx, gy = self.space.scalar.batch_grads(np.array([e]), pts)
-        c = self._element_coeffs(e)
-        return float(c[1] @ gx[0, 0] - c[0] @ gy[0, 0])
 
 
 @dataclass
@@ -405,12 +310,12 @@ class SpaceSet:
         return self.scalar.k
 
 
-def build_spaces(mesh, k, quad_degree=None, tangential=False):
+def build_spaces(mesh, k, tangential=False):
     """Scalar, vector, and trace spaces sharing one set of tabulations."""
-    scalar = ScalarSpace(mesh, k, quad_degree)
-    spaces = SpaceSet(scalar, VectorSpace(scalar), TraceSpace(mesh, k, quad_degree))
+    scalar = ScalarSpace(mesh, k)
+    spaces = SpaceSet(scalar, VectorSpace(scalar), TraceSpace(mesh, k))
     if tangential:
-        spaces.tangential = TangentialTraceSpace(mesh, k, quad_degree)
+        spaces.tangential = TangentialTraceSpace(mesh, k)
     return spaces
 
 

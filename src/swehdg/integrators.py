@@ -12,6 +12,10 @@ eliminate every element-local unknown and solve only a factored system on
 the trace dofs, and explicit partitioned schemes that alternate flux and
 velocity updates, with at most one wave-operator application per stage
 (none for a stage whose velocity slope has weight zero everywhere).
+
+:class:`DirkIntegrator` is the one diagonally implicit driver; the flux
+and height schemes supply only their stage blocks, data and slopes.  The
+explicit steppers are refused on rotating problems.
 """
 
 from dataclasses import dataclass
@@ -261,75 +265,96 @@ def uw_stage_blocks(matrices, phi, delta):
     return local, from_trace, to_trace
 
 
-def stage_solvers(tableau, dt, stage_blocks, trace, cols):
-    """One CondensedSolver per distinct stage scale dt * a_ii of the
-    tableau, keyed by that scale; ``stage_blocks(scale)`` gives the
-    element blocks.  A failure raises RuntimeError naming the scale."""
-    solvers = {}
-    for delta in dt * tableau.a.diagonal():
-        if delta in solvers:
-            continue
-        try:
-            solvers[delta] = CondensedSolver(*stage_blocks(delta), trace, cols)
-        except RuntimeError as exc:
-            raise RuntimeError(
-                f"stage factorization failed for stage scale {delta}: {exc}") from exc
-    return solvers
+class DirkIntegrator:
+    """Fixed-step diagonally implicit stepper, shared by the flux scheme
+    (:class:`SdirkIntegrator`) and the height scheme
+    (:class:`~swehdg.swe.PhiuIntegrator`).
+
+    Stage i solves one condensed system of scale dt a_ii for its values
+    from acc = y + dt sum_{j<i} a_ij k_j, then forms its slope k_i.  One
+    trace factorization per distinct stage scale is built up front; the
+    ``SuperLU`` objects are kept in ``trace_factors``, keyed by scale.  A
+    scheme supplies ``_stage_blocks(delta)``, ``_stage_data(delta, acc)``
+    (local data of shape (ne, n_local) and trace data), ``_split`` (the
+    width of the first local field) and ``_slope`` of a stage solution.
+    """
+
+    def __init__(self, tableau, dt, trace, cols):
+        self.tableau = tableau
+        self.dt = float(dt)
+        self._solvers = {}
+        for delta in self.dt * tableau.a.diagonal():
+            if delta in self._solvers:
+                continue
+            try:
+                self._solvers[delta] = CondensedSolver(
+                    *self._stage_blocks(delta), trace, cols)
+            except RuntimeError as exc:
+                raise RuntimeError(
+                    f"stage factorization failed for stage scale {delta}: {exc}") from exc
+        self.trace_factors = {d: s.lu for d, s in self._solvers.items()}
+
+    def solve_stage(self, delta, acc):
+        """The two local fields and the trace of the stage with scale
+        delta whose explicit part is acc."""
+        local, trace = self._stage_data(delta, acc)
+        x, t = self._solvers[delta].solve(local.reshape(-1), trace)
+        x = x.reshape(local.shape)
+        return x[:, :self._split].reshape(-1), x[:, self._split:].reshape(-1), t
+
+    def step(self, y):
+        return self.step_with_stages(y)[0]
+
+    def step_with_stages(self, y):
+        """Step and also return the per-stage solutions of
+        :meth:`solve_stage`, for energy-identity checks."""
+        tab, dt = self.tableau, self.dt
+        slopes = np.empty((tab.stages, y.size))
+        stages = []
+        for i in range(tab.stages):
+            acc = y + dt * (tab.a[i, :i] @ slopes[:i])
+            stage = self.solve_stage(dt * tab.a[i, i], acc)
+            stages.append(stage)
+            slopes[i] = self._slope(*stage)
+        return y + dt * (tab.b @ slopes), stages
 
 
-class SdirkIntegrator:
-    """Fixed-step diagonally implicit stepper.
+class SdirkIntegrator(DirkIntegrator):
+    """Diagonally implicit stepper for the flux scheme.
 
     Each stage eliminates the flux exactly and the velocity and height
-    element by element (see :func:`uw_stage_blocks`), so only a system on
-    the trace dofs is factored, with the sparsity of the recovery Schur
-    complement.  One factorization per distinct diagonal entry of the
-    tableau is computed up front and reused for every step; the trace
-    ``SuperLU`` objects are kept in ``trace_factors``, keyed by stage
-    scale.
+    element by element (see :func:`uw_stage_blocks`), so the trace system
+    has the sparsity of the recovery Schur complement.  A stage solution
+    is (velocity, height, trace).
     """
 
     def __init__(self, system, tableau, dt):
         self.system = system
-        self.tableau = tableau
-        self.dt = float(dt)
         m = system.matrices
         self._div_T = m.div_pair.T.tocsr()
         self._flux_T = m.flux_pair.T.tocsr()
-        self._solvers = stage_solvers(
-            tableau, self.dt, lambda delta: uw_stage_blocks(m, system.phi, delta),
-            m.stab_trace, m.trace_cols)
-        self.trace_factors = {d: s.lu for d, s in self._solvers.items()}
+        self._split = 2 * m.wdofs.shape[1]
+        super().__init__(tableau, dt, m.stab_trace, m.trace_cols)
 
-    def solve_stage(self, delta, acc):
-        """Velocity, height and trace of the stage with scale delta whose
-        explicit part is acc = [flux; velocity]."""
+    def _stage_blocks(self, delta):
+        return uw_stage_blocks(self.system.matrices, self.system.phi, delta)
+
+    def _stage_data(self, delta, acc):
         sysm = self.system
         nv = sysm.nv
         ne, m = sysm.matrices.wdofs.shape
-        nu = 2 * m
         r_w = acc[:nv]
         r_u = acc[nv:] + delta * sysm.forcing
-        f = np.concatenate([r_u.reshape(ne, nu),
-                            -(self._div_T @ r_w).reshape(ne, m)], axis=1)
-        x, phat = self._solvers[delta].solve(f.reshape(-1), self._flux_T @ r_w)
-        x = x.reshape(ne, nu + m)
-        return x[:, :nu].reshape(-1), x[:, nu:].reshape(-1), phat
+        local = np.concatenate([r_u.reshape(ne, 2 * m),
+                                -(self._div_T @ r_w).reshape(ne, m)], axis=1)
+        return local, self._flux_T @ r_w
 
-    def step(self, y):
+    def _slope(self, u, p, phat):
         sysm = self.system
         m = sysm.matrices
-        tab = self.tableau
-        dt = self.dt
-        nv = sysm.nv
-        slopes = np.empty((tab.stages, 2 * nv))
-        for i in range(tab.stages):
-            acc = y + dt * (tab.a[i, :i] @ slopes[:i])
-            u_i, p_i, phat_i = self.solve_stage(dt * tab.a[i, i], acc)
-            slopes[i, :nv] = sysm.phi * u_i
-            slopes[i, nv:] = (m.div_pair @ p_i - m.flux_pair @ phat_i
-                              + m.coriolis @ u_i + sysm.forcing)
-        return y + dt * (tab.b @ slopes)
+        return np.concatenate([sysm.phi * u,
+                               m.div_pair @ p - m.flux_pair @ phat
+                               + m.coriolis @ u + sysm.forcing])
 
 
 class SeprkIntegrator:
@@ -346,8 +371,8 @@ class SeprkIntegrator:
 
     The rotation term is evaluated explicitly at the staged velocity, so
     the composition retains its declared order only when rotation is
-    absent (with rotation it drops to first order); rotating problems
-    should use the implicit steppers.
+    absent (with rotation it drops to first order); :func:`make_integrator`
+    refuses it on rotating problems.
     """
 
     def __init__(self, system, tableau, dt):
@@ -380,7 +405,9 @@ _IMPLICIT_NAMES = {"midpoint": 2, "sdirk2": 2, "sdirk4": 4}
 
 def make_integrator(name, system, dt):
     """Stepper factory keyed by the scheme names used in config files:
-    midpoint, sdirk2, sdirk4, or seprkN with N in {1, 2, 3, 4, 6}."""
+    midpoint, sdirk2, sdirk4, or seprkN with N in {1, 2, 3, 4, 6}.  The
+    explicit seprkN steppers are refused (ValueError) when the system
+    rotates, since they would fall to first order there."""
     key = name.strip().lower()
     if key in _IMPLICIT_NAMES:
         return SdirkIntegrator(system, make_sdirk(_IMPLICIT_NAMES[key]), dt)
@@ -389,5 +416,10 @@ def make_integrator(name, system, dt):
             order = int(key[len("seprk"):])
         except ValueError:
             raise ValueError(f"unknown integrator {name!r}") from None
-        return SeprkIntegrator(system, make_seprk(order), dt)
+        tableau = make_seprk(order)
+        if system.matrices.params.rotating:
+            raise ValueError(
+                f"explicit integrator {name!r} drops to first order with "
+                "rotation (f0 or beta nonzero); use midpoint, sdirk2 or sdirk4")
+        return SeprkIntegrator(system, tableau, dt)
     raise ValueError(f"unknown integrator {name!r}")

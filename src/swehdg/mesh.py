@@ -407,17 +407,6 @@ def boundary_loops(mesh, tag=WALL):
     return loops
 
 
-def loop_polygon_area(mesh, loop):
-    """Signed area enclosed by a closed boundary loop."""
-    facets, signs = loop
-    pts = np.array([
-        mesh.nodes[mesh.facet_nodes[f, 0 if s == 1 else 1]]
-        for f, s in zip(facets, signs)
-    ])
-    nxt = np.roll(pts, -1, axis=0)
-    return 0.5 * float(np.sum(pts[:, 0] * nxt[:, 1] - pts[:, 1] * nxt[:, 0]))
-
-
 def save_mesh(mesh, path):
     """Write the plain text mesh format (see ``load_mesh``)."""
     bdry = mesh.boundary_facets

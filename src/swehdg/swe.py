@@ -5,7 +5,9 @@ optional bathymetry profile.  Two semidiscrete systems can be built from
 it: the energy-conserving flux scheme stepped by the symplectic
 integrators, and the dissipative height scheme whose stages eliminate the
 element-local (height, velocity) unknowns and solve a factored system on
-the trace dofs.
+the trace dofs.  Its stepper, :class:`PhiuIntegrator`, runs on the same
+diagonally implicit driver as the flux scheme's,
+:class:`~swehdg.integrators.DirkIntegrator`.
 """
 
 from dataclasses import dataclass, replace
@@ -15,7 +17,7 @@ import numpy as np
 from .assembly import PhysicalParams, assemble_all, assemble_bathymetry_load
 from .elliptic import InitState, PhiRecovery, initialize_state
 from .fespace import SpaceSet, build_spaces
-from .integrators import SemidiscreteSystem, stage_solvers
+from .integrators import DirkIntegrator, SemidiscreteSystem
 from .mesh import Mesh
 
 _SQRT2 = np.sqrt(2.0)
@@ -57,22 +59,6 @@ class ManufacturedSolution:
 
     def w_at(self, t):
         return lambda x, y: self.w(x, y, t)
-
-
-@dataclass
-class ExactFields:
-    """Projected coefficients of the closed-form fields at one time."""
-    phi: np.ndarray
-    u: np.ndarray
-    w: np.ndarray
-
-
-def exact_state(solution, spaces, t):
-    """L2 projections of the closed-form height, velocity, and flux."""
-    return ExactFields(
-        phi=spaces.scalar.project(solution.phi_at(t)).coeffs,
-        u=spaces.vector.project(solution.u_at(t)).coeffs,
-        w=spaces.vector.project(solution.w_at(t)).coeffs)
 
 
 def _bump(x):
@@ -296,13 +282,6 @@ def phiu_energy(run, y):
     return 0.5 * (q @ q) + 0.5 * run.spec.params.phi * (u @ u)
 
 
-def phiu_trace_mismatch(run, q, qhat):
-    """Stabilized norm of the height-trace jump driving the dissipation."""
-    m = run.matrices
-    return (q @ (m.stab_local @ q) - 2.0 * q @ (m.stab_mixed @ qhat)
-            + qhat @ (m.stab_trace @ qhat))
-
-
 def phiu_stage_blocks(matrices, phi, delta):
     """Element blocks (A_e, B_e, C_e) of the height-scheme stage with stage
     scale delta, for :class:`~swehdg.elliptic.CondensedSolver`; the trace
@@ -336,70 +315,40 @@ def phiu_stage_blocks(matrices, phi, delta):
     return local, from_trace, to_trace
 
 
-class PhiuIntegrator:
+class PhiuIntegrator(DirkIntegrator):
     """Diagonally implicit stepper for the dissipative scheme.
 
     Each stage eliminates the height and velocity element by element (see
     :func:`phiu_stage_blocks`) and solves a factored system on the trace
-    dofs; the trace equation is enforced at every stage, so the per-step
-    energy drop equals the stabilized jump norm of the stage values
-    exactly when the midpoint tableau is used.  The trace ``SuperLU``
-    objects are kept in ``trace_factors``, keyed by stage scale.
+    dofs; a stage solution is (height, velocity, trace).  The trace
+    equation is enforced at every stage, so the per-step energy drop
+    equals the stabilized jump norm of the stage values exactly when the
+    midpoint tableau is used.
     """
 
     def __init__(self, run, tableau, dt):
         self.run = run
-        self.tableau = tableau
-        self.dt = float(dt)
         m = run.matrices
-        phi = run.spec.params.phi
-        self._solvers = stage_solvers(
-            tableau, self.dt, lambda delta: phiu_stage_blocks(m, phi, delta),
-            -m.stab_trace, m.trace_cols)
-        self.trace_factors = {d: s.lu for d, s in self._solvers.items()}
+        self._split = m.wdofs.shape[1]
+        self._zero_trace = np.zeros(m.stab_trace.shape[0])
+        super().__init__(tableau, dt, -m.stab_trace, m.trace_cols)
 
-    def _slopes(self, q, u, qhat):
+    def _stage_blocks(self, delta):
+        return phiu_stage_blocks(self.run.matrices, self.run.spec.params.phi, delta)
+
+    def _stage_data(self, delta, acc):
+        run = self.run
+        nw = run.spaces.scalar.ndof
+        ne, m = run.matrices.wdofs.shape
+        local = np.concatenate([acc[:nw].reshape(ne, m),
+                                (acc[nw:] + delta * run.forcing).reshape(ne, 2 * m)],
+                               axis=1)
+        return local, self._zero_trace
+
+    def _slope(self, q, u, qhat):
         m = self.run.matrices
         phi = self.run.spec.params.phi
         dq = -phi * (m.div_pair.T @ u) - m.stab_local @ q + m.stab_mixed @ qhat
         du = (m.div_pair @ q - m.flux_pair @ qhat + m.coriolis @ u
               + self.run.forcing)
         return np.concatenate([dq, du])
-
-    def step(self, y):
-        return self._advance(y)[0]
-
-    def step_with_stages(self, y):
-        """Step and also return the per-stage (height, velocity, trace)
-        solutions, for energy-identity checks."""
-        return self._advance(y)
-
-    def _advance(self, y):
-        run, tab, dt = self.run, self.tableau, self.dt
-        nw = run.spaces.scalar.ndof
-        nv = run.spaces.vector.ndof
-        ne, m = run.matrices.wdofs.shape
-        nu = 2 * m
-        zero_trace = np.zeros(run.matrices.stab_trace.shape[0])
-        slopes = np.empty((tab.stages, nw + nv))
-        stages = []
-        for i in range(tab.stages):
-            acc = y + dt * (tab.a[i, :i] @ slopes[:i])
-            delta = dt * tab.a[i, i]
-            f = np.concatenate([acc[:nw].reshape(ne, m),
-                                (acc[nw:] + delta * run.forcing).reshape(ne, nu)],
-                               axis=1)
-            x, qhat_i = self._solvers[delta].solve(f.reshape(-1), zero_trace)
-            x = x.reshape(ne, m + nu)
-            q_i, u_i = x[:, :m].reshape(-1), x[:, m:].reshape(-1)
-            stages.append((q_i, u_i, qhat_i))
-            slopes[i] = self._slopes(q_i, u_i, qhat_i)
-        return y + dt * (tab.b @ slopes), stages
-
-
-def iterate_steps(stepper, y0, nsteps):
-    """Yield (step index, state) after each of nsteps steps."""
-    y = y0
-    for n in range(1, nsteps + 1):
-        y = stepper.step(y)
-        yield n, y

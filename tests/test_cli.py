@@ -362,6 +362,32 @@ def test_stepper_setup_failure_names_the_run(tmp_path, capsys, monkeypatch,
     assert not list(tmp_path.glob("*.csv"))
 
 
+ROTATING_RUN = """
+[problem]
+preset = moving_bump
+degree = 1
+
+[mesh]
+kind = uniform_square
+level = 2
+
+[time]
+final_time = 0.01
+dt = 0.005
+integrator = {integrator}
+"""
+
+
+@pytest.mark.parametrize("subcommand", ["run", "compare_dissipative"])
+def test_explicit_integrator_on_rotating_preset_is_refused(tmp_path, capsys, subcommand):
+    cfg = _write(tmp_path, "c.ini", ROTATING_RUN.format(integrator="seprk4"))
+    assert main([subcommand, "--config", cfg, "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert "integrator refused for k=1, h=0.25, preset moving_bump: " in err
+    assert "'seprk4' drops to first order with rotation" in err
+    assert not list(tmp_path.glob("*.csv"))
+
+
 @pytest.mark.parametrize("text,message", [
     ("[problem]\ndegre = 3\n", "unknown key 'degre' in [problem]; did you mean degree?"),
     ("[time]\nintegrater = seprk4\n",
@@ -373,6 +399,12 @@ def test_stepper_setup_failure_names_the_run(tmp_path, capsys, monkeypatch,
     ("[problem]\ndegree = 1\ndegrees = 1, 2\n",
      "[problem] sets both degree and degrees; keep one"),
     ("[time]\ndt = 0.1\ndt_scale = 0.05\n", "[time] sets both dt and dt_scale; keep one"),
+    ("[problem]\ndegrees =\n", "[problem] degrees is empty"),
+    ("[mesh]\nlevels = ,\n", "[mesh] levels is empty"),
+    ("[time]\nfinal_time = -1.0\n", "[time] final_time must be >= 0, got -1"),
+    ("[time]\ndt = -0.01\n", "[time] dt must be >= 0, got -0.01"),
+    ("[time]\ndt_scale = -0.05\n", "[time] dt_scale must be >= 0, got -0.05"),
+    ("[time]\ndt = nan\n", "[time] dt must be >= 0, got nan"),
 ])
 def test_config_typos_and_conflicts_are_errors(tmp_path, capsys, text, message):
     cfg = _write(tmp_path, "c.ini", text)

@@ -15,6 +15,16 @@ from swehdg.fespace import (
 )
 from swehdg.mesh import generate_rect_with_hole, generate_uniform_square, pair_periodic
 
+from helpers import (
+    dofs_of_facet,
+    facet_values,
+    point_div,
+    point_grad,
+    point_rot,
+    point_value,
+    tangential_vectors,
+)
+
 
 def _tri_monomial_integral(a, b):
     # over the reference triangle: a! b! / (a + b + 2)!
@@ -70,7 +80,7 @@ def test_basis_spans_monomials():
             gf = sp.project(lambda x, y, a=a, b=b: x ** a * y ** b)
             pts = rng.random((20, 2))
             for x, y in pts:
-                assert gf.eval(x, y) == pytest.approx(x ** a * y ** b, abs=1e-10)
+                assert point_value(gf, x, y) == pytest.approx(x ** a * y ** b, abs=1e-10)
 
 
 def test_project_zero_and_mismatch():
@@ -102,11 +112,11 @@ def test_vector_projection_and_rot():
     gf = vec.project(lambda x, y: (-0.5 * y, 0.5 * x))
     rng = np.random.default_rng(3)
     for x, y in rng.random((5, 2)):
-        assert gf.eval_rot(x, y) == pytest.approx(1.0, abs=1e-12)
-        assert gf.eval_div(x, y) == pytest.approx(0.0, abs=1e-12)
-        assert np.allclose(gf.eval(x, y), [-0.5 * y, 0.5 * x], atol=1e-12)
+        assert point_rot(gf, x, y) == pytest.approx(1.0, abs=1e-12)
+        assert point_div(gf, x, y) == pytest.approx(0.0, abs=1e-12)
+        assert np.allclose(point_value(gf, x, y), [-0.5 * y, 0.5 * x], atol=1e-12)
     const = vec.project(lambda x, y: (1.0 + 0.0 * x, 2.0 + 0.0 * y))
-    assert const.eval_rot(0.3, 0.4) == pytest.approx(0.0, abs=1e-12)
+    assert point_rot(const, 0.3, 0.4) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_eval_grad_matches_finite_differences():
@@ -116,21 +126,14 @@ def test_eval_grad_matches_finite_differences():
     rng = np.random.default_rng(11)
     eps = 1e-6
     for x, y in 0.25 + 0.5 * rng.random((10, 2)):
-        g = gf.eval_grad(x, y)
+        g = point_grad(gf, x, y)
         fd = np.array([
-            (gf.eval(x + eps, y) - gf.eval(x - eps, y)) / (2 * eps),
-            (gf.eval(x, y + eps) - gf.eval(x, y - eps)) / (2 * eps),
+            (point_value(gf, x + eps, y) - point_value(gf, x - eps, y)) / (2 * eps),
+            (point_value(gf, x, y + eps) - point_value(gf, x, y - eps)) / (2 * eps),
         ])
         assert np.allclose(g, fd, atol=1e-5)
     gconst = sp.project(lambda x, y: 3.0 + 0.0 * x)
-    assert np.allclose(gconst.eval_grad(0.5, 0.5), 0.0, atol=1e-12)
-
-
-def test_eval_outside_mesh_raises():
-    mesh = generate_uniform_square(1)
-    gf = ScalarSpace(mesh, 1).project(lambda x, y: x)
-    with pytest.raises(ValueError, match="outside"):
-        gf.eval(2.0, 2.0)
+    assert np.allclose(point_grad(gconst, 0.5, 0.5), 0.0, atol=1e-12)
 
 
 @pytest.mark.parametrize("k", [0, 1, 2, 3])
@@ -168,7 +171,7 @@ def test_periodic_trace_single_valued():
     for fm, fs in mesh.periodic_pairs:
         vs = tr.values(coeffs, np.array([fs]))[0]
         pts_on_master = tr.qpoints[fs] + mesh.periodic_shift[fs]
-        vm = tr.facet_values(fm, pts_on_master) @ coeffs[tr.dofs_of_facet(fm)]
+        vm = facet_values(tr, fm, pts_on_master) @ coeffs[dofs_of_facet(tr, fm)]
         assert np.allclose(vs, vm, atol=1e-12)
 
 
@@ -177,7 +180,7 @@ def test_tangential_trace_normal_free():
     tg = TangentialTraceSpace(mesh, 2)
     rng = np.random.default_rng(9)
     coeffs = rng.standard_normal(tg.ndof)
-    vec = tg.vector_values(coeffs)
+    vec = tangential_vectors(tg, coeffs)
     ndot = np.einsum("fqd,fd->fq", vec, mesh.facet_normals)
     assert np.abs(ndot).max() == 0.0
     tdot = np.einsum("fqd,fd->fq", vec, mesh.facet_tangents)
@@ -188,4 +191,4 @@ def test_project_reproduces_linear_field():
     mesh = generate_uniform_square(1)
     sp = ScalarSpace(mesh, 1)
     gf = sp.project(lambda x, y: 2.0 * x - y)
-    assert gf.eval(0.3, 0.7) == pytest.approx(2.0 * 0.3 - 0.7, abs=1e-12)
+    assert point_value(gf, 0.3, 0.7) == pytest.approx(2.0 * 0.3 - 0.7, abs=1e-12)

@@ -232,7 +232,7 @@ def test_seprk4_matches_dense_exponential_at_order():
 def test_seprk_drops_to_first_order_with_rotation():
     # the explicit recursion stages the rotation term at the partially
     # updated velocity, which costs the composition its formal order;
-    # rotating runs are expected to use the implicit steppers instead
+    # make_integrator therefore refuses it on rotating problems
     mesh = generate_uniform_rect(1, 1)
     _, system = _make_system(mesh, 1, f0=0.3)
     rng = np.random.default_rng(12)
@@ -348,3 +348,16 @@ def test_seprk_skips_zero_weight_velocity_stages(order, applies):
         assert len(calls) == applies
         assert np.array_equal(y_next, _every_stage_seprk_step(stepper, y))
         y = y_next
+
+
+@pytest.mark.parametrize("rotation", [{"f0": 0.3}, {"beta": 0.2}])
+def test_make_integrator_refuses_explicit_steppers_with_rotation(rotation):
+    mesh = generate_uniform_square(1)
+    _, system = _make_system(mesh, 1, **rotation)
+    for order in (1, 2, 3, 4, 6):
+        with pytest.raises(ValueError, match="drops to first order with rotation"):
+            make_integrator(f"seprk{order}", system, 1e-2)
+    for name in ("midpoint", "sdirk2", "sdirk4"):
+        assert isinstance(make_integrator(name, system, 1e-2), SdirkIntegrator)
+    with pytest.raises(ValueError, match="unsupported explicit order"):
+        make_integrator("seprk5", system, 1e-2)

@@ -14,10 +14,11 @@ from swehdg.mesh import (
     generate_rect_with_hole,
     pair_periodic,
     boundary_loops,
-    loop_polygon_area,
     load_mesh,
     save_mesh,
 )
+
+from helpers import loop_polygon_area
 
 
 def test_unit_square_level1_counts():

@@ -13,15 +13,14 @@ from swehdg.swe import (
     ProblemSpec,
     build_phiu_system,
     build_uw_system,
-    exact_state,
     get_preset,
     hamiltonian_load,
-    iterate_steps,
     make_problem,
     phiu_energy,
-    phiu_trace_mismatch,
     step_count,
 )
+
+from helpers import iterate_steps, phiu_trace_mismatch
 
 _CSTEP = 1e-30
 
@@ -70,13 +69,11 @@ def test_exact_state_projection_values():
     mesh = generate_uniform_square(2)
     spaces = build_spaces(mesh, 2)
     ms = ManufacturedSolution()
-    at0 = exact_state(ms, spaces, 0.0)
-    assert np.all(at0.u == 0.0)
-    assert np.linalg.norm(at0.phi) > 0.1
-    assert np.linalg.norm(at0.w) > 0.01
+    assert np.all(spaces.vector.project(ms.u_at(0.0)).coeffs == 0.0)
+    assert np.linalg.norm(spaces.scalar.project(ms.phi_at(0.0)).coeffs) > 0.1
+    assert np.linalg.norm(spaces.vector.project(ms.w_at(0.0)).coeffs) > 0.01
     assert ms.phi(0.5, 0.5, 0.0) == pytest.approx(0.0, abs=1e-15)
-    later = exact_state(ms, spaces, 0.3)
-    assert np.linalg.norm(later.u) > 0.01
+    assert np.linalg.norm(spaces.vector.project(ms.u_at(0.3)).coeffs) > 0.01
 
 
 def test_preset_parameters_and_profiles():
