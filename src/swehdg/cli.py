@@ -22,9 +22,10 @@ compare_dissipative
 
 Configs are INI files with [problem], [mesh], [time], [output] sections;
 missing keys fall back to the defaults documented in ``RunConfig``, and an
-unknown section or key, a conflicting pair of keys, an empty ``degrees`` or
-``levels`` and a negative ``final_time``, ``dt`` or ``dt_scale`` are
-errors, as is an explicit seprk integrator on a rotating problem.  The
+unknown section or key, a conflicting pair of keys, a value of the wrong
+type, an empty ``degrees`` or ``levels``, a negative ``final_time``,
+``dt`` or ``dt_scale`` and a negative ``cadence`` or ``snapshot_every``
+are errors, as is an explicit seprk integrator on a rotating problem.  The
 ``SWEHDG_LOG`` environment variable sets the log level.  Identical
 configs produce byte-identical CSV files.
 """
@@ -127,6 +128,30 @@ def _ints(text):
     return tuple(int(v) for v in text.replace(",", " ").split())
 
 
+def _boolean(text):
+    try:
+        return configparser.ConfigParser.BOOLEAN_STATES[text.lower()]
+    except KeyError:
+        raise ValueError(text) from None
+
+
+_KINDS = {int: "an integer", float: "a number", _boolean: "true or false",
+          _ints: "a list of integers", _floats: "a list of numbers"}
+
+
+def _get(path, sec, key, convert, default=None):
+    """convert(value) of ``key`` in the section ``sec``, or ``default``
+    when the key is absent; a value convert rejects is a RunFailure
+    naming the file, the section and the key."""
+    if key not in sec:
+        return default
+    try:
+        return convert(sec[key])
+    except ValueError:
+        raise RunFailure(f"{path}: [{sec.name}] {key} must be {_KINDS[convert]}, "
+                         f"got {sec[key]!r}") from None
+
+
 # every key load_config reads, by section, and the pairs that exclude each other
 _CONFIG_KEYS = {
     "problem": ("preset", "degree", "degrees", "tau", "alpha", "f0", "beta",
@@ -176,52 +201,50 @@ def load_config(path):
         sec = parser["problem"]
         cfg.preset = sec.get("preset", cfg.preset)
         if "degrees" in sec:
-            cfg.degrees = _ints(sec["degrees"])
+            cfg.degrees = _get(path, sec, "degrees", _ints)
         elif "degree" in sec:
-            cfg.degrees = (sec.getint("degree"),)
+            cfg.degrees = (_get(path, sec, "degree", int),)
         for key in ("tau", "alpha", "f0", "beta", "y_mid", "phi"):
             if key in sec:
-                cfg.overrides[key] = sec.getfloat(key)
+                cfg.overrides[key] = _get(path, sec, key, float)
 
     if parser.has_section("mesh"):
         sec = parser["mesh"]
         cfg.mesh_kind = sec.get("kind", cfg.mesh_kind)
-        if "levels" in sec:
-            cfg.levels = _ints(sec["levels"])
-        cfg.level = sec.getint("level", cfg.level)
-        cfg.nx = sec.getint("nx", cfg.nx)
-        cfg.ny = sec.getint("ny", cfg.ny)
-        if "bounds" in sec:
-            cfg.bounds = _floats(sec["bounds"])
-        if "center" in sec:
-            cfg.center = _floats(sec["center"])
-        cfg.radius = sec.getfloat("radius", cfg.radius)
-        cfg.target_h = sec.getfloat("target_h", cfg.target_h)
+        cfg.levels = _get(path, sec, "levels", _ints, cfg.levels)
+        cfg.level = _get(path, sec, "level", int, cfg.level)
+        cfg.nx = _get(path, sec, "nx", int, cfg.nx)
+        cfg.ny = _get(path, sec, "ny", int, cfg.ny)
+        cfg.bounds = _get(path, sec, "bounds", _floats, cfg.bounds)
+        cfg.center = _get(path, sec, "center", _floats, cfg.center)
+        cfg.radius = _get(path, sec, "radius", float, cfg.radius)
+        cfg.target_h = _get(path, sec, "target_h", float, cfg.target_h)
         cfg.periodic = sec.get("periodic", cfg.periodic)
         cfg.mesh_path = sec.get("path", cfg.mesh_path)
 
     if parser.has_section("time"):
         sec = parser["time"]
-        cfg.final_time = sec.getfloat("final_time", cfg.final_time)
-        cfg.dt = sec.getfloat("dt", cfg.dt)
-        cfg.dt_scale = sec.getfloat("dt_scale", cfg.dt_scale)
+        cfg.final_time = _get(path, sec, "final_time", float, cfg.final_time)
+        cfg.dt = _get(path, sec, "dt", float, cfg.dt)
+        cfg.dt_scale = _get(path, sec, "dt_scale", float, cfg.dt_scale)
         cfg.integrator = sec.get("integrator", cfg.integrator)
 
     if parser.has_section("output"):
         sec = parser["output"]
         cfg.basename = sec.get("basename", cfg.basename)
-        cfg.cadence = sec.getint("cadence", cfg.cadence)
-        cfg.fields = sec.getboolean("fields", cfg.fields)
-        cfg.snapshot_every = sec.getint("snapshot_every", cfg.snapshot_every)
+        cfg.cadence = _get(path, sec, "cadence", int, cfg.cadence)
+        cfg.fields = _get(path, sec, "fields", _boolean, cfg.fields)
+        cfg.snapshot_every = _get(path, sec, "snapshot_every", int, cfg.snapshot_every)
 
     for section, key, value in (("problem", "degrees", cfg.degrees),
                                 ("mesh", "levels", cfg.levels)):
         if parser.has_option(section, key) and not value:
             raise RunFailure(f"{path}: [{section}] {key} is empty")
-    for key in ("final_time", "dt", "dt_scale"):
+    for section, key in (("time", "final_time"), ("time", "dt"), ("time", "dt_scale"),
+                         ("output", "cadence"), ("output", "snapshot_every")):
         value = getattr(cfg, key)
-        if value is not None and not value >= 0.0:
-            raise RunFailure(f"{path}: [time] {key} must be >= 0, got {value:g}")
+        if value is not None and not value >= 0:
+            raise RunFailure(f"{path}: [{section}] {key} must be >= 0, got {value:g}")
     if cfg.mesh_path and not Path(cfg.mesh_path).exists():
         raise RunFailure(f"mesh file does not exist: {cfg.mesh_path}")
     return cfg
@@ -504,7 +527,7 @@ def cmd_compare_dissipative(cfg, out_dir, threads):
     label = f"k={degree}, h={mesh.h_nominal:g}"
 
     uw = _build_flux_run(label, spec)
-    phiu = build_phiu_system(spec)
+    phiu = build_phiu_system(spec, spaces=uw.spaces, matrices=uw.matrices)
 
     nsteps, dt = step_count(cfg.final_time,
                             _pick_dt(cfg, degree, mesh.h_nominal, long_run=True))

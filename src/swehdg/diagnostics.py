@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fespace import element_quadrature
+from .swe import UwRun
 
 
 @dataclass
@@ -46,15 +47,11 @@ class QuantityRecord:
         return self.energy_H2h + self.bathymetry_term
 
 
-def _is_flux_run(run):
-    return hasattr(run, "system")
-
-
 def _height_state(run, y):
     """Height (volume, trace) and velocity coefficients of either run
     type; the flux scheme recovers the height, the primal scheme carries
     it directly and has no single-valued trace in its state."""
-    if _is_flux_run(run):
+    if isinstance(run, UwRun):
         w, u = run.system.split(y)
         p, phat = run.recovery.recover(w)
         return p, phat, u, w

@@ -10,6 +10,12 @@ identity plus boundary stabilization); the implicit stages of both
 schemes reuse it with larger local blocks, and the init solve eliminates
 (rotation, height, flux) per element onto the (height trace, tangential
 flux trace) system, with its gauge multipliers as extra trace unknowns.
+
+A solve that is repeated for data linear in one vector, and whose
+caller reads a linear output of the solution, is precomposed by
+:meth:`CondensedSolver.compose` into three sparse operators: the height
+recovery, the wave operator and every implicit stage then run as one
+gather, one trace LU solve and one scatter.
 """
 
 import logging
@@ -26,14 +32,23 @@ from .mesh import WALL, boundary_loops
 log = logging.getLogger(__name__)
 
 
-def _block_rows(blocks, cols, ncols):
-    """CSR matrix whose row e * n + i holds blocks[e, i] at the columns
-    cols[e]; repeated columns within a row add up in every product."""
-    ne, n, c = blocks.shape
-    indices = np.broadcast_to(cols[:, None, :], (ne, n, c)).reshape(-1)
-    indptr = np.arange(0, ne * n * c + 1, c)
-    return sparse.csr_matrix((blocks.reshape(-1), indices, indptr),
-                             shape=(ne * n, ncols))
+def _block_rows(blocks, rows, cols, shape):
+    """CSR matrix of batched dense blocks (n, a, b) at rows (n, a) x
+    cols (n, b), built without sorting its entries: the block rows are
+    only grouped by row.  Repeated (row, column) pairs are kept apart and
+    add up in every product, so the result serves products only.  Exact
+    zeros are dropped: the derivative of a constant basis function
+    vanishes, so whole rows and columns of the composed blocks do."""
+    n, a, b = blocks.shape
+    index = np.int32 if blocks.size < 2 ** 31 else np.int64
+    order = np.argsort(rows.reshape(-1), kind="stable")
+    indptr = np.zeros(shape[0] + 1, dtype=index)
+    np.cumsum(b * np.bincount(rows.reshape(-1), minlength=shape[0]), out=indptr[1:])
+    indices = np.take(cols.astype(index), order // a, axis=0)
+    data = np.take(blocks.reshape(n * a, b), order, axis=0)
+    mat = sparse.csr_matrix((data.reshape(-1), indices.reshape(-1), indptr), shape=shape)
+    mat.eliminate_zeros()
+    return mat
 
 
 def _invert_blocks(blocks):
@@ -66,8 +81,15 @@ class CondensedSolver:
     only to the trace dofs ``cols[e]`` of its facets, through the blocks
     B_e (n x c) and C_e (c x n); T is sparse on the trace.  Every A_e is
     inverted in one batch, the Schur complement T - sum_e C_e A_e^-1 B_e
-    is factored once, and each solve costs one batched local apply, two
-    sparse products and one trace LU solve.
+    is factored once, and :meth:`solve` costs one batched local apply, a
+    gather and a scatter around one trace LU solve.
+
+    A caller that solves the system many times for data that a fixed
+    linear map of some vector y produces, and that reads only a fixed
+    linear map of the solution, precomposes both maps around the local
+    elimination with :meth:`compose`: each solve is then one sparse
+    product into the trace rows, the trace LU solve and two sparse
+    products out.
 
     Every trace Schur complement built here is structurally symmetric, and
     several are indefinite (the init system, the stages), so the factor
@@ -92,27 +114,60 @@ class CondensedSolver:
 
     def __init__(self, local, from_trace, to_trace, trace, cols):
         nt = trace.shape[0]
+        self.cols = cols
         self._local_inv = _invert_blocks(local)
-        lift = self._local_inv @ from_trace         # A_e^-1 B_e
-        schur = trace - _scatter(to_trace @ lift, cols, cols, (nt, nt))
-        self._lift = _block_rows(lift, cols, nt)
-        restrict = (to_trace @ self._local_inv).transpose(0, 2, 1)  # (C_e A_e^-1)^T
-        self._restrict = _block_rows(restrict, cols, nt).T.tocsr()
+        self._lift = self._local_inv @ from_trace          # A_e^-1 B_e
+        self._restrict = to_trace @ self._local_inv        # C_e A_e^-1
+        schur = trace - _block_rows(to_trace @ self._lift, cols, cols, (nt, nt))
         try:
             self.lu = splu(schur.tocsc(), permc_spec="MMD_AT_PLUS_A",
                            diag_pivot_thresh=0.1, options=dict(SymmetricMode=True))
         except RuntimeError as err:
             raise RuntimeError(f"trace factorization failed: {err}") from None
 
-    def _local_apply(self, f):
-        """A^-1 f, one element block at a time."""
-        ne, n, _ = self._local_inv.shape
-        return np.einsum("eij,ej->ei", self._local_inv, f.reshape(ne, n)).reshape(-1)
-
     def solve(self, f, g):
         """Local and trace parts (x, t) of the solution for data (f, g)."""
-        t = self.lu.solve(g - self._restrict @ f)
-        return self._local_apply(f) - self._lift @ t, t
+        ne, n, _ = self._local_inv.shape
+        f = f.reshape(ne, n)
+        nt = self.lu.shape[0]
+        t = self.lu.solve(g - np.bincount(
+            self.cols.reshape(-1), minlength=nt,
+            weights=np.einsum("eij,ej->ei", self._restrict, f).reshape(-1)))
+        x = (np.einsum("eij,ej->ei", self._local_inv, f)
+             - np.einsum("eij,ej->ei", self._lift, t[self.cols]))
+        return x.reshape(-1), t
+
+    def compose(self, lf, lg, kx, kt, rows, out_rows, shape):
+        """CSR operators of the solve between a vector y and a linear
+        output of its solution.
+
+        Element e reads y at ``rows[e]``: its local data is
+        Lf_e y[rows[e]], and it adds Lg_e y[rows[e]] to the trace data in
+        the rows ``cols[e]``.  Its output, in the rows ``out_rows[e]``, is
+        Kx_e x_e + Kt_e t[cols[e]].  A Lf of None is the identity, a Lg or
+        Kt of None is zero, and ``shape`` is (output length, length of y).
+        Returns (R, K, Kt'),
+
+            R   = Lg - C A^-1 Lf          (trace x y)
+            K   = Kx A^-1 Lf              (output x y)
+            Kt' = Kt - Kx A^-1 B          (output x trace)
+
+        each composed from the element blocks and scattered once, so that
+        t = lu.solve(R y) and the output is K y + Kt' t.
+        """
+        nt, cols = self.lu.shape[0], self.cols
+        # one operator at a time, so that only one set of blocks is alive
+        local = self._local_inv if lf is None else self._local_inv @ lf    # A^-1 Lf
+        out = _block_rows(kx @ local, out_rows, rows, shape)
+        del local
+        trace_data = -(self._restrict if lf is None else self._restrict @ lf)  # -C A^-1 Lf
+        if lg is not None:
+            trace_data += lg
+        trace_data = _block_rows(trace_data, cols, rows, (nt, shape[1]))
+        out_trace = -(kx @ self._lift)                                         # -Kx A^-1 B
+        if kt is not None:
+            out_trace += kt
+        return trace_data, out, _block_rows(out_trace, out_rows, cols, (shape[0], nt))
 
 
 class PhiRecovery:
@@ -123,17 +178,22 @@ class PhiRecovery:
     the condensed mixed coupling); its sparse LU ``schur`` is the witness
     that the recovery problem is well posed for the given stabilization.
 
-    The condensed wave operator F p_hat - D p of :meth:`apply` is linear in
-    the flux w, so its pieces are composed once into three CSR operators
-    over the flux dofs:
+    The height data of the recovery is linear in the flux w: -D_e^T w_e
+    in the local rows of element e and F_e^T w_e in its trace rows, with
+    D = div_pair, F = flux_pair and A the local blocks I + S_l.  Through
+    :meth:`CondensedSolver.compose` this gives, once, the trace data
 
-        G  = F^T + C A^-1 D^T       (trace data of the recovery)
+        G  = F^T + C A^-1 D^T
+
+    and two outputs.  The height itself, p = Pw w + Pt p_hat, is what
+    :meth:`recover` returns.  The condensed wave operator F p_hat - D p
+    is Mw w + H p_hat with
+
         H  = F + D A^-1 B           (flux_pair plus the lifted trace)
         Mw = D A^-1 D^T             (element-local part, block diagonal)
 
-    with D = div_pair, F = flux_pair, A the local blocks I + S_l and B, C
-    the mixed couplings, and an application is H (schur^-1 G w) + Mw w:
-    one gather, one trace LU solve, and one scatter plus a local term.
+    and B, C the mixed couplings.  Either is one gather, one trace LU
+    solve, and one scatter plus a local term.
     """
 
     def __init__(self, matrices):
@@ -148,14 +208,16 @@ class PhiRecovery:
             raise RuntimeError(f"recovery factorization failed: {err}") from None
         self.schur = self.solver.lu
         self.mats = mats
-        self._div_T = mats.div_pair.T.tocsr()
-        self._flux_T = mats.flux_pair.T.tocsr()
 
-        solver, div = self.solver, mats.div_pair
-        local_inv = _block_rows(solver._local_inv, mats.wdofs, mats.wdofs.size)
-        self._G = (self._flux_T + solver._restrict @ self._div_T).tocsr()
-        self._H = (mats.flux_pair + div @ solver._lift).tocsr()
-        self._Mw = (div @ local_inv @ self._div_T).tocsr()
+        ne = mats.wdofs.shape[0]
+        div, flux = mats.div_blocks, mats.flux_blocks
+        vdofs = mats.vdofs.reshape(ne, -1)
+        nw, nv = mats.div_pair.shape[1], mats.div_pair.shape[0]
+        data = (-div.transpose(0, 2, 1), flux.transpose(0, 2, 1))
+        self._G, self._Mw, self._H = self.solver.compose(
+            *data, -div, flux, vdofs, vdofs, (nv, nv))
+        _, self._Pw, self._Pt = self.solver.compose(
+            *data, np.eye(m), None, vdofs, mats.wdofs, (nw, nv))
 
     def solve_saddle(self, r_local, r_trace):
         """Solve the symmetric recovery block system for arbitrary data
@@ -164,7 +226,8 @@ class PhiRecovery:
 
     def recover(self, w):
         """Height and trace coefficients induced by flux coefficients w."""
-        return self.solve_saddle(-(self._div_T @ w), self._flux_T @ w)
+        phat = self.schur.solve(self._G @ w)
+        return self._Pw @ w + self._Pt @ phat, phat
 
     def apply(self, w):
         """Action of the condensed wave operator on flux coefficients."""

@@ -14,8 +14,11 @@ velocity updates, with at most one wave-operator application per stage
 (none for a stage whose velocity slope has weight zero everywhere).
 
 :class:`DirkIntegrator` is the one diagonally implicit driver; the flux
-and height schemes supply only their stage blocks, data and slopes.  The
-explicit steppers are refused on rotating problems.
+and height schemes supply only element blocks: those of their stage
+system, and those that map the state onto the stage data and the stage
+solution onto the slope.  It composes them once per stage scale, so a
+stage is one sparse product, one trace LU solve and two sparse
+products.  The explicit steppers are refused on rotating problems.
 """
 
 from dataclasses import dataclass
@@ -270,53 +273,103 @@ class DirkIntegrator:
     (:class:`SdirkIntegrator`) and the height scheme
     (:class:`~swehdg.swe.PhiuIntegrator`).
 
-    Stage i solves one condensed system of scale dt a_ii for its values
-    from acc = y + dt sum_{j<i} a_ij k_j, then forms its slope k_i.  One
-    trace factorization per distinct stage scale is built up front; the
-    ``SuperLU`` objects are kept in ``trace_factors``, keyed by scale.  A
-    scheme supplies ``_stage_blocks(delta)``, ``_stage_data(delta, acc)``
-    (local data of shape (ne, n_local) and trace data), ``_split`` (the
-    width of the first local field) and ``_slope`` of a stage solution.
+    Both schemes step an affine system y' = L y + F.  Stage i of scale
+    delta = dt a_ii solves Y = acc + delta (L Y + F) from
+    acc = y + dt sum_{j<i} a_ij k_j and takes the slope k_i = L Y + F:
+    the unforced stage from acc + delta F, plus F.  The unforced stage
+    data and slope are linear in acc and in the stage solution, element
+    by element, so :meth:`CondensedSolver.compose` folds them around the
+    local elimination once per distinct stage scale, and a stage is
+
+        t = lu.solve(R acc + r0),    k_i = K acc + Kt t + k0
+
+    with r0 = R (delta F) and k0 = K (delta F) + F: one sparse product
+    into the trace, one trace LU solve and two sparse products out.  The
+    ``SuperLU`` objects are kept in ``trace_factors``, keyed by scale.
+
+    A scheme passes the trace block and columns of its stage system, the
+    element rows of the state (``rows``, the same for the stage data and
+    the slope) and F, and supplies:
+
+    - ``_stage_blocks(delta)``: the blocks (A_e, B_e, C_e) of the stage
+      system, over the element-local unknowns;
+    - ``_stage_maps()``: the element blocks (Lf, Lg, Kx, Kt) that map acc
+      onto the local and trace data of the unforced stage and its
+      solution onto the slope (Lf None: the identity, Lg None: no trace
+      data); they do not depend on the scale;
+    - ``_split``: the width of the first of the two local fields.
     """
 
-    def __init__(self, tableau, dt, trace, cols):
+    def __init__(self, tableau, dt, trace, cols, rows, forcing):
         self.tableau = tableau
         self.dt = float(dt)
-        self._solvers = {}
+        self.trace_factors = {}
+        self._stages = {}
         for delta in self.dt * tableau.a.diagonal():
-            if delta in self._solvers:
+            if delta in self._stages:
                 continue
             try:
-                self._solvers[delta] = CondensedSolver(
-                    *self._stage_blocks(delta), trace, cols)
+                solver = CondensedSolver(*self._stage_blocks(delta), trace, cols)
             except RuntimeError as exc:
                 raise RuntimeError(
                     f"stage factorization failed for stage scale {delta}: {exc}") from exc
-        self.trace_factors = {d: s.lu for d, s in self._solvers.items()}
+            # the maps are rebuilt per scale: held across the next
+            # factorization they would raise the peak memory of the build
+            R, K, Kt = solver.compose(*self._stage_maps(), rows, rows, (forcing.size,) * 2)
+            self.trace_factors[delta] = solver.lu
+            self._stages[delta] = (R, K, Kt, R @ (delta * forcing),
+                                   K @ (delta * forcing) + forcing)
+        self._rows, self._cols, self._forcing = rows, cols, forcing
+
+    def _trace(self, delta, acc):
+        """Trace solution of the stage with scale delta from acc."""
+        R, _, _, r0, _ = self._stages[delta]
+        return self.trace_factors[delta].solve(R @ acc + r0)
+
+    def _advance(self, y, record=None):
+        """One step from y; appends (delta, acc, trace) of every stage to
+        ``record`` when one is given."""
+        tab, dt = self.tableau, self.dt
+        slopes = np.empty((tab.stages, y.size))
+        for i in range(tab.stages):
+            acc = y + np.dot(dt * tab.a[i, :i], slopes[:i]) if i else y
+            delta = dt * tab.a[i, i]
+            t = self._trace(delta, acc)
+            _, K, Kt, _, k0 = self._stages[delta]
+            np.add(K @ acc, Kt @ t, out=slopes[i])
+            slopes[i] += k0
+            if record is not None:
+                record.append((delta, acc, t))
+        return y + np.dot(dt * tab.b, slopes)
+
+    def step(self, y):
+        return self._advance(y)
+
+    def _local_fields(self, delta, acc, t):
+        """The two local fields of a stage, rebuilt element by element from
+        its explicit part and its trace: A_e^-1 (f_e - B_e t[cols[e]])."""
+        local, from_trace, _ = self._stage_blocks(delta)
+        lf = self._stage_maps()[0]
+        data = (acc + delta * self._forcing)[self._rows][..., None]
+        if lf is not None:
+            data = lf @ data
+        data -= from_trace @ t[self._cols][..., None]
+        x = np.linalg.solve(local, data)[..., 0]
+        return x[:, :self._split].reshape(-1), x[:, self._split:].reshape(-1)
 
     def solve_stage(self, delta, acc):
         """The two local fields and the trace of the stage with scale
         delta whose explicit part is acc."""
-        local, trace = self._stage_data(delta, acc)
-        x, t = self._solvers[delta].solve(local.reshape(-1), trace)
-        x = x.reshape(local.shape)
-        return x[:, :self._split].reshape(-1), x[:, self._split:].reshape(-1), t
-
-    def step(self, y):
-        return self.step_with_stages(y)[0]
+        t = self._trace(delta, acc)
+        return (*self._local_fields(delta, acc, t), t)
 
     def step_with_stages(self, y):
-        """Step and also return the per-stage solutions of
-        :meth:`solve_stage`, for energy-identity checks."""
-        tab, dt = self.tableau, self.dt
-        slopes = np.empty((tab.stages, y.size))
-        stages = []
-        for i in range(tab.stages):
-            acc = y + dt * (tab.a[i, :i] @ slopes[:i])
-            stage = self.solve_stage(dt * tab.a[i, i], acc)
-            stages.append(stage)
-            slopes[i] = self._slope(*stage)
-        return y + dt * (tab.b @ slopes), stages
+        """:meth:`step`, and also the per-stage solutions of
+        :meth:`solve_stage` rebuilt from the same stage loop, for
+        energy-identity checks."""
+        record = []
+        y1 = self._advance(y, record)
+        return y1, [(*self._local_fields(delta, acc, t), t) for delta, acc, t in record]
 
 
 class SdirkIntegrator(DirkIntegrator):
@@ -331,30 +384,35 @@ class SdirkIntegrator(DirkIntegrator):
     def __init__(self, system, tableau, dt):
         self.system = system
         m = system.matrices
-        self._div_T = m.div_pair.T.tocsr()
-        self._flux_T = m.flux_pair.T.tocsr()
-        self._split = 2 * m.wdofs.shape[1]
-        super().__init__(tableau, dt, m.stab_trace, m.trace_cols)
+        ne = m.wdofs.shape[0]
+        vdofs = m.vdofs.reshape(ne, -1)
+        self._split = vdofs.shape[1]
+        super().__init__(tableau, dt, m.stab_trace, m.trace_cols,
+                         np.concatenate([vdofs, system.nv + vdofs], axis=1),
+                         np.concatenate([np.zeros(system.nv), system.forcing]))
 
     def _stage_blocks(self, delta):
         return uw_stage_blocks(self.system.matrices, self.system.phi, delta)
 
-    def _stage_data(self, delta, acc):
-        sysm = self.system
-        nv = sysm.nv
-        ne, m = sysm.matrices.wdofs.shape
-        r_w = acc[:nv]
-        r_u = acc[nv:] + delta * sysm.forcing
-        local = np.concatenate([r_u.reshape(ne, 2 * m),
-                                -(self._div_T @ r_w).reshape(ne, m)], axis=1)
-        return local, self._flux_T @ r_w
-
-    def _slope(self, u, p, phat):
+    def _stage_maps(self):
+        # local data (r_u, -D^T r_w), trace data F^T r_w; slope
+        # (phi u, D p - F p_hat + Cor u), all over (w_e, u_e)
         sysm = self.system
         m = sysm.matrices
-        return np.concatenate([sysm.phi * u,
-                               m.div_pair @ p - m.flux_pair @ phat
-                               + m.coriolis @ u + sysm.forcing])
+        div, flux = m.div_blocks, m.flux_blocks
+        ne, nu, nm = div.shape
+        lf = np.zeros((ne, nu + nm, 2 * nu))
+        lf[:, :nu, nu:] = np.eye(nu)
+        lf[:, nu:, :nu] = -div.transpose(0, 2, 1)
+        lg = np.zeros((ne, flux.shape[2], 2 * nu))
+        lg[:, :, :nu] = flux.transpose(0, 2, 1)
+        kx = np.zeros((ne, 2 * nu, nu + nm))
+        kx[:, :nu, :nu] = sysm.phi * np.eye(nu)
+        kx[:, nu:, :nu] = m.coriolis_blocks
+        kx[:, nu:, nu:] = div
+        kt = np.zeros((ne, 2 * nu, flux.shape[2]))
+        kt[:, nu:] = -flux
+        return lf, lg, kx, kt
 
 
 class SeprkIntegrator:

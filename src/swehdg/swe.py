@@ -329,26 +329,28 @@ class PhiuIntegrator(DirkIntegrator):
     def __init__(self, run, tableau, dt):
         self.run = run
         m = run.matrices
-        self._split = m.wdofs.shape[1]
-        self._zero_trace = np.zeros(m.stab_trace.shape[0])
-        super().__init__(tableau, dt, -m.stab_trace, m.trace_cols)
+        ne, nq = m.wdofs.shape
+        self._split = nq
+        nw = m.div_pair.shape[1]
+        super().__init__(tableau, dt, -m.stab_trace, m.trace_cols,
+                         np.concatenate([m.wdofs, nw + m.vdofs.reshape(ne, -1)], axis=1),
+                         np.concatenate([np.zeros(nw), run.forcing]))
 
     def _stage_blocks(self, delta):
         return phiu_stage_blocks(self.run.matrices, self.run.spec.params.phi, delta)
 
-    def _stage_data(self, delta, acc):
-        run = self.run
-        nw = run.spaces.scalar.ndof
-        ne, m = run.matrices.wdofs.shape
-        local = np.concatenate([acc[:nw].reshape(ne, m),
-                                (acc[nw:] + delta * run.forcing).reshape(ne, 2 * m)],
-                               axis=1)
-        return local, self._zero_trace
-
-    def _slope(self, q, u, qhat):
+    def _stage_maps(self):
+        # local data (r_q, r_u), no trace data; slope
+        # (-phi D^T u - S_l q + S_m q_hat, D q - F q_hat + Cor u), all over
+        # (q_e, u_e)
         m = self.run.matrices
         phi = self.run.spec.params.phi
-        dq = -phi * (m.div_pair.T @ u) - m.stab_local @ q + m.stab_mixed @ qhat
-        du = (m.div_pair @ q - m.flux_pair @ qhat + m.coriolis @ u
-              + self.run.forcing)
-        return np.concatenate([dq, du])
+        div = m.div_blocks
+        ne, nu, nq = div.shape
+        kx = np.empty((ne, nq + nu, nq + nu))
+        kx[:, :nq, :nq] = -m.stab_local_blocks
+        kx[:, :nq, nq:] = -phi * div.transpose(0, 2, 1)
+        kx[:, nq:, :nq] = div
+        kx[:, nq:, nq:] = m.coriolis_blocks
+        kt = np.concatenate([m.stab_mixed_blocks, -m.flux_blocks], axis=1)
+        return None, None, kx, kt

@@ -1,9 +1,11 @@
 """End-to-end checks of the batch front end on small configs."""
 
+import re
+
 import numpy as np
 import pytest
 
-from swehdg import cli, elliptic, integrators
+from swehdg import cli, elliptic, integrators, swe
 from swehdg.cli import RunConfig, _explicit_name, _pick_dt, load_config, main
 
 
@@ -405,6 +407,13 @@ def test_explicit_integrator_on_rotating_preset_is_refused(tmp_path, capsys, sub
     ("[time]\ndt = -0.01\n", "[time] dt must be >= 0, got -0.01"),
     ("[time]\ndt_scale = -0.05\n", "[time] dt_scale must be >= 0, got -0.05"),
     ("[time]\ndt = nan\n", "[time] dt must be >= 0, got nan"),
+    ("[problem]\ndegree =\n", "[problem] degree must be an integer, got ''"),
+    ("[mesh]\nlevel = two\n", "[mesh] level must be an integer, got 'two'"),
+    ("[problem]\ndegrees = 1, x\n", "[problem] degrees must be a list of integers, got '1, x'"),
+    ("[time]\ndt = fast\n", "[time] dt must be a number, got 'fast'"),
+    ("[output]\nfields = maybe\n", "[output] fields must be true or false, got 'maybe'"),
+    ("[output]\ncadence = -3\n", "[output] cadence must be >= 0, got -3"),
+    ("[output]\nsnapshot_every = -1\n", "[output] snapshot_every must be >= 0, got -1"),
 ])
 def test_config_typos_and_conflicts_are_errors(tmp_path, capsys, text, message):
     cfg = _write(tmp_path, "c.ini", text)
@@ -413,6 +422,29 @@ def test_config_typos_and_conflicts_are_errors(tmp_path, capsys, text, message):
     assert message in str(info.value)
     assert main(["run", "--config", cfg, "--out", str(tmp_path)]) == 1
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", ["[problem]\ndegree =\n", "[output]\nfields = maybe\n",
+                                  "[output]\ncadence = -3\n"])
+def test_bad_values_name_the_file(tmp_path, text):
+    cfg = _write(tmp_path, "bad.ini", text)
+    with pytest.raises(cli.RunFailure, match=f"^{re.escape(cfg)}: "):
+        load_config(cfg)
+
+
+def test_compare_dissipative_assembles_once(tmp_path, monkeypatch):
+    # the primal scheme reuses the flux run's spaces and operators
+    calls = []
+    real = swe.assemble_all
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(swe, "assemble_all", counted)
+    cfg = _write(tmp_path, "c.ini", STAGE_RUN.format(integrator="midpoint"))
+    assert main(["compare_dissipative", "--config", cfg, "--out", str(tmp_path)]) == 0
+    assert len(calls) == 1
 
 
 def test_unknown_key_without_close_match_has_no_suggestion(tmp_path):

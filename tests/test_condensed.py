@@ -147,7 +147,9 @@ def test_uw_stages_match_monolithic_oracle(k, kind, order):
         u, p, phat = stepper.solve_stage(delta, acc)
         assert _rel(np.concatenate([u, p, phat]), x[nv:]) <= 1e-11
     y = rng.standard_normal(2 * nv)
-    assert _rel(stepper.step(y), _oracle_uw_step(system, tab, DT, y)) <= 1e-11
+    y1 = stepper.step(y)
+    assert _rel(y1, _oracle_uw_step(system, tab, DT, y)) <= 1e-11
+    assert np.array_equal(y1, stepper.step_with_stages(y)[0])
 
 
 @pytest.mark.parametrize("order", [2, 4])
@@ -161,9 +163,11 @@ def test_phiu_stages_match_monolithic_oracle(k, kind, order):
     run.forcing = rng.standard_normal(run.spaces.vector.ndof)
     tab = make_sdirk(order)
     y = rng.standard_normal(run.y0.size)
-    y1, stages = PhiuIntegrator(run, tab, DT).step_with_stages(y)
+    stepper = PhiuIntegrator(run, tab, DT)
+    y1, stages = stepper.step_with_stages(y)
     y1_ref, stages_ref = _oracle_phiu_stages(run, tab, DT, y)
-    assert _rel(y1, y1_ref) <= 1e-11
+    assert _rel(stepper.step(y), y1_ref) <= 1e-11
+    assert np.array_equal(stepper.step(y), y1)
     for got, ref in zip(stages, stages_ref):
         assert _rel(np.concatenate(got), np.concatenate(ref)) <= 1e-11
 
@@ -216,6 +220,60 @@ def test_one_pass_apply_matches_recovery(k, kind):
     for w in rng.standard_normal((3, spaces.vector.ndof)):
         p, phat = rec.recover(w)
         assert _rel(rec.apply(w), mats.flux_pair @ phat - mats.div_pair @ p) <= 1e-12
+
+
+def _row_blocks(blocks, cols, ncols):
+    # CSR whose row e * n + i holds blocks[e, i] at the columns cols[e]
+    ne, n, c = blocks.shape
+    indices = np.broadcast_to(cols[:, None, :], (ne, n, c)).reshape(-1)
+    return sparse.csr_matrix((blocks.reshape(-1), indices, np.arange(0, ne * n * c + 1, c)),
+                             shape=(ne * n, ncols))
+
+
+def _hand_written_wave_operator(rec):
+    # G, H and Mw as global sparse products of the solver's element
+    # blocks, the way the recovery first composed them
+    mats, solver = rec.mats, rec.solver
+    nm = mats.stab_trace.shape[0]
+    div_t, flux_t = mats.div_pair.T.tocsr(), mats.flux_pair.T.tocsr()
+    lift = _row_blocks(solver._lift, solver.cols, nm)
+    restrict = _row_blocks(solver._restrict.transpose(0, 2, 1), solver.cols, nm).T.tocsr()
+    local_inv = _row_blocks(solver._local_inv, mats.wdofs, mats.wdofs.size)
+    return (flux_t + restrict @ div_t, mats.flux_pair + mats.div_pair @ lift,
+            mats.div_pair @ local_inv @ div_t)
+
+
+@pytest.mark.parametrize("kind", ["wall", "periodic", "holed"])
+@pytest.mark.parametrize("k", [0, 1, 2, 3])
+def test_composed_wave_operator_matches_hand_written_products(k, kind):
+    spaces, mats = _matrices(kind, k)
+    rec = PhiRecovery(mats)
+    for got, ref in zip((rec._G, rec._H, rec._Mw), _hand_written_wave_operator(rec)):
+        assert got.shape == ref.shape
+        assert abs(got - ref).max() <= 1e-13 * abs(ref).max()
+
+
+def test_step_and_recover_never_call_the_general_solve(monkeypatch):
+    # every per-step solve goes through the precomposed operators
+    spaces, mats = _matrices("periodic", 1)
+    rec = PhiRecovery(mats)
+    system = SemidiscreteSystem(matrices=mats, recovery=rec)
+    run = build_phiu_system(make_problem("moving_bump", mats.mesh, 1, **PARAMS))
+    steppers = [SdirkIntegrator(system, make_sdirk(4), DT),
+                PhiuIntegrator(run, make_sdirk(4), DT)]
+
+    def forbidden(self, f, g):
+        raise AssertionError("CondensedSolver.solve called")
+
+    monkeypatch.setattr(CondensedSolver, "solve", forbidden)
+    rng = np.random.default_rng(12)
+    w = rng.standard_normal(spaces.vector.ndof)
+    rec.recover(w)
+    rec.apply(w)
+    steppers[0].step(rng.standard_normal(2 * system.nv))
+    steppers[1].step(rng.standard_normal(run.y0.size))
+    with pytest.raises(AssertionError, match="CondensedSolver.solve called"):
+        rec.solve_saddle(np.zeros(spaces.scalar.ndof), np.zeros(spaces.trace.ndof))
 
 
 def test_init_residual_where_diagonal_pivoting_breaks_down(monkeypatch):
