@@ -25,7 +25,9 @@ missing keys fall back to the defaults documented in ``RunConfig``, and an
 unknown section or key, a conflicting pair of keys, a value of the wrong
 type, an empty ``degrees`` or ``levels``, a negative ``final_time``,
 ``dt`` or ``dt_scale`` and a negative ``cadence`` or ``snapshot_every``
-are errors, as is an explicit seprk integrator on a rotating problem.  The
+are errors, as are an explicit seprk integrator on a rotating problem and
+a ``converge`` degree k without ``[time] integrator`` for which no
+explicit scheme reaches order k + 2.  The
 ``SWEHDG_LOG`` environment variable sets the log level.  Identical
 configs produce byte-identical CSV files.
 """
@@ -50,7 +52,7 @@ from .diagnostics import (
     l2_errors,
     total_energy,
 )
-from .integrators import make_integrator, make_sdirk
+from .integrators import EXPLICIT_ORDERS, make_integrator, make_sdirk
 from .mesh import (
     generate_rect_with_hole,
     generate_uniform_rect,
@@ -71,7 +73,6 @@ from .swe import (
 log = logging.getLogger("swehdg")
 
 _INIT_RESIDUAL_LIMIT = 1e-10
-_EXPLICIT_ORDERS = (1, 2, 3, 4, 6)
 
 
 class RunFailure(Exception):
@@ -91,7 +92,6 @@ class RunConfig:
     [output] basename, cadence (record every N steps), fields toggle,
     snapshot_every.
     """
-    experiment: str = "run"
     preset: str = "standing_wave"
     degrees: tuple = (1,)
     overrides: dict = field(default_factory=dict)
@@ -285,10 +285,13 @@ def _pick_dt(cfg, degree, h, long_run=False):
 
 
 def _explicit_name(degree):
-    order = degree + 2
-    while order not in _EXPLICIT_ORDERS:
-        order += 1
-    return f"seprk{order}"
+    """Default sweep integrator for degree k: the explicit scheme of the
+    lowest order >= k + 2, or a RunFailure when none reaches it."""
+    orders = [order for order in EXPLICIT_ORDERS if order >= degree + 2]
+    if not orders:
+        raise RunFailure(f"no explicit integrator reaches order {degree + 2} for "
+                         f"k={degree}; set [time] integrator")
+    return f"seprk{orders[0]}"
 
 
 def _build_stepper(label, preset, factory, *args):
@@ -343,21 +346,13 @@ def _vertex_average(mesh, values_per_element_vertex):
     return out / np.maximum(counts, 1.0)
 
 
-_REF_VERTICES = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-
-
 def write_vtk_snapshot(path, run, y, title="swehdg fields"):
     """VTK legacy ASCII snapshot of the recovered height and the speed,
     vertex-averaged; purely for external visualization."""
     mesh = run.mesh
     sc = run.spaces.scalar
     ne = mesh.num_elements
-    verts = mesh.nodes[mesh.elements]
-    pts = np.broadcast_to(_REF_VERTICES[None, :, :], (ne, 3, 2))
-    phys = (verts[:, 0, None, :]
-            + pts[..., 0, None] * (verts[:, 1] - verts[:, 0])[:, None, :]
-            + pts[..., 1, None] * (verts[:, 2] - verts[:, 0])[:, None, :])
-    tab = sc.batch_values(np.arange(ne), phys)
+    tab = sc.batch_values(np.arange(ne), mesh.nodes[mesh.elements])
 
     w, u = run.system.split(y)
     p, _ = run.recovery.recover(w)

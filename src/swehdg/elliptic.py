@@ -14,8 +14,10 @@ flux trace) system, with its gauge multipliers as extra trace unknowns.
 A solve that is repeated for data linear in one vector, and whose
 caller reads a linear output of the solution, is precomposed by
 :meth:`CondensedSolver.compose` into three sparse operators: the height
-recovery, the wave operator and every implicit stage then run as one
-gather, one trace LU solve and one scatter.
+recovery, its transpose (the bathymetry load), the wave operator and
+every implicit stage then run as one gather, one trace LU solve and one
+scatter.  :meth:`CondensedSolver.solve` is left to the one-shot init
+solve.
 """
 
 import logging
@@ -193,7 +195,9 @@ class PhiRecovery:
         Mw = D A^-1 D^T             (element-local part, block diagonal)
 
     and B, C the mixed couplings.  Either is one gather, one trace LU
-    solve, and one scatter plus a local term.
+    solve, and one scatter plus a local term, and so is the transpose of
+    the height map, :meth:`recover_transpose`, which carries a height
+    functional back onto the flux (the bathymetry load).
     """
 
     def __init__(self, matrices):
@@ -201,33 +205,33 @@ class PhiRecovery:
         m = mats.spaces.scalar.dim_local
         mixed = mats.stab_mixed_blocks
         try:
-            self.solver = CondensedSolver(
+            solver = CondensedSolver(
                 mats.stab_local_blocks + np.eye(m), -mixed,
                 -mixed.transpose(0, 2, 1), mats.stab_trace, mats.trace_cols)
         except RuntimeError as err:
             raise RuntimeError(f"recovery factorization failed: {err}") from None
-        self.schur = self.solver.lu
-        self.mats = mats
+        self.schur = solver.lu
 
         ne = mats.wdofs.shape[0]
         div, flux = mats.div_blocks, mats.flux_blocks
         vdofs = mats.vdofs.reshape(ne, -1)
         nw, nv = mats.div_pair.shape[1], mats.div_pair.shape[0]
         data = (-div.transpose(0, 2, 1), flux.transpose(0, 2, 1))
-        self._G, self._Mw, self._H = self.solver.compose(
+        self._G, self._Mw, self._H = solver.compose(
             *data, -div, flux, vdofs, vdofs, (nv, nv))
-        _, self._Pw, self._Pt = self.solver.compose(
+        _, self._Pw, self._Pt = solver.compose(
             *data, np.eye(m), None, vdofs, mats.wdofs, (nw, nv))
-
-    def solve_saddle(self, r_local, r_trace):
-        """Solve the symmetric recovery block system for arbitrary data
-        (r_local, r_trace) in the (height, trace) rows."""
-        return self.solver.solve(r_local, r_trace)
 
     def recover(self, w):
         """Height and trace coefficients induced by flux coefficients w."""
         phat = self.schur.solve(self._G @ w)
         return self._Pw @ w + self._Pt @ phat, phat
+
+    def recover_transpose(self, b):
+        """Transpose of the height map of :meth:`recover` applied to height
+        coefficients b: Pw^T b + G^T S^-T Pt^T b, with S the trace Schur
+        complement."""
+        return self._Pw.T @ b + self._G.T @ self.schur.solve(self._Pt.T @ b, trans="T")
 
     def apply(self, w):
         """Action of the condensed wave operator on flux coefficients."""

@@ -18,7 +18,8 @@ and height schemes supply only element blocks: those of their stage
 system, and those that map the state onto the stage data and the stage
 solution onto the slope.  It composes them once per stage scale, so a
 stage is one sparse product, one trace LU solve and two sparse
-products.  The explicit steppers are refused on rotating problems.
+products, and the element-local stage unknowns are never formed.  The
+explicit steppers are refused on rotating problems.
 """
 
 from dataclasses import dataclass
@@ -30,6 +31,9 @@ from .elliptic import CondensedSolver, PhiRecovery
 
 _ROWSUM_TOL = 1e-14
 _SYMPLECTIC_TOL = 1e-14
+
+# orders of the explicit partitioned schemes, seprk1 to seprk6
+EXPLICIT_ORDERS = (1, 2, 3, 4, 6)
 
 
 @dataclass
@@ -172,17 +176,17 @@ def make_seprk(order):
     one-stage flux-first splitting and order 3 the classical three-stage
     scheme with flux weights (7/24, 3/4, -1/24).
     """
+    if order not in EXPLICIT_ORDERS:
+        raise ValueError(f"unsupported explicit order {order}; use one of "
+                         + ", ".join(map(str, EXPLICIT_ORDERS)))
     if order == 1:
         b = np.array([1.0])
         bh = np.array([1.0])
     elif order == 3:
         b = np.array([7.0 / 24.0, 3.0 / 4.0, -1.0 / 24.0])
         bh = np.array([2.0 / 3.0, -2.0 / 3.0, 1.0])
-    elif order in _LEAPFROG_FRACTIONS:
-        b, bh = _weights_from_fractions(_LEAPFROG_FRACTIONS[order])
     else:
-        raise ValueError(
-            f"unsupported explicit order {order}; use 1, 2, 3, 4 or 6")
+        b, bh = _weights_from_fractions(_LEAPFROG_FRACTIONS[order])
     s = b.size
     a = np.tril(np.tile(b, (s, 1)))
     a_hat = np.tril(np.tile(bh, (s, 1)), -1)
@@ -296,8 +300,7 @@ class DirkIntegrator:
     - ``_stage_maps()``: the element blocks (Lf, Lg, Kx, Kt) that map acc
       onto the local and trace data of the unforced stage and its
       solution onto the slope (Lf None: the identity, Lg None: no trace
-      data); they do not depend on the scale;
-    - ``_split``: the width of the first of the two local fields.
+      data); they do not depend on the scale.
     """
 
     def __init__(self, tableau, dt, trace, cols, rows, forcing):
@@ -319,57 +322,18 @@ class DirkIntegrator:
             self.trace_factors[delta] = solver.lu
             self._stages[delta] = (R, K, Kt, R @ (delta * forcing),
                                    K @ (delta * forcing) + forcing)
-        self._rows, self._cols, self._forcing = rows, cols, forcing
 
-    def _trace(self, delta, acc):
-        """Trace solution of the stage with scale delta from acc."""
-        R, _, _, r0, _ = self._stages[delta]
-        return self.trace_factors[delta].solve(R @ acc + r0)
-
-    def _advance(self, y, record=None):
-        """One step from y; appends (delta, acc, trace) of every stage to
-        ``record`` when one is given."""
+    def step(self, y):
         tab, dt = self.tableau, self.dt
         slopes = np.empty((tab.stages, y.size))
         for i in range(tab.stages):
             acc = y + np.dot(dt * tab.a[i, :i], slopes[:i]) if i else y
             delta = dt * tab.a[i, i]
-            t = self._trace(delta, acc)
-            _, K, Kt, _, k0 = self._stages[delta]
+            R, K, Kt, r0, k0 = self._stages[delta]
+            t = self.trace_factors[delta].solve(R @ acc + r0)
             np.add(K @ acc, Kt @ t, out=slopes[i])
             slopes[i] += k0
-            if record is not None:
-                record.append((delta, acc, t))
         return y + np.dot(dt * tab.b, slopes)
-
-    def step(self, y):
-        return self._advance(y)
-
-    def _local_fields(self, delta, acc, t):
-        """The two local fields of a stage, rebuilt element by element from
-        its explicit part and its trace: A_e^-1 (f_e - B_e t[cols[e]])."""
-        local, from_trace, _ = self._stage_blocks(delta)
-        lf = self._stage_maps()[0]
-        data = (acc + delta * self._forcing)[self._rows][..., None]
-        if lf is not None:
-            data = lf @ data
-        data -= from_trace @ t[self._cols][..., None]
-        x = np.linalg.solve(local, data)[..., 0]
-        return x[:, :self._split].reshape(-1), x[:, self._split:].reshape(-1)
-
-    def solve_stage(self, delta, acc):
-        """The two local fields and the trace of the stage with scale
-        delta whose explicit part is acc."""
-        t = self._trace(delta, acc)
-        return (*self._local_fields(delta, acc, t), t)
-
-    def step_with_stages(self, y):
-        """:meth:`step`, and also the per-stage solutions of
-        :meth:`solve_stage` rebuilt from the same stage loop, for
-        energy-identity checks."""
-        record = []
-        y1 = self._advance(y, record)
-        return y1, [(*self._local_fields(delta, acc, t), t) for delta, acc, t in record]
 
 
 class SdirkIntegrator(DirkIntegrator):
@@ -377,8 +341,7 @@ class SdirkIntegrator(DirkIntegrator):
 
     Each stage eliminates the flux exactly and the velocity and height
     element by element (see :func:`uw_stage_blocks`), so the trace system
-    has the sparsity of the recovery Schur complement.  A stage solution
-    is (velocity, height, trace).
+    has the sparsity of the recovery Schur complement.
     """
 
     def __init__(self, system, tableau, dt):
@@ -386,7 +349,6 @@ class SdirkIntegrator(DirkIntegrator):
         m = system.matrices
         ne = m.wdofs.shape[0]
         vdofs = m.vdofs.reshape(ne, -1)
-        self._split = vdofs.shape[1]
         super().__init__(tableau, dt, m.stab_trace, m.trace_cols,
                          np.concatenate([vdofs, system.nv + vdofs], axis=1),
                          np.concatenate([np.zeros(system.nv), system.forcing]))
@@ -463,7 +425,7 @@ _IMPLICIT_NAMES = {"midpoint": 2, "sdirk2": 2, "sdirk4": 4}
 
 def make_integrator(name, system, dt):
     """Stepper factory keyed by the scheme names used in config files:
-    midpoint, sdirk2, sdirk4, or seprkN with N in {1, 2, 3, 4, 6}.  The
+    midpoint, sdirk2, sdirk4, or seprkN with N in EXPLICIT_ORDERS.  The
     explicit seprkN steppers are refused (ValueError) when the system
     rotates, since they would fall to first order there."""
     key = name.strip().lower()

@@ -7,7 +7,9 @@ integrators, and the dissipative height scheme whose stages eliminate the
 element-local (height, velocity) unknowns and solve a factored system on
 the trace dofs.  Its stepper, :class:`PhiuIntegrator`, runs on the same
 diagonally implicit driver as the flux scheme's,
-:class:`~swehdg.integrators.DirkIntegrator`.
+:class:`~swehdg.integrators.DirkIntegrator`.  The flux scheme's
+bathymetry forcing, :func:`hamiltonian_load`, is the transpose of the
+height recovery, so the bed pairs with the height the energy uses.
 """
 
 from dataclasses import dataclass, replace
@@ -143,7 +145,7 @@ def get_preset(name):
 
 @dataclass
 class ProblemSpec:
-    """Everything needed to build and run one problem."""
+    """Everything needed to build one problem."""
     mesh: Mesh
     degree: int
     params: PhysicalParams
@@ -152,14 +154,9 @@ class ProblemSpec:
     grad_phi0: object = None
     bathymetry: object = None
     grad_bathymetry: object = None
-    manufactured: ManufacturedSolution = None
-    final_time: float = 0.0
-    dt: float = 0.0
-    integrator: str = "midpoint"
 
 
-def make_problem(preset_name, mesh, degree, final_time=0.0, dt=0.0,
-                 integrator="midpoint", **param_overrides):
+def make_problem(preset_name, mesh, degree, **param_overrides):
     """ProblemSpec from a preset, with optional parameter overrides
     (tau=..., alpha=..., f0=..., and so on)."""
     preset = get_preset(preset_name)
@@ -169,9 +166,7 @@ def make_problem(preset_name, mesh, degree, final_time=0.0, dt=0.0,
                        phi0=preset.phi0, u0=preset.u0,
                        grad_phi0=preset.grad_phi0,
                        bathymetry=preset.bathymetry,
-                       grad_bathymetry=preset.grad_bathymetry,
-                       manufactured=preset.manufactured,
-                       final_time=final_time, dt=dt, integrator=integrator)
+                       grad_bathymetry=preset.grad_bathymetry)
 
 
 def step_count(final_time, dt):
@@ -207,13 +202,13 @@ class UwRun:
 
 
 def hamiltonian_load(recovery, bath_coeffs):
-    """Velocity forcing induced by a bathymetry profile through the same
-    condensation chain as the wave operator, so the stepped system stays
-    exactly Hamiltonian at the discrete level."""
-    mats = recovery.mats
-    a, b = recovery.solve_saddle(bath_coeffs,
-                                 np.zeros(mats.stab_trace.shape[0]))
-    return mats.div_pair @ a - mats.flux_pair @ b
+    """Velocity forcing induced by a bathymetry profile: minus the
+    transpose of the height map of ``recovery.recover`` applied to its
+    coefficients b.  The forcing is then minus the gradient in the flux
+    of the pairing b . p(w) of the bed with the recovered height, the
+    same height the energy uses, so the stepped system stays exactly
+    Hamiltonian at the discrete level."""
+    return -recovery.recover_transpose(bath_coeffs)
 
 
 def build_uw_system(spec, spaces=None, matrices=None):
@@ -320,7 +315,7 @@ class PhiuIntegrator(DirkIntegrator):
 
     Each stage eliminates the height and velocity element by element (see
     :func:`phiu_stage_blocks`) and solves a factored system on the trace
-    dofs; a stage solution is (height, velocity, trace).  The trace
+    dofs, over the stage unknowns (height, velocity, trace).  The trace
     equation is enforced at every stage, so the per-step energy drop
     equals the stabilized jump norm of the stage values exactly when the
     midpoint tableau is used.
@@ -329,8 +324,7 @@ class PhiuIntegrator(DirkIntegrator):
     def __init__(self, run, tableau, dt):
         self.run = run
         m = run.matrices
-        ne, nq = m.wdofs.shape
-        self._split = nq
+        ne = m.wdofs.shape[0]
         nw = m.div_pair.shape[1]
         super().__init__(tableau, dt, -m.stab_trace, m.trace_cols,
                          np.concatenate([m.wdofs, nw + m.vdofs.reshape(ne, -1)], axis=1),

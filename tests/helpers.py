@@ -2,12 +2,16 @@
 
 The package evaluates fields at quadrature points only; these helpers
 locate single points, evaluate fields and their derivatives there, and
-read facet-level trace data for checks written point by point.
+read facet-level trace data for checks written point by point.  The
+diagonally implicit steppers never form the element-local unknowns of a
+stage; :func:`stage_solution` and :func:`stage_loop` rebuild them for
+checks of the stage equations.
 """
 
 import numpy as np
 
 from swehdg.fespace import VectorSpace
+from swehdg.swe import PhiuIntegrator
 
 
 def locate(mesh, x, y):
@@ -130,3 +134,58 @@ def iterate_steps(stepper, y0, nsteps):
     for n in range(1, nsteps + 1):
         y = stepper.step(y)
         yield n, y
+
+
+def _stage_layout(stepper):
+    """(rows, cols, forcing, split) of a diagonally implicit stepper: the
+    element rows of the state, the trace columns of each element, the
+    forcing of the state, and the width of the first local field."""
+    if isinstance(stepper, PhiuIntegrator):
+        run = stepper.run
+        m = run.matrices
+        ne, nq = m.wdofs.shape
+        nw = m.div_pair.shape[1]
+        rows = np.concatenate([m.wdofs, nw + m.vdofs.reshape(ne, -1)], axis=1)
+        return rows, m.trace_cols, np.concatenate([np.zeros(nw), run.forcing]), nq
+    system = stepper.system
+    m = system.matrices
+    vdofs = m.vdofs.reshape(m.wdofs.shape[0], -1)
+    rows = np.concatenate([vdofs, system.nv + vdofs], axis=1)
+    forcing = np.concatenate([np.zeros(system.nv), system.forcing])
+    return rows, m.trace_cols, forcing, vdofs.shape[1]
+
+
+def stage_solution(stepper, delta, acc):
+    """The two local fields and the trace of the stage with scale delta
+    whose explicit part is acc: (velocity, height, trace) for the flux
+    scheme, (height, velocity, trace) for the height scheme.  The trace
+    comes from the stepper's composed operators and factor, the local
+    fields element by element as A_e^-1 (f_e - B_e t[cols[e]])."""
+    R, _, _, r0, _ = stepper._stages[delta]
+    t = stepper.trace_factors[delta].solve(R @ acc + r0)
+    rows, cols, forcing, split = _stage_layout(stepper)
+    local, from_trace, _ = stepper._stage_blocks(delta)
+    lf = stepper._stage_maps()[0]
+    data = (acc + delta * forcing)[rows][..., None]
+    if lf is not None:
+        data = lf @ data
+    data -= from_trace @ t[cols][..., None]
+    x = np.linalg.solve(local, data)[..., 0]
+    return x[:, :split].reshape(-1), x[:, split:].reshape(-1), t
+
+
+def stage_loop(stepper, y):
+    """One step of a diagonally implicit stepper from y, run stage by
+    stage with the same arithmetic as its ``step``, and the
+    :func:`stage_solution` of every stage."""
+    tab, dt = stepper.tableau, stepper.dt
+    slopes = np.empty((tab.stages, y.size))
+    stages = []
+    for i in range(tab.stages):
+        acc = y + np.dot(dt * tab.a[i, :i], slopes[:i]) if i else y
+        delta = dt * tab.a[i, i]
+        stages.append(stage_solution(stepper, delta, acc))
+        _, K, Kt, _, k0 = stepper._stages[delta]
+        np.add(K @ acc, Kt @ stages[-1][2], out=slopes[i])
+        slopes[i] += k0
+    return y + np.dot(dt * tab.b, slopes), stages

@@ -27,7 +27,7 @@ def tracing():
 @pytest.fixture(scope="module")
 def run():
     mesh = pair_periodic(generate_uniform_square(2), "both")
-    return build_phiu_system(make_problem("moving_bump", mesh, 1, final_time=0.1, dt=0.05))
+    return build_phiu_system(make_problem("moving_bump", mesh, 1))
 
 
 def test_hooked_names_resolve(tracing):
@@ -48,8 +48,7 @@ def test_recovery_has_traced_methods_and_factor(tracing, run):
 def still_run():
     # the explicit steppers are refused on rotating problems
     mesh = pair_periodic(generate_uniform_square(2), "both")
-    return build_phiu_system(make_problem("moving_bump", mesh, 1, final_time=0.1,
-                                          dt=0.05, f0=0.0))
+    return build_phiu_system(make_problem("moving_bump", mesh, 1, f0=0.0))
 
 
 @pytest.mark.parametrize("name", ["midpoint", "sdirk4", "seprk4"])

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from swehdg import cli, elliptic, integrators, swe
-from swehdg.cli import RunConfig, _explicit_name, _pick_dt, load_config, main
+from swehdg.cli import RunConfig, RunFailure, _explicit_name, _pick_dt, load_config, main
 
 
 def _write(tmp_path, name, text):
@@ -299,10 +299,27 @@ integrator = seprk4
 
 
 def test_explicit_order_names():
-    assert _explicit_name(0) == "seprk2"
-    assert _explicit_name(1) == "seprk3"
-    assert _explicit_name(2) == "seprk4"
-    assert _explicit_name(3) == "seprk6"
+    # the lowest explicit order >= k + 2, for every degree the spaces accept
+    for k, name in enumerate(["seprk2", "seprk3", "seprk4", "seprk6", "seprk6"]):
+        assert _explicit_name(k) == name
+    for k in (5, 6):
+        with pytest.raises(RunFailure, match=rf"order {k + 2} for k={k}; set \[time\] integrator"):
+            _explicit_name(k)
+
+
+def test_sweep_degree_without_explicit_scheme_is_refused(tmp_path, capsys):
+    cfg = _write(tmp_path, "c.ini", """
+[problem]
+preset = standing_wave
+degrees = 5
+
+[mesh]
+kind = uniform_square
+levels = 1
+""")
+    assert main(["converge", "--config", cfg, "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert "k=5" in err and "[time] integrator" in err
 
 
 def test_dt_precedence():

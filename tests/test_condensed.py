@@ -36,9 +36,12 @@ from swehdg.swe import (
     PhiuIntegrator,
     build_phiu_system,
     build_uw_system,
+    hamiltonian_load,
     make_problem,
     phiu_stage_blocks,
 )
+
+from helpers import stage_loop, stage_solution
 
 PARAMS = dict(phi=1.7, f0=0.3, beta=0.2, y_mid=0.4, tau=1.3)
 DT = 0.2
@@ -144,12 +147,12 @@ def test_uw_stages_match_monolithic_oracle(k, kind, order):
         x = _monolithic_uw_stage(mats, system.phi, delta).solve(
             np.concatenate([acc[:nv], acc[nv:] + delta * system.forcing,
                             np.zeros(spaces.scalar.ndof + spaces.trace.ndof)]))
-        u, p, phat = stepper.solve_stage(delta, acc)
+        u, p, phat = stage_solution(stepper, delta, acc)
         assert _rel(np.concatenate([u, p, phat]), x[nv:]) <= 1e-11
     y = rng.standard_normal(2 * nv)
     y1 = stepper.step(y)
     assert _rel(y1, _oracle_uw_step(system, tab, DT, y)) <= 1e-11
-    assert np.array_equal(y1, stepper.step_with_stages(y)[0])
+    assert np.array_equal(y1, stage_loop(stepper, y)[0])
 
 
 @pytest.mark.parametrize("order", [2, 4])
@@ -164,7 +167,7 @@ def test_phiu_stages_match_monolithic_oracle(k, kind, order):
     tab = make_sdirk(order)
     y = rng.standard_normal(run.y0.size)
     stepper = PhiuIntegrator(run, tab, DT)
-    y1, stages = stepper.step_with_stages(y)
+    y1, stages = stage_loop(stepper, y)
     y1_ref, stages_ref = _oracle_phiu_stages(run, tab, DT, y)
     assert _rel(stepper.step(y), y1_ref) <= 1e-11
     assert np.array_equal(stepper.step(y), y1)
@@ -204,7 +207,7 @@ def test_zero_scale_stage_is_the_recovery(k, kind):
     acc = rng.standard_normal(2 * system.nv)
     p_ref, phat_ref = _old_recover(mats, acc[:system.nv])
     ref = np.concatenate([p_ref, phat_ref])
-    u, p, phat = stepper.solve_stage(0.0, acc)
+    u, p, phat = stage_solution(stepper, 0.0, acc)
     assert np.array_equal(u, acc[system.nv:])
     assert _rel(np.concatenate([p, phat]), ref) <= 1e-11
     assert _rel(np.concatenate(rec.recover(acc[:system.nv])), ref) <= 1e-11
@@ -230,10 +233,12 @@ def _row_blocks(blocks, cols, ncols):
                              shape=(ne * n, ncols))
 
 
-def _hand_written_wave_operator(rec):
-    # G, H and Mw as global sparse products of the solver's element
-    # blocks, the way the recovery first composed them
-    mats, solver = rec.mats, rec.solver
+def _hand_written_wave_operator(mats):
+    # G, H and Mw as global sparse products of the recovery solver's
+    # element blocks, the way the recovery first composed them
+    mixed = mats.stab_mixed_blocks
+    solver = CondensedSolver(mats.stab_local_blocks + np.eye(mixed.shape[1]), -mixed,
+                             -mixed.transpose(0, 2, 1), mats.stab_trace, mats.trace_cols)
     nm = mats.stab_trace.shape[0]
     div_t, flux_t = mats.div_pair.T.tocsr(), mats.flux_pair.T.tocsr()
     lift = _row_blocks(solver._lift, solver.cols, nm)
@@ -248,13 +253,32 @@ def _hand_written_wave_operator(rec):
 def test_composed_wave_operator_matches_hand_written_products(k, kind):
     spaces, mats = _matrices(kind, k)
     rec = PhiRecovery(mats)
-    for got, ref in zip((rec._G, rec._H, rec._Mw), _hand_written_wave_operator(rec)):
+    for got, ref in zip((rec._G, rec._H, rec._Mw), _hand_written_wave_operator(mats)):
         assert got.shape == ref.shape
         assert abs(got - ref).max() <= 1e-13 * abs(ref).max()
 
 
+@pytest.mark.parametrize("kind", ["wall", "periodic", "holed"])
+@pytest.mark.parametrize("k", [0, 1, 2, 3])
+def test_bathymetry_load_is_the_transposed_height_map(k, kind):
+    # the height map of recover(), from the dense recovery system solved
+    # for every flux basis vector; the load is minus its transpose
+    spaces, mats = _matrices(kind, k)
+    nw = spaces.scalar.ndof
+    saddle = sparse.bmat([[sparse.identity(nw) + mats.stab_local, -mats.stab_mixed],
+                          [-mats.stab_mixed.T, mats.stab_trace]]).toarray()
+    data = sparse.vstack([-mats.div_pair.T, mats.flux_pair.T]).toarray()
+    height_map = np.linalg.solve(saddle, data)[:nw]
+    rec = PhiRecovery(mats)
+    rng = np.random.default_rng(500 + k)
+    w, b = rng.standard_normal(spaces.vector.ndof), rng.standard_normal(nw)
+    assert _rel(rec.recover(w)[0], height_map @ w) <= 1e-12
+    assert _rel(hamiltonian_load(rec, b), -(height_map.T @ b)) <= 1e-12
+
+
 def test_step_and_recover_never_call_the_general_solve(monkeypatch):
-    # every per-step solve goes through the precomposed operators
+    # every per-step solve and the bathymetry load go through the
+    # precomposed operators
     spaces, mats = _matrices("periodic", 1)
     rec = PhiRecovery(mats)
     system = SemidiscreteSystem(matrices=mats, recovery=rec)
@@ -272,8 +296,7 @@ def test_step_and_recover_never_call_the_general_solve(monkeypatch):
     rec.apply(w)
     steppers[0].step(rng.standard_normal(2 * system.nv))
     steppers[1].step(rng.standard_normal(run.y0.size))
-    with pytest.raises(AssertionError, match="CondensedSolver.solve called"):
-        rec.solve_saddle(np.zeros(spaces.scalar.ndof), np.zeros(spaces.trace.ndof))
+    hamiltonian_load(rec, rng.standard_normal(spaces.scalar.ndof))
 
 
 def test_init_residual_where_diagonal_pivoting_breaks_down(monkeypatch):
@@ -413,7 +436,7 @@ def _held_factors(holder):
 
 def test_every_held_factor_is_on_the_trace():
     mesh = pair_periodic(generate_uniform_square(2), "both")
-    spec = make_problem("moving_bump", mesh, 2, final_time=0.1, dt=0.05)
+    spec = make_problem("moving_bump", mesh, 2)
     run = build_phiu_system(spec)
     nm = run.spaces.trace.ndof
     rec = PhiRecovery(run.matrices)

@@ -20,7 +20,7 @@ from swehdg.swe import (
     step_count,
 )
 
-from helpers import iterate_steps, phiu_trace_mismatch
+from helpers import iterate_steps, phiu_trace_mismatch, stage_loop
 
 _CSTEP = 1e-30
 
@@ -111,11 +111,10 @@ def test_preset_parameters_and_profiles():
 
 def test_make_problem_applies_overrides():
     mesh = generate_uniform_square(1)
-    spec = make_problem("standing_wave", mesh, 2, final_time=0.5, dt=0.1,
-                        integrator="sdirk4", tau=2.5)
+    spec = make_problem("standing_wave", mesh, 2, tau=2.5)
     assert spec.params.tau == 2.5
     assert spec.params.f0 == 0.0
-    assert spec.degree == 2 and spec.integrator == "sdirk4"
+    assert spec.degree == 2
     plain = make_problem("moving_bump", mesh, 1)
     assert plain.params.f0 == 0.5
 
@@ -191,7 +190,7 @@ def test_phiu_midpoint_dissipation_identity():
     scale = max(1.0, e_prev)
     total_drop = 0.0
     for _ in range(25):
-        y_new, stages = stepper.step_with_stages(y)
+        y_new, stages = stage_loop(stepper, y)
         q_s, u_s, qhat_s = stages[0]
         # trace row enforces the numerical-flux continuity at the stage
         res = m.stab_mixed.T @ q_s + phi * (m.flux_pair.T @ u_s) \
