@@ -236,6 +236,14 @@ def assemble_all(mesh, spaces, params):
     )
 
 
+def central_gradient(func, step):
+    """Gradient (d/dx, d/dy) of ``func(x, y)`` by central differences."""
+    def grad(x, y):
+        return ((func(x + step, y) - func(x - step, y)) / (2.0 * step),
+                (func(x, y + step) - func(x, y - step)) / (2.0 * step))
+    return grad
+
+
 def assemble_bathymetry_load(spaces, bathymetry, phi, grad=None):
     """Load vector (phi grad b, z_k) for a bathymetry profile b(x, y).
 
@@ -243,18 +251,6 @@ def assemble_bathymetry_load(spaces, bathymetry, phi, grad=None):
     otherwise by central differences with step 1e-7 at the quadrature
     points.  Returns a dense vector over the vector-space dofs.
     """
-    sc = spaces.scalar
-    x, y = sc.qpoints[..., 0], sc.qpoints[..., 1]
-    if grad is not None:
-        gx, gy = grad(x, y)
-    else:
-        step = 1e-7
-        gx = (bathymetry(x + step, y) - bathymetry(x - step, y)) / (2.0 * step)
-        gy = (bathymetry(x, y + step) - bathymetry(x, y - step)) / (2.0 * step)
-    gx = np.broadcast_to(np.asarray(gx, dtype=float), sc.qweights.shape)
-    gy = np.broadcast_to(np.asarray(gy, dtype=float), sc.qweights.shape)
-    load = np.stack([
-        np.einsum("eq,eq,eqi->ei", gx, sc.qweights, sc.tab),
-        np.einsum("eq,eq,eqi->ei", gy, sc.qweights, sc.tab),
-    ], axis=1)
-    return phi * load.reshape(-1)
+    if grad is None:
+        grad = central_gradient(bathymetry, 1e-7)
+    return phi * spaces.vector.project(grad).coeffs

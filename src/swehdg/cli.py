@@ -20,12 +20,14 @@ compare_dissipative
     Runs the same problem through the conserving and the dissipative
     schemes; writes ``time,energy_conserving,energy_dissipative``.
 
-Configs are INI files with [problem], [mesh], [time], [output] sections;
-missing keys fall back to the defaults documented in ``RunConfig``, and an
-unknown section or key, a conflicting pair of keys, a value of the wrong
-type, an empty ``degrees`` or ``levels``, a negative ``final_time``,
-``dt`` or ``dt_scale`` and a negative ``cadence`` or ``snapshot_every``
-are errors, as are an explicit seprk integrator on a rotating problem and
+Configs are INI files with [problem], [mesh], [time], [output] sections,
+whose keys ``_CONFIG`` declares; missing keys fall back to the defaults in
+``RunConfig``, and an unknown section or key, a conflicting pair of keys,
+a value of the wrong type (a ``bounds`` of other than 4 numbers, a
+``center`` of other than 2, an unknown integrator name), an empty
+``degrees`` or ``levels``, a negative ``final_time``, ``dt`` or
+``dt_scale`` and a negative ``cadence`` or ``snapshot_every`` are errors,
+as are an explicit seprk integrator on a rotating problem and
 a ``converge`` degree k without ``[time] integrator`` for which no
 explicit scheme reaches order k + 2.  The
 ``SWEHDG_LOG`` environment variable sets the log level.  Identical
@@ -52,7 +54,7 @@ from .diagnostics import (
     l2_errors,
     total_energy,
 )
-from .integrators import EXPLICIT_ORDERS, make_integrator, make_sdirk
+from .integrators import EXPLICIT_ORDERS, SCHEME_NAMES, make_integrator, make_sdirk
 from .mesh import (
     generate_rect_with_hole,
     generate_uniform_rect,
@@ -81,17 +83,8 @@ class RunFailure(Exception):
 
 @dataclass
 class RunConfig:
-    """Parsed experiment configuration.
-
-    [problem] preset, degree (or comma list degrees), plus optional
-    parameter overrides tau, alpha, f0, beta, y_mid, phi.
-    [mesh] kind in {uniform_square, uniform_rect, rect_hole, file} with
-    the kind's own keys; convergence sweeps need levels on
-    uniform_square.
-    [time] final_time, dt or dt_scale (dt = dt_scale * h), integrator.
-    [output] basename, cadence (record every N steps), fields toggle,
-    snapshot_every.
-    """
+    """Parsed experiment configuration; ``_CONFIG`` maps each config key
+    onto its field, and a key left out keeps the default here."""
     preset: str = "standing_wave"
     degrees: tuple = (1,)
     overrides: dict = field(default_factory=dict)
@@ -135,31 +128,51 @@ def _boolean(text):
         raise ValueError(text) from None
 
 
+def _single_int(text):
+    return (int(text),)
+
+
+def _numbers(count):
+    """Reader of exactly ``count`` numbers."""
+    def read(text):
+        values = _floats(text)
+        if len(values) != count:
+            raise ValueError(text)
+        return values
+    return read
+
+
+def _scheme(text):
+    """An integrator name, checked even when no step is taken; empty means
+    the command default."""
+    if text and text.lower() not in SCHEME_NAMES:
+        raise ValueError(text)
+    return text
+
+
+_POINT, _BOX = _numbers(2), _numbers(4)
 _KINDS = {int: "an integer", float: "a number", _boolean: "true or false",
-          _ints: "a list of integers", _floats: "a list of numbers"}
+          _single_int: "an integer", _ints: "a list of integers",
+          _POINT: "2 numbers", _BOX: "4 numbers",
+          _scheme: "one of " + ", ".join(SCHEME_NAMES)}
 
-
-def _get(path, sec, key, convert, default=None):
-    """convert(value) of ``key`` in the section ``sec``, or ``default``
-    when the key is absent; a value convert rejects is a RunFailure
-    naming the file, the section and the key."""
-    if key not in sec:
-        return default
-    try:
-        return convert(sec[key])
-    except ValueError:
-        raise RunFailure(f"{path}: [{sec.name}] {key} must be {_KINDS[convert]}, "
-                         f"got {sec[key]!r}") from None
-
-
-# every key load_config reads, by section, and the pairs that exclude each other
-_CONFIG_KEYS = {
-    "problem": ("preset", "degree", "degrees", "tau", "alpha", "f0", "beta",
-                "y_mid", "phi"),
-    "mesh": ("kind", "levels", "level", "nx", "ny", "bounds", "center",
-             "radius", "target_h", "periodic", "path"),
-    "time": ("final_time", "dt", "dt_scale", "integrator"),
-    "output": ("basename", "cadence", "fields", "snapshot_every"),
+# every config key: section -> key -> (RunConfig field, reader); the
+# parameter overrides go into RunConfig.overrides under their own key
+_CONFIG = {
+    "problem": {"preset": ("preset", str), "degree": ("degrees", _single_int),
+                "degrees": ("degrees", _ints),
+                **dict.fromkeys(("tau", "alpha", "f0", "beta", "y_mid", "phi"),
+                                ("overrides", float))},
+    "mesh": {"kind": ("mesh_kind", str), "levels": ("levels", _ints),
+             "level": ("level", int), "nx": ("nx", int), "ny": ("ny", int),
+             "bounds": ("bounds", _BOX), "center": ("center", _POINT),
+             "radius": ("radius", float), "target_h": ("target_h", float),
+             "periodic": ("periodic", str), "path": ("mesh_path", str)},
+    "time": {"final_time": ("final_time", float), "dt": ("dt", float),
+             "dt_scale": ("dt_scale", float), "integrator": ("integrator", _scheme)},
+    "output": {"basename": ("basename", str), "cadence": ("cadence", int),
+               "fields": ("fields", _boolean),
+               "snapshot_every": ("snapshot_every", int)},
 }
 _CONFIG_CONFLICTS = (("problem", "degree", "degrees"), ("time", "dt", "dt_scale"))
 
@@ -175,10 +188,10 @@ def _check_config_keys(parser, path):
     if parser.defaults():
         raise RunFailure(f"{path}: keys in [DEFAULT] are not supported")
     for section in parser.sections():
-        known = _CONFIG_KEYS.get(section)
+        known = _CONFIG.get(section)
         if known is None:
             raise RunFailure(f"{path}: unknown section [{section}]"
-                             + _did_you_mean(section, _CONFIG_KEYS))
+                             + _did_you_mean(section, _CONFIG))
         for key in parser[section]:
             if key not in known:
                 raise RunFailure(f"{path}: unknown key {key!r} in [{section}]"
@@ -191,50 +204,30 @@ def _check_config_keys(parser, path):
 
 def load_config(path):
     """Read one INI config file into a RunConfig."""
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
-    if not parser.read(path):
+    # values are taken literally: a '%' is not an interpolation
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"),
+                                       interpolation=None)
+    try:
+        found = parser.read(path)
+    except configparser.Error as exc:
+        raise RunFailure(f"{path}: {exc}") from None
+    if not found:
         raise RunFailure(f"config file not found or unreadable: {path}")
     _check_config_keys(parser, path)
-    cfg = RunConfig()
-
-    if parser.has_section("problem"):
-        sec = parser["problem"]
-        cfg.preset = sec.get("preset", cfg.preset)
-        if "degrees" in sec:
-            cfg.degrees = _get(path, sec, "degrees", _ints)
-        elif "degree" in sec:
-            cfg.degrees = (_get(path, sec, "degree", int),)
-        for key in ("tau", "alpha", "f0", "beta", "y_mid", "phi"):
-            if key in sec:
-                cfg.overrides[key] = _get(path, sec, key, float)
-
-    if parser.has_section("mesh"):
-        sec = parser["mesh"]
-        cfg.mesh_kind = sec.get("kind", cfg.mesh_kind)
-        cfg.levels = _get(path, sec, "levels", _ints, cfg.levels)
-        cfg.level = _get(path, sec, "level", int, cfg.level)
-        cfg.nx = _get(path, sec, "nx", int, cfg.nx)
-        cfg.ny = _get(path, sec, "ny", int, cfg.ny)
-        cfg.bounds = _get(path, sec, "bounds", _floats, cfg.bounds)
-        cfg.center = _get(path, sec, "center", _floats, cfg.center)
-        cfg.radius = _get(path, sec, "radius", float, cfg.radius)
-        cfg.target_h = _get(path, sec, "target_h", float, cfg.target_h)
-        cfg.periodic = sec.get("periodic", cfg.periodic)
-        cfg.mesh_path = sec.get("path", cfg.mesh_path)
-
-    if parser.has_section("time"):
-        sec = parser["time"]
-        cfg.final_time = _get(path, sec, "final_time", float, cfg.final_time)
-        cfg.dt = _get(path, sec, "dt", float, cfg.dt)
-        cfg.dt_scale = _get(path, sec, "dt_scale", float, cfg.dt_scale)
-        cfg.integrator = sec.get("integrator", cfg.integrator)
-
-    if parser.has_section("output"):
-        sec = parser["output"]
-        cfg.basename = sec.get("basename", cfg.basename)
-        cfg.cadence = _get(path, sec, "cadence", int, cfg.cadence)
-        cfg.fields = _get(path, sec, "fields", _boolean, cfg.fields)
-        cfg.snapshot_every = _get(path, sec, "snapshot_every", int, cfg.snapshot_every)
+    values, overrides = {}, {}
+    for section in parser.sections():
+        for key, text in parser[section].items():
+            name, read = _CONFIG[section][key]
+            try:
+                value = read(text)
+            except ValueError:
+                raise RunFailure(f"{path}: [{section}] {key} must be {_KINDS[read]}, "
+                                 f"got {text!r}") from None
+            if name == "overrides":
+                overrides[key] = value
+            else:
+                values[name] = value
+    cfg = RunConfig(overrides=overrides, **values)
 
     for section, key, value in (("problem", "degrees", cfg.degrees),
                                 ("mesh", "levels", cfg.levels)):

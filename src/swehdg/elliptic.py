@@ -27,7 +27,7 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse.linalg import splu
 
-from .assembly import _element_columns, _scatter, assemble_all
+from .assembly import _element_columns, _scatter, assemble_all, central_gradient
 from .fespace import GridFunction, TangentialTraceSpace
 from .mesh import WALL, boundary_loops
 
@@ -461,10 +461,7 @@ def initialize_state(mesh, spaces, phi0, u0, params, grad_phi0=None, matrices=No
         step = mesh.h * 1e-4
         log.info("initialize_state: height gradient by central differences, "
                  "step %.3e", step)
-
-        def grad_phi0(x, y):
-            return ((phi0(x + step, y) - phi0(x - step, y)) / (2.0 * step),
-                    (phi0(x, y + step) - phi0(x, y - step)) / (2.0 * step))
+        grad_phi0 = central_gradient(phi0, step)
 
     sol = solve_vector_laplacian(mesh, spaces, grad_phi0, params, matrices=matrices)
     u = spaces.vector.project(u0) if u0 is not None else GridFunction(spaces.vector)

@@ -132,31 +132,27 @@ def make_sdirk(order):
     midpoint substeps with triple-jump weights.  Both satisfy the
     symplectic condition identically.
     """
-    if order == 2:
-        b = np.array([1.0])
-    elif order == 4:
-        gamma = 1.0 / (2.0 - 2.0 ** (1.0 / 3.0))
-        b = np.array([gamma, 1.0 - 2.0 * gamma, gamma])
-    else:
+    if order not in (2, 4):
         raise ValueError(f"unsupported implicit order {order}; use 2 or 4")
+    b = np.array(_LEAPFROG_FRACTIONS[order])
     s = b.size
     a = np.tril(np.tile(b, (s, 1)), -1) + 0.5 * np.diag(b)
     return ButcherTableau(a=a, b=b, c=a.sum(axis=1), declared_order=order)
 
 
-# substep fractions of leapfrog compositions; each list of fractions g
-# yields flux weights (g1/2, (g1+g2)/2, ..., gM/2) and velocity weights
-# (g1, ..., gM, 0)
+# substep fractions of compositions; each list of fractions g yields the
+# leapfrog flux weights (g1/2, (g1+g2)/2, ..., gM/2) and velocity weights
+# (g1, ..., gM, 0), and those of orders 2 and 4 (the triple jump) are the
+# midpoint substep weights of make_sdirk
+_THETA = 1.0 / (2.0 - 2.0 ** (1.0 / 3.0))
 _Y1 = -1.17767998417887
 _Y2 = 0.235573213359357
 _Y3 = 0.784513610477560
 _LEAPFROG_FRACTIONS = {
     2: [1.0],
-    4: None,  # filled below from the cube-root weight
+    4: [_THETA, 1.0 - 2.0 * _THETA, _THETA],
     6: [_Y3, _Y2, _Y1, 1.0 - 2.0 * (_Y1 + _Y2 + _Y3), _Y1, _Y2, _Y3],
 }
-_THETA = 1.0 / (2.0 - 2.0 ** (1.0 / 3.0))
-_LEAPFROG_FRACTIONS[4] = [_THETA, 1.0 - 2.0 * _THETA, _THETA]
 
 
 def _weights_from_fractions(fractions):
@@ -421,25 +417,26 @@ class SeprkIntegrator:
 
 
 _IMPLICIT_NAMES = {"midpoint": 2, "sdirk2": 2, "sdirk4": 4}
+# every scheme name make_integrator accepts, matched without regard to case
+SCHEME_NAMES = (*_IMPLICIT_NAMES, *(f"seprk{order}" for order in EXPLICIT_ORDERS))
 
 
 def make_integrator(name, system, dt):
-    """Stepper factory keyed by the scheme names used in config files:
-    midpoint, sdirk2, sdirk4, or seprkN with N in EXPLICIT_ORDERS.  The
-    explicit seprkN steppers are refused (ValueError) when the system
-    rotates, since they would fall to first order there."""
+    """Stepper factory keyed by the scheme names used in config files,
+    ``SCHEME_NAMES``.  The explicit seprkN steppers are refused
+    (ValueError) when the system rotates, since they would fall to first
+    order there."""
     key = name.strip().lower()
+    if key not in SCHEME_NAMES:
+        order = key[len("seprk"):]
+        if key.startswith("seprk") and order.isdigit():
+            make_seprk(int(order))  # its error names the orders the family has
+        raise ValueError(f"unknown integrator {name!r}; use one of "
+                         + ", ".join(SCHEME_NAMES))
     if key in _IMPLICIT_NAMES:
         return SdirkIntegrator(system, make_sdirk(_IMPLICIT_NAMES[key]), dt)
-    if key.startswith("seprk"):
-        try:
-            order = int(key[len("seprk"):])
-        except ValueError:
-            raise ValueError(f"unknown integrator {name!r}") from None
-        tableau = make_seprk(order)
-        if system.matrices.params.rotating:
-            raise ValueError(
-                f"explicit integrator {name!r} drops to first order with "
-                "rotation (f0 or beta nonzero); use midpoint, sdirk2 or sdirk4")
-        return SeprkIntegrator(system, tableau, dt)
-    raise ValueError(f"unknown integrator {name!r}")
+    if system.matrices.params.rotating:
+        raise ValueError(
+            f"explicit integrator {name!r} drops to first order with "
+            "rotation (f0 or beta nonzero); use midpoint, sdirk2 or sdirk4")
+    return SeprkIntegrator(system, make_seprk(int(key[len("seprk"):])), dt)

@@ -1,5 +1,7 @@
 """End-to-end checks of the batch front end on small configs."""
 
+import configparser
+import dataclasses
 import re
 
 import numpy as np
@@ -431,6 +433,20 @@ def test_explicit_integrator_on_rotating_preset_is_refused(tmp_path, capsys, sub
     ("[output]\nfields = maybe\n", "[output] fields must be true or false, got 'maybe'"),
     ("[output]\ncadence = -3\n", "[output] cadence must be >= 0, got -3"),
     ("[output]\nsnapshot_every = -1\n", "[output] snapshot_every must be >= 0, got -1"),
+    ("[mesh]\nbounds = 0, 1\n", "[mesh] bounds must be 4 numbers, got '0, 1'"),
+    ("[mesh]\nbounds = 0, 1, 0, 1, 2\n", "[mesh] bounds must be 4 numbers, got '0, 1, 0, 1, 2'"),
+    ("[mesh]\nkind = rect_hole\ncenter = 3\n", "[mesh] center must be 2 numbers, got '3'"),
+    # no step is taken (dt = 0, or the default final_time = 0), so only
+    # the loader can refuse the name
+    ("[time]\nfinal_time = 1.0\ndt = 0\nintegrator = midpiont\n",
+     "[time] integrator must be one of midpoint, sdirk2, sdirk4, seprk1, seprk2, "
+     "seprk3, seprk4, seprk6, got 'midpiont'"),
+    ("[time]\nintegrator = seprk9\n", "[time] integrator must be one of midpoint, "
+     "sdirk2, sdirk4, seprk1, seprk2, seprk3, seprk4, seprk6, got 'seprk9'"),
+    ("[output]\ncadence = 1\ncadence = 2\n",
+     "option 'cadence' in section 'output' already exists"),
+    ("[mesh]\nlevel = 1\n[mesh]\nnx = 2\n", "section 'mesh' already exists"),
+    ("cadence = 1\n", "File contains no section headers"),
 ])
 def test_config_typos_and_conflicts_are_errors(tmp_path, capsys, text, message):
     cfg = _write(tmp_path, "c.ini", text)
@@ -447,6 +463,91 @@ def test_bad_values_name_the_file(tmp_path, text):
     cfg = _write(tmp_path, "bad.ini", text)
     with pytest.raises(cli.RunFailure, match=f"^{re.escape(cfg)}: "):
         load_config(cfg)
+
+
+def test_percent_in_a_value_is_literal(tmp_path):
+    cfg = _write(tmp_path, "c.ini", "[output]\nbasename = run%1\n")
+    assert load_config(cfg).basename == "run%1"
+
+
+@pytest.mark.parametrize("integrator", ["MidPoint", "SEPRK4", ""])
+def test_integrator_name_ignores_case_and_empty_keeps_default(tmp_path, integrator):
+    cfg = _write(tmp_path, "c.ini", f"[time]\nintegrator = {integrator}\n")
+    assert load_config(cfg).integrator == integrator
+    assert main(["run", "--config", cfg, "--out", str(tmp_path)]) == 0
+
+
+ROUND_TRIP = """
+[problem]
+preset = moving_bump
+{degree}
+tau = 0.5
+alpha = 2.5
+f0 = 0.25
+beta = 0.125
+y_mid = 1.5
+phi = 3.0
+
+[mesh]
+kind = rect_hole
+levels = 1, 2
+level = 4
+nx = 3
+ny = 5
+bounds = -1, 2, -3, 4
+center = 0.5, -0.5
+radius = 0.25
+target_h = 0.125
+periodic = x
+path = {path}
+
+[time]
+final_time = 2.5
+{step}
+integrator = sdirk4
+
+[output]
+basename = record
+cadence = 7
+fields = true
+snapshot_every = 9
+"""
+
+
+@pytest.mark.parametrize("degree,step,varied,left_out", [
+    ("degrees = 2, 3", "dt = 0.01", {"degrees": (2, 3), "dt": 0.01},
+     {("problem", "degree"), ("time", "dt_scale")}),
+    ("degree = 3", "dt_scale = 0.2", {"degrees": (3,), "dt_scale": 0.2},
+     {("problem", "degrees"), ("time", "dt")}),
+])
+def test_every_config_key_lands_on_its_field(tmp_path, degree, step, varied, left_out):
+    # degree/degrees and dt/dt_scale exclude each other, so each case
+    # sets one of each pair and every other key of the table
+    mesh_file = tmp_path / "mesh.txt"
+    mesh_file.write_text("")
+    cfg = _write(tmp_path, "c.ini", ROUND_TRIP.format(degree=degree, step=step,
+                                                      path=mesh_file))
+    parser = configparser.ConfigParser()
+    parser.read(cfg)
+    written = {(section, key) for section in parser.sections() for key in parser[section]}
+    table = {(section, key) for section, keys in cli._CONFIG.items() for key in keys}
+    assert table - written == left_out and written <= table
+
+    expected = RunConfig(
+        preset="moving_bump",
+        overrides={"tau": 0.5, "alpha": 2.5, "f0": 0.25, "beta": 0.125,
+                   "y_mid": 1.5, "phi": 3.0},
+        mesh_kind="rect_hole", levels=(1, 2), level=4, nx=3, ny=5,
+        bounds=(-1.0, 2.0, -3.0, 4.0), center=(0.5, -0.5), radius=0.25,
+        target_h=0.125, periodic="x", mesh_path=str(mesh_file),
+        final_time=2.5, integrator="sdirk4",
+        basename="record", cadence=7, fields=True, snapshot_every=9, **varied)
+    assert load_config(cfg) == expected
+    # every value differs from its default, so none can land by accident
+    default = RunConfig()
+    for f in dataclasses.fields(RunConfig):
+        same = getattr(expected, f.name) == getattr(default, f.name)
+        assert same == (f.name in {"dt", "dt_scale"} - varied.keys())
 
 
 def test_compare_dissipative_assembles_once(tmp_path, monkeypatch):

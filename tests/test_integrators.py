@@ -8,6 +8,7 @@ from swehdg.assembly import PhysicalParams, assemble_all
 from swehdg.elliptic import PhiRecovery, initialize_state
 from swehdg.fespace import build_spaces
 from swehdg.integrators import (
+    SCHEME_NAMES,
     ButcherTableau,
     PartitionedTableau,
     SdirkIntegrator,
@@ -307,6 +308,19 @@ def test_make_integrator_names():
         make_integrator("rk4", system, 1e-2)
     with pytest.raises(ValueError):
         make_integrator("seprkx", system, 1e-2)
+
+
+def test_make_integrator_accepts_exactly_the_scheme_names():
+    mesh = generate_uniform_square(1)
+    _, system = _make_system(mesh, 1)
+    assert SCHEME_NAMES == ("midpoint", "sdirk2", "sdirk4", "seprk1", "seprk2",
+                            "seprk3", "seprk4", "seprk6")
+    for name in SCHEME_NAMES:
+        stepper = make_integrator(f" {name.upper()} ", system, 1e-2)
+        assert isinstance(stepper, SeprkIntegrator if "seprk" in name else SdirkIntegrator)
+    for name in ("seprk04", "seprk+4", "sdirk", "midpoint2", ""):
+        with pytest.raises(ValueError, match="unknown integrator"):
+            make_integrator(name, system, 1e-2)
 
 
 def _every_stage_seprk_step(stepper, y):
