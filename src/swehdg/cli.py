@@ -29,7 +29,9 @@ a value of the wrong type (a ``bounds`` of other than 4 numbers, a
 ``dt_scale`` and a negative ``cadence`` or ``snapshot_every`` are errors,
 as are an explicit seprk integrator on a rotating problem and
 a ``converge`` degree k without ``[time] integrator`` for which no
-explicit scheme reaches order k + 2.  The
+explicit scheme reaches order k + 2.  A value refused only where it is
+used (a negative ``level`` or ``tau``) is reported after the config path,
+and a blow-up at the step where the solution turned non-finite.  The
 ``SWEHDG_LOG`` environment variable sets the log level.  Identical
 configs produce byte-identical CSV files.
 """
@@ -339,7 +341,7 @@ def _vertex_average(mesh, values_per_element_vertex):
     return out / np.maximum(counts, 1.0)
 
 
-def write_vtk_snapshot(path, run, y, title="swehdg fields"):
+def write_vtk_snapshot(path, run, y):
     """VTK legacy ASCII snapshot of the recovered height and the speed,
     vertex-averaged; purely for external visualization."""
     mesh = run.mesh
@@ -355,7 +357,7 @@ def write_vtk_snapshot(path, run, y, title="swehdg fields"):
     u2 = np.einsum("eqi,ei->eq", tab, uu[:, 1])
     speed_v = np.hypot(u1, u2)
 
-    lines = ["# vtk DataFile Version 3.0", title, "ASCII",
+    lines = ["# vtk DataFile Version 3.0", "swehdg fields", "ASCII",
              "DATASET UNSTRUCTURED_GRID",
              f"POINTS {len(mesh.nodes)} double"]
     lines.extend(f"{x:.12e} {y_:.12e} 0.0" for x, y_ in mesh.nodes)
@@ -400,9 +402,9 @@ def _convergence_task(cfg, degree, level, with_time):
     y = run.y0
     for n in range(1, nsteps + 1):
         y = stepper.step(y)
+        if not np.all(np.isfinite(y)):
+            raise RunFailure(f"solution blew up for {label} at step {n}")
         if n % cadence == 0 or n == nsteps:
-            if not np.all(np.isfinite(y)):
-                raise RunFailure(f"solution blew up for {label} at step {n}")
             errs = l2_errors(run, y, ms, n * dt, quad=quad)
             for key, val in errs.items():
                 worst[key] = max(worst[key], val)
@@ -495,9 +497,9 @@ def cmd_run(cfg, out_dir, threads):
         y = run.y0
         for n in range(1, nsteps + 1):
             y = stepper.step(y)
+            if not np.all(np.isfinite(y)):
+                raise RunFailure(f"solution blew up for {label} at step {n}")
             if n % cadence == 0 or n == nsteps:
-                if not np.all(np.isfinite(y)):
-                    raise RunFailure(f"solution blew up for {label} at step {n}")
                 rows.append(_series_row(conserved_quantities(run, y, n * dt)))
             if cfg.fields and ((cfg.snapshot_every > 0
                                 and n % cfg.snapshot_every == 0)
@@ -566,8 +568,12 @@ def main(argv=None):
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
         _COMMANDS[args.subcommand](cfg, out_dir, max(args.threads, 1))
-    except (RunFailure, ValueError) as exc:
+    except RunFailure as exc:
         print(f"swehdg: {exc}", file=sys.stderr)
+        return 1
+    except ValueError as exc:
+        # a value the loader let through but the code it reaches refuses
+        print(f"swehdg: {args.config}: {exc}", file=sys.stderr)
         return 1
     return 0
 

@@ -167,16 +167,16 @@ def l2_errors(run, y, solution, t, quad=None):
     return out
 
 
-def init_errors(spaces, sol, solution, t=0.0, quad=None):
+def init_errors(spaces, sol, solution, quad=None):
     """L2 errors of the stationary init fields (rotation, flux, height)
-    against the closed forms at time t; the exact rotation is zero."""
+    against the closed forms at time 0; the exact rotation is zero."""
     if quad is None:
         quad = ErrorQuadrature(spaces)
     return {
         "sigma": quad.scalar_error(sol.sigma.coeffs,
                                    lambda x, y: np.zeros_like(x)),
-        "w": quad.vector_error(sol.w.coeffs, solution.w_at(t)),
-        "phi": quad.scalar_error(sol.phi.coeffs, solution.phi_at(t)),
+        "w": quad.vector_error(sol.w.coeffs, solution.w_at(0.0)),
+        "phi": quad.scalar_error(sol.phi.coeffs, solution.phi_at(0.0)),
     }
 
 

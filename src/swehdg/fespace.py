@@ -248,16 +248,6 @@ class TraceSpace:
         vander = legvander(2.0 * s - 1.0, self.k)
         return vander * scale[:, None, :]
 
-    def project(self, func):
-        """Per-facet L2 projection of ``func(x, y)`` (owned facets only)."""
-        coeffs = np.zeros(self.ndof)
-        own = self.owned
-        vals = func(self.qpoints[own, :, 0], self.qpoints[own, :, 1])
-        vals = np.broadcast_to(vals, self.qweights[own].shape)
-        local = np.einsum("fq,fq,fqj->fj", vals, self.qweights[own], self.tvals[own])
-        coeffs[:] = local.ravel()
-        return GridFunction(self, coeffs)
-
     def values(self, coeffs, facets=None):
         """Trace values at the facet quadrature points, (nf, nq)."""
         if facets is None:

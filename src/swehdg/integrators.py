@@ -6,20 +6,17 @@ The semidiscrete dynamics is the affine linear system
     d(velocity)/dt = -(wave operator) flux + (rotation) velocity + forcing
 
 where the wave operator is the condensed SPD map applied by
-:class:`~swehdg.elliptic.PhiRecovery`.  Two stepper families are provided:
-diagonally implicit compositions of the midpoint rule, whose stages
-eliminate every element-local unknown and solve only a factored system on
-the trace dofs, and explicit partitioned schemes that alternate flux and
-velocity updates, with at most one wave-operator application per stage
-(none for a stage whose velocity slope has weight zero everywhere).
-
-:class:`DirkIntegrator` is the one diagonally implicit driver; the flux
-and height schemes supply only element blocks: those of their stage
-system, and those that map the state onto the stage data and the stage
-solution onto the slope.  It composes them once per stage scale, so a
-stage is one sparse product, one trace LU solve and two sparse
-products, and the element-local stage unknowns are never formed.  The
-explicit steppers are refused on rotating problems.
+:class:`~swehdg.elliptic.PhiRecovery`.  On a symplectic tableau the
+symplectic condition fixes everything but the weights, so each stepper
+walks the composition its weights define (Hairer, Lubich & Wanner,
+Geometric Numerical Integration, ch. VI): :class:`DirkIntegrator` a chain
+of implicit-midpoint substeps, each of which eliminates every
+element-local unknown and solves only a factored system on the trace
+dofs, and :class:`SeprkIntegrator` a chain of flux drifts and velocity
+kicks, one wave-operator application per kick of nonzero weight.  The
+flux and height schemes supply :class:`DirkIntegrator` only element
+blocks, which it composes once per substep scale.  The explicit steppers
+are refused on rotating problems.
 """
 
 from dataclasses import dataclass
@@ -219,15 +216,12 @@ class SemidiscreteSystem:
         nv = self.nv
         return y[:nv], y[nv:]
 
-    def flux_slope(self, u):
-        return self.phi * u
-
     def velocity_slope(self, w, u):
         return self.matrices.coriolis @ u + self.forcing - self.recovery.apply(w)
 
     def rhs(self, y):
         w, u = self.split(y)
-        return np.concatenate([self.flux_slope(u), self.velocity_slope(w, u)])
+        return np.concatenate([self.phi * u, self.velocity_slope(w, u)])
 
 
 def uw_stage_blocks(matrices, phi, delta):
@@ -268,43 +262,53 @@ def uw_stage_blocks(matrices, phi, delta):
     return local, from_trace, to_trace
 
 
+def _require_symplectic(tableau):
+    if not tableau.symplectic:
+        raise ValueError("the steppers need a tableau built with symplectic=True")
+
+
 class DirkIntegrator:
     """Fixed-step diagonally implicit stepper, shared by the flux scheme
     (:class:`SdirkIntegrator`) and the height scheme
     (:class:`~swehdg.swe.PhiuIntegrator`).
 
-    Both schemes step an affine system y' = L y + F.  Stage i of scale
-    delta = dt a_ii solves Y = acc + delta (L Y + F) from
-    acc = y + dt sum_{j<i} a_ij k_j and takes the slope k_i = L Y + F:
-    the unforced stage from acc + delta F, plus F.  The unforced stage
-    data and slope are linear in acc and in the stage solution, element
-    by element, so :meth:`CondensedSolver.compose` folds them around the
-    local elimination once per distinct stage scale, and a stage is
+    Both schemes step an affine system y' = L y + F.  The symplectic
+    condition b_i a_ij + b_j a_ji = b_i b_j gives a_ij = b_j (j < i) and
+    a_ii = b_i / 2 on every stage of nonzero weight, and a stage of zero
+    weight feeds no such stage nor the result.  So the step is a chain of
+    midpoint substeps of length h = dt b_i, each solving
+    Y = y + (h/2) (L Y + F) and moving y to y + h (L Y + F).  The unforced
+    substep data and slope are linear in y and in the substep solution,
+    element by element, so :meth:`CondensedSolver.compose` folds them
+    around the local elimination once per distinct scale delta = h/2,
+    and a substep is
 
-        t = lu.solve(R acc + r0),    k_i = K acc + Kt t + k0
+        t = lu.solve(R y + r0),    y <- y + h (K y + Kt t + k0)
 
     with r0 = R (delta F) and k0 = K (delta F) + F: one sparse product
     into the trace, one trace LU solve and two sparse products out.  The
-    ``SuperLU`` objects are kept in ``trace_factors``, keyed by scale.
+    ``SuperLU`` objects are kept in ``trace_factors``, keyed by scale.  A
+    tableau built with ``symplectic=False`` is refused (ValueError).
 
-    A scheme passes the trace block and columns of its stage system, the
-    element rows of the state (``rows``, the same for the stage data and
-    the slope) and F, and supplies:
+    A scheme passes the trace block and columns of its substep system,
+    the element rows of the state (``rows``, the same for the substep
+    data and the slope) and F, and supplies:
 
-    - ``_stage_blocks(delta)``: the blocks (A_e, B_e, C_e) of the stage
+    - ``_stage_blocks(delta)``: the blocks (A_e, B_e, C_e) of the substep
       system, over the element-local unknowns;
-    - ``_stage_maps()``: the element blocks (Lf, Lg, Kx, Kt) that map acc
-      onto the local and trace data of the unforced stage and its
+    - ``_stage_maps()``: the element blocks (Lf, Lg, Kx, Kt) that map y
+      onto the local and trace data of the unforced substep and its
       solution onto the slope (Lf None: the identity, Lg None: no trace
       data); they do not depend on the scale.
     """
 
     def __init__(self, tableau, dt, trace, cols, rows, forcing):
+        _require_symplectic(tableau)
         self.tableau = tableau
         self.dt = float(dt)
         self.trace_factors = {}
         self._stages = {}
-        for delta in self.dt * tableau.a.diagonal():
+        for delta in 0.5 * self.dt * tableau.b:
             if delta in self._stages:
                 continue
             try:
@@ -320,16 +324,11 @@ class DirkIntegrator:
                                    K @ (delta * forcing) + forcing)
 
     def step(self, y):
-        tab, dt = self.tableau, self.dt
-        slopes = np.empty((tab.stages, y.size))
-        for i in range(tab.stages):
-            acc = y + np.dot(dt * tab.a[i, :i], slopes[:i]) if i else y
-            delta = dt * tab.a[i, i]
-            R, K, Kt, r0, k0 = self._stages[delta]
-            t = self.trace_factors[delta].solve(R @ acc + r0)
-            np.add(K @ acc, Kt @ t, out=slopes[i])
-            slopes[i] += k0
-        return y + np.dot(dt * tab.b, slopes)
+        for h in self.dt * self.tableau.b:
+            R, K, Kt, r0, k0 = self._stages[0.5 * h]
+            t = self.trace_factors[0.5 * h].solve(R @ y + r0)
+            y = y + h * (K @ y + Kt @ t + k0)
+        return y
 
 
 class SdirkIntegrator(DirkIntegrator):
@@ -376,44 +375,37 @@ class SdirkIntegrator(DirkIntegrator):
 class SeprkIntegrator:
     """Fixed-step explicit partitioned stepper.
 
-    The stage recursion alternates flux slopes (phi times the staged
-    velocity) and velocity slopes (wave operator on the staged flux plus
-    rotation and forcing).  A velocity slope costs one wave-operator
-    application; it is skipped for a stage whose column of the velocity
-    coefficients is zero (b_hat[i] and a_hat[i+1:, i] all zero), since it
-    would only ever be multiplied by zero.  The leapfrog compositions end
-    with such a stage, so seprk2/4/6 apply the operator 1/3/7 times per
-    step.
+    The symplectic condition b_i a_hat_ij + b_hat_j a_ji = b_i b_hat_j
+    gives a_ij = b_j (j <= i) and a_hat_ij = b_hat_j (j < i) wherever the
+    weight it divides by is nonzero, and the stages it leaves free feed
+    nothing the step returns.  So the step is a chain of drift-kick
+    pairs: the flux drifts by dt b_i phi u, then the velocity is kicked
+    by dt b_hat_i times its slope at the drifted flux.  A kick costs one
+    wave-operator application and is skipped when b_hat_i is zero; the
+    leapfrog compositions end with such a pair, so seprk2/4/6 apply the
+    operator 1/3/7 times per step.  A tableau built with
+    ``symplectic=False`` is refused (ValueError).
 
-    The rotation term is evaluated explicitly at the staged velocity, so
-    the composition retains its declared order only when rotation is
-    absent (with rotation it drops to first order); :func:`make_integrator`
+    The rotation term is evaluated explicitly in each kick, so the
+    composition retains its declared order only when rotation is absent
+    (with rotation it drops to first order); :func:`make_integrator`
     refuses it on rotating problems.
     """
 
     def __init__(self, system, tableau, dt):
+        _require_symplectic(tableau)
         self.system = system
         self.tableau = tableau
         self.dt = float(dt)
-        weights = np.vstack([tableau.a_hat, tableau.b_hat])
-        self._live = np.any(weights != 0.0, axis=0)
 
     def step(self, y):
-        sysm = self.system
-        tab = self.tableau
-        dt = self.dt
-        w0, u0 = sysm.split(y)
-        flux_slopes = np.empty((tab.stages, w0.size))
-        vel_slopes = np.zeros((tab.stages, w0.size))
-        for i in range(tab.stages):
-            u_stage = u0 + dt * (tab.a_hat[i, :i] @ vel_slopes[:i])
-            flux_slopes[i] = sysm.phi * u_stage
-            if self._live[i]:
-                w_stage = w0 + dt * (tab.a[i, :i + 1] @ flux_slopes[:i + 1])
-                vel_slopes[i] = sysm.velocity_slope(w_stage, u_stage)
-        w1 = w0 + dt * (tab.b @ flux_slopes)
-        u1 = u0 + dt * (tab.b_hat @ vel_slopes)
-        return np.concatenate([w1, u1])
+        sysm, dt = self.system, self.dt
+        w, u = sysm.split(y)
+        for b, b_hat in zip(self.tableau.b, self.tableau.b_hat):
+            w = w + (dt * b * sysm.phi) * u
+            if b_hat:
+                u = u + (dt * b_hat) * sysm.velocity_slope(w, u)
+        return np.concatenate([w, u])
 
 
 _IMPLICIT_NAMES = {"midpoint": 2, "sdirk2": 2, "sdirk4": 4}

@@ -422,7 +422,7 @@ def save_mesh(mesh, path):
             fh.write(f"{v0} {v1} {mesh.facet_tag[f]}\n")
 
 
-def load_mesh(path, h_nominal=None):
+def load_mesh(path):
     """Read a mesh from the plain text format.
 
     Header line ``ndim=2 nnodes=<N> nelems=<M> nfacets_tagged=<K>``, then
@@ -457,4 +457,4 @@ def load_mesh(path, h_nominal=None):
     tags = {}
     for r in rows[1 + nn + ne:]:
         tags[(int(r[0]), int(r[1]))] = r[2] if len(r) > 2 else WALL
-    return Mesh(nodes, elements, boundary_tag=tags, h_nominal=h_nominal)
+    return Mesh(nodes, elements, boundary_tag=tags)

@@ -211,12 +211,10 @@ def hamiltonian_load(recovery, bath_coeffs):
     return -recovery.recover_transpose(bath_coeffs)
 
 
-def build_uw_system(spec, spaces=None, matrices=None):
+def build_uw_system(spec):
     """Assemble the operators and initial state of the conserving scheme."""
-    if spaces is None:
-        spaces = build_spaces(spec.mesh, spec.degree, tangential=True)
-    if matrices is None:
-        matrices = assemble_all(spec.mesh, spaces, spec.params)
+    spaces = build_spaces(spec.mesh, spec.degree, tangential=True)
+    matrices = assemble_all(spec.mesh, spaces, spec.params)
     state = initialize_state(spec.mesh, spaces, spec.phi0, spec.u0,
                              spec.params, grad_phi0=spec.grad_phi0,
                              matrices=matrices)

@@ -175,17 +175,13 @@ def stage_solution(stepper, delta, acc):
 
 
 def stage_loop(stepper, y):
-    """One step of a diagonally implicit stepper from y, run stage by
-    stage with the same arithmetic as its ``step``, and the
-    :func:`stage_solution` of every stage."""
-    tab, dt = stepper.tableau, stepper.dt
-    slopes = np.empty((tab.stages, y.size))
+    """One step of a diagonally implicit stepper from y, run midpoint
+    substep by substep with the same arithmetic as its ``step``, and the
+    :func:`stage_solution` of every substep."""
     stages = []
-    for i in range(tab.stages):
-        acc = y + np.dot(dt * tab.a[i, :i], slopes[:i]) if i else y
-        delta = dt * tab.a[i, i]
-        stages.append(stage_solution(stepper, delta, acc))
+    for h in stepper.dt * stepper.tableau.b:
+        delta = 0.5 * h
+        stages.append(stage_solution(stepper, delta, y))
         _, K, Kt, _, k0 = stepper._stages[delta]
-        np.add(K @ acc, Kt @ stages[-1][2], out=slopes[i])
-        slopes[i] += k0
-    return y + np.dot(dt * tab.b, slopes), stages
+        y = y + h * (K @ y + Kt @ stages[-1][2] + k0)
+    return y, stages

@@ -254,6 +254,71 @@ def test_compare_dissipative_blow_up_names_the_step(tmp_path, capsys, monkeypatc
             in capsys.readouterr().err)
 
 
+POISONED_RUN = """
+[problem]
+preset = standing_wave
+degree = 1
+
+[mesh]
+kind = uniform_square
+level = 2
+levels = 2
+
+[time]
+final_time = 0.2
+dt = 0.01
+integrator = midpoint
+
+[output]
+cadence = 10
+fields = true
+snapshot_every = 1
+"""
+
+
+@pytest.mark.parametrize("subcommand", ["run", "converge"])
+def test_blow_up_between_records_names_its_step(tmp_path, capsys, monkeypatch, subcommand):
+    real = cli.make_integrator
+
+    def poisoned(*args):
+        stepper = real(*args)
+        step, calls = stepper.step, []
+
+        def poisoned_step(y):
+            calls.append(1)
+            y = step(y)
+            if len(calls) == 3:
+                y[0] = np.nan
+            return y
+
+        stepper.step = poisoned_step
+        return stepper
+
+    monkeypatch.setattr(cli, "make_integrator", poisoned)
+    cfg = _write(tmp_path, "c.ini", POISONED_RUN)
+    assert main([subcommand, "--config", cfg, "--out", str(tmp_path)]) == 1
+    assert "solution blew up for k=1, h=0.25 at step 3" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.csv"))
+    if subcommand == "run":
+        # no snapshot is written from the non-finite state
+        assert (tmp_path / "timeseries_0002.vtk").exists()
+        assert not (tmp_path / "timeseries_0003.vtk").exists()
+
+
+@pytest.mark.parametrize("text,message", [
+    ("[mesh]\nlevel = -1\n", "levels must be at least 1"),
+    ("[problem]\ndegree = 9\n", "degree k must be between 0 and 6"),
+    ("[mesh]\nkind = uniform_rect\nnx = 0\n", "need at least one cell per direction"),
+    ("[mesh]\nkind = rect_hole\nradius = -1\n", "radius and target_h must be positive"),
+    ("[problem]\ntau = -1\n", "stabilization tau must be positive"),
+    ("[mesh]\nbounds = 1, 0, 0, 1\n", "degenerate bounds"),
+])
+def test_out_of_range_values_name_the_file(tmp_path, capsys, text, message):
+    cfg = _write(tmp_path, "bad.ini", text)
+    assert main(["run", "--config", cfg, "--out", str(tmp_path)]) == 1
+    assert f"swehdg: {cfg}: {message}" in capsys.readouterr().err
+
+
 def test_unknown_preset_fails_cleanly(tmp_path, capsys):
     cfg = _write(tmp_path, "c.ini", "[problem]\npreset = tidal_flat\n")
     assert main(["run", "--config", cfg, "--out", str(tmp_path)]) == 1

@@ -8,6 +8,7 @@ from swehdg.assembly import PhysicalParams, assemble_all
 from swehdg.elliptic import PhiRecovery, initialize_state
 from swehdg.fespace import build_spaces
 from swehdg.integrators import (
+    EXPLICIT_ORDERS,
     SCHEME_NAMES,
     ButcherTableau,
     PartitionedTableau,
@@ -20,6 +21,7 @@ from swehdg.integrators import (
     make_seprk,
 )
 from swehdg.mesh import generate_uniform_rect, generate_uniform_square
+from swehdg.swe import PhiuIntegrator, build_phiu_system, make_problem
 
 
 def test_symplectic_residual_examples():
@@ -323,6 +325,24 @@ def test_make_integrator_accepts_exactly_the_scheme_names():
             make_integrator(name, system, 1e-2)
 
 
+def _rel(a, b):
+    return np.linalg.norm(a - b) / np.linalg.norm(b)
+
+
+def _stage_recursion_dirk_step(stepper, y):
+    # the general diagonally implicit recursion over stage slopes, each
+    # stage solved with the stepper's own condensed operators
+    tab, dt = stepper.tableau, stepper.dt
+    slopes = np.empty((tab.stages, y.size))
+    for i in range(tab.stages):
+        acc = y + dt * (tab.a[i, :i] @ slopes[:i])
+        delta = dt * tab.a[i, i]
+        R, K, Kt, r0, k0 = stepper._stages[delta]
+        t = stepper.trace_factors[delta].solve(R @ acc + r0)
+        slopes[i] = K @ acc + Kt @ t + k0
+    return y + dt * (tab.b @ slopes)
+
+
 def _every_stage_seprk_step(stepper, y):
     # the stage recursion with every velocity slope evaluated
     sysm, tab, dt = stepper.system, stepper.tableau, stepper.dt
@@ -360,7 +380,7 @@ def test_seprk_skips_zero_weight_velocity_stages(order, applies):
         calls.clear()
         y_next = stepper.step(y)
         assert len(calls) == applies
-        assert np.array_equal(y_next, _every_stage_seprk_step(stepper, y))
+        assert _rel(y_next, _every_stage_seprk_step(stepper, y)) <= 1e-13
         y = y_next
 
 
@@ -375,3 +395,47 @@ def test_make_integrator_refuses_explicit_steppers_with_rotation(rotation):
         assert isinstance(make_integrator(name, system, 1e-2), SdirkIntegrator)
     with pytest.raises(ValueError, match="unsupported explicit order"):
         make_integrator("seprk5", system, 1e-2)
+
+
+def _composition_cases():
+    mesh = generate_uniform_square(2)
+    rng = np.random.default_rng(31)
+    _, system = _make_system(mesh, 1, f0=0.3)
+    system.forcing = rng.standard_normal(system.nv)
+    yield (SdirkIntegrator(system, make_sdirk(4), 0.05), _stage_recursion_dirk_step,
+           rng.standard_normal(2 * system.nv))
+    run = build_phiu_system(make_problem("moving_bump", mesh, 1))
+    run.forcing = rng.standard_normal(run.spaces.vector.ndof)
+    yield (PhiuIntegrator(run, make_sdirk(4), 0.05), _stage_recursion_dirk_step,
+           rng.standard_normal(run.y0.size))
+    _, system = _make_system(mesh, 1)
+    system.forcing = rng.standard_normal(system.nv)
+    for order in EXPLICIT_ORDERS:
+        yield (SeprkIntegrator(system, make_seprk(order), 0.02), _every_stage_seprk_step,
+               rng.standard_normal(2 * system.nv))
+
+
+def test_composition_step_matches_the_stage_recursion():
+    # every shipped tableau is symplectic, so walking its substeps gives
+    # the general stage recursion up to rounding
+    for stepper, oracle, y in _composition_cases():
+        for _ in range(3):
+            y_next = stepper.step(y)
+            assert _rel(y_next, oracle(stepper, y)) <= 1e-13
+            y = y_next
+
+
+def test_steppers_refuse_a_non_symplectic_tableau():
+    mesh = generate_uniform_square(1)
+    _, system = _make_system(mesh, 1)
+    euler = ButcherTableau(a=[[0.0]], b=[1.0], c=[0.0], declared_order=1,
+                           symplectic=False)
+    explicit_euler = PartitionedTableau(a=[[0.0]], b=[1.0], c=[0.0], a_hat=[[0.0]],
+                                        b_hat=[1.0], c_hat=[0.0], declared_order=1,
+                                        symplectic=False)
+    run = build_phiu_system(make_problem("standing_wave", mesh, 1))
+    for build in (lambda: SdirkIntegrator(system, euler, 0.1),
+                  lambda: PhiuIntegrator(run, euler, 0.1),
+                  lambda: SeprkIntegrator(system, explicit_euler, 0.1)):
+        with pytest.raises(ValueError, match="symplectic=True"):
+            build()

@@ -318,13 +318,3 @@ def test_uw_bathymetry_shifted_energy_is_conserved():
     # the opposite pairing sign is not an invariant of the flow
     assert worst_minus > 1e3 * worst
 
-
-def test_build_uw_reuses_supplied_spaces_and_matrices():
-    mesh = generate_uniform_square(2)
-    spec = make_problem("standing_wave", mesh, 1)
-    from swehdg.assembly import assemble_all
-    spaces = build_spaces(mesh, 1, tangential=True)
-    mats = assemble_all(mesh, spaces, spec.params)
-    run = build_uw_system(spec, spaces=spaces, matrices=mats)
-    assert run.spaces is spaces
-    assert run.matrices is mats
