@@ -4,7 +4,9 @@ With elementwise orthonormal bases every mass matrix is an identity, so
 the assembled blocks act directly on coefficient vectors.  Facet
 couplings are built from one tensor per element edge (element basis
 against trace basis), which keeps the recovery, time stepping, and init
-paths structurally consistent.
+paths structurally consistent.  Every sparse operator, here and in the
+condensed solves, is scattered from batched element blocks by one
+function, :func:`_block_rows`.
 """
 
 from dataclasses import dataclass, field
@@ -56,7 +58,8 @@ class PhysicalParams:
 class SystemMatrices:
     """Assembled coupling blocks plus the batched local data they came from.
 
-    Sparse blocks (CSR), named by the pairing they represent:
+    Sparse blocks (canonical CSR without stored zeros), named by the
+    pairing they represent and scattered from the element blocks below:
 
     - ``div_pair``     (vector x scalar): (phi_i, div z_k) over elements
     - ``flux_pair``    (vector x trace): <eta_m, z_k . n> over element boundaries
@@ -74,13 +77,6 @@ class SystemMatrices:
     facets, facet by facet.
     """
 
-    div_pair: sparse.csr_matrix
-    flux_pair: sparse.csr_matrix
-    stab_local: sparse.csr_matrix
-    stab_mixed: sparse.csr_matrix
-    stab_trace: sparse.csr_matrix
-    coriolis: sparse.csr_matrix
-
     stab_local_blocks: np.ndarray      # (ne, m, m), tau included
     coriolis_mass: np.ndarray          # (ne, m, m), (f phi_l, phi_k)
     facet_tensor: np.ndarray           # (ne, 3, m, k+1), no tau
@@ -96,6 +92,13 @@ class SystemMatrices:
 
     spaces: object = field(repr=False, default=None)
     params: PhysicalParams = field(repr=False, default=None)
+
+    div_pair: sparse.csr_matrix = None
+    flux_pair: sparse.csr_matrix = None
+    stab_local: sparse.csr_matrix = None
+    stab_mixed: sparse.csr_matrix = None
+    stab_trace: sparse.csr_matrix = None
+    coriolis: sparse.csr_matrix = None
 
     @property
     def mesh(self):
@@ -148,14 +151,25 @@ def _element_columns(blocks):
     return blocks.transpose(0, 2, 1, 3).reshape(ne, a, 3 * md)
 
 
-def _scatter(blocks, rows, cols, shape):
-    """COO scatter of batched dense blocks: blocks (n, a, b) at
-    rows (n, a) x cols (n, b)."""
+def _block_rows(blocks, rows, cols, shape):
+    """CSR matrix of batched dense blocks (n, a, b) at rows (n, a) x
+    cols (n, b), the one scatter of every block operator.
+
+    Entries are grouped by row, unsorted, and a (row, column) pair shared
+    by several blocks is stored once per block: the copies add up in any
+    product, and ``sum_duplicates()`` makes the matrix canonical.  Exact
+    zeros are dropped (the derivatives of constants, the rotation at
+    f = 0)."""
     n, a, b = blocks.shape
-    r = np.broadcast_to(rows[:, :, None], (n, a, b))
-    c = np.broadcast_to(cols[:, None, :], (n, a, b))
-    mat = sparse.coo_matrix((blocks.ravel(), (r.ravel(), c.ravel())), shape=shape)
-    return mat.tocsr()
+    index = np.int32 if blocks.size < 2 ** 31 else np.int64
+    order = np.argsort(rows.reshape(-1), kind="stable")
+    indptr = np.zeros(shape[0] + 1, dtype=index)
+    np.cumsum(b * np.bincount(rows.reshape(-1), minlength=shape[0]), out=indptr[1:])
+    indices = np.take(cols.astype(index), order // a, axis=0)
+    data = np.take(blocks.reshape(n * a, b), order, axis=0)
+    mat = sparse.csr_matrix((data.reshape(-1), indices.reshape(-1), indptr), shape=shape)
+    mat.eliminate_zeros()
+    return mat
 
 
 def assemble_all(mesh, spaces, params):
@@ -176,24 +190,17 @@ def assemble_all(mesh, spaces, params):
     vdofs = np.arange(ne * 2 * m).reshape(ne, 2, m)
     mdofs = tr.owner_row[:, None] * md + np.arange(md)[None, :]
 
-    # volume pairings
+    # volume integrals
     w = sc.qweights
     vol_dx = np.einsum("eq,eqk,eqi->eki", w, sc.tab_dx, sc.tab)
     vol_dy = np.einsum("eq,eqk,eqi->eki", w, sc.tab_dy, sc.tab)
-    div_blocks = np.concatenate([vol_dx, vol_dy], axis=1)          # (ne, 2m, m)
-    div_pair = _scatter(div_blocks, vdofs.reshape(ne, 2 * m), wdofs,
-                        (2 * ne * m, ne * m))
-
     fvals = np.broadcast_to(
         np.asarray(params.coriolis(sc.qpoints[..., 0], sc.qpoints[..., 1]), dtype=float),
         w.shape)
     fmass = np.einsum("eq,eqk,eql->ekl", w * fvals, sc.tab, sc.tab)
     fmass = 0.5 * (fmass + fmass.transpose(0, 2, 1))    # keep A + A^T exactly 0
-    coriolis = _scatter(_coriolis_blocks(fmass), vdofs.reshape(ne, 2 * m),
-                        vdofs.reshape(ne, 2 * m), (2 * ne * m, 2 * ne * m))
-    coriolis.eliminate_zeros()      # the zero diagonal blocks; every block if f = 0
 
-    # facet pairings, one tensor per element edge
+    # facet integrals, one tensor per element edge
     ef = mesh.element_facets
     pts = tr.qpoints[ef.reshape(-1)]
     vals = sc.batch_values(np.repeat(np.arange(ne), 3), pts).reshape(ne, 3, -1, m)
@@ -202,38 +209,32 @@ def assemble_all(mesh, spaces, params):
     facet_tensor = np.einsum("efq,efqi,efqj->efij", wq, vals, tvals)
     facet_elem_mass = np.einsum("efq,efqi,efqj->efij", wq, vals, vals)
     facet_elem_mass = 0.5 * (facet_elem_mass + facet_elem_mass.transpose(0, 1, 3, 2))
-    normals_signed = mesh.element_facet_signs[:, :, None] * mesh.facet_normals[ef]
-
-    stab_local_blocks = tau * facet_elem_mass.sum(axis=1)
-    stab_local = _scatter(stab_local_blocks, wdofs, wdofs, (ne * m, ne * m))
-
-    rows_w = np.broadcast_to(wdofs[:, None, :], (ne, 3, m)).reshape(3 * ne, m)
-    cols_m = mdofs[ef].reshape(3 * ne, md)
-    stab_mixed = _scatter(tau * facet_tensor.reshape(3 * ne, m, md),
-                          rows_w, cols_m, (ne * m, tr.ndof))
-
-    flux_blocks = _flux_facet_blocks(normals_signed, facet_tensor)
-    rows_v = np.broadcast_to(vdofs.reshape(ne, 1, 2 * m), (ne, 3, 2 * m))
-    flux_pair = _scatter(flux_blocks.reshape(3 * ne, 2 * m, md),
-                         rows_v.reshape(3 * ne, 2 * m), cols_m,
-                         (2 * ne * m, tr.ndof))
-
     facet_trace_mass = np.einsum("efq,efqi,efqj->efij", wq, tvals, tvals)
     facet_trace_mass = 0.5 * (facet_trace_mass + facet_trace_mass.transpose(0, 1, 3, 2))
-    stab_trace = _scatter(tau * facet_trace_mass.reshape(3 * ne, md, md),
-                          cols_m, cols_m, (tr.ndof, tr.ndof))
+    normals_signed = mesh.element_facet_signs[:, :, None] * mesh.facet_normals[ef]
 
-    return SystemMatrices(
-        div_pair=div_pair, flux_pair=flux_pair, stab_local=stab_local,
-        stab_mixed=stab_mixed, stab_trace=stab_trace, coriolis=coriolis,
-        stab_local_blocks=stab_local_blocks, coriolis_mass=fmass,
-        facet_tensor=facet_tensor,
-        facet_elem_mass=facet_elem_mass, facet_trace_mass=facet_trace_mass,
-        normals_signed=normals_signed,
-        vol_dx=vol_dx, vol_dy=vol_dy,
-        wdofs=wdofs, vdofs=vdofs, mdofs=mdofs,
-        spaces=spaces, params=params,
-    )
+    mats = SystemMatrices(
+        stab_local_blocks=tau * facet_elem_mass.sum(axis=1), coriolis_mass=fmass,
+        facet_tensor=facet_tensor, facet_elem_mass=facet_elem_mass,
+        facet_trace_mass=facet_trace_mass, normals_signed=normals_signed,
+        vol_dx=vol_dx, vol_dy=vol_dy, wdofs=wdofs, vdofs=vdofs, mdofs=mdofs,
+        spaces=spaces, params=params)
+    # each pairing is scattered from the element blocks the condensed
+    # solves use, the trace mass from its facet blocks
+    nw, nv, nm = ne * m, 2 * ne * m, tr.ndof
+    rows_v, cols = vdofs.reshape(ne, 2 * m), mats.trace_cols
+    facet_cols = mdofs[ef].reshape(3 * ne, md)
+    mats.div_pair = _block_rows(mats.div_blocks, rows_v, wdofs, (nv, nw))
+    mats.coriolis = _block_rows(mats.coriolis_blocks, rows_v, rows_v, (nv, nv))
+    mats.stab_local = _block_rows(mats.stab_local_blocks, wdofs, wdofs, (nw, nw))
+    mats.stab_mixed = _block_rows(mats.stab_mixed_blocks, wdofs, cols, (nw, nm))
+    mats.flux_pair = _block_rows(mats.flux_blocks, rows_v, cols, (nv, nm))
+    mats.stab_trace = _block_rows(tau * facet_trace_mass.reshape(3 * ne, md, md),
+                                  facet_cols, facet_cols, (nm, nm))
+    for pairing in (mats.div_pair, mats.flux_pair, mats.stab_local, mats.stab_mixed,
+                    mats.stab_trace, mats.coriolis):
+        pairing.sum_duplicates()
+    return mats
 
 
 def central_gradient(func, step):

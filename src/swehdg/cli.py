@@ -26,12 +26,13 @@ whose keys ``_CONFIG`` declares; missing keys fall back to the defaults in
 a value of the wrong type (a ``bounds`` of other than 4 numbers, a
 ``center`` of other than 2, an unknown integrator name), an empty
 ``degrees`` or ``levels``, a negative ``final_time``, ``dt`` or
-``dt_scale`` and a negative ``cadence`` or ``snapshot_every`` are errors,
-as are an explicit seprk integrator on a rotating problem and
-a ``converge`` degree k without ``[time] integrator`` for which no
-explicit scheme reaches order k + 2.  A value refused only where it is
-used (a negative ``level`` or ``tau``) is reported after the config path,
-and a blow-up at the step where the solution turned non-finite.  The
+``dt_scale``, a negative ``cadence`` or ``snapshot_every`` and any value
+out of its key's range (``level = -1``) are errors naming the key, as are
+an explicit seprk integrator on a rotating problem and a ``converge``
+degree k without ``[time] integrator`` for which no explicit scheme
+reaches order k + 2.  A value refused only where it is used (a hole
+outside the rectangle) is reported after the config path, and a blow-up
+at the step where the solution turned non-finite.  The
 ``SWEHDG_LOG`` environment variable sets the log level.  Identical
 configs produce byte-identical CSV files.
 """
@@ -56,6 +57,7 @@ from .diagnostics import (
     l2_errors,
     total_energy,
 )
+from .fespace import MAX_K
 from .integrators import EXPLICIT_ORDERS, SCHEME_NAMES, make_integrator, make_sdirk
 from .mesh import (
     generate_rect_with_hole,
@@ -158,17 +160,48 @@ _KINDS = {int: "an integer", float: "a number", _boolean: "true or false",
           _POINT: "2 numbers", _BOX: "4 numbers",
           _scheme: "one of " + ", ".join(SCHEME_NAMES)}
 
+
+class _OutOfRange(ValueError):
+    """A value of the right kind that its key does not allow."""
+
+
+def _within(read, allowed, reason):
+    """``read``, refusing a value for which ``allowed`` is false with
+    ``reason``, the words of the builder that would refuse it later."""
+    def checked(text):
+        value = read(text)
+        if not allowed(value):
+            raise _OutOfRange(reason)
+        return value
+    _KINDS[checked] = _KINDS[read]
+    return checked
+
+
+_DEGREES = (lambda ks: all(0 <= k <= MAX_K for k in ks),
+            f"degree k must be between 0 and {MAX_K}")
+_LEVEL = _within(int, lambda n: n >= 1, "levels must be at least 1")
+_CELLS = _within(int, lambda n: n >= 1, "need at least one cell per direction")
+_SIZE = _within(float, lambda v: v > 0.0, "radius and target_h must be positive")
+
 # every config key: section -> key -> (RunConfig field, reader); the
 # parameter overrides go into RunConfig.overrides under their own key
 _CONFIG = {
-    "problem": {"preset": ("preset", str), "degree": ("degrees", _single_int),
-                "degrees": ("degrees", _ints),
-                **dict.fromkeys(("tau", "alpha", "f0", "beta", "y_mid", "phi"),
-                                ("overrides", float))},
-    "mesh": {"kind": ("mesh_kind", str), "levels": ("levels", _ints),
-             "level": ("level", int), "nx": ("nx", int), "ny": ("ny", int),
-             "bounds": ("bounds", _BOX), "center": ("center", _POINT),
-             "radius": ("radius", float), "target_h": ("target_h", float),
+    "problem": {"preset": ("preset", str),
+                "degree": ("degrees", _within(_single_int, *_DEGREES)),
+                "degrees": ("degrees", _within(_ints, *_DEGREES)),
+                **{key: ("overrides", _within(float, lambda v: v > 0.0,  # false for nan
+                                              f"{what} {key} must be positive"))
+                   for key, what in (("tau", "stabilization"), ("alpha", "stabilization"),
+                                     ("phi", "mean geopotential"))},
+                **dict.fromkeys(("f0", "beta", "y_mid"), ("overrides", float))},
+    "mesh": {"kind": ("mesh_kind", str),
+             "levels": ("levels", _within(_ints, lambda ns: all(n >= 1 for n in ns),
+                                          "levels must be at least 1")),
+             "level": ("level", _LEVEL), "nx": ("nx", _CELLS), "ny": ("ny", _CELLS),
+             "bounds": ("bounds", _within(_BOX, lambda b: b[0] < b[1] and b[2] < b[3],
+                                          "degenerate bounds")),
+             "center": ("center", _POINT), "radius": ("radius", _SIZE),
+             "target_h": ("target_h", _SIZE),
              "periodic": ("periodic", str), "path": ("mesh_path", str)},
     "time": {"final_time": ("final_time", float), "dt": ("dt", float),
              "dt_scale": ("dt_scale", float), "integrator": ("integrator", _scheme)},
@@ -222,6 +255,9 @@ def load_config(path):
             name, read = _CONFIG[section][key]
             try:
                 value = read(text)
+            except _OutOfRange as exc:
+                raise RunFailure(f"{path}: [{section}] {key} = {text} is out of range: "
+                                 f"{exc}") from None
             except ValueError:
                 raise RunFailure(f"{path}: [{section}] {key} must be {_KINDS[read]}, "
                                  f"got {text!r}") from None

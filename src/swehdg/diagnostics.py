@@ -5,14 +5,14 @@ quantities are exact functionals of the discrete fields.  Error norms
 against closed-form solutions use an elevated rule (degree 2k + 4) on
 the same basis.
 
+The runs measured are flux-scheme runs, whose height is recovered from
+the flux; the dissipative scheme has its own :func:`~swehdg.swe.phiu_energy`.
+
 Note on the recorded vorticity columns: the vorticity value is the raw
 global integral of the elementwise rotation, which starts near zero for
 irrotational initial data.  The potential vorticity integral subtracts
-the rotation-height pairing; heights recovered from the flux scheme are
-mean-free, so the integral itself oscillates near zero there, while
-primal-scheme heights carry net mass and give the integral a static
-offset, in which case oscillation plots should use its deviation from
-the first record.
+the rotation-height pairing; recovered heights are mean-free, so the
+integral itself oscillates near zero.
 """
 
 from dataclasses import dataclass
@@ -20,7 +20,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fespace import element_quadrature
-from .swe import UwRun
 
 
 @dataclass
@@ -48,15 +47,11 @@ class QuantityRecord:
 
 
 def _height_state(run, y):
-    """Height (volume, trace) and velocity coefficients of either run
-    type; the flux scheme recovers the height, the primal scheme carries
-    it directly and has no single-valued trace in its state."""
-    if isinstance(run, UwRun):
-        w, u = run.system.split(y)
-        p, phat = run.recovery.recover(w)
-        return p, phat, u, w
-    nw = run.spaces.scalar.ndof
-    return y[:nw], None, y[nw:], None
+    """Height (volume, trace), velocity and flux coefficients of a
+    flux-scheme state; the height is recovered from the flux."""
+    w, u = run.system.split(y)
+    p, phat = run.recovery.recover(w)
+    return p, phat, u, w
 
 
 def _energy_parts(run, p, phat, u):
@@ -66,15 +61,10 @@ def _energy_parts(run, p, phat, u):
     m = run.matrices
     kinetic = 0.5 * run.spec.params.phi * (u @ u)
     potential = 0.5 * (p @ p)
-    if phat is not None:
-        trace_term = 0.5 * (p @ (m.stab_local @ p)
-                            - 2.0 * p @ (m.stab_mixed @ phat)
-                            + phat @ (m.stab_trace @ phat))
-    else:
-        trace_term = 0.0
-    bath = 0.0
-    if getattr(run, "bathymetry_coeffs", None) is not None:
-        bath = float(run.bathymetry_coeffs @ p)
+    trace_term = 0.5 * (p @ (m.stab_local @ p)
+                        - 2.0 * p @ (m.stab_mixed @ phat)
+                        + phat @ (m.stab_trace @ phat))
+    bath = 0.0 if run.bathymetry_coeffs is None else float(run.bathymetry_coeffs @ p)
     return kinetic, potential, trace_term, bath
 
 
@@ -153,18 +143,15 @@ class ErrorQuadrature:
 
 def l2_errors(run, y, solution, t, quad=None):
     """L2 errors of the recovered height, velocity, and flux against the
-    closed-form fields at time t.  Returns a dict keyed phi/u/w (w only
-    for the flux scheme)."""
+    closed-form fields at time t.  Returns a dict keyed phi/u/w."""
     if quad is None:
         quad = ErrorQuadrature(run.spaces)
     p, _, u, w = _height_state(run, y)
-    out = {
+    return {
         "phi": quad.scalar_error(p, solution.phi_at(t)),
         "u": quad.vector_error(u, solution.u_at(t)),
+        "w": quad.vector_error(w, solution.w_at(t)),
     }
-    if w is not None:
-        out["w"] = quad.vector_error(w, solution.w_at(t))
-    return out
 
 
 def init_errors(spaces, sol, solution, quad=None):

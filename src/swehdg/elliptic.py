@@ -16,8 +16,9 @@ caller reads a linear output of the solution, is precomposed by
 :meth:`CondensedSolver.compose` into three sparse operators: the height
 recovery, its transpose (the bathymetry load), the wave operator and
 every implicit stage then run as one gather, one trace LU solve and one
-scatter.  :meth:`CondensedSolver.solve` is left to the one-shot init
-solve.
+scatter; the wave operator F p_hat - D p is formed from the height map
+of the recovery's one composition.  :meth:`CondensedSolver.solve` is left
+to the one-shot init solve.
 """
 
 import logging
@@ -27,30 +28,11 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse.linalg import splu
 
-from .assembly import _element_columns, _scatter, assemble_all, central_gradient
+from .assembly import _block_rows, _element_columns, assemble_all, central_gradient
 from .fespace import GridFunction, TangentialTraceSpace
 from .mesh import WALL, boundary_loops
 
 log = logging.getLogger(__name__)
-
-
-def _block_rows(blocks, rows, cols, shape):
-    """CSR matrix of batched dense blocks (n, a, b) at rows (n, a) x
-    cols (n, b), built without sorting its entries: the block rows are
-    only grouped by row.  Repeated (row, column) pairs are kept apart and
-    add up in every product, so the result serves products only.  Exact
-    zeros are dropped: the derivative of a constant basis function
-    vanishes, so whole rows and columns of the composed blocks do."""
-    n, a, b = blocks.shape
-    index = np.int32 if blocks.size < 2 ** 31 else np.int64
-    order = np.argsort(rows.reshape(-1), kind="stable")
-    indptr = np.zeros(shape[0] + 1, dtype=index)
-    np.cumsum(b * np.bincount(rows.reshape(-1), minlength=shape[0]), out=indptr[1:])
-    indices = np.take(cols.astype(index), order // a, axis=0)
-    data = np.take(blocks.reshape(n * a, b), order, axis=0)
-    mat = sparse.csr_matrix((data.reshape(-1), indices.reshape(-1), indptr), shape=shape)
-    mat.eliminate_zeros()
-    return mat
 
 
 def _invert_blocks(blocks):
@@ -182,22 +164,18 @@ class PhiRecovery:
 
     The height data of the recovery is linear in the flux w: -D_e^T w_e
     in the local rows of element e and F_e^T w_e in its trace rows, with
-    D = div_pair, F = flux_pair and A the local blocks I + S_l.  Through
-    :meth:`CondensedSolver.compose` this gives, once, the trace data
+    D = div_pair, F = flux_pair and A the local blocks I + S_l.  One
+    :meth:`CondensedSolver.compose` onto the height gives the trace data
+    G and the height map p = Pw w + Pt p_hat of :meth:`recover`,
 
-        G  = F^T + C A^-1 D^T
+        G = F^T + C A^-1 D^T,    Pw = -A^-1 D^T,    Pt = -A^-1 B,
 
-    and two outputs.  The height itself, p = Pw w + Pt p_hat, is what
-    :meth:`recover` returns.  The condensed wave operator F p_hat - D p
-    is Mw w + H p_hat with
-
-        H  = F + D A^-1 B           (flux_pair plus the lifted trace)
-        Mw = D A^-1 D^T             (element-local part, block diagonal)
-
-    and B, C the mixed couplings.  Either is one gather, one trace LU
-    solve, and one scatter plus a local term, and so is the transpose of
-    the height map, :meth:`recover_transpose`, which carries a height
-    functional back onto the flux (the bathymetry load).
+    with B, C the mixed couplings.  The condensed wave operator is its
+    definition F p_hat - D p = Mw w + H p_hat, with Mw = -D Pw (block
+    diagonal) and H = F - D Pt.  :meth:`apply` is then one gather, one
+    trace LU solve, and one scatter plus a local term, and so is the
+    transpose of the height map, :meth:`recover_transpose`, which
+    carries a height functional back onto the flux (the bathymetry load).
     """
 
     def __init__(self, matrices):
@@ -212,15 +190,12 @@ class PhiRecovery:
             raise RuntimeError(f"recovery factorization failed: {err}") from None
         self.schur = solver.lu
 
-        ne = mats.wdofs.shape[0]
-        div, flux = mats.div_blocks, mats.flux_blocks
-        vdofs = mats.vdofs.reshape(ne, -1)
-        nw, nv = mats.div_pair.shape[1], mats.div_pair.shape[0]
-        data = (-div.transpose(0, 2, 1), flux.transpose(0, 2, 1))
-        self._G, self._Mw, self._H = solver.compose(
-            *data, -div, flux, vdofs, vdofs, (nv, nv))
-        _, self._Pw, self._Pt = solver.compose(
-            *data, np.eye(m), None, vdofs, mats.wdofs, (nw, nv))
+        vdofs = mats.vdofs.reshape(len(mats.wdofs), -1)
+        self._G, self._Pw, self._Pt = solver.compose(
+            -mats.div_blocks.transpose(0, 2, 1), mats.flux_blocks.transpose(0, 2, 1),
+            np.eye(m), None, vdofs, mats.wdofs, mats.div_pair.shape[::-1])
+        self._Mw = -(mats.div_pair @ self._Pw)
+        self._H = mats.flux_pair - mats.div_pair @ self._Pt
 
     def recover(self, w):
         """Height and trace coefficients induced by flux coefficients w."""
@@ -293,8 +268,8 @@ def _init_blocks(mats, tangential, alpha):
     norm_pen = 0.5 * (norm_pen + norm_pen.transpose(0, 2, 1))
     md = mats.mdofs.shape[1]
     cols_m = mats.mdofs[ef].reshape(3 * ne, md)
-    tang_pen = _scatter(((tdot ** 2)[..., None, None] * mats.facet_trace_mass)
-                        .reshape(3 * ne, md, md), cols_m, cols_m, (nm, nm))
+    tang_pen = _block_rows(((tdot ** 2)[..., None, None] * mats.facet_trace_mass)
+                           .reshape(3 * ne, md, md), cols_m, cols_m, (nm, nm))
 
     local = np.zeros((ne, 4 * m, 4 * m))
     local[:, :m, :m] = -np.eye(m)

@@ -16,7 +16,8 @@ from scipy.special import roots_jacobi, roots_legendre
 
 from .mesh import PERIODIC_SLAVE
 
-_MAX_DEGREE = 40
+_MAX_DEGREE = 40      # of the quadrature rules
+MAX_K = 6             # largest polynomial degree of the spaces
 
 
 @dataclass(frozen=True)
@@ -106,8 +107,8 @@ class ScalarSpace:
     """
 
     def __init__(self, mesh, k):
-        if not 0 <= k <= 6:
-            raise ValueError("degree k must be between 0 and 6")
+        if not 0 <= k <= MAX_K:
+            raise ValueError(f"degree k must be between 0 and {MAX_K}")
         self.mesh = mesh
         self.k = k
         self.aexp, self.bexp = _monomial_exponents(k)
@@ -209,8 +210,8 @@ class TraceSpace:
     """
 
     def __init__(self, mesh, k):
-        if not 0 <= k <= 6:
-            raise ValueError("degree k must be between 0 and 6")
+        if not 0 <= k <= MAX_K:
+            raise ValueError(f"degree k must be between 0 and {MAX_K}")
         self.mesh = mesh
         self.k = k
         self.dim_local = k + 1

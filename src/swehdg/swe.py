@@ -240,10 +240,6 @@ class PhiuRun:
     forcing: np.ndarray
     y0: np.ndarray
 
-    @property
-    def mesh(self):
-        return self.spec.mesh
-
 
 def build_phiu_system(spec, spaces=None, matrices=None):
     """Assemble the dissipative height scheme; the state is the pair of
@@ -275,37 +271,41 @@ def phiu_energy(run, y):
     return 0.5 * (q @ q) + 0.5 * run.spec.params.phi * (u @ u)
 
 
+def phiu_slope_blocks(matrices, phi):
+    """Element blocks (Kx, Kt) of the height scheme's slope, its one
+    definition: with D = div_pair, F = flux_pair, Cor = coriolis and the
+    S blocks the stabilization,
+
+        q' = -S_l q - phi D^T u + S_m q_hat,    u' = D q + Cor u - F q_hat,
+
+    over the element-local unknowns (q_e, u_e) and the trace dofs of the
+    element's facets, closed by S_m^T q + phi F^T u - S_t q_hat = 0.
+    """
+    div = matrices.div_blocks
+    ne, nu, nq = div.shape
+    kx = np.empty((ne, nq + nu, nq + nu))
+    kx[:, :nq, :nq] = -matrices.stab_local_blocks
+    kx[:, :nq, nq:] = -phi * div.transpose(0, 2, 1)
+    kx[:, nq:, :nq] = div
+    kx[:, nq:, nq:] = matrices.coriolis_blocks
+    kt = np.concatenate([matrices.stab_mixed_blocks, -matrices.flux_blocks], axis=1)
+    return kx, kt
+
+
 def phiu_stage_blocks(matrices, phi, delta):
     """Element blocks (A_e, B_e, C_e) of the height-scheme stage with stage
     scale delta, for :class:`~swehdg.elliptic.CondensedSolver`; the trace
-    block is -S_t.
-
-    The stage system in (height q, velocity u, trace q_hat) reads
-
-        (I + delta S_l) q + delta phi D^T u - delta S_m q_hat = r_q
-        -delta D q + (I - delta Cor) u + delta F q_hat        = r_u
-        S_m^T q + phi F^T u - S_t q_hat                       = 0
-
-    with D = div_pair, F = flux_pair, Cor = coriolis and the S blocks the
-    stabilization; (q, u) are the element-local unknowns, ordered
-    (q_e, u_e) per element.  Scaling the u rows of a local block by phi
-    makes its symmetric part diag(I + delta S_l,e, phi I), positive
-    definite for delta >= 0; a negative scale (the middle stage of
-    sdirk4) needs no such guarantee and is caught by the solver's
-    singular-block check instead.
+    block is -S_t.  The stage X = r + delta (Kx X + Kt q_hat), with the
+    slope blocks of :func:`phiu_slope_blocks`, gives A_e = I - delta Kx_e,
+    B_e = -delta Kt_e, and the trace equation C_e = [S_m,e^T, phi F_e^T].
+    Scaling the u rows of A_e by phi makes its symmetric part
+    diag(I + delta S_l,e, phi I), positive definite for delta >= 0, the
+    only scales :class:`PhiuIntegrator` builds.
     """
-    mats = matrices
-    div, flux, mixed = mats.div_blocks, mats.flux_blocks, mats.stab_mixed_blocks
-    ne, nu, m = div.shape
-    local = np.empty((ne, m + nu, m + nu))
-    local[:, :m, :m] = np.eye(m) + delta * mats.stab_local_blocks
-    local[:, :m, m:] = delta * phi * div.transpose(0, 2, 1)
-    local[:, m:, :m] = -delta * div
-    local[:, m:, m:] = np.eye(nu) - delta * mats.coriolis_blocks
-    from_trace = np.concatenate([-delta * mixed, delta * flux], axis=1)
-    to_trace = np.concatenate([mixed.transpose(0, 2, 1),
-                               phi * flux.transpose(0, 2, 1)], axis=2)
-    return local, from_trace, to_trace
+    kx, kt = phiu_slope_blocks(matrices, phi)
+    to_trace = np.concatenate([matrices.stab_mixed_blocks.transpose(0, 2, 1),
+                               phi * matrices.flux_blocks.transpose(0, 2, 1)], axis=2)
+    return np.eye(kx.shape[1]) - delta * kx, -delta * kt, to_trace
 
 
 class PhiuIntegrator(DirkIntegrator):
@@ -317,9 +317,20 @@ class PhiuIntegrator(DirkIntegrator):
     equation is enforced at every stage, so the per-step energy drop
     equals the stabilized jump norm of the stage values exactly when the
     midpoint tableau is used.
+
+    A tableau with a negative weight b is refused (ValueError): the pole
+    z = 2 / b of its midpoint substep's factor (1 + b z / 2) / (1 - b z / 2)
+    then lies on the negative real axis, among the eigenvalues dt lambda of
+    this dissipative scheme, where a step amplifies instead of damping.
     """
 
     def __init__(self, run, tableau, dt):
+        for i, b in enumerate(tableau.b, start=1):
+            if b < 0.0:
+                raise ValueError(
+                    f"the height scheme needs nonnegative weights: weight b_{i} = {b:.6g} "
+                    f"puts the pole of its midpoint substep at z = 2/b = {2.0 / b:.6g}, "
+                    "on the negative real axis")
         self.run = run
         m = run.matrices
         ne = m.wdofs.shape[0]
@@ -332,17 +343,5 @@ class PhiuIntegrator(DirkIntegrator):
         return phiu_stage_blocks(self.run.matrices, self.run.spec.params.phi, delta)
 
     def _stage_maps(self):
-        # local data (r_q, r_u), no trace data; slope
-        # (-phi D^T u - S_l q + S_m q_hat, D q - F q_hat + Cor u), all over
-        # (q_e, u_e)
-        m = self.run.matrices
-        phi = self.run.spec.params.phi
-        div = m.div_blocks
-        ne, nu, nq = div.shape
-        kx = np.empty((ne, nq + nu, nq + nu))
-        kx[:, :nq, :nq] = -m.stab_local_blocks
-        kx[:, :nq, nq:] = -phi * div.transpose(0, 2, 1)
-        kx[:, nq:, :nq] = div
-        kx[:, nq:, nq:] = m.coriolis_blocks
-        kt = np.concatenate([m.stab_mixed_blocks, -m.flux_blocks], axis=1)
-        return None, None, kx, kt
+        # the state is the local data, there is no trace data
+        return (None, None, *phiu_slope_blocks(self.run.matrices, self.run.spec.params.phi))

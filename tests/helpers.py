@@ -11,6 +11,7 @@ checks of the stage equations.
 import numpy as np
 
 from swehdg.fespace import VectorSpace
+from swehdg.integrators import ButcherTableau
 from swehdg.swe import PhiuIntegrator
 
 
@@ -185,3 +186,17 @@ def stage_loop(stepper, y):
         _, K, Kt, _, k0 = stepper._stages[delta]
         y = y + h * (K @ y + Kt @ stages[-1][2] + k0)
     return y, stages
+
+
+def midpoint_composition(weights):
+    """Diagonally implicit tableau of midpoint substeps of lengths dt b_i:
+    a_ij = b_j below the diagonal and a_ii = b_i / 2, which is symplectic
+    for any weights and of order 2 for symmetric weights summing to 1."""
+    b = np.asarray(weights, dtype=float)
+    a = np.tril(np.tile(b, (b.size, 1)), -1) + 0.5 * np.diag(b)
+    return ButcherTableau(a=a, b=b, c=a.sum(axis=1), declared_order=2)
+
+
+# nonnegative compositions that the height scheme accepts: two substeps
+# of one scale, and four substeps of two scales
+SUBSTEP_WEIGHTS = {2: [0.5, 0.5], 4: [0.125, 0.375, 0.375, 0.125]}

@@ -36,6 +36,21 @@ def test_zero_coriolis_gives_zero_matrix():
     assert mats.coriolis.nnz == 0
 
 
+@pytest.mark.parametrize("k", [0, 1, 2, 3])
+def test_pairings_are_canonical_without_stored_zeros(k):
+    # on the doubly periodic level-1 mesh several element facets fold onto
+    # the same trace dofs, so the blocks overlap
+    mats, _ = _assembled(pair_periodic(generate_uniform_square(1), "both"), k,
+                         f0=0.3, beta=0.2)
+    for name in ("div_pair", "flux_pair", "stab_local", "stab_mixed", "stab_trace",
+                 "coriolis"):
+        mat = getattr(mats, name)
+        assert mat.format == "csr", name
+        assert all(np.all(np.diff(mat.indices[a:b]) > 0)
+                   for a, b in zip(mat.indptr[:-1], mat.indptr[1:])), name
+        assert np.all(mat.data != 0.0), name
+
+
 @pytest.mark.parametrize("kw", [dict(f0=0.7), dict(f0=0.3, beta=1.5, y_mid=0.5)])
 def test_coriolis_antisymmetric(kw):
     mats, _ = _assembled(generate_uniform_square(2), 2, **kw)

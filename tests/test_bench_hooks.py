@@ -70,8 +70,10 @@ def test_phiu_step_on_class(run):
 @pytest.mark.parametrize("order", [2, 4])
 def test_trace_factors_hold_the_fill(tracing, run, order):
     system = SemidiscreteSystem(matrices=run.matrices, recovery=PhiRecovery(run.matrices))
-    for stepper in (make_integrator(f"sdirk{order}", system, 0.05),
-                    PhiuIntegrator(run, make_sdirk(order), 0.05)):
+    steppers = [make_integrator(f"sdirk{order}", system, 0.05)]
+    if order == 2:      # the height scheme refuses sdirk4's negative weight
+        steppers.append(PhiuIntegrator(run, make_sdirk(order), 0.05))
+    for stepper in steppers:
         fills = [tracing.lu_fill(f) for f in stepper.trace_factors.values()]
         assert fills and None not in fills
         assert tracing.held_factor_fill(stepper) == sum(fills)

@@ -314,9 +314,12 @@ def test_blow_up_between_records_names_its_step(tmp_path, capsys, monkeypatch, s
     ("[mesh]\nbounds = 1, 0, 0, 1\n", "degenerate bounds"),
 ])
 def test_out_of_range_values_name_the_file(tmp_path, capsys, text, message):
+    # the file, the section and key with the value, and the reason
     cfg = _write(tmp_path, "bad.ini", text)
+    section, *_, setting = text.split("\n")[:-1]
     assert main(["run", "--config", cfg, "--out", str(tmp_path)]) == 1
-    assert f"swehdg: {cfg}: {message}" in capsys.readouterr().err
+    assert (f"swehdg: {cfg}: {section} {setting} is out of range: {message}"
+            in capsys.readouterr().err)
 
 
 def test_unknown_preset_fails_cleanly(tmp_path, capsys):

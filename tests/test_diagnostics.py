@@ -23,7 +23,6 @@ from swehdg.mesh import (
 from swehdg.swe import (
     ManufacturedSolution,
     ProblemSpec,
-    build_phiu_system,
     build_uw_system,
     make_problem,
 )
@@ -177,16 +176,6 @@ def test_init_errors_against_reference_row():
     for key, ref in expected.items():
         assert errs[key] <= 2.0 * ref
         assert errs[key] >= ref / 2.0
-
-
-def test_l2_errors_for_primal_scheme_state():
-    ms = ManufacturedSolution()
-    mesh = generate_uniform_square(3)
-    run = build_phiu_system(make_problem("standing_wave", mesh, 1))
-    errs = l2_errors(run, run.y0, ms, 0.0)
-    assert "w" not in errs
-    assert errs["phi"] <= 5e-3
-    assert errs["u"] <= 1e-12
 
 
 def test_eoc_reference_values():

@@ -23,6 +23,8 @@ from swehdg.integrators import (
 from swehdg.mesh import generate_uniform_rect, generate_uniform_square
 from swehdg.swe import PhiuIntegrator, build_phiu_system, make_problem
 
+from helpers import SUBSTEP_WEIGHTS, midpoint_composition
+
 
 def test_symplectic_residual_examples():
     assert check_symplectic(make_sdirk(2)) == 0.0
@@ -406,7 +408,8 @@ def _composition_cases():
            rng.standard_normal(2 * system.nv))
     run = build_phiu_system(make_problem("moving_bump", mesh, 1))
     run.forcing = rng.standard_normal(run.spaces.vector.ndof)
-    yield (PhiuIntegrator(run, make_sdirk(4), 0.05), _stage_recursion_dirk_step,
+    yield (PhiuIntegrator(run, midpoint_composition(SUBSTEP_WEIGHTS[4]), 0.05),
+           _stage_recursion_dirk_step,
            rng.standard_normal(run.y0.size))
     _, system = _make_system(mesh, 1)
     system.forcing = rng.standard_normal(system.nv)

@@ -225,18 +225,16 @@ def test_phiu_dissipation_scales_with_stabilization():
     assert 0.0 <= weak <= 1e-6 * strong
 
 
-def test_phiu_accepts_higher_order_diagonally_implicit_tableau():
+def test_phiu_refuses_a_negative_weight():
+    # sdirk4's middle weight b_2 = 1 - 2 theta puts the pole of its
+    # midpoint substep at z = 2 / b_2 on the negative real axis
     mesh = generate_uniform_square(2)
-    spec = make_problem("standing_wave", mesh, 1)
-    run = build_phiu_system(spec)
-    stepper = PhiuIntegrator(run, make_sdirk(4), 0.02)
-    e0 = phiu_energy(run, run.y0)
-    y = run.y0
-    for n, y in iterate_steps(stepper, run.y0, 20):
-        pass
-    assert n == 20
-    e_final = phiu_energy(run, y)
-    assert 0.5 * e0 <= e_final <= e0 * (1.0 + 1e-8)
+    run = build_phiu_system(make_problem("standing_wave", mesh, 1))
+    tableau = make_sdirk(4)
+    b = tableau.b[1]
+    assert b < 0.0
+    with pytest.raises(ValueError, match=rf"weight b_2 = {b:.6g} .* z = 2/b = {2.0 / b:.6g}"):
+        PhiuIntegrator(run, tableau, 0.02)
 
 
 def test_chain_load_equals_quadrature_load_for_polynomial_bathymetry():
