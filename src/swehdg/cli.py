@@ -21,20 +21,24 @@ compare_dissipative
     schemes; writes ``time,energy_conserving,energy_dissipative``.
 
 Configs are INI files with [problem], [mesh], [time], [output] sections,
-whose keys ``_CONFIG`` declares; missing keys fall back to the defaults in
-``RunConfig``, and an unknown section or key, a conflicting pair of keys,
-a value of the wrong type (a ``bounds`` of other than 4 numbers, a
-``center`` of other than 2, an unknown integrator name), an empty
-``degrees`` or ``levels``, a negative ``final_time``, ``dt`` or
-``dt_scale``, a negative ``cadence`` or ``snapshot_every`` and any value
-out of its key's range (``level = -1``) are errors naming the key, as are
-an explicit seprk integrator on a rotating problem and a ``converge``
-degree k without ``[time] integrator`` for which no explicit scheme
-reaches order k + 2.  A value refused only where it is used (a hole
-outside the rectangle) is reported after the config path, and a blow-up
-at the step where the solution turned non-finite.  The
-``SWEHDG_LOG`` environment variable sets the log level.  Identical
-configs produce byte-identical CSV files.
+whose keys ``_CONFIG`` declares with the reader that judges each value;
+missing keys fall back to the defaults in ``RunConfig``.  The loader
+refuses, naming the file, the section and the key: an unknown section or
+key, a conflicting pair of keys, ``kind = file`` without a ``path``, a
+value of the wrong type (a ``bounds`` of other than 4 numbers, a
+``center`` of other than 2, an empty ``degrees`` or ``levels``), a name
+that is not one of its key's choices (``preset``, ``kind``, ``periodic``,
+``integrator``, without regard to case), a ``path`` that is not an
+existing file, and a value out of its key's range (``level = -1``, a
+negative or nan ``final_time``, ``dt``, ``dt_scale``, ``cadence`` or
+``snapshot_every``).  An explicit seprk integrator on a rotating problem
+and a ``converge`` degree k without ``[time] integrator`` for which no
+explicit scheme reaches order k + 2 are refused naming the run.  A value
+refused only where it is used (a hole outside the rectangle, a malformed
+mesh file) is reported after the config path, and a blow-up at the step
+where the solution turned non-finite.  The ``SWEHDG_LOG`` environment
+variable sets the log level.  Identical configs produce byte-identical
+CSV files.
 """
 
 import argparse
@@ -45,6 +49,7 @@ import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -60,6 +65,7 @@ from .diagnostics import (
 from .fespace import MAX_K
 from .integrators import EXPLICIT_ORDERS, SCHEME_NAMES, make_integrator, make_sdirk
 from .mesh import (
+    PERIODIC_AXES,
     generate_rect_with_hole,
     generate_uniform_rect,
     generate_uniform_square,
@@ -67,6 +73,7 @@ from .mesh import (
     pair_periodic,
 )
 from .swe import (
+    PRESETS,
     PhiuIntegrator,
     build_phiu_system,
     build_uw_system,
@@ -122,7 +129,10 @@ def _floats(text):
 
 
 def _ints(text):
-    return tuple(int(v) for v in text.replace(",", " ").split())
+    values = tuple(int(v) for v in text.replace(",", " ").split())
+    if not values:
+        raise ValueError(text)
+    return values
 
 
 def _boolean(text):
@@ -136,6 +146,12 @@ def _single_int(text):
     return (int(text),)
 
 
+def _file(text):
+    if not Path(text).is_file():
+        raise ValueError(text)
+    return text
+
+
 def _numbers(count):
     """Reader of exactly ``count`` numbers."""
     def read(text):
@@ -146,19 +162,21 @@ def _numbers(count):
     return read
 
 
-def _scheme(text):
-    """An integrator name, checked even when no step is taken; empty means
-    the command default."""
-    if text and text.lower() not in SCHEME_NAMES:
-        raise ValueError(text)
-    return text
-
-
 _POINT, _BOX = _numbers(2), _numbers(4)
 _KINDS = {int: "an integer", float: "a number", _boolean: "true or false",
           _single_int: "an integer", _ints: "a list of integers",
-          _POINT: "2 numbers", _BOX: "4 numbers",
-          _scheme: "one of " + ", ".join(SCHEME_NAMES)}
+          _POINT: "2 numbers", _BOX: "4 numbers", _file: "an existing file"}
+
+
+def _one_of(names, empty=False):
+    """Reader of one of ``names``, without regard to case, kept as
+    written; with ``empty``, an empty value (the command default) too."""
+    def read(text):
+        if text.lower() not in names and not (empty and not text):
+            raise ValueError(text)
+        return text
+    _KINDS[read] = "one of " + ", ".join(names)
+    return read
 
 
 class _OutOfRange(ValueError):
@@ -167,7 +185,8 @@ class _OutOfRange(ValueError):
 
 def _within(read, allowed, reason):
     """``read``, refusing a value for which ``allowed`` is false with
-    ``reason``, the words of the builder that would refuse it later."""
+    ``reason``, in the words of the builder that would refuse it later
+    where there is one."""
     def checked(text):
         value = read(text)
         if not allowed(value):
@@ -177,16 +196,27 @@ def _within(read, allowed, reason):
     return checked
 
 
+# every mesh kind: name -> mesh of (cfg, level)
+_MESH_KINDS = {
+    "uniform_square": lambda cfg, level: generate_uniform_square(level, bounds=cfg.bounds),
+    "uniform_rect": lambda cfg, level: generate_uniform_rect(cfg.nx, cfg.ny, bounds=cfg.bounds),
+    "rect_hole": lambda cfg, level: generate_rect_with_hole(cfg.bounds, cfg.center,
+                                                            cfg.radius, cfg.target_h),
+    "file": lambda cfg, level: load_mesh(cfg.mesh_path),
+}
+
 _DEGREES = (lambda ks: all(0 <= k <= MAX_K for k in ks),
             f"degree k must be between 0 and {MAX_K}")
 _LEVEL = _within(int, lambda n: n >= 1, "levels must be at least 1")
 _CELLS = _within(int, lambda n: n >= 1, "need at least one cell per direction")
 _SIZE = _within(float, lambda v: v > 0.0, "radius and target_h must be positive")
+_TIME = _within(float, lambda v: v >= 0.0, "must be >= 0")  # false for nan
+_COUNT = _within(int, lambda n: n >= 0, "must be >= 0")
 
 # every config key: section -> key -> (RunConfig field, reader); the
 # parameter overrides go into RunConfig.overrides under their own key
 _CONFIG = {
-    "problem": {"preset": ("preset", str),
+    "problem": {"preset": ("preset", _one_of(PRESETS)),
                 "degree": ("degrees", _within(_single_int, *_DEGREES)),
                 "degrees": ("degrees", _within(_ints, *_DEGREES)),
                 **{key: ("overrides", _within(float, lambda v: v > 0.0,  # false for nan
@@ -194,7 +224,7 @@ _CONFIG = {
                    for key, what in (("tau", "stabilization"), ("alpha", "stabilization"),
                                      ("phi", "mean geopotential"))},
                 **dict.fromkeys(("f0", "beta", "y_mid"), ("overrides", float))},
-    "mesh": {"kind": ("mesh_kind", str),
+    "mesh": {"kind": ("mesh_kind", _one_of(_MESH_KINDS)),
              "levels": ("levels", _within(_ints, lambda ns: all(n >= 1 for n in ns),
                                           "levels must be at least 1")),
              "level": ("level", _LEVEL), "nx": ("nx", _CELLS), "ny": ("ny", _CELLS),
@@ -202,12 +232,14 @@ _CONFIG = {
                                           "degenerate bounds")),
              "center": ("center", _POINT), "radius": ("radius", _SIZE),
              "target_h": ("target_h", _SIZE),
-             "periodic": ("periodic", str), "path": ("mesh_path", str)},
-    "time": {"final_time": ("final_time", float), "dt": ("dt", float),
-             "dt_scale": ("dt_scale", float), "integrator": ("integrator", _scheme)},
-    "output": {"basename": ("basename", str), "cadence": ("cadence", int),
+             "periodic": ("periodic", _one_of(("none", *PERIODIC_AXES), empty=True)),
+             "path": ("mesh_path", _file)},
+    "time": {"final_time": ("final_time", _TIME), "dt": ("dt", _TIME),
+             "dt_scale": ("dt_scale", _TIME),
+             "integrator": ("integrator", _one_of(SCHEME_NAMES, empty=True))},
+    "output": {"basename": ("basename", str), "cadence": ("cadence", _COUNT),
                "fields": ("fields", _boolean),
-               "snapshot_every": ("snapshot_every", int)},
+               "snapshot_every": ("snapshot_every", _COUNT)},
 }
 _CONFIG_CONFLICTS = (("problem", "degree", "degrees"), ("time", "dt", "dt_scale"))
 
@@ -218,8 +250,8 @@ def _did_you_mean(word, choices):
 
 
 def _check_config_keys(parser, path):
-    """Reject unknown sections and keys, naming the closest known one, and
-    conflicting pairs of keys."""
+    """Reject unknown sections and keys, naming the closest known one,
+    conflicting pairs of keys, and a mesh file kind without its path."""
     if parser.defaults():
         raise RunFailure(f"{path}: keys in [DEFAULT] are not supported")
     for section in parser.sections():
@@ -235,6 +267,9 @@ def _check_config_keys(parser, path):
         if parser.has_option(section, first) and parser.has_option(section, second):
             raise RunFailure(f"{path}: [{section}] sets both {first} and {second}; "
                              "keep one")
+    kind = parser.get("mesh", "kind", fallback="")
+    if kind.lower() == "file" and not parser.has_option("mesh", "path"):
+        raise RunFailure(f"{path}: [mesh] kind = {kind} needs [mesh] path")
 
 
 def load_config(path):
@@ -265,41 +300,15 @@ def load_config(path):
                 overrides[key] = value
             else:
                 values[name] = value
-    cfg = RunConfig(overrides=overrides, **values)
-
-    for section, key, value in (("problem", "degrees", cfg.degrees),
-                                ("mesh", "levels", cfg.levels)):
-        if parser.has_option(section, key) and not value:
-            raise RunFailure(f"{path}: [{section}] {key} is empty")
-    for section, key in (("time", "final_time"), ("time", "dt"), ("time", "dt_scale"),
-                         ("output", "cadence"), ("output", "snapshot_every")):
-        value = getattr(cfg, key)
-        if value is not None and not value >= 0:
-            raise RunFailure(f"{path}: [{section}] {key} must be >= 0, got {value:g}")
-    if cfg.mesh_path and not Path(cfg.mesh_path).exists():
-        raise RunFailure(f"mesh file does not exist: {cfg.mesh_path}")
-    return cfg
+    return RunConfig(overrides=overrides, **values)
 
 
 def build_mesh(cfg, level=None):
     """Mesh for one run; level overrides the config for sweep entries."""
-    kind = cfg.mesh_kind
-    if kind == "uniform_square":
-        mesh = generate_uniform_square(cfg.level if level is None else level,
-                                       bounds=cfg.bounds)
-    elif kind == "uniform_rect":
-        mesh = generate_uniform_rect(cfg.nx, cfg.ny, bounds=cfg.bounds)
-    elif kind == "rect_hole":
-        mesh = generate_rect_with_hole(cfg.bounds, cfg.center, cfg.radius,
-                                       cfg.target_h)
-    elif kind == "file":
-        mesh = load_mesh(cfg.mesh_path)
-    else:
-        raise RunFailure(f"unknown mesh kind {cfg.mesh_kind!r}")
-    if cfg.periodic in ("x", "y", "both"):
-        mesh = pair_periodic(mesh, cfg.periodic)
-    elif cfg.periodic not in ("", "none"):
-        raise RunFailure(f"unknown periodic setting {cfg.periodic!r}")
+    mesh = _MESH_KINDS[cfg.mesh_kind.lower()](cfg, cfg.level if level is None else level)
+    periodic = cfg.periodic.lower()
+    if periodic in PERIODIC_AXES:
+        mesh = pair_periodic(mesh, periodic)
     return mesh
 
 
@@ -337,9 +346,13 @@ def _build_stepper(label, preset, factory, *args):
         raise RunFailure(f"integrator refused for {label}, preset {preset}: {exc}") from exc
 
 
-def _build_flux_run(label, spec):
-    """build_uw_system(spec), with a failed init solve or an init residual
-    out of bounds turned into a RunFailure naming the run."""
+def _flux_run(cfg, degree, level=None):
+    """(label, spec, run) of the flux scheme on the config's mesh, with a
+    failed init solve or an init residual out of bounds turned into a
+    RunFailure naming the run."""
+    mesh = build_mesh(cfg, level)
+    label = f"k={degree}, h={mesh.h_nominal:g}"
+    spec = make_problem(cfg.preset, mesh, degree, **cfg.overrides)
     try:
         run = build_uw_system(spec)
     except RuntimeError as exc:
@@ -347,7 +360,22 @@ def _build_flux_run(label, spec):
     residual = run.init.init.residual
     if not np.isfinite(residual) or residual > _INIT_RESIDUAL_LIMIT:
         raise RunFailure(f"init residual {residual:.3e} out of bounds for {label}")
-    return run
+    return label, spec, run
+
+
+def _march(label, nsteps, *runs):
+    """Advance every ``(name, stepper, y0)`` of ``runs`` side by side,
+    yielding ``(n, states)`` after step n; a state that turns non-finite
+    raises a RunFailure naming the scheme, the run and the step."""
+    states = [y0 for _, _, y0 in runs]
+    for n in range(1, nsteps + 1):
+        for i, (name, stepper, _) in enumerate(runs):
+            # looked up on every call: perfbench/tracing.py replaces an
+            # instance's step until its first call
+            states[i] = stepper.step(states[i])
+            if not np.all(np.isfinite(states[i])):
+                raise RunFailure(f"{name} solution blew up for {label} at step {n}")
+        yield n, states
 
 
 def _fmt(value):
@@ -415,42 +443,38 @@ def write_vtk_snapshot(path, run, y):
 def _convergence_task(cfg, degree, level, with_time):
     """One sweep entry: returns (h, error dict).  Raises RunFailure with
     the (k, h) identity on any solver problem."""
-    mesh = build_mesh(cfg, level=level)
-    label = f"k={degree}, h={mesh.h_nominal:g}"
-    preset = get_preset(cfg.preset)
-    if preset.manufactured is None:
+    ms = get_preset(cfg.preset).manufactured
+    if ms is None:
         raise RunFailure(f"preset {cfg.preset} has no closed-form solution")
-    ms = preset.manufactured
-    spec = make_problem(cfg.preset, mesh, degree, **cfg.overrides)
-    run = _build_flux_run(label, spec)
+    label, spec, run = _flux_run(cfg, degree, level)
+    h = spec.mesh.h_nominal
     quad = ErrorQuadrature(run.spaces)
-
     if not with_time:
-        errs = init_errors(run.spaces, run.init.init, ms, quad=quad)
-        return mesh.h_nominal, errs
+        return h, init_errors(run.spaces, run.init.init, ms, quad=quad)
 
     final_time = cfg.final_time if cfg.final_time > 0.0 else 0.5
-    nsteps, dt = step_count(final_time, _pick_dt(cfg, degree, mesh.h_nominal))
+    nsteps, dt = step_count(final_time, _pick_dt(cfg, degree, h))
     name = cfg.integrator or _explicit_name(degree)
     stepper = _build_stepper(label, cfg.preset, make_integrator, name, run.system, dt)
     cadence = cfg.cadence if cfg.cadence > 0 else 1
     worst = l2_errors(run, run.y0, ms, 0.0, quad=quad)
-    y = run.y0
-    for n in range(1, nsteps + 1):
-        y = stepper.step(y)
-        if not np.all(np.isfinite(y)):
-            raise RunFailure(f"solution blew up for {label} at step {n}")
+    for n, (y,) in _march(label, nsteps, (name, stepper, run.y0)):
         if n % cadence == 0 or n == nsteps:
             errs = l2_errors(run, y, ms, n * dt, quad=quad)
             for key, val in errs.items():
                 worst[key] = max(worst[key], val)
-    return mesh.h_nominal, worst
+    return h, worst
 
 
-def _sweep(cfg, out_path, with_time, threads):
+# with_time -> (default basename, the fields whose errors the sweep writes)
+_SWEEPS = {False: ("init_convergence", ("sigma", "w", "phi")),
+           True: ("convergence", ("phi", "u", "w"))}
+
+
+def _sweep(cfg, out_dir, threads, with_time):
     if not cfg.levels:
         raise RunFailure("convergence sweeps need [mesh] levels")
-    if cfg.mesh_kind != "uniform_square":
+    if cfg.mesh_kind.lower() != "uniform_square":
         raise RunFailure("convergence sweeps run on uniform_square meshes")
     tasks = [(k, level) for k in cfg.degrees for level in cfg.levels]
 
@@ -463,15 +487,8 @@ def _sweep(cfg, out_path, with_time, threads):
     else:
         results = {task: work(task) for task in tasks}
 
-    if with_time:
-        header = ["k", "h", "err_phi", "eoc_phi", "err_u", "eoc_u",
-                  "err_w", "eoc_w"]
-        keys = ("phi", "u", "w")
-    else:
-        header = ["k", "h", "err_sigma", "eoc_sigma", "err_w", "eoc_w",
-                  "err_phi", "eoc_phi"]
-        keys = ("sigma", "w", "phi")
-
+    base, keys = _SWEEPS[with_time]
+    header = ["k", "h"] + [f"{col}_{key}" for key in keys for col in ("err", "eoc")]
     rows = []
     for k in cfg.degrees:
         hs = [results[(k, level)][0] for level in cfg.levels]
@@ -484,17 +501,7 @@ def _sweep(cfg, out_path, with_time, threads):
                 row.append(_fmt(errs[key][i]))
                 row.append("" if i == 0 else _eoc_cell(orders[key][i - 1]))
             rows.append(row)
-    _write_csv(out_path, header, rows)
-
-
-def cmd_converge_init(cfg, out_dir, threads):
-    base = cfg.basename or "init_convergence"
-    _sweep(cfg, out_dir / f"{base}.csv", with_time=False, threads=threads)
-
-
-def cmd_converge(cfg, out_dir, threads):
-    base = cfg.basename or "convergence"
-    _sweep(cfg, out_dir / f"{base}.csv", with_time=True, threads=threads)
+    _write_csv(out_dir / f"{cfg.basename or base}.csv", header, rows)
 
 
 _SERIES_HEADER = ["time", "mass", "energy", "kinetic", "potential",
@@ -512,14 +519,9 @@ def _series_row(rec):
 
 def cmd_run(cfg, out_dir, threads):
     del threads
-    mesh = build_mesh(cfg)
-    degree = cfg.degree
-    label = f"k={degree}, h={mesh.h_nominal:g}"
-    spec = make_problem(cfg.preset, mesh, degree, **cfg.overrides)
-    run = _build_flux_run(label, spec)
-
-    nsteps, dt = step_count(cfg.final_time,
-                            _pick_dt(cfg, degree, mesh.h_nominal, long_run=True))
+    label, spec, run = _flux_run(cfg, cfg.degree)
+    nsteps, dt = step_count(cfg.final_time, _pick_dt(cfg, cfg.degree, spec.mesh.h_nominal,
+                                                     long_run=True))
     cadence = cfg.cadence if cfg.cadence > 0 else 10
     name = cfg.integrator or "midpoint"
     rows = [_series_row(conserved_quantities(run, run.y0, 0.0))]
@@ -530,11 +532,7 @@ def cmd_run(cfg, out_dir, threads):
 
     if nsteps > 0:
         stepper = _build_stepper(label, cfg.preset, make_integrator, name, run.system, dt)
-        y = run.y0
-        for n in range(1, nsteps + 1):
-            y = stepper.step(y)
-            if not np.all(np.isfinite(y)):
-                raise RunFailure(f"solution blew up for {label} at step {n}")
+        for n, (y,) in _march(label, nsteps, (name, stepper, run.y0)):
             if n % cadence == 0 or n == nsteps:
                 rows.append(_series_row(conserved_quantities(run, y, n * dt)))
             if cfg.fields and ((cfg.snapshot_every > 0
@@ -547,29 +545,19 @@ def cmd_run(cfg, out_dir, threads):
 
 def cmd_compare_dissipative(cfg, out_dir, threads):
     del threads
-    mesh = build_mesh(cfg)
-    degree = cfg.degree
-    spec = make_problem(cfg.preset, mesh, degree, **cfg.overrides)
-    label = f"k={degree}, h={mesh.h_nominal:g}"
-
-    uw = _build_flux_run(label, spec)
+    label, spec, uw = _flux_run(cfg, cfg.degree)
     phiu = build_phiu_system(spec, spaces=uw.spaces, matrices=uw.matrices)
 
-    nsteps, dt = step_count(cfg.final_time,
-                            _pick_dt(cfg, degree, mesh.h_nominal, long_run=True))
+    nsteps, dt = step_count(cfg.final_time, _pick_dt(cfg, cfg.degree, spec.mesh.h_nominal,
+                                                     long_run=True))
     uw_stepper = _build_stepper(label, cfg.preset, make_integrator,
                                 cfg.integrator or "midpoint", uw.system, dt)
     phiu_stepper = _build_stepper(label, cfg.preset, PhiuIntegrator, phiu,
                                   make_sdirk(2), dt)
 
     rows = [[_fmt(0.0), _fmt(total_energy(uw, uw.y0)), _fmt(phiu_energy(phiu, phiu.y0))]]
-    y_uw, y_phiu = uw.y0, phiu.y0
-    for n in range(1, nsteps + 1):
-        y_uw = uw_stepper.step(y_uw)
-        y_phiu = phiu_stepper.step(y_phiu)
-        for scheme, y in (("conserving", y_uw), ("dissipative", y_phiu)):
-            if not np.all(np.isfinite(y)):
-                raise RunFailure(f"{scheme} solution blew up for {label} at step {n}")
+    for n, (y_uw, y_phiu) in _march(label, nsteps, ("conserving", uw_stepper, uw.y0),
+                                    ("dissipative", phiu_stepper, phiu.y0)):
         rows.append([_fmt(n * dt), _fmt(total_energy(uw, y_uw)),
                      _fmt(phiu_energy(phiu, y_phiu))])
     base = cfg.basename or "energy_compare"
@@ -578,8 +566,8 @@ def cmd_compare_dissipative(cfg, out_dir, threads):
 
 
 _COMMANDS = {
-    "converge_init": cmd_converge_init,
-    "converge": cmd_converge,
+    "converge_init": partial(_sweep, with_time=False),
+    "converge": partial(_sweep, with_time=True),
     "run": cmd_run,
     "compare_dissipative": cmd_compare_dissipative,
 }

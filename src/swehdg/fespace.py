@@ -249,13 +249,6 @@ class TraceSpace:
         vander = legvander(2.0 * s - 1.0, self.k)
         return vander * scale[:, None, :]
 
-    def values(self, coeffs, facets=None):
-        """Trace values at the facet quadrature points, (nf, nq)."""
-        if facets is None:
-            facets = np.arange(self.mesh.num_facets)
-        c = np.asarray(coeffs).reshape(-1, self.dim_local)[self.owner_row[facets]]
-        return np.einsum("fqj,fj->fq", self.tvals[facets], c)
-
 
 class TangentialTraceSpace(TraceSpace):
     """Facet vector fields parallel to the facet tangent.

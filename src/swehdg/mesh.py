@@ -17,6 +17,8 @@ INTERIOR = "interior"
 WALL = "wall"
 PERIODIC_MASTER = "periodic_master"
 PERIODIC_SLAVE = "periodic_slave"
+# pair_periodic directions and the axes each one pairs
+PERIODIC_AXES = {"x": (0,), "y": (1,), "both": (0, 1)}
 
 # local edges of a triangle (v0,v1), (v1,v2), (v2,v0)
 _LOCAL_EDGES = np.array([[0, 1], [1, 2], [2, 0]])
@@ -163,7 +165,6 @@ class Mesh:
 
         self.periodic_x = False
         self.periodic_y = False
-        self.periodic_pairs = np.zeros((0, 2), dtype=np.int64)
         self.facet_pair = np.full(nf, -1, dtype=np.int64)
         self.periodic_shift = np.zeros((nf, 2))
 
@@ -183,10 +184,6 @@ class Mesh:
     def boundary_facets(self):
         """Ids of facets with a single adjacent element."""
         return np.where(self.facet_right < 0)[0]
-
-    @property
-    def area(self):
-        return float(self.element_areas.sum())
 
 
 def generate_uniform_rect(nx, ny, bounds=(0.0, 1.0, 0.0, 1.0)):
@@ -296,19 +293,14 @@ def pair_periodic(mesh, direction="both"):
     facets store the translation onto their master.  Facets on a paired
     side that find no translate raise a ValueError naming them.
     """
-    if direction not in ("x", "y", "both"):
+    if direction not in PERIODIC_AXES:
         raise ValueError("direction must be 'x', 'y', or 'both'")
     tags = {tuple(mesh.facet_nodes[f]): mesh.facet_tag[f]
             for f in mesh.boundary_facets}
     out = Mesh(mesh.nodes, mesh.elements, boundary_tag=tags,
                h_nominal=mesh.h_nominal)
-    axes = {"x": (0,), "y": (1,), "both": (0, 1)}[direction]
-    for axis in axes:
+    for axis in PERIODIC_AXES[direction]:
         _pair_axis(out, axis)
-    out.periodic_pairs = np.array(
-        [[f, out.facet_pair[f]] for f in range(out.num_facets)
-         if out.facet_pair[f] >= 0 and out.facet_tag[f] == PERIODIC_MASTER],
-        dtype=np.int64).reshape(-1, 2)
     return out
 
 

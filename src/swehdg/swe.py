@@ -110,8 +110,7 @@ def _shelf_bathymetry_grad(x, y):
 
 @dataclass(frozen=True)
 class Preset:
-    """Named initial data plus the physical parameters it assumes."""
-    name: str
+    """Initial data plus the physical parameters it assumes."""
     params: PhysicalParams
     phi0: object = None
     u0: object = None
@@ -121,26 +120,33 @@ class Preset:
     manufactured: ManufacturedSolution = None
 
 
+def _standing_wave():
+    ms = ManufacturedSolution()
+    return Preset(params=PhysicalParams(), phi0=ms.phi_at(0.0), u0=ms.u_at(0.0),
+                  grad_phi0=ms.grad_phi_at(0.0), manufactured=ms)
+
+
+# every preset: name -> builder of a fresh Preset
+PRESETS = {
+    # unit square, closed form
+    "standing_wave": _standing_wave,
+    # periodic box with a wall column
+    "moving_bump": lambda: Preset(params=PhysicalParams(f0=0.5), phi0=_moving_bump_phi,
+                                  u0=_moving_bump_u, grad_phi0=_moving_bump_grad),
+    # channel with a mounded shelf
+    "gaussian_pulse": lambda: Preset(params=PhysicalParams(f0=0.1), phi0=_pulse_phi,
+                                     grad_phi0=_pulse_grad, bathymetry=_shelf_bathymetry,
+                                     grad_bathymetry=_shelf_bathymetry_grad),
+}
+
+
 def get_preset(name):
-    """Problem presets: standing_wave (unit square, closed form),
-    moving_bump (periodic box with a wall column), gaussian_pulse
-    (channel with a mounded shelf)."""
-    key = name.strip().lower()
-    if key == "standing_wave":
-        ms = ManufacturedSolution()
-        return Preset(name=key, params=PhysicalParams(),
-                      phi0=ms.phi_at(0.0), u0=ms.u_at(0.0),
-                      grad_phi0=ms.grad_phi_at(0.0), manufactured=ms)
-    if key == "moving_bump":
-        return Preset(name=key, params=PhysicalParams(f0=0.5),
-                      phi0=_moving_bump_phi, u0=_moving_bump_u,
-                      grad_phi0=_moving_bump_grad)
-    if key == "gaussian_pulse":
-        return Preset(name=key, params=PhysicalParams(f0=0.1),
-                      phi0=_pulse_phi, u0=None, grad_phi0=_pulse_grad,
-                      bathymetry=_shelf_bathymetry,
-                      grad_bathymetry=_shelf_bathymetry_grad)
-    raise ValueError(f"unknown preset {name!r}")
+    """A fresh copy of the preset named ``name`` in ``PRESETS``, without
+    regard to case."""
+    build = PRESETS.get(name.strip().lower())
+    if build is None:
+        raise ValueError(f"unknown preset {name!r}")
+    return build()
 
 
 @dataclass

@@ -12,6 +12,7 @@ import numpy as np
 
 from swehdg.fespace import VectorSpace
 from swehdg.integrators import ButcherTableau
+from swehdg.mesh import PERIODIC_MASTER
 from swehdg.swe import PhiuIntegrator
 
 
@@ -102,13 +103,27 @@ def dofs_of_facet(trace, facet):
     return r * trace.dim_local + np.arange(trace.dim_local)
 
 
+def trace_values(trace, coeffs, facets=None):
+    """Trace field values at the facet quadrature points, (nf, nq)."""
+    if facets is None:
+        facets = np.arange(trace.mesh.num_facets)
+    c = np.asarray(coeffs).reshape(-1, trace.dim_local)[trace.owner_row[facets]]
+    return np.einsum("fqj,fj->fq", trace.tvals[facets], c)
+
+
 def tangential_vectors(tangential, coeffs, facets=None):
     """Vector values of a tangential trace field at the facet quadrature
     points, (nf, nq, 2)."""
     if facets is None:
         facets = np.arange(tangential.mesh.num_facets)
-    scal = tangential.values(coeffs, facets)
+    scal = trace_values(tangential, coeffs, facets)
     return scal[..., None] * tangential.tangent[facets][:, None, :]
+
+
+def periodic_pairs(mesh):
+    """(master, slave) facet id pairs of a periodic mesh, (n, 2)."""
+    masters = np.where(mesh.facet_tag == PERIODIC_MASTER)[0]
+    return np.stack([masters, mesh.facet_pair[masters]], axis=1)
 
 
 def loop_polygon_area(mesh, loop):

@@ -7,7 +7,7 @@ from swehdg.assembly import PhysicalParams, assemble_all, assemble_bathymetry_lo
 from swehdg.fespace import build_spaces
 from swehdg.mesh import Mesh, generate_uniform_square, pair_periodic
 
-from helpers import div_values, dofs_of_facet
+from helpers import div_values, dofs_of_facet, trace_values
 
 REF_TRI = Mesh([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]], [[0, 1, 2]])
 
@@ -111,7 +111,7 @@ def test_flux_pair_adjoint_identity():
             vals = sc.batch_values(np.array([e]), tr.qpoints[f][None])[0]
             zq = np.einsum("qi,ci->qc", vals, zc[e])
             zdotn = zq @ mats.normals_signed[e, lf]
-            etaq = tr.values(eta, np.array([f]))[0]
+            etaq = trace_values(tr, eta, np.array([f]))[0]
             rhs += np.sum(tr.qweights[f] * etaq * zdotn)
     assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
 

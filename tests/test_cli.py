@@ -322,6 +322,18 @@ def test_out_of_range_values_name_the_file(tmp_path, capsys, text, message):
             in capsys.readouterr().err)
 
 
+def test_choices_ignore_case(tmp_path):
+    # a mesh file, paired in both directions, with the standing wave
+    mesh_file = tmp_path / "square.msh"
+    mesh_file.write_text("ndim=2 nnodes=4 nelems=2 nfacets_tagged=0\n"
+                         "0 0\n1 0\n1 1\n0 1\n0 1 2\n0 2 3\n")
+    cfg = _write(tmp_path, "c.ini", "[problem]\npreset = Standing_Wave\n"
+                 f"[mesh]\nkind = FILE\npath = {mesh_file}\nperiodic = Both\n")
+    assert main(["run", "--config", cfg, "--out", str(tmp_path)]) == 0
+    mesh = cli.build_mesh(load_config(cfg))
+    assert mesh.num_elements == 2 and mesh.periodic_x and mesh.periodic_y
+
+
 def test_unknown_preset_fails_cleanly(tmp_path, capsys):
     cfg = _write(tmp_path, "c.ini", "[problem]\npreset = tidal_flat\n")
     assert main(["run", "--config", cfg, "--out", str(tmp_path)]) == 1
@@ -488,19 +500,21 @@ def test_explicit_integrator_on_rotating_preset_is_refused(tmp_path, capsys, sub
     ("[problem]\ndegree = 1\ndegrees = 1, 2\n",
      "[problem] sets both degree and degrees; keep one"),
     ("[time]\ndt = 0.1\ndt_scale = 0.05\n", "[time] sets both dt and dt_scale; keep one"),
-    ("[problem]\ndegrees =\n", "[problem] degrees is empty"),
-    ("[mesh]\nlevels = ,\n", "[mesh] levels is empty"),
-    ("[time]\nfinal_time = -1.0\n", "[time] final_time must be >= 0, got -1"),
-    ("[time]\ndt = -0.01\n", "[time] dt must be >= 0, got -0.01"),
-    ("[time]\ndt_scale = -0.05\n", "[time] dt_scale must be >= 0, got -0.05"),
-    ("[time]\ndt = nan\n", "[time] dt must be >= 0, got nan"),
+    ("[problem]\ndegrees =\n", "[problem] degrees must be a list of integers, got ''"),
+    ("[mesh]\nlevels = ,\n", "[mesh] levels must be a list of integers, got ','"),
+    ("[time]\nfinal_time = -1.0\n",
+     "[time] final_time = -1.0 is out of range: must be >= 0"),
+    ("[time]\ndt = -0.01\n", "[time] dt = -0.01 is out of range: must be >= 0"),
+    ("[time]\ndt_scale = -0.05\n", "[time] dt_scale = -0.05 is out of range: must be >= 0"),
+    ("[time]\ndt = nan\n", "[time] dt = nan is out of range: must be >= 0"),
     ("[problem]\ndegree =\n", "[problem] degree must be an integer, got ''"),
     ("[mesh]\nlevel = two\n", "[mesh] level must be an integer, got 'two'"),
     ("[problem]\ndegrees = 1, x\n", "[problem] degrees must be a list of integers, got '1, x'"),
     ("[time]\ndt = fast\n", "[time] dt must be a number, got 'fast'"),
     ("[output]\nfields = maybe\n", "[output] fields must be true or false, got 'maybe'"),
-    ("[output]\ncadence = -3\n", "[output] cadence must be >= 0, got -3"),
-    ("[output]\nsnapshot_every = -1\n", "[output] snapshot_every must be >= 0, got -1"),
+    ("[output]\ncadence = -3\n", "[output] cadence = -3 is out of range: must be >= 0"),
+    ("[output]\nsnapshot_every = -1\n",
+     "[output] snapshot_every = -1 is out of range: must be >= 0"),
     ("[mesh]\nbounds = 0, 1\n", "[mesh] bounds must be 4 numbers, got '0, 1'"),
     ("[mesh]\nbounds = 0, 1, 0, 1, 2\n", "[mesh] bounds must be 4 numbers, got '0, 1, 0, 1, 2'"),
     ("[mesh]\nkind = rect_hole\ncenter = 3\n", "[mesh] center must be 2 numbers, got '3'"),
@@ -511,6 +525,14 @@ def test_explicit_integrator_on_rotating_preset_is_refused(tmp_path, capsys, sub
      "seprk3, seprk4, seprk6, got 'midpiont'"),
     ("[time]\nintegrator = seprk9\n", "[time] integrator must be one of midpoint, "
      "sdirk2, sdirk4, seprk1, seprk2, seprk3, seprk4, seprk6, got 'seprk9'"),
+    ("[mesh]\nkind = uniform\n", "[mesh] kind must be one of uniform_square, uniform_rect, "
+     "rect_hole, file, got 'uniform'"),
+    ("[mesh]\nperiodic = xy\n", "[mesh] periodic must be one of none, x, y, both, got 'xy'"),
+    ("[problem]\npreset = tidal_flat\n", "[problem] preset must be one of standing_wave, "
+     "moving_bump, gaussian_pulse, got 'tidal_flat'"),
+    ("[mesh]\nkind = file\n", "[mesh] kind = file needs [mesh] path"),
+    ("[mesh]\nkind = file\npath = missing.msh\n",
+     "[mesh] path must be an existing file, got 'missing.msh'"),
     ("[output]\ncadence = 1\ncadence = 2\n",
      "option 'cadence' in section 'output' already exists"),
     ("[mesh]\nlevel = 1\n[mesh]\nnx = 2\n", "section 'mesh' already exists"),
@@ -526,7 +548,9 @@ def test_config_typos_and_conflicts_are_errors(tmp_path, capsys, text, message):
 
 
 @pytest.mark.parametrize("text", ["[problem]\ndegree =\n", "[output]\nfields = maybe\n",
-                                  "[output]\ncadence = -3\n"])
+                                  "[output]\ncadence = -3\n", "[mesh]\nkind = uniform\n",
+                                  "[mesh]\nperiodic = xy\n", "[problem]\npreset = tidal_flat\n",
+                                  "[mesh]\nkind = file\n"])
 def test_bad_values_name_the_file(tmp_path, text):
     cfg = _write(tmp_path, "bad.ini", text)
     with pytest.raises(cli.RunFailure, match=f"^{re.escape(cfg)}: "):

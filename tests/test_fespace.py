@@ -18,11 +18,13 @@ from swehdg.mesh import generate_rect_with_hole, generate_uniform_square, pair_p
 from helpers import (
     dofs_of_facet,
     facet_values,
+    periodic_pairs,
     point_div,
     point_grad,
     point_rot,
     point_value,
     tangential_vectors,
+    trace_values,
 )
 
 
@@ -168,8 +170,8 @@ def test_periodic_trace_single_valued():
     tr = TraceSpace(mesh, k)
     rng = np.random.default_rng(5)
     coeffs = rng.standard_normal(tr.ndof)
-    for fm, fs in mesh.periodic_pairs:
-        vs = tr.values(coeffs, np.array([fs]))[0]
+    for fm, fs in periodic_pairs(mesh):
+        vs = trace_values(tr, coeffs, np.array([fs]))[0]
         pts_on_master = tr.qpoints[fs] + mesh.periodic_shift[fs]
         vm = facet_values(tr, fm, pts_on_master) @ coeffs[dofs_of_facet(tr, fm)]
         assert np.allclose(vs, vm, atol=1e-12)
@@ -184,7 +186,7 @@ def test_tangential_trace_normal_free():
     ndot = np.einsum("fqd,fd->fq", vec, mesh.facet_normals)
     assert np.abs(ndot).max() == 0.0
     tdot = np.einsum("fqd,fd->fq", vec, mesh.facet_tangents)
-    assert np.abs(np.abs(tdot) - np.abs(tg.values(coeffs))).max() <= 1e-13
+    assert np.abs(np.abs(tdot) - np.abs(trace_values(tg, coeffs))).max() <= 1e-13
 
 
 def test_project_reproduces_linear_field():

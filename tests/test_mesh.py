@@ -18,7 +18,7 @@ from swehdg.mesh import (
     save_mesh,
 )
 
-from helpers import loop_polygon_area
+from helpers import loop_polygon_area, periodic_pairs
 
 
 def test_unit_square_level1_counts():
@@ -44,7 +44,7 @@ def test_level3_adjacency():
 def test_areas_and_h():
     mesh = generate_uniform_square(2, bounds=(0.0, 2.0, 0.0, 2.0))
     assert np.all(mesh.element_areas > 0)
-    assert mesh.area == pytest.approx(4.0, abs=1e-12)
+    assert mesh.element_areas.sum() == pytest.approx(4.0, abs=1e-12)
     assert mesh.h == pytest.approx(0.5 * np.sqrt(2.0), abs=1e-14)
     assert mesh.h_nominal == pytest.approx(0.5)
 
@@ -88,8 +88,9 @@ def test_pair_periodic_square_both():
     assert len(bdry) == 16
     assert all(mesh.facet_pair[f] >= 0 for f in bdry)
     assert mesh.periodic_x and mesh.periodic_y
-    assert len(mesh.periodic_pairs) == 8
-    for fm, fs in mesh.periodic_pairs:
+    pairs = periodic_pairs(mesh)
+    assert len(pairs) == 8
+    for fm, fs in pairs:
         assert mesh.facet_tag[fm] == PERIODIC_MASTER
         assert mesh.facet_tag[fs] == PERIODIC_SLAVE
         assert mesh.facet_lengths[fm] == pytest.approx(mesh.facet_lengths[fs], abs=1e-12)
@@ -125,7 +126,7 @@ def test_rect_with_hole_geometry():
         assert np.hypot(*(mesh.facet_midpoints[f] - [3.0, 0.0])) == pytest.approx(
             np.cos(np.pi / len(hole[0])), abs=1e-12)
     poly_area = min(areas)
-    assert mesh.area == pytest.approx(400.0 - poly_area, rel=1e-12)
+    assert mesh.element_areas.sum() == pytest.approx(400.0 - poly_area, rel=1e-12)
 
     per = pair_periodic(mesh, "both")
     outer = per.boundary_facets
