@@ -30,7 +30,7 @@ from scipy.sparse.linalg import splu
 
 from .assembly import _block_rows, _element_columns, assemble_all, central_gradient
 from .fespace import GridFunction, TangentialTraceSpace
-from .mesh import WALL, boundary_loops
+from .mesh import hole_boundaries
 
 log = logging.getLogger(__name__)
 
@@ -303,29 +303,19 @@ def _gauge_constraints(mesh, spaces):
     (phi_hat, psi_hat) trace dofs, (n_trace, r).  A periodic direction
     pins the global mean of that flux component, spread over the local
     parts of every element, so any inconsistent data component is
-    absorbed evenly; a hole pins the circulation of psi_hat around it, a
-    trace part only.  Columns are normalized, periodic x and y first.
+    absorbed evenly.  A hole of :func:`~swehdg.mesh.hole_boundaries` pins
+    the circulation of psi_hat around it, a trace part only: psi_hat
+    multiplies the stored facet tangent, which runs one way round every
+    boundary loop, and its integral over facet f is sqrt(len_f) times its
+    first coefficient there, so the column is sqrt(len_f) at that
+    coefficient of each hole facet.  Columns are normalized, periodic x
+    and y first.
     """
     sc, tr = spaces.scalar, spaces.trace
     ne, m = mesh.num_elements, sc.dim_local
     axes = [axis for axis, active in ((0, mesh.periodic_x), (1, mesh.periodic_y))
             if active]
-
-    span = mesh.nodes.max(axis=0) - mesh.nodes.min(axis=0)
-    tol = 1e-9 * max(span)
-    outer_lo = mesh.nodes.min(axis=0)
-    outer_hi = mesh.nodes.max(axis=0)
-    holes = []
-    for facets, signs in boundary_loops(mesh, WALL):
-        pts = mesh.nodes[np.unique(mesh.facet_nodes[facets])]
-        is_outer = (np.all(np.abs(pts.min(axis=0) - outer_lo) <= tol)
-                    and np.all(np.abs(pts.max(axis=0) - outer_hi) <= tol))
-        if is_outer:
-            continue
-        col = np.zeros(2 * tr.ndof)
-        for f, s in zip(facets, signs):
-            col[tr.ndof + tr.owner_row[f] * tr.dim_local] += s * np.sqrt(mesh.facet_lengths[f])
-        holes.append(col / np.linalg.norm(col))
+    holes = hole_boundaries(mesh)
 
     r = len(axes) + len(holes)
     local = np.zeros((ne, 4 * m, r))
@@ -333,8 +323,9 @@ def _gauge_constraints(mesh, spaces):
     for j, axis in enumerate(axes):
         local[:, (2 + axis) * m:(3 + axis) * m, j] = moments / np.linalg.norm(moments)
     trace = np.zeros((2 * tr.ndof, r))
-    for j, col in enumerate(holes, start=len(axes)):
-        trace[:, j] = col
+    for j, facets in enumerate(holes, start=len(axes)):
+        lengths = mesh.facet_lengths[facets]
+        trace[tr.ndof + tr.owner_row[facets] * tr.dim_local, j] = np.sqrt(lengths / lengths.sum())
     return local, trace
 
 

@@ -11,6 +11,8 @@ instead of recomputing it.
 import math
 
 import numpy as np
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import connected_components
 from scipy.spatial import Delaunay
 
 INTERIOR = "interior"
@@ -42,7 +44,8 @@ class Mesh:
         counterclockwise; degenerate triangles are rejected.
     boundary_tag : dict, optional
         Maps a boundary facet, keyed by its (min, max) node id pair, to a
-        tag string.  Untagged boundary facets default to ``wall``.
+        tag string.  Untagged boundary facets default to ``wall``, and so
+        do periodic tags, since only ``pair_periodic`` gives partners.
     h_nominal : float, optional
         Nominal cell size used in convergence tables and time step rules.
         Defaults to the maximum edge length.
@@ -55,8 +58,10 @@ class Mesh:
         Adjacent element ids; right is -1 on the boundary.
     facet_normals, facet_tangents : (nf, 2) float arrays
         Unit normal out of the left element and the normal rotated by
-        +90 degrees (so on interior facets the tangent runs from the
-        smaller to the larger node id).
+        +90 degrees.  On interior facets the tangent runs from the
+        smaller to the larger node id; on boundary facets the normal
+        points out of the domain and the tangent runs with the domain on
+        its left, so the tangents of each boundary loop run one way round.
     element_facets : (ne, 3) int array
         Facet id of each local edge.
     element_facet_signs : (ne, 3) int array
@@ -157,7 +162,8 @@ class Mesh:
                 pair = (min(key), max(key))
                 if pair not in lookup:
                     raise ValueError(f"tagged facet {pair} is not a boundary facet")
-                tag[lookup[pair]] = t
+                # a new mesh has no periodic partners yet: pair_periodic sets both
+                tag[lookup[pair]] = WALL if t in (PERIODIC_MASTER, PERIODIC_SLAVE) else t
         self.facet_tag = tag
 
         self.h = float(lengths.max())
@@ -276,13 +282,7 @@ def generate_rect_with_hole(bounds, center, radius, target_h):
     for i in range(m):
         u, v = int(ring_ids[i]), int(ring_ids[(i + 1) % m])
         tagmap[(min(u, v), max(u, v))] = WALL
-    mesh = Mesh(points, cells, boundary_tag=tagmap, h_nominal=target_h)
-
-    lookup = {tuple(fn) for fn in mesh.facet_nodes[mesh.boundary_facets]}
-    for key in tagmap:
-        if key not in lookup:
-            raise ValueError("hole boundary edge not recovered by triangulation")
-    return mesh
+    return Mesh(points, cells, boundary_tag=tagmap, h_nominal=target_h)
 
 
 def pair_periodic(mesh, direction="both"):
@@ -290,8 +290,9 @@ def pair_periodic(mesh, direction="both"):
 
     Returns a new mesh whose matched facets are retagged
     periodic_master (low side) and periodic_slave (high side); slave
-    facets store the translation onto their master.  Facets on a paired
-    side that find no translate raise a ValueError naming them.
+    facets store the translation onto their master.  Pairs of the given
+    mesh are not carried over.  Facets on a paired side that find no
+    translate raise a ValueError naming them.
     """
     if direction not in PERIODIC_AXES:
         raise ValueError("direction must be 'x', 'y', or 'both'")
@@ -344,59 +345,32 @@ def _pair_axis(mesh, axis):
         mesh.periodic_y = True
 
 
-def boundary_loops(mesh, tag=WALL):
-    """Closed loops of boundary facets carrying ``tag``.
+def hole_boundaries(mesh):
+    """Facet ids of the boundary of each hole in the domain.
 
-    Returns a list of (facet_ids, signs) pairs, each loop in traversal
-    order; sign +1 means the loop walks the facet along its stored
-    tangent.  Open chains (possible when part of the boundary carries a
-    different tag) are discarded.
+    The walls, the boundary facets without a periodic partner, are
+    grouped into components linked through shared end nodes.  A component
+    bounds a hole when it is closed (each of its end nodes is shared by
+    exactly two of its facets) and its normals, which point out of the
+    domain, point into the region it encloses: the sum over its facets
+    of len_f (n_f . midpoint_f), twice the enclosed area signed by those
+    normals, is then negative.  The outer boundary and the open wall
+    chains of a domain periodic in one direction are not holes.
     """
-    sel = [f for f in mesh.boundary_facets if mesh.facet_tag[f] == tag]
-    incident = {}
-    for f in sel:
-        for v in mesh.facet_nodes[f]:
-            incident.setdefault(int(v), []).append(int(f))
-
-    unused = set(sel)
-    loops = []
-    while unused:
-        start = min(unused)
-        facets, signs = [], []
-        f = start
-        node = int(mesh.facet_nodes[f, 0])            # enter through endpoint a
-        closed = False
-        while True:
-            unused.discard(f)
-            a, b = (int(v) for v in mesh.facet_nodes[f])
-            sign = 1 if node == a else -1
-            facets.append(f)
-            signs.append(sign)
-            node = b if sign == 1 else a
-            nxt = [g for g in incident.get(node, []) if g != f]
-            if len(nxt) != 1:
-                break
-            f = nxt[0]
-            if f == start:
-                closed = True
-                break
-            if f not in unused:
-                break
-        if closed:
-            loops.append((np.array(facets, dtype=np.int64),
-                          np.array(signs, dtype=np.int64)))
-        else:
-            # walk the other way just to consume the chain
-            stack = [start]
-            while stack:
-                g = stack.pop()
-                if g in unused:
-                    unused.discard(g)
-                for v in mesh.facet_nodes[g]:
-                    for w in incident.get(int(v), []):
-                        if w in unused:
-                            stack.append(w)
-    return loops
+    walls = np.flatnonzero((mesh.facet_right < 0) & (mesh.facet_pair < 0))
+    ends = mesh.facet_nodes[walls]
+    nn = mesh.num_nodes
+    graph = coo_matrix((np.ones(len(walls)), (ends[:, 0], ends[:, 1])), shape=(nn, nn))
+    component = connected_components(graph, directed=False)[1][ends[:, 0]]
+    closed = np.bincount(ends.ravel(), minlength=nn)[ends] == 2
+    area2 = mesh.facet_lengths[walls] * np.einsum(
+        "fd,fd->f", mesh.facet_normals[walls], mesh.facet_midpoints[walls])
+    holes = []
+    for c in np.unique(component):
+        mine = component == c
+        if closed[mine].all() and area2[mine].sum() < 0.0:
+            holes.append(walls[mine])
+    return holes
 
 
 def save_mesh(mesh, path):
@@ -419,8 +393,8 @@ def load_mesh(path):
 
     Header line ``ndim=2 nnodes=<N> nelems=<M> nfacets_tagged=<K>``, then
     N coordinate lines, M connectivity lines, and K boundary facet lines
-    ``v0 v1 tag``.  ``#`` starts a comment.  Periodic tags are kept but
-    pairing still has to be requested through ``pair_periodic``.
+    ``v0 v1 tag``.  ``#`` starts a comment.  Periodic tags read as wall
+    (see ``Mesh``): pairing has to be requested through ``pair_periodic``.
     """
     rows = []
     with open(path) as fh:

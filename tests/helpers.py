@@ -126,17 +126,6 @@ def periodic_pairs(mesh):
     return np.stack([masters, mesh.facet_pair[masters]], axis=1)
 
 
-def loop_polygon_area(mesh, loop):
-    """Signed area enclosed by a closed boundary loop."""
-    facets, signs = loop
-    pts = np.array([
-        mesh.nodes[mesh.facet_nodes[f, 0 if s == 1 else 1]]
-        for f, s in zip(facets, signs)
-    ])
-    nxt = np.roll(pts, -1, axis=0)
-    return 0.5 * float(np.sum(pts[:, 0] * nxt[:, 1] - pts[:, 1] * nxt[:, 0]))
-
-
 def phiu_trace_mismatch(run, q, qhat):
     """Stabilized norm of the height-trace jump driving the dissipation."""
     m = run.matrices

@@ -9,6 +9,7 @@ import pytest
 
 from swehdg import cli, elliptic, integrators, swe
 from swehdg.cli import RunConfig, RunFailure, _explicit_name, _pick_dt, load_config, main
+from swehdg.mesh import generate_uniform_square, pair_periodic, save_mesh
 
 
 def _write(tmp_path, name, text):
@@ -332,6 +333,17 @@ def test_choices_ignore_case(tmp_path):
     assert main(["run", "--config", cfg, "--out", str(tmp_path)]) == 0
     mesh = cli.build_mesh(load_config(cfg))
     assert mesh.num_elements == 2 and mesh.periodic_x and mesh.periodic_y
+
+
+@pytest.mark.parametrize("periodic", ["none", "x"])
+def test_saved_periodic_mesh_runs_with_fewer_pairs(tmp_path, periodic):
+    # periodic tags in a mesh file read as wall until the config pairs them
+    mesh_file = tmp_path / "paired.msh"
+    save_mesh(pair_periodic(generate_uniform_square(2), "both"), mesh_file)
+    cfg = _write(tmp_path, "paired.ini", "[problem]\npreset = standing_wave\n"
+                 f"[mesh]\nkind = file\npath = {mesh_file}\nperiodic = {periodic}\n"
+                 "[time]\nfinal_time = 0.1\ndt = 0.05\n")
+    assert main(["run", "--config", cfg, "--out", str(tmp_path)]) == 0
 
 
 def test_unknown_preset_fails_cleanly(tmp_path, capsys):

@@ -25,8 +25,6 @@ from swehdg.integrators import (
     uw_stage_blocks,
 )
 from swehdg.mesh import (
-    WALL,
-    boundary_loops,
     generate_rect_with_hole,
     generate_uniform_rect,
     generate_uniform_square,
@@ -47,6 +45,10 @@ PARAMS = dict(phi=1.7, f0=0.3, beta=0.2, y_mid=0.4, tau=1.3)
 DT = 0.2
 
 
+# centre and radius of the hole of each holed mesh kind
+HOLES = {"holed": ((1.5, 1.5), 0.6), "holed-periodic": ((3.0, 0.0), 1.0)}
+
+
 def _mesh(kind):
     if kind == "wall":
         return generate_uniform_rect(2, 3)
@@ -54,8 +56,20 @@ def _mesh(kind):
         return pair_periodic(generate_uniform_square(2), "both")
     if kind == "holed-periodic":
         return pair_periodic(generate_rect_with_hole(
-            (-10.0, 10.0, -10.0, 10.0), (3.0, 0.0), 1.0, 2.0), "both")
-    return generate_rect_with_hole((0.0, 3.0, 0.0, 3.0), (1.5, 1.5), 0.6, 1.2)
+            (-10.0, 10.0, -10.0, 10.0), *HOLES[kind], 2.0), "both")
+    return generate_rect_with_hole((0.0, 3.0, 0.0, 3.0), *HOLES["holed"], 1.2)
+
+
+def _hole_ring(mesh, kind):
+    """Boundary facets of the hole of a holed mesh kind, found from the
+    centre the mesh was built around, and the sign of each stored tangent
+    against the clockwise direction about that centre."""
+    (cx, cy), radius = HOLES[kind]
+    mid = mesh.facet_midpoints
+    ring = np.flatnonzero((mesh.facet_right < 0)
+                          & (np.hypot(mid[:, 0] - cx, mid[:, 1] - cy) < radius))
+    clockwise = np.column_stack([mid[ring, 1] - cy, cx - mid[ring, 0]])
+    return ring, np.sign(np.einsum("fd,fd->f", mesh.facet_tangents[ring], clockwise))
 
 
 def _matrices(kind, k):
@@ -492,7 +506,7 @@ def _monolithic_init_couplings(mats, tangential):
     return curl_pair, tang_pair, tang_flux, norm_pen, tang_pen
 
 
-def _monolithic_gauge(mesh, spaces, off_w, off_psi, total):
+def _monolithic_gauge(mesh, kind, spaces, off_w, off_psi, total):
     sc, tr = spaces.scalar, spaces.trace
     cols, dense = [], []
     moments = np.einsum("eq,eqi->ei", sc.qweights, sc.tab)
@@ -508,22 +522,17 @@ def _monolithic_gauge(mesh, spaces, off_w, off_psi, total):
             + axis * m + np.arange(m)[None, :]
         full[dofs.reshape(-1)] = moments.reshape(-1)
         dense.append(full / np.linalg.norm(full))
-    lo, hi = mesh.nodes.min(axis=0), mesh.nodes.max(axis=0)
-    tol = 1e-9 * max(hi - lo)
-    for facets, signs in boundary_loops(mesh, WALL):
-        pts = mesh.nodes[np.unique(mesh.facet_nodes[facets])]
-        if (np.all(np.abs(pts.min(axis=0) - lo) <= tol)
-                and np.all(np.abs(pts.max(axis=0) - hi) <= tol)):
-            continue
+    if kind in HOLES:
+        # the circulation of psi_hat, clockwise about the hole centre
+        ring, signs = _hole_ring(mesh, kind)
         col = np.zeros(total)
-        for f, s in zip(facets, signs):
-            col[off_psi + tr.owner_row[f] * tr.dim_local] += s * np.sqrt(mesh.facet_lengths[f])
+        col[off_psi + tr.owner_row[ring] * tr.dim_local] = signs * np.sqrt(mesh.facet_lengths[ring])
         cols.append(col / np.linalg.norm(col))
         dense.append(None)
     return cols, dense
 
 
-def _monolithic_init(mesh, spaces, f, params, mats):
+def _monolithic_init(mesh, kind, spaces, f, params, mats):
     """(sigma, phi, w, phi_hat, psi_hat, multipliers) and the residual of
     the monolithic bordered solve."""
     nw, nv, nm = spaces.scalar.ndof, spaces.vector.ndof, spaces.trace.ndof
@@ -539,7 +548,7 @@ def _monolithic_init(mesh, spaces, f, params, mats):
         [-tang_pair.T, None, -ainv * tang_flux.T, None, ainv * tang_pen],
     ], format="csr")
     total = 2 * nw + nv + 2 * nm
-    cols, dense_cols = _monolithic_gauge(mesh, spaces, 2 * nw, total - nm, total)
+    cols, dense_cols = _monolithic_gauge(mesh, kind, spaces, 2 * nw, total - nm, total)
     w_mat = None
     if cols:
         border = sparse.csr_matrix(np.column_stack(cols))
@@ -578,7 +587,7 @@ def _init_data(x, y):
 
 
 INIT_PARAMS = dict(PARAMS, alpha=0.7)
-INIT_KINDS = ["wall", "periodic", "holed-periodic"]
+INIT_KINDS = ["wall", "periodic", "holed", "holed-periodic"]
 
 
 @pytest.mark.parametrize("kind", INIT_KINDS)
@@ -589,16 +598,31 @@ def test_init_solve_matches_monolithic_oracle(k, kind):
     params = PhysicalParams(**INIT_PARAMS)
     mats = assemble_all(mesh, spaces, params)
     sol = solve_vector_laplacian(mesh, spaces, _init_data, params, matrices=mats)
-    ref, ref_residual = _monolithic_init(mesh, spaces, _init_data, params, mats)
+    ref, ref_residual = _monolithic_init(mesh, kind, spaces, _init_data, params, mats)
     got = [sol.sigma.coeffs, sol.phi.coeffs, sol.w.coeffs, sol.phi_hat.coeffs,
            sol.w_tangent.coeffs, sol.multipliers]
-    expected_gauges = {"wall": 0, "periodic": 2, "holed-periodic": 3}[kind]
+    expected_gauges = {"wall": 0, "periodic": 2, "holed": 1, "holed-periodic": 3}[kind]
     assert sol.multipliers.size == expected_gauges
     for field, expected in zip(got, ref):
         assert field.shape == expected.shape
         if expected.size:
             assert _rel(field, expected) <= 1e-11
     assert sol.residual <= 1e-12 and ref_residual <= 1e-12
+
+
+@pytest.mark.parametrize("kind", list(HOLES))
+@pytest.mark.parametrize("k", [0, 1, 2, 3])
+def test_init_solve_pins_the_circulation_round_the_hole(k, kind):
+    # the gauge removes the hole's harmonic field: the clockwise
+    # circulation of psi_hat round the hole vanishes
+    mesh = _mesh(kind)
+    spaces = build_spaces(mesh, k, tangential=True)
+    sol = solve_vector_laplacian(mesh, spaces, _init_data, PhysicalParams(**INIT_PARAMS))
+    ring, signs = _hole_ring(mesh, kind)
+    tg = spaces.tangential
+    first = sol.w_tangent.coeffs.reshape(-1, tg.dim_local)[tg.owner_row[ring], 0]
+    circulation = np.sum(signs * np.sqrt(mesh.facet_lengths[ring]) * first)
+    assert abs(circulation) <= 1e-12 * np.linalg.norm(sol.w_tangent.coeffs)
 
 
 @pytest.mark.parametrize("kind", INIT_KINDS)

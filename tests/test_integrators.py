@@ -1,5 +1,7 @@
 """Tableau checks and stepper behavior on small systems."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -21,7 +23,7 @@ from swehdg.integrators import (
     make_seprk,
 )
 from swehdg.mesh import generate_uniform_rect, generate_uniform_square
-from swehdg.swe import PhiuIntegrator, build_phiu_system, make_problem
+from swehdg.swe import PhiuIntegrator, build_phiu_system, hamiltonian_load, make_problem
 
 from helpers import SUBSTEP_WEIGHTS, midpoint_composition
 
@@ -217,23 +219,6 @@ def test_sdirk4_matches_dense_exponential():
     assert np.linalg.norm(y - exact) <= 1e-9
 
 
-def test_seprk4_matches_dense_exponential_at_order():
-    mesh = generate_uniform_rect(1, 1)
-    _, system = _make_system(mesh, 1)
-    rng = np.random.default_rng(12)
-    y0 = rng.standard_normal(2 * system.nv)
-    mat = _dense_operator(system)
-    exact = expm(0.1 * mat) @ y0
-    errs = []
-    for dt in (2e-3, 1e-3):
-        stepper = SeprkIntegrator(system, make_seprk(4), dt)
-        y = y0.copy()
-        for _ in range(int(round(0.1 / dt))):
-            y = stepper.step(y)
-        errs.append(np.linalg.norm(y - exact))
-    assert 12.0 <= errs[0] / errs[1] <= 20.0
-
-
 def test_seprk_drops_to_first_order_with_rotation():
     # the explicit recursion stages the rotation term at the partially
     # updated velocity, which costs the composition its formal order;
@@ -298,6 +283,88 @@ def test_affine_forcing_against_augmented_exponential(explicit, f0):
     for _ in range(100):
         y = stepper.step(y)
     assert np.linalg.norm(y - exact) <= 1e-8 * max(1.0, np.linalg.norm(exact))
+
+
+# the problem features of the order matrix: parameter overrides and load
+ORDER_FEATURES = {
+    "still": ({}, None),
+    "f-plane": ({"f0": 0.3}, None),
+    "beta-plane": ({"f0": 0.3, "beta": 0.2}, None),
+    "bathymetry": ({}, "bathymetry"),
+    "forcing": ({}, "forcing"),
+}
+# the height scheme's steppers, by the order of their make_sdirk tableau
+HEIGHT_SCHEMES = {"height-midpoint": 2, "height-sdirk4": 4}
+# allowed distance of the measured order from the declared one, fixed
+# before any order was measured
+ORDER_SLACK = 0.3
+
+
+def _bed(x, y):
+    return 0.3 * np.cos(x + 2.0 * y)
+
+
+def _bed_grad(x, y):
+    return -0.3 * np.sin(x + 2.0 * y), -0.6 * np.sin(x + 2.0 * y)
+
+
+def _march(stepper, y, horizon):
+    for _ in range(int(round(horizon / stepper.dt))):
+        y = stepper.step(y)
+    return y
+
+
+@pytest.mark.parametrize("feature", ORDER_FEATURES)
+@pytest.mark.parametrize("scheme", SCHEME_NAMES + tuple(HEIGHT_SCHEMES))
+def test_order_matrix(scheme, feature):
+    # every stepper reaches its declared order on every problem feature it
+    # accepts, and refuses the others: the flux scheme measured against
+    # the exponential of its augmented generator, the height scheme by
+    # Richardson over three dts
+    mesh = generate_uniform_rect(1, 1)
+    params, load = ORDER_FEATURES[feature]
+    rng = np.random.default_rng(9)
+    horizon, dts = 0.5, (0.025, 0.0125, 0.00625)
+    height = scheme in HEIGHT_SCHEMES
+    if height:
+        spec = make_problem("standing_wave", mesh, 1, **params)
+        if load == "bathymetry":
+            spec = replace(spec, bathymetry=_bed, grad_bathymetry=_bed_grad)
+        run = build_phiu_system(spec)
+        if load == "forcing":
+            run.forcing = rng.standard_normal(run.forcing.size)
+        tableau = make_sdirk(HEIGHT_SCHEMES[scheme])
+        refusal = "nonnegative weights" if np.any(tableau.b < 0.0) else None
+        y0 = rng.standard_normal(run.y0.size)
+
+        def build(dt):
+            return PhiuIntegrator(run, tableau, dt)
+    else:
+        spaces, system = _make_system(mesh, 1, **params)
+        if load == "bathymetry":
+            system.forcing = hamiltonian_load(system.recovery,
+                                              spaces.scalar.project(_bed).coeffs)
+        if load == "forcing":
+            system.forcing = rng.standard_normal(system.nv)
+        refusal = ("drops to first order with rotation"
+                   if scheme.startswith("seprk") and system.matrices.params.rotating else None)
+        y0 = rng.standard_normal(2 * system.nv)
+
+        def build(dt):
+            return make_integrator(scheme, system, dt)
+    if refusal:
+        with pytest.raises(ValueError, match=refusal):
+            build(dts[0])
+        return
+    steppers = [build(dt) for dt in (dts if height else dts[:2])]
+    ys = [_march(stepper, y0, horizon) for stepper in steppers]
+    if height:
+        errs = [np.linalg.norm(ys[0] - ys[1]), np.linalg.norm(ys[1] - ys[2])]
+    else:
+        exact = _augmented_reference(system, system.forcing, y0, horizon)
+        errs = [np.linalg.norm(y - exact) for y in ys]
+    assert np.log2(errs[0] / errs[1]) == pytest.approx(steppers[0].tableau.declared_order,
+                                                       abs=ORDER_SLACK)
 
 
 def test_make_integrator_names():

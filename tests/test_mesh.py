@@ -13,12 +13,13 @@ from swehdg.mesh import (
     generate_uniform_square,
     generate_rect_with_hole,
     pair_periodic,
-    boundary_loops,
+    hole_boundaries,
     load_mesh,
     save_mesh,
 )
+from swehdg.fespace import TraceSpace
 
-from helpers import loop_polygon_area, periodic_pairs
+from helpers import periodic_pairs
 
 
 def test_unit_square_level1_counts():
@@ -115,25 +116,25 @@ def test_rect_with_hole_geometry():
     used = np.unique(mesh.elements)
     assert len(used) - mesh.num_facets + mesh.num_elements == 0
 
-    loops = boundary_loops(mesh, WALL)
-    assert len(loops) == 2
-    areas = [abs(loop_polygon_area(mesh, lp)) for lp in loops]
-    hole = loops[int(np.argmin(areas))]
-    # hole boundary: wall tagged, short segments, encloses the circle area
-    for f in hole[0]:
+    holes = hole_boundaries(mesh)
+    assert len(holes) == 1
+    hole = holes[0]
+    # hole boundary: wall tagged, short segments, an inscribed regular polygon
+    m = len(hole)
+    for f in hole:
         assert mesh.facet_tag[f] == WALL
         assert mesh.facet_lengths[f] <= 0.5 + 1e-12
         assert np.hypot(*(mesh.facet_midpoints[f] - [3.0, 0.0])) == pytest.approx(
-            np.cos(np.pi / len(hole[0])), abs=1e-12)
-    poly_area = min(areas)
+            np.cos(np.pi / m), abs=1e-12)
+    poly_area = 0.5 * m * np.sin(2.0 * np.pi / m)
     assert mesh.element_areas.sum() == pytest.approx(400.0 - poly_area, rel=1e-12)
 
     per = pair_periodic(mesh, "both")
     outer = per.boundary_facets
     unpaired = [f for f in outer if per.facet_pair[f] < 0]
-    assert len(unpaired) == len(hole[0])
+    assert sorted(unpaired) == sorted(hole)
     assert all(per.facet_tag[f] == WALL for f in unpaired)
-    assert len(boundary_loops(per, WALL)) == 1
+    assert [sorted(h) for h in hole_boundaries(per)] == [sorted(hole)]
 
 
 def test_hole_must_be_inside():
@@ -141,19 +142,24 @@ def test_hole_must_be_inside():
         generate_rect_with_hole((-1.0, 1.0, -1.0, 1.0), (0.9, 0.0), 0.5, 0.2)
 
 
-def test_boundary_loop_walk_is_consistent():
-    mesh = generate_uniform_square(1)
-    loops = boundary_loops(mesh, WALL)
-    assert len(loops) == 1
-    facets, signs = loops[0]
-    assert len(facets) == 8
-    for i in range(len(facets)):
-        f, s = facets[i], signs[i]
-        g, r = facets[(i + 1) % len(facets)], signs[(i + 1) % len(facets)]
-        exit_node = mesh.facet_nodes[f, 1 if s == 1 else 0]
-        entry_node = mesh.facet_nodes[g, 0 if r == 1 else 1]
-        assert exit_node == entry_node
-    assert abs(loop_polygon_area(mesh, loops[0])) == pytest.approx(1.0, abs=1e-14)
+def test_hole_boundaries_skip_the_outer_boundary_and_open_chains():
+    square = generate_uniform_square(2)
+    holed = generate_rect_with_hole((-2.0, 2.0, -2.0, 2.0), (0.5, 0.0), 0.5, 0.4)
+    assert hole_boundaries(square) == []
+    assert hole_boundaries(pair_periodic(square, "x")) == []
+    assert hole_boundaries(pair_periodic(square, "both")) == []
+    for direction in (None, "x", "y", "both"):
+        mesh = holed if direction is None else pair_periodic(holed, direction)
+        (ring,) = hole_boundaries(mesh)
+        assert np.allclose(np.hypot(*(mesh.facet_midpoints[ring] - [0.5, 0.0]).T),
+                           0.5 * np.cos(np.pi / len(ring)), atol=1e-12)
+    # boundary tangents run with the domain on their left
+    for mesh in (square, holed):
+        bdry = mesh.boundary_facets
+        into = (mesh.nodes[mesh.elements[mesh.facet_left[bdry]]].mean(axis=1)
+                - mesh.facet_midpoints[bdry])
+        t = mesh.facet_tangents[bdry]
+        assert np.all(t[:, 0] * into[:, 1] - t[:, 1] * into[:, 0] > 0.0)
 
 
 def test_text_roundtrip(tmp_path):
@@ -165,6 +171,31 @@ def test_text_roundtrip(tmp_path):
     assert np.allclose(back.nodes, mesh.nodes, atol=0.0)
     assert back.num_facets == mesh.num_facets
     assert all(back.facet_tag[f] == mesh.facet_tag[f] for f in range(back.num_facets))
+
+
+@pytest.mark.parametrize("holed", [False, True])
+def test_periodic_tags_read_as_wall_until_paired(tmp_path, holed):
+    base = (generate_rect_with_hole((-2.0, 2.0, -2.0, 2.0), (0.0, 0.0), 0.5, 0.4)
+            if holed else generate_uniform_square(2))
+    paired = pair_periodic(base, "both")
+    path = tmp_path / "paired.msh"
+    save_mesh(paired, path)
+    back = load_mesh(path)
+    assert np.all(back.facet_pair == -1)
+    assert np.array_equal(back.facet_tag, base.facet_tag)
+    assert np.all(TraceSpace(back, 1).owner_row >= 0)
+    for direction in ("x", "both"):
+        again, expected = pair_periodic(back, direction), pair_periodic(base, direction)
+        assert np.array_equal(again.facet_pair, expected.facet_pair)
+        assert np.array_equal(again.facet_tag, expected.facet_tag)
+        assert np.array_equal(again.periodic_shift, expected.periodic_shift)
+
+
+def test_tagging_an_interior_facet_is_refused():
+    mesh = generate_uniform_square(1)
+    interior = mesh.facet_nodes[np.flatnonzero(mesh.facet_right >= 0)[0]]
+    with pytest.raises(ValueError, match="is not a boundary facet"):
+        Mesh(mesh.nodes, mesh.elements, boundary_tag={tuple(interior): WALL})
 
 
 def test_text_format_comments_and_errors(tmp_path):
