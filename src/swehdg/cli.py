@@ -396,22 +396,47 @@ def _write_csv(path, header, rows):
     log.info("wrote %s (%d rows)", path, len(rows))
 
 
-def _vertex_average(mesh, values_per_element_vertex):
-    """Average elementwise vertex samples into nodal values."""
-    out = np.zeros(len(mesh.nodes))
-    counts = np.zeros(len(mesh.nodes))
-    np.add.at(out, mesh.elements.ravel(), values_per_element_vertex.ravel())
-    np.add.at(counts, mesh.elements.ravel(), 1.0)
-    return out / np.maximum(counts, 1.0)
+@dataclass
+class VtkFrame:
+    """What every VTK snapshot of one run shares: the element basis at the
+    element vertices, the text before the point data, the node of each
+    element vertex, and the number of elements at each node (at least 1)."""
+    tab: np.ndarray
+    head: str
+    vertices: np.ndarray
+    counts: np.ndarray
+
+    @classmethod
+    def of_run(cls, run):
+        mesh = run.mesh
+        ne = mesh.num_elements
+        tab = run.spaces.scalar.batch_values(np.arange(ne), mesh.nodes[mesh.elements])
+        lines = ["# vtk DataFile Version 3.0", "swehdg fields", "ASCII",
+                 "DATASET UNSTRUCTURED_GRID",
+                 f"POINTS {len(mesh.nodes)} double"]
+        lines.extend(f"{x:.12e} {y:.12e} 0.0" for x, y in mesh.nodes.tolist())
+        lines.append(f"CELLS {ne} {4 * ne}")
+        lines.extend("3 " + " ".join(str(v) for v in tri)
+                     for tri in mesh.elements.tolist())
+        lines.append(f"CELL_TYPES {ne}")
+        lines.extend("5" for _ in range(ne))
+        lines.append(f"POINT_DATA {len(mesh.nodes)}")
+        vertices = mesh.elements.ravel()
+        counts = np.bincount(vertices, minlength=len(mesh.nodes))
+        return cls(tab, "\n".join(lines) + "\n", vertices, np.maximum(counts, 1.0))
+
+    def vertex_average(self, values_per_element_vertex):
+        """Average elementwise vertex samples into nodal values."""
+        return np.bincount(self.vertices, weights=values_per_element_vertex.ravel(),
+                           minlength=len(self.counts)) / self.counts
 
 
-def write_vtk_snapshot(path, run, y):
+def write_vtk_snapshot(path, run, y, frame):
     """VTK legacy ASCII snapshot of the recovered height and the speed,
-    vertex-averaged; purely for external visualization."""
-    mesh = run.mesh
-    sc = run.spaces.scalar
-    ne = mesh.num_elements
-    tab = sc.batch_values(np.arange(ne), mesh.nodes[mesh.elements])
+    vertex-averaged, with the run's :class:`VtkFrame`; purely for
+    external visualization."""
+    ne = run.mesh.num_elements
+    tab = frame.tab
 
     w, u = run.system.split(y)
     p, _ = run.recovery.recover(w)
@@ -421,22 +446,13 @@ def write_vtk_snapshot(path, run, y):
     u2 = np.einsum("eqi,ei->eq", tab, uu[:, 1])
     speed_v = np.hypot(u1, u2)
 
-    lines = ["# vtk DataFile Version 3.0", "swehdg fields", "ASCII",
-             "DATASET UNSTRUCTURED_GRID",
-             f"POINTS {len(mesh.nodes)} double"]
-    lines.extend(f"{x:.12e} {y_:.12e} 0.0" for x, y_ in mesh.nodes)
-    lines.append(f"CELLS {ne} {4 * ne}")
-    lines.extend("3 " + " ".join(str(v) for v in tri)
-                 for tri in mesh.elements)
-    lines.append(f"CELL_TYPES {ne}")
-    lines.extend("5" for _ in range(ne))
-    lines.append(f"POINT_DATA {len(mesh.nodes)}")
-    for name, arr in (("height", _vertex_average(mesh, phi_v)),
-                      ("speed", _vertex_average(mesh, speed_v))):
+    lines = []
+    for name, arr in (("height", frame.vertex_average(phi_v)),
+                      ("speed", frame.vertex_average(speed_v))):
         lines.append(f"SCALARS {name} double 1")
         lines.append("LOOKUP_TABLE default")
-        lines.extend(f"{v:.12e}" for v in arr)
-    Path(path).write_text("\n".join(lines) + "\n")
+        lines.extend(map("{:.12e}".format, arr.tolist()))
+    Path(path).write_text(frame.head + "\n".join(lines) + "\n")
     log.info("wrote %s", path)
 
 
@@ -527,8 +543,9 @@ def cmd_run(cfg, out_dir, threads):
     rows = [_series_row(conserved_quantities(run, run.y0, 0.0))]
 
     base = cfg.basename or "timeseries"
+    frame = VtkFrame.of_run(run) if cfg.fields else None
     if cfg.fields:
-        write_vtk_snapshot(out_dir / f"{base}_0000.vtk", run, run.y0)
+        write_vtk_snapshot(out_dir / f"{base}_0000.vtk", run, run.y0, frame)
 
     if nsteps > 0:
         stepper = _build_stepper(label, cfg.preset, make_integrator, name, run.system, dt)
@@ -538,7 +555,7 @@ def cmd_run(cfg, out_dir, threads):
             if cfg.fields and ((cfg.snapshot_every > 0
                                 and n % cfg.snapshot_every == 0)
                                or n == nsteps):
-                write_vtk_snapshot(out_dir / f"{base}_{n:04d}.vtk", run, y)
+                write_vtk_snapshot(out_dir / f"{base}_{n:04d}.vtk", run, y, frame)
 
     _write_csv(out_dir / f"{base}.csv", _SERIES_HEADER, rows)
 

@@ -1,9 +1,13 @@
 """Physical functionals, error norms, and convergence-order estimates.
 
-All integrals use the quadrature owned by the spaces, so the reported
-quantities are exact functionals of the discrete fields.  Error norms
-against closed-form solutions use an elevated rule (degree 2k + 4) on
-the same basis.
+The records read no quadrature points: every monitored functional but
+the energy is linear in the coefficients or, for the potential
+enstrophy, a sum of element-local squares, so :class:`RecordFunctionals`
+integrates the basis once per run with the quadrature owned by the
+spaces, and a record is a few dot products.  The reported quantities
+are exact functionals of the discrete fields.  Error norms against
+closed-form solutions use an elevated rule (degree 2k + 4) on the same
+basis, evaluated at every call.
 
 The runs measured are flux-scheme runs, whose height is recovered from
 the flux; the dissipative scheme has its own :func:`~swehdg.swe.phiu_energy`.
@@ -77,39 +81,76 @@ def total_energy(run, y):
     return kinetic + potential + trace_term + bath
 
 
-def conserved_quantities(run, y, t=0.0):
-    """Evaluate every monitored functional for one state snapshot."""
-    p, phat, u, _ = _height_state(run, y)
-    params = run.spec.params
-    big_phi = params.phi
-    sc = run.spaces.scalar
-    vec = run.spaces.vector
+@dataclass
+class RecordFunctionals:
+    """The functionals of a record that are linear in the coefficients,
+    as vectors, and the rotation table of the potential enstrophy.
 
-    wts = sc.qweights
-    xq = sc.qpoints[..., 0]
-    yq = sc.qpoints[..., 1]
-    phi_q = sc.values(p)
-    u_q = vec.values(u)
-    rot_q = vec.rot_values(u)
-    f_q = params.coriolis(xq, yq)
+    ``height`` holds the integrals of the height basis functions and of
+    f times them (rows: mass, f-weighted height), ``velocity`` those of
+    the velocity basis functions (rows: the x and y momenta before the
+    factor phi, the angular momentum y u_1 - x u_2 before that factor,
+    and the vorticity rot u = du_2/dx - du_1/dy).  ``rotation`` (ne, m, 2m)
+    maps an element's velocity coefficients onto those of its rotation
+    in the orthonormal element basis: the rotation has degree k - 1, so
+    the enstrophy integral of an element is the squared norm of that
+    image.
+    """
+    height: np.ndarray
+    velocity: np.ndarray
+    rotation: np.ndarray
+
+    @classmethod
+    def of_run(cls, run):
+        sc = run.spaces.scalar
+        xq, yq = sc.qpoints[..., 0], sc.qpoints[..., 1]
+
+        def integrals(tab, factor=1.0):
+            # (ne, m): factor times each tabulated basis function, integrated
+            return np.einsum("eq,eqi->ei", sc.qweights * factor, tab)
+
+        def vector(first, second):
+            return np.stack([first, second], axis=1).reshape(-1)
+
+        plain = integrals(sc.tab)
+        zero = np.zeros_like(plain)
+        f_q = run.spec.params.coriolis(xq, yq)
+        m = run.matrices
+        return cls(
+            height=np.stack([plain.reshape(-1), integrals(sc.tab, f_q).reshape(-1)]),
+            velocity=np.stack([vector(plain, zero), vector(zero, plain),
+                               vector(integrals(sc.tab, yq), -integrals(sc.tab, xq)),
+                               vector(-integrals(sc.tab_dy), integrals(sc.tab_dx))]),
+            rotation=np.concatenate([-m.vol_dy.transpose(0, 2, 1),
+                                     m.vol_dx.transpose(0, 2, 1)], axis=2),
+        )
+
+
+def conserved_quantities(run, y, t=0.0):
+    """Evaluate every monitored functional for one state snapshot, from
+    the run's :class:`RecordFunctionals` (built at its first record)."""
+    p, phat, u, _ = _height_state(run, y)
+    big_phi = run.spec.params.phi
+    funcs = run.functionals
+    mass, f_height = funcs.height @ p
+    momentum_x, momentum_y, angular, vort = funcs.velocity @ u
+    rot = np.einsum("eij,ej->ei", funcs.rotation, u.reshape(len(funcs.rotation), -1))
 
     kinetic, potential, trace_term, bath = _energy_parts(run, p, phat, u)
-    vort = float(np.sum(wts * rot_q))
 
     return QuantityRecord(
         t=float(t),
-        mass=float(np.sum(wts * phi_q)),
+        mass=float(mass),
         energy_H2h=kinetic + potential + trace_term,
         kinetic=float(kinetic),
         potential=float(potential),
         trace_term=float(trace_term),
-        momentum_x=float(big_phi * np.sum(wts * u_q[..., 0])),
-        momentum_y=float(big_phi * np.sum(wts * u_q[..., 1])),
-        angular_momentum=float(big_phi * np.sum(
-            wts * (yq * u_q[..., 0] - xq * u_q[..., 1]))),
-        vorticity=vort,
-        potential_vorticity=float(big_phi * vort - np.sum(wts * f_q * phi_q)),
-        potential_enstrophy=float(big_phi * np.sum(wts * rot_q ** 2)),
+        momentum_x=float(big_phi * momentum_x),
+        momentum_y=float(big_phi * momentum_y),
+        angular_momentum=float(big_phi * angular),
+        vorticity=float(vort),
+        potential_vorticity=float(big_phi * vort - f_height),
+        potential_enstrophy=float(big_phi * np.sum(rot ** 2)),
         bathymetry_term=bath,
     )
 

@@ -146,11 +146,6 @@ class ScalarSpace:
         mono = self._monomials(elems, pts)
         return np.einsum("eij,eqj->eqi", self.coeff[elems], mono)
 
-    def values(self, coeffs):
-        """Field values at the volume quadrature points, (ne, nq)."""
-        u = np.asarray(coeffs).reshape(self.mesh.num_elements, self.dim_local)
-        return np.einsum("eqi,ei->eq", self.tab, u)
-
     def project(self, func):
         """L2 projection of ``func(x, y)``; exact for degree <= k data."""
         vals = func(self.qpoints[..., 0], self.qpoints[..., 1])
@@ -176,17 +171,6 @@ class VectorSpace:
     def reshape(self, coeffs):
         """(ne, 2, m) view of a coefficient vector."""
         return np.asarray(coeffs).reshape(self.mesh.num_elements, 2, self.scalar.dim_local)
-
-    def values(self, coeffs):
-        """Field values at the volume quadrature points, (ne, nq, 2)."""
-        u = self.reshape(coeffs)
-        return np.einsum("eqi,eci->eqc", self.scalar.tab, u)
-
-    def rot_values(self, coeffs):
-        """rot z = dz2/dx - dz1/dy at the volume quadrature points."""
-        u = self.reshape(coeffs)
-        return (np.einsum("eqi,ei->eq", self.scalar.tab_dx, u[:, 1])
-                - np.einsum("eqi,ei->eq", self.scalar.tab_dy, u[:, 0]))
 
     def project(self, func):
         """L2 projection of a vector field given as func(x, y) -> (z1, z2)."""

@@ -277,37 +277,43 @@ class DirkIntegrator:
     a_ii = b_i / 2 on every stage of nonzero weight, and a stage of zero
     weight feeds no such stage nor the result.  So the step is a chain of
     midpoint substeps of length h = dt b_i, each solving
-    Y = y + (h/2) (L Y + F) and moving y to y + h (L Y + F).  The unforced
-    substep data and slope are linear in y and in the substep solution,
-    element by element, so :meth:`CondensedSolver.compose` folds them
-    around the local elimination once per distinct scale delta = h/2,
-    and a substep is
+    Y = y + (h/2) (L Y + F) and moving y to y + h (L Y + F) = 2 Y - y.
+    Each scheme reads one output z of the substep, linear in its solution
+    and the forcing, and advances the state from z alone.  The unforced
+    substep data and the output are linear in y and in the substep
+    solution, element by element, so :meth:`CondensedSolver.compose`
+    folds them around the local elimination once per distinct scale
+    delta = h/2, and a substep is
 
-        t = lu.solve(R y + r0),    y <- y + h (K y + Kt t + k0)
+        t = lu.solve(R y + r0),    z = K y + Kt t + k0,    y <- advance(y, h, z)
 
-    with r0 = R (delta F) and k0 = K (delta F) + F: one sparse product
-    into the trace, one trace LU solve and two sparse products out.  The
-    ``SuperLU`` objects are kept in ``trace_factors``, keyed by scale.  A
-    tableau built with ``symplectic=False`` is refused (ValueError).
+    with r0 = R (delta F) and k0 = K (delta F) + z0, z0 the output's
+    constant term: one sparse product into the trace, one trace LU solve
+    and two sparse products out.  The ``SuperLU`` objects are kept in
+    ``trace_factors``, keyed by scale.  A tableau built with
+    ``symplectic=False`` is refused (ValueError).
 
     A scheme passes the trace block and columns of its substep system,
-    the element rows of the state (``rows``, the same for the substep
-    data and the slope) and F, and supplies:
+    the element rows of the state (``rows``) and of the output
+    (``out_rows``), F and z0, and supplies:
 
     - ``_stage_blocks(delta)``: the blocks (A_e, B_e, C_e) of the substep
       system, over the element-local unknowns;
     - ``_stage_maps()``: the element blocks (Lf, Lg, Kx, Kt) that map y
       onto the local and trace data of the unforced substep and its
-      solution onto the slope (Lf None: the identity, Lg None: no trace
-      data); they do not depend on the scale.
+      solution onto the output (Lf None: the identity, Lg None: no trace
+      data, Kt None: no trace part); they do not depend on the scale;
+    - ``_advance(y, h, z)``: the state after the substep of length h
+      whose output is z.
     """
 
-    def __init__(self, tableau, dt, trace, cols, rows, forcing):
+    def __init__(self, tableau, dt, trace, cols, rows, forcing, out_rows, out_const):
         _require_symplectic(tableau)
         self.tableau = tableau
         self.dt = float(dt)
         self.trace_factors = {}
         self._stages = {}
+        shape = (out_const.size, forcing.size)
         for delta in 0.5 * self.dt * tableau.b:
             if delta in self._stages:
                 continue
@@ -318,16 +324,16 @@ class DirkIntegrator:
                     f"stage factorization failed for stage scale {delta}: {exc}") from exc
             # the maps are rebuilt per scale: held across the next
             # factorization they would raise the peak memory of the build
-            R, K, Kt = solver.compose(*self._stage_maps(), rows, rows, (forcing.size,) * 2)
+            R, K, Kt = solver.compose(*self._stage_maps(), rows, out_rows, shape)
             self.trace_factors[delta] = solver.lu
             self._stages[delta] = (R, K, Kt, R @ (delta * forcing),
-                                   K @ (delta * forcing) + forcing)
+                                   K @ (delta * forcing) + out_const)
 
     def step(self, y):
         for h in self.dt * self.tableau.b:
             R, K, Kt, r0, k0 = self._stages[0.5 * h]
             t = self.trace_factors[0.5 * h].solve(R @ y + r0)
-            y = y + h * (K @ y + Kt @ t + k0)
+            y = self._advance(y, h, K @ y + Kt @ t + k0)
         return y
 
 
@@ -336,7 +342,10 @@ class SdirkIntegrator(DirkIntegrator):
 
     Each stage eliminates the flux exactly and the velocity and height
     element by element (see :func:`uw_stage_blocks`), so the trace system
-    has the sparsity of the recovery Schur complement.
+    has the sparsity of the recovery Schur complement.  The output of a
+    substep is its velocity U alone: the flux row of the substep gives
+    W = w + (h/2) phi U, so the substep moves the state to
+    (w + h phi U, 2 U - u).
     """
 
     def __init__(self, system, tableau, dt):
@@ -346,16 +355,16 @@ class SdirkIntegrator(DirkIntegrator):
         vdofs = m.vdofs.reshape(ne, -1)
         super().__init__(tableau, dt, m.stab_trace, m.trace_cols,
                          np.concatenate([vdofs, system.nv + vdofs], axis=1),
-                         np.concatenate([np.zeros(system.nv), system.forcing]))
+                         np.concatenate([np.zeros(system.nv), system.forcing]),
+                         vdofs, np.zeros(system.nv))
 
     def _stage_blocks(self, delta):
         return uw_stage_blocks(self.system.matrices, self.system.phi, delta)
 
     def _stage_maps(self):
-        # local data (r_u, -D^T r_w), trace data F^T r_w; slope
-        # (phi u, D p - F p_hat + Cor u), all over (w_e, u_e)
-        sysm = self.system
-        m = sysm.matrices
+        # local data (r_u, -D^T r_w), trace data F^T r_w, both over
+        # (w_e, u_e); output u_e from (u_e, p_e)
+        m = self.system.matrices
         div, flux = m.div_blocks, m.flux_blocks
         ne, nu, nm = div.shape
         lf = np.zeros((ne, nu + nm, 2 * nu))
@@ -363,13 +372,13 @@ class SdirkIntegrator(DirkIntegrator):
         lf[:, nu:, :nu] = -div.transpose(0, 2, 1)
         lg = np.zeros((ne, flux.shape[2], 2 * nu))
         lg[:, :, :nu] = flux.transpose(0, 2, 1)
-        kx = np.zeros((ne, 2 * nu, nu + nm))
-        kx[:, :nu, :nu] = sysm.phi * np.eye(nu)
-        kx[:, nu:, :nu] = m.coriolis_blocks
-        kx[:, nu:, nu:] = div
-        kt = np.zeros((ne, 2 * nu, flux.shape[2]))
-        kt[:, nu:] = -flux
-        return lf, lg, kx, kt
+        kx = np.zeros((ne, nu, nu + nm))
+        kx[:, :, :nu] = np.eye(nu)
+        return lf, lg, kx, None
+
+    def _advance(self, y, h, velocity):
+        w, u = self.system.split(y)
+        return np.concatenate([w + (h * self.system.phi) * velocity, 2.0 * velocity - u])
 
 
 class SeprkIntegrator:

@@ -13,10 +13,12 @@ height recovery, so the bed pairs with the height the energy uses.
 """
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
 from .assembly import PhysicalParams, assemble_all, assemble_bathymetry_load
+from .diagnostics import RecordFunctionals
 from .elliptic import InitState, PhiRecovery, initialize_state
 from .fespace import SpaceSet, build_spaces
 from .integrators import DirkIntegrator, SemidiscreteSystem
@@ -206,6 +208,11 @@ class UwRun:
     def mesh(self):
         return self.spec.mesh
 
+    @cached_property
+    def functionals(self):
+        """The record functionals of this run, built at first use."""
+        return RecordFunctionals.of_run(self)
+
 
 def hamiltonian_load(recovery, bath_coeffs):
     """Velocity forcing induced by a bathymetry profile: minus the
@@ -322,7 +329,10 @@ class PhiuIntegrator(DirkIntegrator):
     dofs, over the stage unknowns (height, velocity, trace).  The trace
     equation is enforced at every stage, so the per-step energy drop
     equals the stabilized jump norm of the stage values exactly when the
-    midpoint tableau is used.
+    midpoint tableau is used.  The output of a substep is its slope, and
+    the substep moves y to y + h slope: both local fields feed the slope
+    through the dense A_e^-1, so an output onto the substep solution
+    would not be smaller.
 
     A tableau with a negative weight b is refused (ValueError): the pole
     z = 2 / b of its midpoint substep's factor (1 + b z / 2) / (1 - b z / 2)
@@ -341,13 +351,18 @@ class PhiuIntegrator(DirkIntegrator):
         m = run.matrices
         ne = m.wdofs.shape[0]
         nw = m.div_pair.shape[1]
-        super().__init__(tableau, dt, -m.stab_trace, m.trace_cols,
-                         np.concatenate([m.wdofs, nw + m.vdofs.reshape(ne, -1)], axis=1),
-                         np.concatenate([np.zeros(nw), run.forcing]))
+        rows = np.concatenate([m.wdofs, nw + m.vdofs.reshape(ne, -1)], axis=1)
+        forcing = np.concatenate([np.zeros(nw), run.forcing])
+        super().__init__(tableau, dt, -m.stab_trace, m.trace_cols, rows, forcing,
+                         rows, forcing)
 
     def _stage_blocks(self, delta):
         return phiu_stage_blocks(self.run.matrices, self.run.spec.params.phi, delta)
 
     def _stage_maps(self):
-        # the state is the local data, there is no trace data
+        # the state is the local data, there is no trace data; the output
+        # is the slope, whose constant term is the forcing
         return (None, None, *phiu_slope_blocks(self.run.matrices, self.run.spec.params.phi))
+
+    def _advance(self, y, h, slope):
+        return y + h * slope

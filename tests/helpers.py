@@ -1,19 +1,83 @@
 """Point evaluation and other helpers that only the tests need.
 
-The package evaluates fields at quadrature points only; these helpers
-locate single points, evaluate fields and their derivatives there, and
-read facet-level trace data for checks written point by point.  The
-diagonally implicit steppers never form the element-local unknowns of a
-stage; :func:`stage_solution` and :func:`stage_loop` rebuild them for
-checks of the stage equations.
+The package evaluates fields at quadrature points only to build
+functionals once; these helpers evaluate fields at every volume
+quadrature point, locate single points, evaluate fields and their
+derivatives there, and read facet-level trace data for checks written
+point by point.  :func:`quadrature_conserved_quantities` is the record
+of :func:`swehdg.diagnostics.conserved_quantities` integrated at the
+quadrature points.  The diagonally implicit steppers never form the
+element-local unknowns of a stage; :func:`stage_solution` and
+:func:`stage_loop` rebuild them for checks of the stage equations, and
+:func:`slope_form_step` steps the flux scheme through the whole stage
+slope.
 """
 
 import numpy as np
 
+from swehdg.diagnostics import QuantityRecord, _energy_parts, _height_state
+from swehdg.elliptic import CondensedSolver
 from swehdg.fespace import VectorSpace
 from swehdg.integrators import ButcherTableau
 from swehdg.mesh import PERIODIC_MASTER
 from swehdg.swe import PhiuIntegrator
+
+
+def scalar_values(space, coeffs):
+    """Field values of a ScalarSpace at the volume quadrature points, (ne, nq)."""
+    u = np.asarray(coeffs).reshape(space.mesh.num_elements, space.dim_local)
+    return np.einsum("eqi,ei->eq", space.tab, u)
+
+
+def vector_values(vector, coeffs):
+    """Field values of a VectorSpace at the volume quadrature points, (ne, nq, 2)."""
+    return np.einsum("eqi,eci->eqc", vector.scalar.tab, vector.reshape(coeffs))
+
+
+def rot_values(vector, coeffs):
+    """rot z = dz2/dx - dz1/dy at the volume quadrature points."""
+    u = vector.reshape(coeffs)
+    return (np.einsum("eqi,ei->eq", vector.scalar.tab_dx, u[:, 1])
+            - np.einsum("eqi,ei->eq", vector.scalar.tab_dy, u[:, 0]))
+
+
+def quadrature_conserved_quantities(run, y, t=0.0):
+    """Every monitored functional of one flux-scheme state, integrated at
+    the volume quadrature points of the spaces: the oracle of the
+    precomputed functionals of ``conserved_quantities``."""
+    p, phat, u, _ = _height_state(run, y)
+    params = run.spec.params
+    big_phi = params.phi
+    sc = run.spaces.scalar
+    vec = run.spaces.vector
+
+    wts = sc.qweights
+    xq = sc.qpoints[..., 0]
+    yq = sc.qpoints[..., 1]
+    phi_q = scalar_values(sc, p)
+    u_q = vector_values(vec, u)
+    rot_q = rot_values(vec, u)
+    f_q = params.coriolis(xq, yq)
+
+    kinetic, potential, trace_term, bath = _energy_parts(run, p, phat, u)
+    vort = float(np.sum(wts * rot_q))
+
+    return QuantityRecord(
+        t=float(t),
+        mass=float(np.sum(wts * phi_q)),
+        energy_H2h=kinetic + potential + trace_term,
+        kinetic=float(kinetic),
+        potential=float(potential),
+        trace_term=float(trace_term),
+        momentum_x=float(big_phi * np.sum(wts * u_q[..., 0])),
+        momentum_y=float(big_phi * np.sum(wts * u_q[..., 1])),
+        angular_momentum=float(big_phi * np.sum(
+            wts * (yq * u_q[..., 0] - xq * u_q[..., 1]))),
+        vorticity=vort,
+        potential_vorticity=float(big_phi * vort - np.sum(wts * f_q * phi_q)),
+        potential_enstrophy=float(big_phi * np.sum(wts * rot_q ** 2)),
+        bathymetry_term=bath,
+    )
 
 
 def locate(mesh, x, y):
@@ -188,8 +252,71 @@ def stage_loop(stepper, y):
         delta = 0.5 * h
         stages.append(stage_solution(stepper, delta, y))
         _, K, Kt, _, k0 = stepper._stages[delta]
-        y = y + h * (K @ y + Kt @ stages[-1][2] + k0)
+        y = stepper._advance(y, h, K @ y + Kt @ stages[-1][2] + k0)
     return y, stages
+
+
+def stage_slope(stepper, delta, acc):
+    """The slope L Y + F of the substep with scale delta whose explicit
+    part is acc, from the stepper's composed output z: z itself for the
+    height scheme; for the flux scheme, whose z is the substep velocity
+    U, (phi U, (U - u) / delta) with u the velocity of acc."""
+    R, K, Kt, r0, k0 = stepper._stages[delta]
+    t = stepper.trace_factors[delta].solve(R @ acc + r0)
+    out = K @ acc + Kt @ t + k0
+    if isinstance(stepper, PhiuIntegrator):
+        return out
+    system = stepper.system
+    return np.concatenate([system.phi * out, (out - system.split(acc)[1]) / delta])
+
+
+def uw_slope_maps(system):
+    """Element blocks (Lf, Lg, Kx, Kt) of the flux-scheme substep with
+    the whole slope (phi u, D p - F p_hat + Cor u) as its output: local
+    data (r_u, -D^T r_w) and trace data F^T r_w over (w_e, u_e), output
+    over (w_e, u_e) from (u_e, p_e) and the trace."""
+    m = system.matrices
+    div, flux = m.div_blocks, m.flux_blocks
+    ne, nu, nm = div.shape
+    lf = np.zeros((ne, nu + nm, 2 * nu))
+    lf[:, :nu, nu:] = np.eye(nu)
+    lf[:, nu:, :nu] = -div.transpose(0, 2, 1)
+    lg = np.zeros((ne, flux.shape[2], 2 * nu))
+    lg[:, :, :nu] = flux.transpose(0, 2, 1)
+    kx = np.zeros((ne, 2 * nu, nu + nm))
+    kx[:, :nu, :nu] = system.phi * np.eye(nu)
+    kx[:, nu:, :nu] = m.coriolis_blocks
+    kx[:, nu:, nu:] = div
+    kt = np.zeros((ne, 2 * nu, flux.shape[2]))
+    kt[:, nu:] = -flux
+    return lf, lg, kx, kt
+
+
+def slope_form(stepper):
+    """{delta: (lu, R, K, Kt, r0, k0)} of a flux-scheme stepper composed
+    onto the slope by :func:`uw_slope_maps`, each scale factored afresh,
+    so that a substep is t = lu.solve(R y + r0), y <- y + h (K y + Kt t + k0)."""
+    rows, cols, forcing, _ = _stage_layout(stepper)
+    m = stepper.system.matrices
+    forms = {}
+    for delta in stepper.trace_factors:
+        solver = CondensedSolver(*stepper._stage_blocks(delta), m.stab_trace, cols)
+        R, K, Kt = solver.compose(*uw_slope_maps(stepper.system), rows, rows,
+                                  (forcing.size,) * 2)
+        forms[delta] = (solver.lu, R, K, Kt, R @ (delta * forcing),
+                        K @ (delta * forcing) + forcing)
+    return forms
+
+
+def slope_form_step(stepper, y, forms=None):
+    """One step of a flux-scheme stepper in the slope form of
+    :func:`slope_form`."""
+    forms = slope_form(stepper) if forms is None else forms
+    for h in stepper.dt * stepper.tableau.b:
+        lu, R, K, Kt, r0, k0 = forms[0.5 * h]
+        t = lu.solve(R @ y + r0)
+        y = y + h * (K @ y + Kt @ t + k0)
+    return y
 
 
 def midpoint_composition(weights):

@@ -7,7 +7,7 @@ from swehdg.assembly import PhysicalParams, assemble_all, assemble_bathymetry_lo
 from swehdg.fespace import build_spaces
 from swehdg.mesh import Mesh, generate_uniform_square, pair_periodic
 
-from helpers import div_values, dofs_of_facet, trace_values
+from helpers import div_values, dofs_of_facet, scalar_values, trace_values
 
 REF_TRI = Mesh([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]], [[0, 1, 2]])
 
@@ -89,7 +89,7 @@ def test_div_pair_adjoint_identity():
         p = rng.standard_normal(spaces.scalar.ndof)
         z = rng.standard_normal(spaces.vector.ndof)
         lhs = z @ (mats.div_pair @ p)
-        integrand = spaces.scalar.values(p) * div_values(spaces.vector, z)
+        integrand = scalar_values(spaces.scalar, p) * div_values(spaces.vector, z)
         rhs = np.sum(spaces.scalar.qweights * integrand)
         assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
 

@@ -7,7 +7,7 @@ import re
 import numpy as np
 import pytest
 
-from swehdg import cli, elliptic, integrators, swe
+from swehdg import cli, diagnostics, elliptic, integrators, swe
 from swehdg.cli import RunConfig, RunFailure, _explicit_name, _pick_dt, load_config, main
 from swehdg.mesh import generate_uniform_square, pair_periodic, save_mesh
 
@@ -667,6 +667,36 @@ def test_compare_dissipative_assembles_once(tmp_path, monkeypatch):
     cfg = _write(tmp_path, "c.ini", STAGE_RUN.format(integrator="midpoint"))
     assert main(["compare_dissipative", "--config", cfg, "--out", str(tmp_path)]) == 0
     assert len(calls) == 1
+
+
+def test_run_builds_its_functionals_and_vtk_frame_once(tmp_path, monkeypatch):
+    built = []
+    for owner in (diagnostics.RecordFunctionals, cli.VtkFrame):
+        def counted(cls, run, real=owner.of_run):
+            built.append(cls.__name__)
+            return real(run)
+
+        monkeypatch.setattr(owner, "of_run", classmethod(counted))
+    cfg = _write(tmp_path, "c.ini", PULSE_RUN + "snapshot_every = 3\n")
+    assert main(["run", "--config", cfg, "--out", str(tmp_path)]) == 0
+    assert sorted(built) == ["RecordFunctionals", "VtkFrame"]
+    assert len(_rows(tmp_path / "pulse.csv")[1]) == 4
+    assert sorted(p.name for p in tmp_path.glob("*.vtk")) == [
+        "pulse_0000.vtk", "pulse_0003.vtk", "pulse_0006.vtk"]
+
+
+@pytest.mark.parametrize("subcommand,text", [
+    ("compare_dissipative", STAGE_RUN.format(integrator="midpoint")),
+    ("converge", TIME_SWEEP.replace("levels = 2, 3", "levels = 2")),
+])
+def test_energy_and_error_commands_build_no_record_functionals(tmp_path, monkeypatch,
+                                                              subcommand, text):
+    def refuse(cls, run):
+        raise AssertionError("record functionals built")
+
+    monkeypatch.setattr(diagnostics.RecordFunctionals, "of_run", classmethod(refuse))
+    cfg = _write(tmp_path, "c.ini", text)
+    assert main([subcommand, "--config", cfg, "--out", str(tmp_path)]) == 0
 
 
 def test_unknown_key_without_close_match_has_no_suggestion(tmp_path):

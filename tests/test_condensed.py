@@ -39,7 +39,14 @@ from swehdg.swe import (
     phiu_stage_blocks,
 )
 
-from helpers import SUBSTEP_WEIGHTS, midpoint_composition, stage_loop, stage_solution
+from helpers import (
+    SUBSTEP_WEIGHTS,
+    midpoint_composition,
+    slope_form,
+    slope_form_step,
+    stage_loop,
+    stage_solution,
+)
 
 PARAMS = dict(phi=1.7, f0=0.3, beta=0.2, y_mid=0.4, tau=1.3)
 DT = 0.2
@@ -167,6 +174,31 @@ def test_uw_stages_match_monolithic_oracle(k, kind, order):
     y1 = stepper.step(y)
     assert _rel(y1, _oracle_uw_step(system, tab, DT, y)) <= 1e-11
     assert np.array_equal(y1, stage_loop(stepper, y)[0])
+
+
+@pytest.mark.parametrize("order", [2, 4])
+@pytest.mark.parametrize("kind", ["wall", "periodic", "holed"])
+def test_uw_step_through_the_velocity_matches_the_slope_form(kind, order):
+    # rotation (f0 and beta), a forcing, and sdirk4's negative scale: the
+    # held velocity output has nv rows and half the slope form's entries,
+    # and stepping through it agrees with stepping through the slope
+    spaces, mats = _matrices(kind, 2)
+    rng = np.random.default_rng(600 + order)
+    nv = spaces.vector.ndof
+    system = SemidiscreteSystem(matrices=mats, recovery=PhiRecovery(mats),
+                                forcing=rng.standard_normal(nv))
+    stepper = SdirkIntegrator(system, make_sdirk(order), DT)
+    forms = slope_form(stepper)
+    assert (min(forms) < 0.0) == (order == 4)
+    for delta, (_, _, K_slope, Kt_slope, _, _) in forms.items():
+        _, K, Kt, _, k0 = stepper._stages[delta]
+        assert K.shape == (nv, 2 * nv) and Kt.shape[0] == k0.size == nv
+        assert 2 * K.nnz <= K_slope.nnz and 2 * Kt.nnz <= Kt_slope.nnz
+    y = rng.standard_normal(2 * nv)
+    for _ in range(3):
+        y_next = stepper.step(y)
+        assert _rel(y_next, slope_form_step(stepper, y, forms)) <= 1e-12
+        y = y_next
 
 
 @pytest.mark.parametrize("substeps", [2, 4])

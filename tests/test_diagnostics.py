@@ -27,7 +27,7 @@ from swehdg.swe import (
     make_problem,
 )
 
-from helpers import iterate_steps
+from helpers import iterate_steps, quadrature_conserved_quantities
 
 _RECORD_FIELDS = (
     "mass", "energy_H2h", "kinetic", "potential", "trace_term",
@@ -82,6 +82,58 @@ def test_total_energy_equals_record_energy(preset, mesh):
         if run.bathymetry_coeffs is not None:
             assert rec.bathymetry_term != 0.0
         y = stepper.step(y)
+
+
+# each linear functional against 1e-12 times its Cauchy-Schwarz bound on
+# the domain (the bound carries f, x and y at their largest), the
+# enstrophy to 1e-12 relative, and the energy parts, which both compute
+# the same way, exactly
+_ORACLE_RTOL = 1e-12
+
+
+def _oracle_runs():
+    holed = pair_periodic(generate_rect_with_hole(
+        (-10.0, 10.0, -10.0, 10.0), (3.0, 0.0), 1.0, 2.0), "both")
+    yield build_uw_system(make_problem("standing_wave", generate_uniform_square(2), 2))
+    yield build_uw_system(make_problem("moving_bump", holed, 2, beta=0.05))
+    yield build_uw_system(make_problem(
+        "gaussian_pulse", generate_uniform_rect(6, 2, bounds=(-20.0, 10.0, -5.0, 5.0)), 1))
+
+
+def _cauchy_schwarz_bounds(run, y, rec):
+    sc = run.spaces.scalar
+    params = run.spec.params
+    w, u = run.system.split(y)
+    p = run.recovery.recover(w)[0]
+    root_area = np.sqrt(sc.qweights.sum())
+    reach = np.abs(sc.qpoints).max()
+    f_max = np.abs(params.coriolis(sc.qpoints[..., 0], sc.qpoints[..., 1])).max()
+    height, velocity = root_area * np.linalg.norm(p), root_area * np.linalg.norm(u)
+    rotation = root_area * np.sqrt(rec.potential_enstrophy / params.phi)
+    return {"mass": height, "momentum_x": params.phi * velocity,
+            "momentum_y": params.phi * velocity,
+            "angular_momentum": 2.0 * reach * params.phi * velocity,
+            "vorticity": rotation,
+            "potential_vorticity": params.phi * rotation + f_max * height}
+
+
+def test_record_matches_the_quadrature_oracle():
+    for run in _oracle_runs():
+        stepper = make_integrator("midpoint", run.system, 0.05)
+        for n, y in iterate_steps(stepper, run.y0, 4):
+            rec = conserved_quantities(run, y, 0.05 * n)
+            ref = quadrature_conserved_quantities(run, y, 0.05 * n)
+            bounds = _cauchy_schwarz_bounds(run, y, ref)
+            assert rec.t == ref.t
+            for name in _RECORD_FIELDS:
+                got, want = getattr(rec, name), getattr(ref, name)
+                if name in bounds:
+                    assert abs(got - want) <= _ORACLE_RTOL * bounds[name], name
+                elif name == "potential_enstrophy":
+                    assert abs(got - want) <= _ORACLE_RTOL * want, name
+                else:
+                    assert got == want, name
+        assert run.functionals is run.functionals
 
 
 @pytest.mark.parametrize("degree,level,tol", [(1, 3, 4e-4), (2, 3, 1e-6)])

@@ -17,6 +17,8 @@ from swehdg.mesh import (
     pair_periodic,
 )
 
+from helpers import scalar_values, vector_values
+
 
 def _setup(mesh, k, **kw):
     spaces = build_spaces(mesh, k, tangential=True)
@@ -25,14 +27,14 @@ def _setup(mesh, k, **kw):
 
 
 def _l2_error_scalar(space, coeffs, exact):
-    vals = space.values(coeffs)
+    vals = scalar_values(space, coeffs)
     diff = vals - exact(space.qpoints[..., 0], space.qpoints[..., 1])
     return np.sqrt(np.sum(space.qweights * diff ** 2))
 
 
 def _l2_error_vector(vspace, coeffs, exact):
     sc = vspace.scalar
-    vals = vspace.values(coeffs)
+    vals = vector_values(vspace, coeffs)
     e1, e2 = exact(sc.qpoints[..., 0], sc.qpoints[..., 1])
     diff = (vals[..., 0] - e1) ** 2 + (vals[..., 1] - e2) ** 2
     return np.sqrt(np.sum(sc.qweights * diff))

@@ -25,7 +25,7 @@ from swehdg.integrators import (
 from swehdg.mesh import generate_uniform_rect, generate_uniform_square
 from swehdg.swe import PhiuIntegrator, build_phiu_system, hamiltonian_load, make_problem
 
-from helpers import SUBSTEP_WEIGHTS, midpoint_composition
+from helpers import SUBSTEP_WEIGHTS, midpoint_composition, stage_slope
 
 
 def test_symplectic_residual_examples():
@@ -405,10 +405,7 @@ def _stage_recursion_dirk_step(stepper, y):
     slopes = np.empty((tab.stages, y.size))
     for i in range(tab.stages):
         acc = y + dt * (tab.a[i, :i] @ slopes[:i])
-        delta = dt * tab.a[i, i]
-        R, K, Kt, r0, k0 = stepper._stages[delta]
-        t = stepper.trace_factors[delta].solve(R @ acc + r0)
-        slopes[i] = K @ acc + Kt @ t + k0
+        slopes[i] = stage_slope(stepper, dt * tab.a[i, i], acc)
     return y + dt * (tab.b @ slopes)
 
 
