@@ -12,13 +12,13 @@ schemes reuse it with larger local blocks, and the init solve eliminates
 flux trace) system, with its gauge multipliers as extra trace unknowns.
 
 A solve that is repeated for data linear in one vector, and whose
-caller reads a linear output of the solution, is precomposed by
-:meth:`CondensedSolver.compose` into three sparse operators: the height
-recovery, its transpose (the bathymetry load), the wave operator and
-every implicit stage then run as one gather, one trace LU solve and one
-scatter; the wave operator F p_hat - D p is formed from the height map
-of the recovery's one composition.  :meth:`CondensedSolver.solve` is left
-to the one-shot init solve.
+caller reads a linear output of the solution, is precomposed by the
+``compose`` maps of :class:`CondensedSolver` into three sparse operators:
+the height recovery, its transpose (the bathymetry load), the wave
+operator and every implicit stage then run as one gather, one trace LU
+solve and one scatter; the wave operator F p_hat - D p is formed from the
+height map of the recovery's one composition.
+:meth:`CondensedSolver.solve` is left to the one-shot init solve.
 """
 
 import logging
@@ -35,20 +35,21 @@ from .mesh import hole_boundaries
 log = logging.getLogger(__name__)
 
 
-def _invert_blocks(blocks):
-    """Batched inverse of (ne, n, n) blocks; a singular block raises
-    RuntimeError naming the first offending element."""
+def _solve_blocks(local, rhs):
+    """A_e^-1 rhs_e for every element, by one batched LU solve of the
+    (ne, n, n) blocks against the (ne, n, p) right-hand sides; a singular
+    block raises RuntimeError naming the first offending element."""
     try:
-        inv = np.linalg.inv(blocks)
+        out = np.linalg.solve(local, rhs)
     except np.linalg.LinAlgError:
-        inv = None
-    if inv is None or not np.isfinite(inv).all():
-        sv = np.linalg.svd(blocks, compute_uv=False)
-        n = blocks.shape[-1]
+        out = None
+    if out is None or not np.isfinite(out).all():
+        sv = np.linalg.svd(local, compute_uv=False)
+        n = local.shape[-1]
         bad = np.flatnonzero(~(sv[:, -1] > n * np.finfo(float).eps * sv[:, 0]))
         first = int(bad[0]) if bad.size else int(np.argmin(sv[:, -1] / sv[:, 0]))
         raise RuntimeError(f"local block of element {first} is singular")
-    return inv
+    return out
 
 
 class CondensedSolver:
@@ -63,17 +64,38 @@ class CondensedSolver:
 
     A is block diagonal with blocks A_e (n x n); B and C couple element e
     only to the trace dofs ``cols[e]`` of its facets, through the blocks
-    B_e (n x c) and C_e (c x n); T is sparse on the trace.  Every A_e is
-    inverted in one batch, the Schur complement T - sum_e C_e A_e^-1 B_e
-    is factored once, and :meth:`solve` costs one batched local apply, a
-    gather and a scatter around one trace LU solve.
+    B_e (n x c) and C_e (c x n); T is sparse on the trace.  No A_e is
+    inverted or held: one batched LU solve of the transposed blocks A_e^T
+    against C_e^T gives C_e A_e^-1, the Schur complement
+    T - sum_e C_e A_e^-1 B_e is scattered straight into the CSC that
+    SuperLU factors, and no dense block product outlives the scatter.
+    The solver keeps only references to the caller's blocks, and
+    :meth:`solve` costs two one-column batched solves, a gather and a
+    scatter around one trace LU solve.
 
     A caller that solves the system many times for data that a fixed
     linear map of some vector y produces, and that reads only a fixed
-    linear map of the solution, precomposes both maps around the local
-    elimination with :meth:`compose`: each solve is then one sparse
-    product into the trace rows, the trace LU solve and two sparse
-    products out.
+    linear map of the solution, passes both maps as
+    ``compose=(Lf, Lg, Kx, Kt, rows, out_rows, shape)``.  Element e reads
+    y at ``rows[e]``: its local data is Lf_e y[rows[e]], and it adds
+    Lg_e y[rows[e]] to the trace data in the rows ``cols[e]``.  Its
+    output, in the rows ``out_rows[e]``, is Kx_e x_e + Kt_e t[cols[e]].
+    A Lf of None is the identity, a Lg or Kt of None is zero, and
+    ``shape`` is (output length, length of y).  The readout rows Kx_e
+    join C_e in the same batched solve, and ``composed`` holds the CSR
+    operators (R, K, Kt'),
+
+        R   = Lg - C A^-1 Lf          (trace x y)
+        K   = Kx A^-1 Lf              (output x y)
+        Kt' = Kt - Kx A^-1 B          (output x trace)
+
+    each scattered once, so that t = lu.solve(R y) and the output is
+    K y + Kt' t: one sparse product into the trace rows, the trace LU
+    solve and two sparse products out.  Solving with A_e^T for the rows
+    that read the solution takes c + (output rows) right-hand sides, no
+    more than the columns of [Lf_e | B_e] in every stage and recovery
+    here, and one solve per build costs less than two: the batched LU
+    of each block is a large share of a solve.
 
     Every trace Schur complement built here is structurally symmetric, and
     several are indefinite (the init system, the stages), so the factor
@@ -96,59 +118,59 @@ class CondensedSolver:
     A singular A_e or a failed trace factorization raises RuntimeError.
     """
 
-    def __init__(self, local, from_trace, to_trace, trace, cols):
-        nt = trace.shape[0]
+    def __init__(self, local, from_trace, to_trace, trace, cols, compose=None):
+        nt, c = trace.shape[0], to_trace.shape[1]
         self.cols = cols
-        self._local_inv = _invert_blocks(local)
-        self._lift = self._local_inv @ from_trace          # A_e^-1 B_e
-        self._restrict = to_trace @ self._local_inv        # C_e A_e^-1
-        schur = trace - _block_rows(to_trace @ self._lift, cols, cols, (nt, nt))
+        self._local, self._from_trace, self._to_trace = local, from_trace, to_trace
+        readers = to_trace
+        if compose is not None:
+            kx = compose[2]
+            readers = np.concatenate(
+                [to_trace, np.broadcast_to(kx, (len(local), *kx.shape[-2:]))], axis=1)
+        # [C_e; Kx_e] A_e^-1, by one solve of the transposed blocks
+        solved = _solve_blocks(local.transpose(0, 2, 1),
+                               readers.transpose(0, 2, 1)).transpose(0, 2, 1)
+        del readers
+        if compose is not None:
+            self.composed = self._compose(solved[:, :c], solved[:, c:], nt, compose)
+        # the transposed CSR of the blocks (C_e A_e^-1 B_e)^T is the CSC of
+        # their scatter; its duplicates are summed in place, so that the
+        # subtraction allocates only the Schur complement's own entries
+        coupling = from_trace.transpose(0, 2, 1) @ solved[:, :c].transpose(0, 2, 1)
+        del solved
+        coupling = _block_rows(coupling, cols, cols, (nt, nt)).T
+        coupling.sum_duplicates()
+        schur = trace.tocsc() - coupling
+        del coupling
         try:
-            self.lu = splu(schur.tocsc(), permc_spec="MMD_AT_PLUS_A",
+            self.lu = splu(schur, permc_spec="MMD_AT_PLUS_A",
                            diag_pivot_thresh=0.1, options=dict(SymmetricMode=True))
         except RuntimeError as err:
             raise RuntimeError(f"trace factorization failed: {err}") from None
 
     def solve(self, f, g):
         """Local and trace parts (x, t) of the solution for data (f, g)."""
-        ne, n, _ = self._local_inv.shape
-        f = f.reshape(ne, n)
+        ne, n, _ = self._local.shape
+        f = f.reshape(ne, n, 1)
         nt = self.lu.shape[0]
         t = self.lu.solve(g - np.bincount(
             self.cols.reshape(-1), minlength=nt,
-            weights=np.einsum("eij,ej->ei", self._restrict, f).reshape(-1)))
-        x = (np.einsum("eij,ej->ei", self._local_inv, f)
-             - np.einsum("eij,ej->ei", self._lift, t[self.cols]))
+            weights=(self._to_trace @ _solve_blocks(self._local, f)).reshape(-1)))
+        x = _solve_blocks(self._local, f - self._from_trace @ t[self.cols][..., None])
         return x.reshape(-1), t
 
-    def compose(self, lf, lg, kx, kt, rows, out_rows, shape):
-        """CSR operators of the solve between a vector y and a linear
-        output of its solution.
-
-        Element e reads y at ``rows[e]``: its local data is
-        Lf_e y[rows[e]], and it adds Lg_e y[rows[e]] to the trace data in
-        the rows ``cols[e]``.  Its output, in the rows ``out_rows[e]``, is
-        Kx_e x_e + Kt_e t[cols[e]].  A Lf of None is the identity, a Lg or
-        Kt of None is zero, and ``shape`` is (output length, length of y).
-        Returns (R, K, Kt'),
-
-            R   = Lg - C A^-1 Lf          (trace x y)
-            K   = Kx A^-1 Lf              (output x y)
-            Kt' = Kt - Kx A^-1 B          (output x trace)
-
-        each composed from the element blocks and scattered once, so that
-        t = lu.solve(R y) and the output is K y + Kt' t.
-        """
-        nt, cols = self.lu.shape[0], self.cols
-        # one operator at a time, so that only one set of blocks is alive
-        local = self._local_inv if lf is None else self._local_inv @ lf    # A^-1 Lf
-        out = _block_rows(kx @ local, out_rows, rows, shape)
-        del local
-        trace_data = -(self._restrict if lf is None else self._restrict @ lf)  # -C A^-1 Lf
+    def _compose(self, restrict, readout, nt, compose):
+        """(R, K, Kt') of the ``compose`` maps, from the blocks C A^-1
+        (``restrict``) and Kx A^-1 (``readout``) over ``nt`` trace
+        unknowns."""
+        lf, lg, _, kt, rows, out_rows, shape = compose
+        cols = self.cols
+        out = _block_rows(readout if lf is None else readout @ lf, out_rows, rows, shape)
+        trace_data = -(restrict if lf is None else restrict @ lf)
         if lg is not None:
             trace_data += lg
         trace_data = _block_rows(trace_data, cols, rows, (nt, shape[1]))
-        out_trace = -(kx @ self._lift)                                         # -Kx A^-1 B
+        out_trace = -(readout @ self._from_trace)
         if kt is not None:
             out_trace += kt
         return trace_data, out, _block_rows(out_trace, out_rows, cols, (shape[0], nt))
@@ -165,8 +187,9 @@ class PhiRecovery:
     The height data of the recovery is linear in the flux w: -D_e^T w_e
     in the local rows of element e and F_e^T w_e in its trace rows, with
     D = div_pair, F = flux_pair and A the local blocks I + S_l.  One
-    :meth:`CondensedSolver.compose` onto the height gives the trace data
-    G and the height map p = Pw w + Pt p_hat of :meth:`recover`,
+    composition onto the height (:class:`CondensedSolver`'s ``compose``)
+    gives the trace data G and the height map p = Pw w + Pt p_hat of
+    :meth:`recover`,
 
         G = F^T + C A^-1 D^T,    Pw = -A^-1 D^T,    Pt = -A^-1 B,
 
@@ -181,19 +204,18 @@ class PhiRecovery:
     def __init__(self, matrices):
         mats = matrices
         m = mats.spaces.scalar.dim_local
-        mixed = mats.stab_mixed_blocks
+        coupling = -mats.stab_mixed_blocks
+        vdofs = mats.vdofs.reshape(len(mats.wdofs), -1)
         try:
             solver = CondensedSolver(
-                mats.stab_local_blocks + np.eye(m), -mixed,
-                -mixed.transpose(0, 2, 1), mats.stab_trace, mats.trace_cols)
+                mats.stab_local_blocks + np.eye(m), coupling, coupling.transpose(0, 2, 1),
+                mats.stab_trace, mats.trace_cols,
+                compose=(-mats.div_blocks.transpose(0, 2, 1), mats.flux_blocks.transpose(0, 2, 1),
+                         np.eye(m), None, vdofs, mats.wdofs, mats.div_pair.shape[::-1]))
         except RuntimeError as err:
             raise RuntimeError(f"recovery factorization failed: {err}") from None
         self.schur = solver.lu
-
-        vdofs = mats.vdofs.reshape(len(mats.wdofs), -1)
-        self._G, self._Pw, self._Pt = solver.compose(
-            -mats.div_blocks.transpose(0, 2, 1), mats.flux_blocks.transpose(0, 2, 1),
-            np.eye(m), None, vdofs, mats.wdofs, mats.div_pair.shape[::-1])
+        self._G, self._Pw, self._Pt = solver.composed
         self._Mw = -(mats.div_pair @ self._Pw)
         self._H = mats.flux_pair - mats.div_pair @ self._Pt
 

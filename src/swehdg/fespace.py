@@ -138,7 +138,11 @@ class ScalarSpace:
 
     def _monomials(self, elems, pts):
         rel = (pts - self.centers[elems][:, None, :]) / self.scales[elems][:, None, None]
-        return rel[..., 0:1] ** self.aexp * rel[..., 1:2] ** self.bexp
+        # powers[..., d, :] = rel ** d by cumulative products, d <= k
+        powers = np.repeat(rel[..., None, :], self.k + 1, axis=-2)
+        powers[..., 0, :] = 1.0
+        np.cumprod(powers, axis=-2, out=powers)
+        return powers[..., self.aexp, 0] * powers[..., self.bexp, 1]
 
     def batch_values(self, elems, pts):
         """Basis values on many elements at once: (n, q, 2) points for

@@ -281,9 +281,9 @@ class DirkIntegrator:
     Each scheme reads one output z of the substep, linear in its solution
     and the forcing, and advances the state from z alone.  The unforced
     substep data and the output are linear in y and in the substep
-    solution, element by element, so :meth:`CondensedSolver.compose`
-    folds them around the local elimination once per distinct scale
-    delta = h/2, and a substep is
+    solution, element by element, so :class:`CondensedSolver` folds them
+    around the local elimination once per distinct scale delta = h/2, in
+    the same batched solve that forms the trace system, and a substep is
 
         t = lu.solve(R y + r0),    z = K y + Kt t + k0,    y <- advance(y, h, z)
 
@@ -317,14 +317,15 @@ class DirkIntegrator:
         for delta in 0.5 * self.dt * tableau.b:
             if delta in self._stages:
                 continue
+            # the maps are rebuilt per scale: held across the next
+            # factorization they would raise the peak memory of the build
             try:
-                solver = CondensedSolver(*self._stage_blocks(delta), trace, cols)
+                solver = CondensedSolver(*self._stage_blocks(delta), trace, cols,
+                                         compose=(*self._stage_maps(), rows, out_rows, shape))
             except RuntimeError as exc:
                 raise RuntimeError(
                     f"stage factorization failed for stage scale {delta}: {exc}") from exc
-            # the maps are rebuilt per scale: held across the next
-            # factorization they would raise the peak memory of the build
-            R, K, Kt = solver.compose(*self._stage_maps(), rows, out_rows, shape)
+            R, K, Kt = solver.composed
             self.trace_factors[delta] = solver.lu
             self._stages[delta] = (R, K, Kt, R @ (delta * forcing),
                                    K @ (delta * forcing) + out_const)

@@ -300,9 +300,10 @@ def slope_form(stepper):
     m = stepper.system.matrices
     forms = {}
     for delta in stepper.trace_factors:
-        solver = CondensedSolver(*stepper._stage_blocks(delta), m.stab_trace, cols)
-        R, K, Kt = solver.compose(*uw_slope_maps(stepper.system), rows, rows,
-                                  (forcing.size,) * 2)
+        solver = CondensedSolver(*stepper._stage_blocks(delta), m.stab_trace, cols,
+                                 compose=(*uw_slope_maps(stepper.system), rows, rows,
+                                          (forcing.size,) * 2))
+        R, K, Kt = solver.composed
         forms[delta] = (solver.lu, R, K, Kt, R @ (delta * forcing),
                         K @ (delta * forcing) + forcing)
     return forms

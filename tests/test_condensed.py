@@ -2,6 +2,7 @@
 failure contract of the condensed solver, and the shape of the held
 factors."""
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -280,16 +281,17 @@ def _row_blocks(blocks, cols, ncols):
 
 
 def _hand_written_wave_operator(mats):
-    # G, H and Mw as global sparse products of the recovery solver's
-    # element blocks, the way the recovery first composed them
+    # G, H and Mw as global sparse products of the recovery's element
+    # blocks, each A_e inverted explicitly, the way the recovery first
+    # composed them
     mixed = mats.stab_mixed_blocks
-    solver = CondensedSolver(mats.stab_local_blocks + np.eye(mixed.shape[1]), -mixed,
-                             -mixed.transpose(0, 2, 1), mats.stab_trace, mats.trace_cols)
+    local_inv = np.linalg.inv(mats.stab_local_blocks + np.eye(mixed.shape[1]))
     nm = mats.stab_trace.shape[0]
     div_t, flux_t = mats.div_pair.T.tocsr(), mats.flux_pair.T.tocsr()
-    lift = _row_blocks(solver._lift, solver.cols, nm)
-    restrict = _row_blocks(solver._restrict.transpose(0, 2, 1), solver.cols, nm).T.tocsr()
-    local_inv = _row_blocks(solver._local_inv, mats.wdofs, mats.wdofs.size)
+    lift = _row_blocks(local_inv @ -mixed, mats.trace_cols, nm)                    # A^-1 B
+    restrict = _row_blocks((-mixed.transpose(0, 2, 1) @ local_inv).transpose(0, 2, 1),
+                           mats.trace_cols, nm).T.tocsr()                          # C A^-1
+    local_inv = _row_blocks(local_inv, mats.wdofs, mats.wdofs.size)
     return (flux_t + restrict @ div_t, mats.flux_pair + mats.div_pair @ lift,
             mats.div_pair @ local_inv @ div_t)
 
@@ -408,6 +410,35 @@ def test_singular_local_block_names_the_element():
     with pytest.raises(RuntimeError, match="element 2 is singular"):
         CondensedSolver(local, np.zeros((4, 3, 2)), np.zeros((4, 2, 3)),
                         sparse.identity(4, format="csr"), cols)
+
+
+def test_init_solve_holds_no_block_inverse_or_products():
+    # traced (numpy) peak of the L4, k = 2 standing-wave init solve against
+    # a bound fixed before measuring: the local and coupling blocks, which
+    # the solve keeps for its local solves, twice the trace Schur
+    # complement in CSC (its scatter and the matrix SuperLU takes), and
+    # 25% for the rest.  Holding A_e^-1, A^-1 B or C A^-1 beside them does
+    # not fit.  SuperLU's own factor is not traced.
+    spec = make_problem("standing_wave", generate_uniform_square(4), 2)
+    spaces = build_spaces(spec.mesh, 2, tangential=True)
+    mats = assemble_all(spec.mesh, spaces, spec.params)
+    local, from_trace, trace, cols = _init_blocks(mats, spaces.tangential, spec.params.alpha)
+    ne, c = cols.shape
+    pattern = abs(trace) + _block_rows(np.ones((ne, c, c)), cols, cols, trace.shape)
+    pattern.sum_duplicates()
+    schur_bytes = pattern.nnz * (8 + 4) + 4 * (trace.shape[0] + 1)
+    bound = 1.25 * (local.nbytes + from_trace.nbytes + 2 * schur_bytes)
+    del local, from_trace, trace, pattern
+
+    tracemalloc.start()
+    try:
+        sol = solve_vector_laplacian(spec.mesh, spaces, spec.grad_phi0, spec.params,
+                                     matrices=mats)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sol.residual <= 1e-12
+    assert peak <= bound, f"init solve peak {peak / 2**20:.2f} MiB, bound {bound / 2**20:.2f} MiB"
 
 
 def test_bordered_solve_matches_dense_system():

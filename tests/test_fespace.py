@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from swehdg.fespace import (
+    MAX_K,
     GridFunction,
     ScalarSpace,
     TangentialTraceSpace,
@@ -62,6 +63,23 @@ def test_k0_basis_is_inverse_sqrt_area():
     area = mesh.element_areas[0]
     val = sp.batch_values(np.array([0]), mesh.nodes[mesh.elements[0]].mean(0)[None, None])
     assert val[0, 0, 0] == pytest.approx(1.0 / np.sqrt(area), rel=1e-13)
+
+
+@pytest.mark.parametrize("k", range(MAX_K + 1))
+def test_monomials_match_integer_powers(k):
+    # the power tables by cumulative products against x^a y^b taken with
+    # integer powers, at the quadrature points and at points outside the
+    # element, to a few units of rounding of the largest value
+    mesh = generate_rect_with_hole((-2.0, 2.0, -2.0, 2.0), (0.0, 0.0), 0.5, 0.5)
+    sp = ScalarSpace(mesh, k)
+    elems = np.arange(mesh.num_elements)
+    rng = np.random.default_rng(k)
+    for pts in (sp.qpoints, rng.uniform(-2.0, 2.0, (mesh.num_elements, 5, 2))):
+        rel = (pts - sp.centers[:, None, :]) / sp.scales[:, None, None]
+        ref = rel[..., 0:1] ** sp.aexp * rel[..., 1:2] ** sp.bexp
+        got = sp._monomials(elems, pts)
+        assert got.shape == ref.shape
+        assert np.abs(got - ref).max() <= 8 * np.finfo(float).eps * max(1.0, np.abs(ref).max())
 
 
 @pytest.mark.parametrize("k", [0, 1, 2, 3, 4])
