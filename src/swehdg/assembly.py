@@ -237,21 +237,8 @@ def assemble_all(mesh, spaces, params):
     return mats
 
 
-def central_gradient(func, step):
-    """Gradient (d/dx, d/dy) of ``func(x, y)`` by central differences."""
-    def grad(x, y):
-        return ((func(x + step, y) - func(x - step, y)) / (2.0 * step),
-                (func(x, y + step) - func(x, y - step)) / (2.0 * step))
-    return grad
-
-
-def assemble_bathymetry_load(spaces, bathymetry, phi, grad=None):
-    """Load vector (phi grad b, z_k) for a bathymetry profile b(x, y).
-
-    The gradient is taken analytically when ``grad`` is supplied,
-    otherwise by central differences with step 1e-7 at the quadrature
-    points.  Returns a dense vector over the vector-space dofs.
-    """
-    if grad is None:
-        grad = central_gradient(bathymetry, 1e-7)
+def assemble_bathymetry_load(spaces, grad, phi):
+    """Load vector (phi grad b, z_k) of a bathymetry profile b(x, y),
+    from its gradient ``grad(x, y) -> (db/dx, db/dy)``.  Returns a dense
+    vector over the vector-space dofs."""
     return phi * spaces.vector.project(grad).coeffs

@@ -28,7 +28,7 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse.linalg import splu
 
-from .assembly import _block_rows, _element_columns, assemble_all, central_gradient
+from .assembly import _block_rows, _element_columns, assemble_all
 from .fespace import GridFunction, TangentialTraceSpace
 from .mesh import hole_boundaries
 
@@ -199,6 +199,19 @@ class PhiRecovery:
     trace LU solve, and one scatter plus a local term, and so is the
     transpose of the height map, :meth:`recover_transpose`, which
     carries a height functional back onto the flux (the bathymetry load).
+
+    The recovery keeps the last pair (w, p_hat(w)) it knows: a copy of w
+    and a read-only p_hat, since :meth:`recover` hands that array out.
+    :meth:`recover` and :meth:`apply` store the pair of every trace
+    solve they make, and :meth:`recover` of the stored flux returns the
+    stored p_hat without a solve.  A stepper carries the pair across its
+    substeps through :meth:`carry`: an implicit midpoint substep from w to
+    w' solves the recovery equations at its midpoint flux (w + w') / 2,
+    and by linearity p_hat(w') = 2 t - p_hat(w), with t its trace
+    solution.  So once a run has recovered its initial flux, the record
+    after an implicit flux step, or after an explicit one that ends on a
+    kick (seprk1, seprk3), makes no trace solve; any other flux is solved
+    afresh.
     """
 
     def __init__(self, matrices):
@@ -218,11 +231,40 @@ class PhiRecovery:
         self._G, self._Pw, self._Pt = solver.composed
         self._Mw = -(mats.div_pair @ self._Pw)
         self._H = mats.flux_pair - mats.div_pair @ self._Pt
+        self._known = None
+
+    def _store(self, w, phat):
+        phat.flags.writeable = False
+        self._known = (np.array(w, dtype=float), phat)
+
+    def _known_trace(self, w):
+        """The stored p_hat if w is the stored flux, else None."""
+        known = self._known
+        if known is not None and np.array_equal(known[0], w):
+            return known[1]
+        return None
+
+    def _solve(self, w):
+        """p_hat(w) by one trace solve, stored as the known pair."""
+        phat = self.schur.solve(self._G @ w)
+        self._store(w, phat)
+        return phat
 
     def recover(self, w):
-        """Height and trace coefficients induced by flux coefficients w."""
-        phat = self.schur.solve(self._G @ w)
+        """Height and trace coefficients induced by flux coefficients w;
+        the trace part is read-only."""
+        phat = self._known_trace(w)
+        if phat is None:
+            phat = self._solve(w)
         return self._Pw @ w + self._Pt @ phat, phat
+
+    def carry(self, w, w_next, t):
+        """Store p_hat(w_next) = 2 t - p_hat(w) when p_hat(w) is known: t
+        is the trace solution of the implicit midpoint substep from w to
+        w_next, p_hat at its midpoint flux.  Otherwise do nothing."""
+        phat = self._known_trace(w)
+        if phat is not None:
+            self._store(w_next, 2.0 * t - phat)
 
     def recover_transpose(self, b):
         """Transpose of the height map of :meth:`recover` applied to height
@@ -232,7 +274,7 @@ class PhiRecovery:
 
     def apply(self, w):
         """Action of the condensed wave operator on flux coefficients."""
-        return self._H @ self.schur.solve(self._G @ w) + self._Mw @ w
+        return self._H @ self._solve(w) + self._Mw @ w
 
 
 @dataclass
@@ -437,19 +479,18 @@ def solve_vector_laplacian(mesh, spaces, f, params, matrices=None):
 
 def initialize_state(mesh, spaces, phi0, u0, params, grad_phi0=None, matrices=None):
     """Initial (u, w) pair: w from the stationary solve driven by the
-    gradient of the height profile, u by L2 projection.
+    gradient ``grad_phi0`` of the height profile, u by L2 projection.
 
-    Falls back to central differences for the gradient (step h * 1e-4)
-    when no analytic gradient is supplied.
+    Without a gradient the surface is flat (w = 0); a height profile
+    ``phi0`` given without its gradient is refused (ValueError).
     """
-    if grad_phi0 is None and phi0 is None:
+    if grad_phi0 is None:
+        if phi0 is not None:
+            raise ValueError("initialize_state needs grad_phi0, the gradient of the "
+                             "height profile phi0")
+
         def grad_phi0(x, y):
-            return 0.0 * np.asarray(x, dtype=float), 0.0 * np.asarray(y, dtype=float)
-    elif grad_phi0 is None:
-        step = mesh.h * 1e-4
-        log.info("initialize_state: height gradient by central differences, "
-                 "step %.3e", step)
-        grad_phi0 = central_gradient(phi0, step)
+            return np.zeros_like(x, dtype=float), np.zeros_like(y, dtype=float)
 
     sol = solve_vector_laplacian(mesh, spaces, grad_phi0, params, matrices=matrices)
     u = spaces.vector.project(u0) if u0 is not None else GridFunction(spaces.vector)

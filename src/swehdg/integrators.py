@@ -285,7 +285,7 @@ class DirkIntegrator:
     around the local elimination once per distinct scale delta = h/2, in
     the same batched solve that forms the trace system, and a substep is
 
-        t = lu.solve(R y + r0),    z = K y + Kt t + k0,    y <- advance(y, h, z)
+        t = lu.solve(R y + r0),    z = K y + Kt t + k0,    y <- advance(y, h, z, t)
 
     with r0 = R (delta F) and k0 = K (delta F) + z0, z0 the output's
     constant term: one sparse product into the trace, one trace LU solve
@@ -303,8 +303,10 @@ class DirkIntegrator:
       onto the local and trace data of the unforced substep and its
       solution onto the output (Lf None: the identity, Lg None: no trace
       data, Kt None: no trace part); they do not depend on the scale;
-    - ``_advance(y, h, z)``: the state after the substep of length h
-      whose output is z.
+    - ``_advance(y, h, z, t)``: the state after the substep of length h
+      from y whose output is z and whose trace solution is t; a scheme
+      may read t (the flux scheme carries the recovered trace with it) or
+      ignore it.
     """
 
     def __init__(self, tableau, dt, trace, cols, rows, forcing, out_rows, out_const):
@@ -334,7 +336,7 @@ class DirkIntegrator:
         for h in self.dt * self.tableau.b:
             R, K, Kt, r0, k0 = self._stages[0.5 * h]
             t = self.trace_factors[0.5 * h].solve(R @ y + r0)
-            y = self._advance(y, h, K @ y + Kt @ t + k0)
+            y = self._advance(y, h, K @ y + Kt @ t + k0, t)
         return y
 
 
@@ -346,7 +348,9 @@ class SdirkIntegrator(DirkIntegrator):
     has the sparsity of the recovery Schur complement.  The output of a
     substep is its velocity U alone: the flux row of the substep gives
     W = w + (h/2) phi U, so the substep moves the state to
-    (w + h phi U, 2 U - u).
+    (w + h phi U, 2 U - u).  The last two rows of the substep system are
+    the recovery equations at W, so its trace solution t is p_hat(W), and
+    the substep hands it to :meth:`~swehdg.elliptic.PhiRecovery.carry`.
     """
 
     def __init__(self, system, tableau, dt):
@@ -377,9 +381,11 @@ class SdirkIntegrator(DirkIntegrator):
         kx[:, :, :nu] = np.eye(nu)
         return lf, lg, kx, None
 
-    def _advance(self, y, h, velocity):
+    def _advance(self, y, h, velocity, t):
         w, u = self.system.split(y)
-        return np.concatenate([w + (h * self.system.phi) * velocity, 2.0 * velocity - u])
+        w_next = w + (h * self.system.phi) * velocity
+        self.system.recovery.carry(w, w_next, t)
+        return np.concatenate([w_next, 2.0 * velocity - u])
 
 
 class SeprkIntegrator:
@@ -393,7 +399,9 @@ class SeprkIntegrator:
     by dt b_hat_i times its slope at the drifted flux.  A kick costs one
     wave-operator application and is skipped when b_hat_i is zero; the
     leapfrog compositions end with such a pair, so seprk2/4/6 apply the
-    operator 1/3/7 times per step.  A tableau built with
+    operator 1/3/7 times per step.  seprk1 and seprk3 end on a kick at
+    the final flux, whose trace solve the recovery keeps, so a record
+    after their step makes no trace solve.  A tableau built with
     ``symplectic=False`` is refused (ValueError).
 
     The rotation term is evaluated explicitly in each kick, so the

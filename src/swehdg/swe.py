@@ -269,9 +269,10 @@ def build_phiu_system(spec, spaces=None, matrices=None):
         else np.zeros(nv)
     forcing = np.zeros(nv)
     if spec.bathymetry is not None:
-        load = assemble_bathymetry_load(spaces, spec.bathymetry,
-                                        spec.params.phi,
-                                        grad=spec.grad_bathymetry)
+        if spec.grad_bathymetry is None:
+            raise ValueError("the height scheme needs grad_bathymetry, the gradient "
+                             "of the bathymetry profile")
+        load = assemble_bathymetry_load(spaces, spec.grad_bathymetry, spec.params.phi)
         forcing = -load / spec.params.phi
     return PhiuRun(spec=spec, spaces=spaces, matrices=matrices,
                    forcing=forcing, y0=np.concatenate([q0, u0]))
@@ -364,5 +365,6 @@ class PhiuIntegrator(DirkIntegrator):
         # is the slope, whose constant term is the forcing
         return (None, None, *phiu_slope_blocks(self.run.matrices, self.run.spec.params.phi))
 
-    def _advance(self, y, h, slope):
+    def _advance(self, y, h, slope, t):
+        del t  # the height scheme keeps no recovery
         return y + h * slope

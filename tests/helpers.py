@@ -252,7 +252,8 @@ def stage_loop(stepper, y):
         delta = 0.5 * h
         stages.append(stage_solution(stepper, delta, y))
         _, K, Kt, _, k0 = stepper._stages[delta]
-        y = stepper._advance(y, h, K @ y + Kt @ stages[-1][2] + k0)
+        t = stages[-1][2]
+        y = stepper._advance(y, h, K @ y + Kt @ t + k0, t)
     return y, stages
 
 

@@ -143,21 +143,10 @@ def test_stab_trace_counts_facet_sides():
             assert gw[d] == pytest.approx(expected, rel=1e-13)
 
 
-def test_bathymetry_load_constant_is_zero():
-    spaces = build_spaces(generate_uniform_square(1), 2)
-    load = assemble_bathymetry_load(spaces, lambda x, y: 0.0 * x + 5.0, phi=2.0)
-    assert np.abs(load).max() == 0.0
-
-
 def test_bathymetry_load_linear_profile():
     mesh = generate_uniform_square(1)
     spaces = build_spaces(mesh, 0)
-    load = assemble_bathymetry_load(spaces, lambda x, y: x, phi=1.0)
+    load = assemble_bathymetry_load(spaces, lambda x, y: (1.0 + 0.0 * x, 0.0 * y), phi=2.0)
     per_elem = load.reshape(mesh.num_elements, 2)
-    assert np.allclose(per_elem[:, 0], np.sqrt(mesh.element_areas), rtol=1e-9)
-    assert np.abs(per_elem[:, 1]).max() <= 1e-9
-
-    exact = assemble_bathymetry_load(spaces, lambda x, y: x, phi=1.0,
-                                     grad=lambda x, y: (1.0 + 0.0 * x, 0.0 * y))
-    assert np.allclose(load, exact, atol=1e-9)
-    assert np.allclose(exact.reshape(-1, 2)[:, 0], np.sqrt(mesh.element_areas), rtol=1e-13)
+    assert np.allclose(per_elem[:, 0], 2.0 * np.sqrt(mesh.element_areas), rtol=1e-13)
+    assert np.abs(per_elem[:, 1]).max() == 0.0

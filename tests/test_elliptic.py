@@ -223,23 +223,17 @@ def test_initialize_state_matches_init_fields():
     assert err <= 1e-2
 
 
-def test_initialize_state_gradient_fallback():
+def test_initialize_state_needs_the_height_gradient():
     mesh = generate_uniform_square(1)
     spaces = build_spaces(mesh, 1, tangential=True)
-    params = PhysicalParams()
-    exact = initialize_state(
-        mesh, spaces, phi0=None, u0=None, params=params,
-        grad_phi0=lambda x, y: (np.cos(x) * np.sin(y), np.sin(x) * np.cos(y)))
-    fd = initialize_state(
-        mesh, spaces, phi0=lambda x, y: np.sin(x) * np.sin(y),
-        u0=None, params=params)
-    assert np.allclose(fd.w.coeffs, exact.w.coeffs, atol=1e-7)
+    with pytest.raises(ValueError, match="grad_phi0"):
+        initialize_state(mesh, spaces, phi0=lambda x, y: np.sin(x) * np.sin(y),
+                         u0=None, params=PhysicalParams())
 
 
 def test_zero_state_shortcut():
     mesh = generate_uniform_square(1)
     spaces = build_spaces(mesh, 1, tangential=True)
-    state = initialize_state(mesh, spaces, phi0=lambda x, y: 0.0 * x,
-                             u0=None, params=PhysicalParams())
-    assert np.abs(state.w.coeffs).max() <= 1e-12
+    state = initialize_state(mesh, spaces, phi0=None, u0=None, params=PhysicalParams())
+    assert np.abs(state.w.coeffs).max() == 0.0
     assert np.abs(state.u.coeffs).max() == 0.0

@@ -7,6 +7,7 @@ import pytest
 from scipy.linalg import expm
 
 from swehdg.assembly import PhysicalParams, assemble_all
+from swehdg.diagnostics import total_energy
 from swehdg.elliptic import PhiRecovery, initialize_state
 from swehdg.fespace import build_spaces
 from swehdg.integrators import (
@@ -23,7 +24,13 @@ from swehdg.integrators import (
     make_seprk,
 )
 from swehdg.mesh import generate_uniform_rect, generate_uniform_square
-from swehdg.swe import PhiuIntegrator, build_phiu_system, hamiltonian_load, make_problem
+from swehdg.swe import (
+    PhiuIntegrator,
+    build_phiu_system,
+    build_uw_system,
+    hamiltonian_load,
+    make_problem,
+)
 
 from helpers import SUBSTEP_WEIGHTS, midpoint_composition, stage_slope
 
@@ -506,3 +513,122 @@ def test_steppers_refuse_a_non_symplectic_tableau():
                   lambda: SeprkIntegrator(system, explicit_euler, 0.1)):
         with pytest.raises(ValueError, match="symplectic=True"):
             build()
+
+
+class _CountingSchur:
+    """Stands in for a recovery's trace factor and counts its solves."""
+
+    def __init__(self, lu):
+        self.lu = lu
+        self.solves = 0
+
+    def solve(self, rhs, trans="N"):
+        self.solves += 1
+        return self.lu.solve(rhs, trans=trans)
+
+
+def _counted(recovery):
+    recovery.schur = _CountingSchur(recovery.schur)
+    return recovery.schur
+
+
+def _small_wave_run():
+    return build_uw_system(make_problem("standing_wave", generate_uniform_square(2), 1))
+
+
+# largest max-norm distance, relative to the fresh trace, of the trace
+# carried across implicit substeps from a fresh solve; fixed before the
+# drift was measured
+CARRIED_TRACE_RTOL = 1e-10
+
+
+@pytest.mark.parametrize("name", ["midpoint", "sdirk4"])
+def test_carried_trace_matches_a_fresh_solve(name):
+    # gaussian_pulse rotates (f0) and is forced by its bed; after 400
+    # steps the trace a record reads, carried as 2 t - p_hat(w) from the
+    # initial record, still agrees with a trace solve of the same flux
+    mesh = generate_uniform_rect(6, 2, bounds=(-20.0, 10.0, -5.0, 5.0))
+    run = build_uw_system(make_problem("gaussian_pulse", mesh, 1))
+    rec, split = run.recovery, run.system.split
+    stepper = make_integrator(name, run.system, 0.1)
+    rec.recover(split(run.y0)[0])
+    schur = _counted(rec)
+    y, worst = run.y0, 0.0
+    for _ in range(400):
+        y = stepper.step(y)
+        w = split(y)[0]
+        fresh = schur.lu.solve(rec._G @ w)
+        worst = max(worst, np.abs(rec.recover(w)[1] - fresh).max() / np.abs(fresh).max())
+    assert schur.solves == 0
+    assert worst <= CARRIED_TRACE_RTOL
+
+
+@pytest.mark.parametrize("name", ["midpoint", "sdirk2", "sdirk4", "seprk1", "seprk3"])
+def test_records_after_a_flux_step_make_no_trace_solve(name):
+    # the loop of compare_dissipative: the energy at t = 0 and after every
+    # step; only the first record solves for the trace, and an implicit
+    # run makes no other recovery solve
+    run = _small_wave_run()
+    schur = _counted(run.recovery)
+    stepper = make_integrator(name, run.system, 0.01)
+    total_energy(run, run.y0)
+    assert schur.solves == 1
+    y = run.y0
+    for _ in range(20):
+        y = stepper.step(y)
+        before = schur.solves
+        total_energy(run, y)
+        assert schur.solves == before
+    if not name.startswith("seprk"):
+        assert schur.solves == 1
+
+
+def test_a_flux_the_stepper_did_not_produce_is_solved_afresh():
+    run = _small_wave_run()
+    rec, split = run.recovery, run.system.split
+    schur = _counted(rec)
+    stepper = make_integrator("midpoint", run.system, 0.01)
+    # a run that never recovered its initial flux has nothing to carry
+    y = stepper.step(run.y0)
+    rec.recover(split(y)[0])
+    assert schur.solves == 1
+    # a stepped flux changed by its caller
+    y = stepper.step(y)
+    w = split(y)[0].copy()
+    w[0] += 1e-3
+    phat = rec.recover(w)[1]
+    assert schur.solves == 2
+    assert np.array_equal(phat, schur.lu.solve(rec._G @ w))
+    # the recovery keeps a copy: a caller's array changed in place is
+    # not taken for the flux it held before
+    w[1] += 1e-3
+    rec.recover(w)
+    assert schur.solves == 3
+    # nor does a step from a flux other than the stored one carry a trace
+    rec.recover(split(stepper.step(y))[0])
+    assert schur.solves == 4
+
+
+def test_a_returned_trace_is_read_only():
+    run = _small_wave_run()
+    rec, split = run.recovery, run.system.split
+    stepper = make_integrator("midpoint", run.system, 0.01)
+    fresh = rec.recover(split(run.y0)[0])[1]
+    carried = rec.recover(split(stepper.step(run.y0))[0])[1]
+    for phat in (fresh, carried):
+        with pytest.raises(ValueError, match="read-only"):
+            phat[0] = 1.0
+
+
+@pytest.mark.parametrize("order", [1, 3])
+def test_recover_after_a_step_ending_on_a_kick_is_the_fresh_solve(order):
+    run = _small_wave_run()
+    rec = run.recovery
+    stepper = make_integrator(f"seprk{order}", run.system, 0.01)
+    w = run.system.split(stepper.step(stepper.step(run.y0)))[0]
+    schur = _counted(rec)
+    p, phat = rec.recover(w)
+    assert schur.solves == 0
+    fresh = schur.lu.solve(rec._G @ w)
+    assert np.array_equal(phat, fresh)
+    assert np.array_equal(p, rec._Pw @ w + rec._Pt @ fresh)

@@ -254,8 +254,7 @@ def test_chain_load_equals_quadrature_load_for_polynomial_bathymetry():
 
     coeffs = spaces.scalar.project(bath).coeffs
     chain = hamiltonian_load(recovery, coeffs)
-    quad = -assemble_bathymetry_load(spaces, bath, params.phi,
-                                     grad=bath_grad) / params.phi
+    quad = -assemble_bathymetry_load(spaces, bath_grad, params.phi) / params.phi
     scale = np.linalg.norm(quad)
     assert np.linalg.norm(chain - quad) <= 1e-11 * scale
 
@@ -278,12 +277,19 @@ def test_chain_load_converges_to_quadrature_load():
         recovery = PhiRecovery(mats)
         coeffs = spaces.scalar.project(bath).coeffs
         chain = hamiltonian_load(recovery, coeffs)
-        quad = -assemble_bathymetry_load(spaces, bath, 1.0, grad=bath_grad)
+        quad = -assemble_bathymetry_load(spaces, bath_grad, 1.0)
         rel.append(np.linalg.norm(chain - quad) / np.linalg.norm(quad))
     # the gap contracts at the projection rate of the gradient
     assert rel[0] / rel[1] >= 3.0
     assert rel[1] / rel[2] >= 3.0
     assert rel[2] <= 5e-3
+
+
+def test_phiu_refuses_a_bathymetry_without_its_gradient():
+    spec = make_problem("gaussian_pulse", generate_uniform_square(1), 1)
+    spec.grad_bathymetry = None
+    with pytest.raises(ValueError, match="grad_bathymetry"):
+        build_phiu_system(spec)
 
 
 def test_uw_bathymetry_shifted_energy_is_conserved():
