@@ -37,7 +37,7 @@ from .swe import (
     step_count,
 )
 from .diagnostics import (
-    ErrorQuadrature,
+    ErrorNorms,
     QuantityRecord,
     conserved_quantities,
     eoc,
@@ -72,7 +72,7 @@ __all__ = [
     "make_problem",
     "phiu_energy",
     "step_count",
-    "ErrorQuadrature",
+    "ErrorNorms",
     "QuantityRecord",
     "conserved_quantities",
     "eoc",

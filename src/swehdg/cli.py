@@ -55,7 +55,7 @@ from pathlib import Path
 import numpy as np
 
 from .diagnostics import (
-    ErrorQuadrature,
+    ErrorNorms,
     conserved_quantities,
     eoc,
     init_errors,
@@ -464,19 +464,19 @@ def _convergence_task(cfg, degree, level, with_time):
         raise RunFailure(f"preset {cfg.preset} has no closed-form solution")
     label, spec, run = _flux_run(cfg, degree, level)
     h = spec.mesh.h_nominal
-    quad = ErrorQuadrature(run.spaces)
+    norms = ErrorNorms(run.spaces, ms)
     if not with_time:
-        return h, init_errors(run.spaces, run.init.init, ms, quad=quad)
+        return h, init_errors(run.init.init, norms)
 
     final_time = cfg.final_time if cfg.final_time > 0.0 else 0.5
     nsteps, dt = step_count(final_time, _pick_dt(cfg, degree, h))
     name = cfg.integrator or _explicit_name(degree)
     stepper = _build_stepper(label, cfg.preset, make_integrator, name, run.system, dt)
     cadence = cfg.cadence if cfg.cadence > 0 else 1
-    worst = l2_errors(run, run.y0, ms, 0.0, quad=quad)
+    worst = l2_errors(run, run.y0, norms, 0.0)
     for n, (y,) in _march(label, nsteps, (name, stepper, run.y0)):
         if n % cadence == 0 or n == nsteps:
-            errs = l2_errors(run, y, ms, n * dt, quad=quad)
+            errs = l2_errors(run, y, norms, n * dt)
             for key, val in errs.items():
                 worst[key] = max(worst[key], val)
     return h, worst

@@ -5,9 +5,9 @@ the energy is linear in the coefficients or, for the potential
 enstrophy, a sum of element-local squares, so :class:`RecordFunctionals`
 integrates the basis once per run with the quadrature owned by the
 spaces, and a record is a few dot products.  The reported quantities
-are exact functionals of the discrete fields.  Error norms against
-closed-form solutions use an elevated rule (degree 2k + 4) on the same
-basis, evaluated at every call.
+are exact functionals of the discrete fields.  The error norms read no
+quadrature points either: :class:`ErrorNorms` projects the closed form's
+fixed profiles once per run, so an error is a norm of coefficients.
 
 The runs measured are flux-scheme runs, whose height is recovered from
 the flux; the dissipative scheme has its own :func:`~swehdg.swe.phiu_energy`.
@@ -155,57 +155,52 @@ def conserved_quantities(run, y, t=0.0):
     )
 
 
-class ErrorQuadrature:
-    """Elevated-degree quadrature (exact to degree 2k + 4) bound to the
-    spaces of one run, for L2 errors against closed-form fields."""
+class ErrorNorms:
+    """L2 errors of one run against a closed form that is time factors
+    times fixed profiles (:class:`~swehdg.swe.ManufacturedSolution`), from
+    one projection of each profile at the rule exact to degree 2k + 4.
+    The basis is orthonormal under that rule, so the rule norm of v_h - s v
+    is sqrt(|c_h - s c_v|^2 + s^2 r_v), with c_v the profile's coefficients
+    and r_v the squared rule norm of what they miss."""
 
-    def __init__(self, spaces):
+    def __init__(self, spaces, solution):
         sc = spaces.scalar
-        mesh = sc.mesh
-        self.points, self.weights = element_quadrature(mesh, 2 * sc.k + 4)
-        self.tab = sc.batch_values(np.arange(mesh.num_elements), self.points)
-        self.dim_local = sc.dim_local
-        self.num_elements = mesh.num_elements
+        points, weights = element_quadrature(sc.mesh, 2 * sc.k + 4)
+        tab = sc.batch_values(np.arange(sc.mesh.num_elements), points)
+        x, y = points[..., 0], points[..., 1]
+        self.factors = solution.factors
+        # name -> (c_v in the element layout of the spaces, r_v)
+        self.profiles = {}
+        for name, vals in (("height", [solution.height(x, y)]), ("flow", solution.flow(x, y))):
+            vals = np.asarray(vals)
+            coeffs = np.einsum("eq,ceq,eqi->eci", weights, vals, tab)
+            missed = np.sum(weights * (vals - np.einsum("eqi,eci->ceq", tab, coeffs)) ** 2)
+            self.profiles[name] = (coeffs.reshape(-1), float(missed))
 
-    def scalar_error(self, coeffs, exact):
-        vals = np.einsum("eqi,ei->eq", self.tab,
-                         np.asarray(coeffs).reshape(self.num_elements, -1))
-        gap = vals - exact(self.points[..., 0], self.points[..., 1])
-        return float(np.sqrt(np.sum(self.weights * gap ** 2)))
-
-    def vector_error(self, coeffs, exact):
-        u = np.asarray(coeffs).reshape(self.num_elements, 2, self.dim_local)
-        v1 = np.einsum("eqi,ei->eq", self.tab, u[:, 0])
-        v2 = np.einsum("eqi,ei->eq", self.tab, u[:, 1])
-        e1, e2 = exact(self.points[..., 0], self.points[..., 1])
-        gap = (v1 - e1) ** 2 + (v2 - e2) ** 2
-        return float(np.sqrt(np.sum(self.weights * gap)))
+    def error(self, coeffs, profile, factor):
+        """Rule norm of a discrete field minus factor times a profile."""
+        proj, missed = self.profiles[profile]
+        gap = coeffs - factor * proj
+        return float(np.sqrt(gap @ gap + factor * factor * missed))
 
 
-def l2_errors(run, y, solution, t, quad=None):
+def l2_errors(run, y, norms, t):
     """L2 errors of the recovered height, velocity, and flux against the
-    closed-form fields at time t.  Returns a dict keyed phi/u/w."""
-    if quad is None:
-        quad = ErrorQuadrature(run.spaces)
+    closed-form fields at time t, from the run's :class:`ErrorNorms`.
+    Returns a dict keyed phi/u/w."""
     p, _, u, w = _height_state(run, y)
-    return {
-        "phi": quad.scalar_error(p, solution.phi_at(t)),
-        "u": quad.vector_error(u, solution.u_at(t)),
-        "w": quad.vector_error(w, solution.w_at(t)),
-    }
+    s_phi, s_u, s_w = norms.factors(t)
+    return {"phi": norms.error(p, "height", s_phi), "u": norms.error(u, "flow", s_u),
+            "w": norms.error(w, "flow", s_w)}
 
 
-def init_errors(spaces, sol, solution, quad=None):
+def init_errors(sol, norms):
     """L2 errors of the stationary init fields (rotation, flux, height)
     against the closed forms at time 0; the exact rotation is zero."""
-    if quad is None:
-        quad = ErrorQuadrature(spaces)
-    return {
-        "sigma": quad.scalar_error(sol.sigma.coeffs,
-                                   lambda x, y: np.zeros_like(x)),
-        "w": quad.vector_error(sol.w.coeffs, solution.w_at(0.0)),
-        "phi": quad.scalar_error(sol.phi.coeffs, solution.phi_at(0.0)),
-    }
+    s_phi, _, s_w = norms.factors(0.0)
+    return {"sigma": norms.error(sol.sigma.coeffs, "height", 0.0),
+            "w": norms.error(sol.w.coeffs, "flow", s_w),
+            "phi": norms.error(sol.phi.coeffs, "height", s_phi)}
 
 
 def eoc(errors, hs):

@@ -133,15 +133,28 @@ class CondensedSolver:
         del readers
         if compose is not None:
             self.composed = self._compose(solved[:, :c], solved[:, c:], nt, compose)
-        # the transposed CSR of the blocks (C_e A_e^-1 B_e)^T is the CSC of
-        # their scatter; its duplicates are summed in place, so that the
-        # subtraction allocates only the Schur complement's own entries
+        # T - sum_e C_e A_e^-1 B_e, scattered straight into CSC: a column
+        # holds T's entries, then those of the blocks' columns in element
+        # order, so the duplicates are summed and no zero is dropped
         coupling = from_trace.transpose(0, 2, 1) @ solved[:, :c].transpose(0, 2, 1)
         del solved
-        coupling = _block_rows(coupling, cols, cols, (nt, nt)).T
-        coupling.sum_duplicates()
-        schur = trace.tocsc() - coupling
+        trace, flat = trace.tocsc(), cols.reshape(-1)
+        before = c * np.concatenate([[0], np.cumsum(np.bincount(flat, minlength=nt))])
+        indptr = trace.indptr + before
+        data, rows = np.empty(indptr[-1]), np.empty(indptr[-1], dtype=trace.indices.dtype)
+        at = np.arange(trace.nnz) + np.repeat(before[:-1], np.diff(trace.indptr))
+        data[at], rows[at] = trace.data, trace.indices
+        # the q-th block column in column order follows the T entries of its
+        # column and the q block columns before it
+        order = np.argsort(flat, kind="stable")
+        at = np.empty_like(flat)
+        at[order] = trace.indptr[1:][flat[order]] + c * np.arange(flat.size)
+        at = at.reshape(-1, c)
+        for i in range(c):
+            data[at + i], rows[at + i] = -coupling[:, :, i], cols[:, i, None]
         del coupling
+        schur = sparse.csc_matrix((data, rows, indptr), shape=(nt, nt))
+        schur.sum_duplicates()
         try:
             self.lu = splu(schur, permc_spec="MMD_AT_PLUS_A",
                            diag_pivot_thresh=0.1, options=dict(SymmetricMode=True))

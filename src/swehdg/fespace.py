@@ -14,7 +14,6 @@ import numpy as np
 from numpy.polynomial.legendre import legvander
 from scipy.special import roots_jacobi, roots_legendre
 
-from .mesh import PERIODIC_SLAVE
 
 _MAX_DEGREE = 40      # of the quadrature rules
 MAX_K = 6             # largest polynomial degree of the spaces
@@ -205,14 +204,11 @@ class TraceSpace:
         self.dim_local = k + 1
 
         nf = mesh.num_facets
-        owned_mask = np.array([t != PERIODIC_SLAVE for t in mesh.facet_tag])
-        self.owned = np.where(owned_mask)[0]
-        row = np.full(nf, -1, dtype=np.int64)
-        row[self.owned] = np.arange(len(self.owned))
-        for f in np.where(~owned_mask)[0]:
-            row[f] = row[mesh.facet_pair[f]]
-        self.owner_row = row
-        self.owner = np.where(owned_mask, np.arange(nf), mesh.facet_pair)
+        # a periodic slave, shifted onto its master, reads the master's dofs
+        owned = ~mesh.periodic_shift.any(axis=1)
+        self.owned = np.flatnonzero(owned)
+        self.owner = np.where(owned, np.arange(nf), mesh.facet_pair)
+        self.owner_row = (np.cumsum(owned) - 1)[self.owner]
         self.ndof = len(self.owned) * self.dim_local
 
         rule = quadrature("segment", 2 * k + 3)

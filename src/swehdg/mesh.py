@@ -3,9 +3,10 @@
 Meshes come from the structured generators below, from the unstructured
 hole generator, or from a plain text file.  Every facet stores its two
 endpoint nodes (smaller id first), the adjacent elements, a unit normal
-pointing out of the left element, and a tag.  Downstream code (trace
-spaces, facet assembly, boundary handling) reads connectivity from here
-instead of recomputing it.
+pointing out of the left element, and its periodic partner, if any.
+Every boundary facet without a partner is a wall.  Downstream code
+(trace spaces, facet assembly, boundary handling) reads connectivity
+from here instead of recomputing it.
 """
 
 import math
@@ -15,10 +16,6 @@ from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
 from scipy.spatial import Delaunay
 
-INTERIOR = "interior"
-WALL = "wall"
-PERIODIC_MASTER = "periodic_master"
-PERIODIC_SLAVE = "periodic_slave"
 # pair_periodic directions and the axes each one pairs
 PERIODIC_AXES = {"x": (0,), "y": (1,), "both": (0, 1)}
 
@@ -42,10 +39,6 @@ class Mesh:
     elements : (ne, 3) int array
         Vertex ids per triangle.  Orientation is repaired to
         counterclockwise; degenerate triangles are rejected.
-    boundary_tag : dict, optional
-        Maps a boundary facet, keyed by its (min, max) node id pair, to a
-        tag string.  Untagged boundary facets default to ``wall``, and so
-        do periodic tags, since only ``pair_periodic`` gives partners.
     h_nominal : float, optional
         Nominal cell size used in convergence tables and time step rules.
         Defaults to the maximum edge length.
@@ -67,13 +60,14 @@ class Mesh:
     element_facet_signs : (ne, 3) int array
         +1 where the stored facet normal is outward for that element.
     facet_pair : (nf,) int array
-        Periodic partner facet, -1 when unpaired.
+        Periodic partner facet, -1 when unpaired.  Only ``pair_periodic``
+        gives partners.
     periodic_shift : (nf, 2) float array
-        For slave facets, the translation carrying slave points onto the
-        master facet.
+        For slave facets, the nonzero translation carrying slave points
+        onto the master facet; zero on every other facet.
     """
 
-    def __init__(self, nodes, elements, boundary_tag=None, h_nominal=None):
+    def __init__(self, nodes, elements, h_nominal=None):
         nodes = np.array(nodes, dtype=float)
         elements = np.array(elements, dtype=np.int64)
         if nodes.ndim != 2 or nodes.shape[1] != 2:
@@ -154,18 +148,6 @@ class Mesh:
             left[inverse] == np.arange(ne)[:, None], 1, -1
         ).astype(np.int8)
 
-        tag = np.array([INTERIOR] * nf, dtype=object)
-        tag[right < 0] = WALL
-        if boundary_tag:
-            lookup = {tuple(fn): f for f, fn in enumerate(facet_nodes) if right[f] < 0}
-            for key, t in boundary_tag.items():
-                pair = (min(key), max(key))
-                if pair not in lookup:
-                    raise ValueError(f"tagged facet {pair} is not a boundary facet")
-                # a new mesh has no periodic partners yet: pair_periodic sets both
-                tag[lookup[pair]] = WALL if t in (PERIODIC_MASTER, PERIODIC_SLAVE) else t
-        self.facet_tag = tag
-
         self.h = float(lengths.max())
         self.h_nominal = float(h_nominal) if h_nominal is not None else self.h
 
@@ -196,7 +178,7 @@ def generate_uniform_rect(nx, ny, bounds=(0.0, 1.0, 0.0, 1.0)):
     """Structured triangulation of a rectangle, nx by ny cells.
 
     Each cell is split along the bottom-left to top-right diagonal so
-    refinements are deterministic.  All boundary facets are tagged wall.
+    refinements are deterministic.
     """
     xmin, xmax, ymin, ymax = (float(v) for v in bounds)
     if nx < 1 or ny < 1:
@@ -232,9 +214,8 @@ def generate_rect_with_hole(bounds, center, radius, target_h):
     """Unstructured triangulation of a rectangle minus a circular hole.
 
     The hole boundary is the inscribed polygon with segment length at
-    most ``target_h``; its facets are tagged wall.  Outer boundary facets
-    are laid out identically on opposite sides so they can be paired
-    periodically.
+    most ``target_h``.  Outer boundary facets are laid out identically
+    on opposite sides so they can be paired periodically.
     """
     xmin, xmax, ymin, ymax = (float(v) for v in bounds)
     cx, cy = float(center[0]), float(center[1])
@@ -263,7 +244,6 @@ def generate_rect_with_hole(bounds, center, radius, target_h):
     dist = np.hypot(grid[:, 0] - cx, grid[:, 1] - cy)
     keep = dist > radius + 0.75 * max(sx, sy)
     points = np.vstack([grid[keep], ring])
-    ring_ids = np.arange(len(points) - m, len(points))
 
     tri = Delaunay(points)
     cells = tri.simplices
@@ -278,28 +258,21 @@ def generate_rect_with_hole(bounds, center, radius, target_h):
     inside = np.all(cross > 0.0, axis=1)
     cells = cells[~inside]
 
-    tagmap = {}
-    for i in range(m):
-        u, v = int(ring_ids[i]), int(ring_ids[(i + 1) % m])
-        tagmap[(min(u, v), max(u, v))] = WALL
-    return Mesh(points, cells, boundary_tag=tagmap, h_nominal=target_h)
+    return Mesh(points, cells, h_nominal=target_h)
 
 
 def pair_periodic(mesh, direction="both"):
     """Link opposite outer-boundary facets as periodic partners.
 
-    Returns a new mesh whose matched facets are retagged
-    periodic_master (low side) and periodic_slave (high side); slave
-    facets store the translation onto their master.  Pairs of the given
-    mesh are not carried over.  Facets on a paired side that find no
-    translate raise a ValueError naming them.
+    Returns a new mesh whose matched facets are partners: masters on the
+    low side, and slaves on the high side, which store the translation
+    onto their master.  Pairs of the given mesh are not carried over.
+    Facets on a paired side that find no translate raise a ValueError
+    naming them.
     """
     if direction not in PERIODIC_AXES:
         raise ValueError("direction must be 'x', 'y', or 'both'")
-    tags = {tuple(mesh.facet_nodes[f]): mesh.facet_tag[f]
-            for f in mesh.boundary_facets}
-    out = Mesh(mesh.nodes, mesh.elements, boundary_tag=tags,
-               h_nominal=mesh.h_nominal)
+    out = Mesh(mesh.nodes, mesh.elements, h_nominal=mesh.h_nominal)
     for axis in PERIODIC_AXES[direction]:
         _pair_axis(out, axis)
     return out
@@ -334,8 +307,6 @@ def _pair_axis(mesh, axis):
                 f"translate of facet {fm}")
         if abs(mesh.facet_lengths[fm] - mesh.facet_lengths[fs]) > 1e-12 * max(1.0, mesh.h):
             raise ValueError(f"periodic facets {fm}, {fs} differ in length")
-        mesh.facet_tag[fm] = PERIODIC_MASTER
-        mesh.facet_tag[fs] = PERIODIC_SLAVE
         mesh.facet_pair[fm] = fs
         mesh.facet_pair[fs] = fm
         mesh.periodic_shift[fs] = shift
@@ -385,7 +356,7 @@ def save_mesh(mesh, path):
             fh.write(f"{v0} {v1} {v2}\n")
         for f in bdry:
             v0, v1 = mesh.facet_nodes[f]
-            fh.write(f"{v0} {v1} {mesh.facet_tag[f]}\n")
+            fh.write(f"{v0} {v1} wall\n")
 
 
 def load_mesh(path):
@@ -393,8 +364,9 @@ def load_mesh(path):
 
     Header line ``ndim=2 nnodes=<N> nelems=<M> nfacets_tagged=<K>``, then
     N coordinate lines, M connectivity lines, and K boundary facet lines
-    ``v0 v1 tag``.  ``#`` starts a comment.  Periodic tags read as wall
-    (see ``Mesh``): pairing has to be requested through ``pair_periodic``.
+    ``v0 v1 tag``.  ``#`` starts a comment.  Every boundary facet is a
+    wall whatever its tag, and a line naming no boundary facet is
+    refused: pairing has to be requested through ``pair_periodic``.
     """
     rows = []
     with open(path) as fh:
@@ -420,7 +392,10 @@ def load_mesh(path):
 
     nodes = np.array([[float(r[0]), float(r[1])] for r in rows[1:1 + nn]])
     elements = np.array([[int(v) for v in r[:3]] for r in rows[1 + nn:1 + nn + ne]])
-    tags = {}
+    mesh = Mesh(nodes, elements)
+    boundary = {tuple(mesh.facet_nodes[f]) for f in mesh.boundary_facets}
     for r in rows[1 + nn + ne:]:
-        tags[(int(r[0]), int(r[1]))] = r[2] if len(r) > 2 else WALL
-    return Mesh(nodes, elements, boundary_tag=tags)
+        pair = tuple(sorted((int(r[0]), int(r[1]))))
+        if pair not in boundary:
+            raise ValueError(f"tagged facet {pair} is not a boundary facet")
+    return mesh

@@ -28,41 +28,28 @@ _SQRT2 = np.sqrt(2.0)
 
 
 class ManufacturedSolution:
-    """Closed-form standing wave on the unit square: a separable cosine
-    height profile oscillating at the fundamental wall-mode frequency,
-    with matching velocity and flux fields."""
+    """Closed-form standing wave on the unit square at the fundamental
+    wall-mode frequency w, as time factors times two fixed profiles:
+    phi = cos(wt) P, u = sin(wt) / sqrt(2) U and w = -cos(wt) / (2 pi) U,
+    with P = cos(pi x) cos(pi y) (``height``) and U = -grad P / pi (``flow``)."""
 
     frequency = _SQRT2 * np.pi
 
-    def phi(self, x, y, t):
-        return np.cos(np.pi * x) * np.cos(np.pi * y) * np.cos(self.frequency * t)
+    def height(self, x, y):
+        return np.cos(np.pi * x) * np.cos(np.pi * y)
 
-    def grad_phi(self, x, y, t):
-        factor = np.pi * np.cos(self.frequency * t)
-        return (-factor * np.sin(np.pi * x) * np.cos(np.pi * y),
-                -factor * np.cos(np.pi * x) * np.sin(np.pi * y))
+    def flow(self, x, y):
+        return np.sin(np.pi * x) * np.cos(np.pi * y), np.cos(np.pi * x) * np.sin(np.pi * y)
 
-    def u(self, x, y, t):
-        factor = np.sin(self.frequency * t) / _SQRT2
-        return (factor * np.sin(np.pi * x) * np.cos(np.pi * y),
-                factor * np.cos(np.pi * x) * np.sin(np.pi * y))
+    def factors(self, t):
+        """Time factors of the height, the velocity and the flux at t."""
+        c = np.cos(self.frequency * t)
+        return c, np.sin(self.frequency * t) / _SQRT2, -c / (2.0 * np.pi)
 
-    def w(self, x, y, t):
-        factor = -np.cos(self.frequency * t) / (2.0 * np.pi)
-        return (factor * np.sin(np.pi * x) * np.cos(np.pi * y),
-                factor * np.cos(np.pi * x) * np.sin(np.pi * y))
 
-    def phi_at(self, t):
-        return lambda x, y: self.phi(x, y, t)
-
-    def grad_phi_at(self, t):
-        return lambda x, y: self.grad_phi(x, y, t)
-
-    def u_at(self, t):
-        return lambda x, y: self.u(x, y, t)
-
-    def w_at(self, t):
-        return lambda x, y: self.w(x, y, t)
+def _standing_wave_grad(x, y):
+    return (-np.pi * np.sin(np.pi * x) * np.cos(np.pi * y),
+            -np.pi * np.cos(np.pi * x) * np.sin(np.pi * y))
 
 
 def _bump(x):
@@ -123,9 +110,10 @@ class Preset:
 
 
 def _standing_wave():
+    # u vanishes at t = 0
     ms = ManufacturedSolution()
-    return Preset(params=PhysicalParams(), phi0=ms.phi_at(0.0), u0=ms.u_at(0.0),
-                  grad_phi0=ms.grad_phi_at(0.0), manufactured=ms)
+    return Preset(params=PhysicalParams(), phi0=ms.height, grad_phi0=_standing_wave_grad,
+                  manufactured=ms)
 
 
 # every preset: name -> builder of a fresh Preset

@@ -6,7 +6,9 @@ quadrature point, locate single points, evaluate fields and their
 derivatives there, and read facet-level trace data for checks written
 point by point.  :func:`quadrature_conserved_quantities` is the record
 of :func:`swehdg.diagnostics.conserved_quantities` integrated at the
-quadrature points.  The diagonally implicit steppers never form the
+quadrature points, and :func:`quadrature_l2_errors` the errors of
+:func:`swehdg.diagnostics.l2_errors` evaluated at every point of the
+elevated rule.  The diagonally implicit steppers never form the
 element-local unknowns of a stage; :func:`stage_solution` and
 :func:`stage_loop` rebuild them for checks of the stage equations, and
 :func:`slope_form_step` steps the flux scheme through the whole stage
@@ -17,9 +19,8 @@ import numpy as np
 
 from swehdg.diagnostics import QuantityRecord, _energy_parts, _height_state
 from swehdg.elliptic import CondensedSolver
-from swehdg.fespace import VectorSpace
+from swehdg.fespace import VectorSpace, element_quadrature
 from swehdg.integrators import ButcherTableau
-from swehdg.mesh import PERIODIC_MASTER
 from swehdg.swe import PhiuIntegrator
 
 
@@ -78,6 +79,35 @@ def quadrature_conserved_quantities(run, y, t=0.0):
         potential_enstrophy=float(big_phi * np.sum(wts * rot_q ** 2)),
         bathymetry_term=bath,
     )
+
+
+def quadrature_error(spaces, coeffs, exact):
+    """L2 error of a scalar or vector field against ``exact(x, y)`` (a
+    value or a pair), at the rule exact to degree 2k + 4."""
+    sc = spaces.scalar
+    ne = sc.mesh.num_elements
+    points, weights = element_quadrature(sc.mesh, 2 * sc.k + 4)
+    tab = sc.batch_values(np.arange(ne), points)
+    vals = np.einsum("eqi,eci->ceq", tab, np.asarray(coeffs).reshape(ne, -1, sc.dim_local))
+    ref = np.reshape(exact(points[..., 0], points[..., 1]), vals.shape)
+    return float(np.sqrt(np.sum(weights * (vals - ref) ** 2)))
+
+
+def quadrature_l2_errors(run, y, solution, t):
+    """Errors of the recovered height, velocity and flux against the
+    closed form at time t, evaluated at every point of the elevated rule:
+    the oracle of :func:`swehdg.diagnostics.l2_errors`."""
+    p, _, u, w = _height_state(run, y)
+    s_phi, s_u, s_w = solution.factors(t)
+
+    def flow(factor):
+        return lambda x, y: [factor * v for v in solution.flow(x, y)]
+
+    return {
+        "phi": quadrature_error(run.spaces, p, lambda x, y: s_phi * solution.height(x, y)),
+        "u": quadrature_error(run.spaces, u, flow(s_u)),
+        "w": quadrature_error(run.spaces, w, flow(s_w)),
+    }
 
 
 def locate(mesh, x, y):
@@ -186,7 +216,8 @@ def tangential_vectors(tangential, coeffs, facets=None):
 
 def periodic_pairs(mesh):
     """(master, slave) facet id pairs of a periodic mesh, (n, 2)."""
-    masters = np.where(mesh.facet_tag == PERIODIC_MASTER)[0]
+    # a master has a partner and no shift, its slave the shift onto it
+    masters = np.flatnonzero((mesh.facet_pair >= 0) & ~mesh.periodic_shift.any(axis=1))
     return np.stack([masters, mesh.facet_pair[masters]], axis=1)
 
 

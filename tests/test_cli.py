@@ -337,7 +337,7 @@ def test_choices_ignore_case(tmp_path):
 
 @pytest.mark.parametrize("periodic", ["none", "x"])
 def test_saved_periodic_mesh_runs_with_fewer_pairs(tmp_path, periodic):
-    # periodic tags in a mesh file read as wall until the config pairs them
+    # a saved mesh holds no pairs: the config pairs its facets, or not
     mesh_file = tmp_path / "paired.msh"
     save_mesh(pair_periodic(generate_uniform_square(2), "both"), mesh_file)
     cfg = _write(tmp_path, "paired.ini", "[problem]\npreset = standing_wave\n"

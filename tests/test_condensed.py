@@ -10,7 +10,7 @@ import pytest
 from scipy import sparse
 from scipy.sparse.linalg import splu
 
-from swehdg import elliptic
+from swehdg import elliptic, integrators
 from swehdg.assembly import PhysicalParams, _block_rows, assemble_all
 from swehdg.elliptic import (
     CondensedSolver,
@@ -22,6 +22,7 @@ from swehdg.fespace import build_spaces
 from swehdg.integrators import (
     SdirkIntegrator,
     SemidiscreteSystem,
+    make_integrator,
     make_sdirk,
     uw_stage_blocks,
 )
@@ -710,3 +711,44 @@ def test_init_local_blocks_invertible(k, kind):
     assert np.abs(schur - expected).max() <= 1e-12 * np.abs(expected).max()
     assert np.linalg.eigvalsh(0.5 * (schur + schur.transpose(0, 2, 1))).min() > 0.0
     assert np.all(np.isfinite(np.linalg.inv(local)))
+
+
+def _perturbed(value, rng):
+    """A copy of a float array or sparse matrix with every value moved by
+    at most 1e-15 relative; anything else unchanged."""
+    if sparse.issparse(value):
+        value = value.tocsr(copy=True)
+        value.data = _perturbed(value.data, rng)
+        return value
+    if isinstance(value, np.ndarray) and value.dtype == float:
+        return value * (1.0 + 1e-15 * rng.uniform(-1.0, 1.0, value.shape))
+    return value
+
+
+def test_fill_does_not_depend_on_rounding(monkeypatch):
+    # the init solve and the midpoint stage on the benchmark's holed
+    # periodic box; the bound on the fill's move is fixed at 0.1%
+    calls = []
+
+    class Capture(CondensedSolver):
+        def __init__(self, *args, **kwargs):
+            calls.append(args)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(elliptic, "CondensedSolver", Capture)
+    monkeypatch.setattr(integrators, "CondensedSolver", Capture)
+    mesh = pair_periodic(generate_rect_with_hole((-10.0, 10.0, -10.0, 10.0), (3.0, 0.0),
+                                                 1.0, 1.0), "both")
+    run = build_uw_system(make_problem("moving_bump", mesh, 2))
+    init = calls[0]
+    make_integrator("midpoint", run.system, 0.05)
+    stage = calls[-1]
+    assert init[3].shape[0] > run.spaces.trace.ndof and stage[3] is run.matrices.stab_trace
+
+    rng = np.random.default_rng(1)
+    for args in (init, stage):
+        fills = []
+        for system in (args, [_perturbed(a, rng) for a in args]):
+            lu = CondensedSolver(*system).lu
+            fills.append(lu.L.nnz + lu.U.nnz)
+        assert abs(fills[1] - fills[0]) <= 1e-3 * fills[0]

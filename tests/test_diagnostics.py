@@ -5,7 +5,7 @@ import pytest
 
 from swehdg.assembly import PhysicalParams
 from swehdg.diagnostics import (
-    ErrorQuadrature,
+    ErrorNorms,
     conserved_quantities,
     eoc,
     init_errors,
@@ -27,7 +27,7 @@ from swehdg.swe import (
     make_problem,
 )
 
-from helpers import iterate_steps, quadrature_conserved_quantities
+from helpers import iterate_steps, quadrature_conserved_quantities, quadrature_l2_errors
 
 _RECORD_FIELDS = (
     "mass", "energy_H2h", "kinetic", "potential", "trace_term",
@@ -187,43 +187,98 @@ def test_moving_bump_vorticity_oscillates_and_shrinks():
     assert vs[2] <= 2e-2 and pvs[2] <= 2e-2
 
 
+def _projected_state(run, ms, t):
+    """Flux and velocity of the closed form at time t, projected."""
+    _, s_u, s_w = ms.factors(t)
+    flow = run.spaces.vector.project(ms.flow).coeffs
+    return np.concatenate([s_w * flow, s_u * flow])
+
+
 def test_l2_errors_shrink_at_projection_rate():
     ms = ManufacturedSolution()
     errs = []
     for level in (2, 3):
         mesh = generate_uniform_square(level)
         run = build_uw_system(make_problem("standing_wave", mesh, 1))
-        vec = run.spaces.vector
-        y = np.concatenate([vec.project(ms.w_at(0.3)).coeffs,
-                            vec.project(ms.u_at(0.3)).coeffs])
-        errs.append(l2_errors(run, y, ms, 0.3))
+        errs.append(l2_errors(run, _projected_state(run, ms, 0.3),
+                              ErrorNorms(run.spaces, ms), 0.3))
     for key in ("phi", "u", "w"):
         assert errs[0][key] / errs[1][key] >= 3.0
 
 
-def test_error_quadrature_exactness_floor():
-    mesh = generate_uniform_square(2)
-    spaces = build_spaces(mesh, 2)
-    quad = ErrorQuadrature(spaces)
+# quarter period, where the height and flux factors cos(wt) are ~6e-17
+_QUARTER = np.pi / (2.0 * ManufacturedSolution.frequency)
 
-    def poly(x, y):
+
+@pytest.mark.parametrize("k", [0, 1, 2, 3])
+@pytest.mark.parametrize("level", [2, 3])
+def test_l2_errors_match_the_quadrature_oracle(k, level):
+    # tolerance fixed before measuring: the coefficient norms differ
+    # from point evaluation by rounding alone
+    ms = ManufacturedSolution()
+    run = build_uw_system(make_problem("standing_wave", generate_uniform_square(level), k))
+    norms = ErrorNorms(run.spaces, ms)
+    for t in (0.0, 0.1, _QUARTER, 0.5):
+        for y in (run.y0, _projected_state(run, ms, t)):
+            got = l2_errors(run, y, norms, t)
+            ref = quadrature_l2_errors(run, y, ms, t)
+            for key in ("phi", "u", "w"):
+                assert got[key] == pytest.approx(ref[key], rel=1e-8, abs=1e-300)
+
+
+class _PolynomialSolution(ManufacturedSolution):
+    """Profiles of degree 2, which the k = 2 basis holds exactly."""
+
+    def height(self, x, y):
         return 1.0 - 2.0 * x + 0.5 * y + x * y - y ** 2
 
-    coeffs = spaces.scalar.project(poly).coeffs
-    assert quad.scalar_error(coeffs, poly) <= 1e-13
-
-    def vec(x, y):
+    def flow(self, x, y):
         return x - y, 2.0 * x * y
 
-    vcoeffs = spaces.vector.project(vec).coeffs
-    assert quad.vector_error(vcoeffs, vec) <= 1e-13
+
+def test_error_norms_of_polynomial_profiles_miss_nothing():
+    spaces = build_spaces(generate_uniform_square(2), 2)
+    ms = _PolynomialSolution()
+    norms = ErrorNorms(spaces, ms)
+    assert 0.0 <= norms.profiles["height"][1] <= 1e-26
+    assert 0.0 <= norms.profiles["flow"][1] <= 1e-26
+    coeffs = spaces.scalar.project(ms.height).coeffs
+    vcoeffs = spaces.vector.project(ms.flow).coeffs
+    for factor in (1.0, -0.3):
+        assert norms.error(factor * coeffs, "height", factor) <= 1e-13
+        assert norms.error(factor * vcoeffs, "flow", factor) <= 1e-13
+
+
+class _CountingSolution(ManufacturedSolution):
+    def __init__(self):
+        self.calls = {"height": 0, "flow": 0}
+
+    def height(self, x, y):
+        self.calls["height"] += 1
+        return super().height(x, y)
+
+    def flow(self, x, y):
+        self.calls["flow"] += 1
+        return super().flow(x, y)
+
+
+def test_profiles_are_evaluated_only_at_build():
+    ms = _CountingSolution()
+    run = build_uw_system(make_problem("standing_wave", generate_uniform_square(2), 1))
+    norms = ErrorNorms(run.spaces, ms)
+    assert ms.calls == {"height": 1, "flow": 1}
+    stepper = make_integrator("seprk3", run.system, 0.02)
+    for n, y in iterate_steps(stepper, run.y0, 5):
+        l2_errors(run, y, norms, 0.02 * n)
+    init_errors(run.init.init, norms)
+    assert ms.calls == {"height": 1, "flow": 1}
 
 
 def test_init_errors_against_reference_row():
     ms = ManufacturedSolution()
     mesh = generate_uniform_square(2)
     run = build_uw_system(make_problem("standing_wave", mesh, 1))
-    errs = init_errors(run.spaces, run.init.init, ms)
+    errs = init_errors(run.init.init, ErrorNorms(run.spaces, ms))
     expected = {"sigma": 5.16e-3, "w": 2.15e-2, "phi": 2.05e-2}
     for key, ref in expected.items():
         assert errs[key] <= 2.0 * ref

@@ -5,10 +5,6 @@ import pytest
 
 from swehdg.mesh import (
     Mesh,
-    WALL,
-    INTERIOR,
-    PERIODIC_MASTER,
-    PERIODIC_SLAVE,
     generate_uniform_rect,
     generate_uniform_square,
     generate_rect_with_hole,
@@ -66,11 +62,14 @@ def test_normals_unit_and_outward():
 
 def test_interior_facets_have_two_distinct_elements():
     mesh = generate_uniform_square(2)
-    for f in range(mesh.num_facets):
-        if mesh.facet_tag[f] == INTERIOR:
-            assert mesh.facet_right[f] >= 0
-        else:
-            assert mesh.facet_right[f] == -1
+    interior = mesh.facet_right >= 0
+    assert np.all(mesh.facet_left >= 0)
+    assert np.all(mesh.facet_left[interior] != mesh.facet_right[interior])
+    assert np.array_equal(mesh.boundary_facets, np.flatnonzero(~interior))
+    # the boundary facets are the four per side of the square
+    mid = mesh.facet_midpoints[~interior]
+    assert len(mid) == 16
+    assert np.all(np.minimum(mid, 1.0 - mid).min(axis=1) <= 1e-12)
 
 
 def test_ccw_repair_and_degenerate_rejection():
@@ -92,8 +91,11 @@ def test_pair_periodic_square_both():
     pairs = periodic_pairs(mesh)
     assert len(pairs) == 8
     for fm, fs in pairs:
-        assert mesh.facet_tag[fm] == PERIODIC_MASTER
-        assert mesh.facet_tag[fs] == PERIODIC_SLAVE
+        # the master on the low side, with no shift; the slave opposite
+        assert mesh.facet_pair[fs] == fm
+        assert np.all(mesh.periodic_shift[fm] == 0.0)
+        assert np.any(mesh.periodic_shift[fs] != 0.0)
+        assert min(mesh.facet_midpoints[fm]) <= 1e-12
         assert mesh.facet_lengths[fm] == pytest.approx(mesh.facet_lengths[fs], abs=1e-12)
         moved = mesh.nodes[mesh.facet_nodes[fs]] + mesh.periodic_shift[fs]
         target = mesh.nodes[mesh.facet_nodes[fm]]
@@ -119,10 +121,10 @@ def test_rect_with_hole_geometry():
     holes = hole_boundaries(mesh)
     assert len(holes) == 1
     hole = holes[0]
-    # hole boundary: wall tagged, short segments, an inscribed regular polygon
+    # hole boundary: unpaired walls, short segments, an inscribed regular polygon
     m = len(hole)
+    assert np.all(mesh.facet_right[hole] == -1) and np.all(mesh.facet_pair[hole] == -1)
     for f in hole:
-        assert mesh.facet_tag[f] == WALL
         assert mesh.facet_lengths[f] <= 0.5 + 1e-12
         assert np.hypot(*(mesh.facet_midpoints[f] - [3.0, 0.0])) == pytest.approx(
             np.cos(np.pi / m), abs=1e-12)
@@ -133,7 +135,7 @@ def test_rect_with_hole_geometry():
     outer = per.boundary_facets
     unpaired = [f for f in outer if per.facet_pair[f] < 0]
     assert sorted(unpaired) == sorted(hole)
-    assert all(per.facet_tag[f] == WALL for f in unpaired)
+    assert np.all(per.periodic_shift[unpaired] == 0.0)
     assert [sorted(h) for h in hole_boundaries(per)] == [sorted(hole)]
 
 
@@ -169,8 +171,12 @@ def test_text_roundtrip(tmp_path):
     back = load_mesh(path)
     assert np.array_equal(back.elements, mesh.elements)
     assert np.allclose(back.nodes, mesh.nodes, atol=0.0)
-    assert back.num_facets == mesh.num_facets
-    assert all(back.facet_tag[f] == mesh.facet_tag[f] for f in range(back.num_facets))
+    assert np.array_equal(back.facet_nodes, mesh.facet_nodes)
+    assert np.array_equal(back.facet_right, mesh.facet_right)
+    assert np.all(back.facet_pair == -1)
+    # every boundary facet is written as a wall
+    tags = [line.split()[2] for line in path.read_text().splitlines()[-len(mesh.boundary_facets):]]
+    assert tags == ["wall"] * len(mesh.boundary_facets)
 
 
 @pytest.mark.parametrize("holed", [False, True])
@@ -182,20 +188,22 @@ def test_periodic_tags_read_as_wall_until_paired(tmp_path, holed):
     save_mesh(paired, path)
     back = load_mesh(path)
     assert np.all(back.facet_pair == -1)
-    assert np.array_equal(back.facet_tag, base.facet_tag)
-    assert np.all(TraceSpace(back, 1).owner_row >= 0)
+    assert np.all(back.periodic_shift == 0.0)
+    assert np.array_equal(TraceSpace(back, 1).owned, np.arange(back.num_facets))
     for direction in ("x", "both"):
         again, expected = pair_periodic(back, direction), pair_periodic(base, direction)
         assert np.array_equal(again.facet_pair, expected.facet_pair)
-        assert np.array_equal(again.facet_tag, expected.facet_tag)
         assert np.array_equal(again.periodic_shift, expected.periodic_shift)
+        assert np.array_equal(TraceSpace(again, 1).owner, TraceSpace(expected, 1).owner)
 
 
-def test_tagging_an_interior_facet_is_refused():
-    mesh = generate_uniform_square(1)
-    interior = mesh.facet_nodes[np.flatnonzero(mesh.facet_right >= 0)[0]]
-    with pytest.raises(ValueError, match="is not a boundary facet"):
-        Mesh(mesh.nodes, mesh.elements, boundary_tag={tuple(interior): WALL})
+def test_tagging_an_interior_facet_is_refused(tmp_path):
+    # the diagonal 0-2 of the two triangles is interior
+    path = tmp_path / "diagonal.msh"
+    path.write_text("ndim=2 nnodes=4 nelems=2 nfacets_tagged=1\n"
+                    "0.0 0.0\n1.0 0.0\n1.0 1.0\n0.0 1.0\n0 1 2\n0 2 3\n2 0 wall\n")
+    with pytest.raises(ValueError, match=r"tagged facet \(0, 2\) is not a boundary facet"):
+        load_mesh(path)
 
 
 def test_text_format_comments_and_errors(tmp_path):
@@ -208,7 +216,7 @@ def test_text_format_comments_and_errors(tmp_path):
         "0 1 wall  # bottom\n")
     mesh = load_mesh(path)
     assert mesh.num_elements == 2
-    assert mesh.facet_tag[mesh.boundary_facets].tolist().count(WALL) == 4
+    assert len(mesh.boundary_facets) == 4 and np.all(mesh.facet_pair == -1)
 
     bad = tmp_path / "bad.msh"
     bad.write_text("ndim=2 nnodes=1\n0.0 0.0\n")

@@ -45,35 +45,40 @@ def test_manufactured_solution_satisfies_field_relations():
     sc = build_spaces(mesh, 2).scalar
     x, y = sc.qpoints[..., 0], sc.qpoints[..., 1]
     wts = sc.qweights
+    flow1, flow2 = ms.flow(x, y)
     for t in (0.0, 0.3):
+        s_phi, s_u, s_w = ms.factors(t)
         # complex-step derivatives are exact to roundoff
-        w1x = np.imag(ms.w(x + 1j * _CSTEP, y, t)[0]) / _CSTEP
-        w2y = np.imag(ms.w(x, y + 1j * _CSTEP, t)[1]) / _CSTEP
-        div_gap = -(w1x + w2y) - ms.phi(x, y, t)
+        w1x = s_w * np.imag(ms.flow(x + 1j * _CSTEP, y)[0]) / _CSTEP
+        w2y = s_w * np.imag(ms.flow(x, y + 1j * _CSTEP)[1]) / _CSTEP
+        div_gap = -(w1x + w2y) - s_phi * ms.height(x, y)
         assert np.sqrt(np.sum(wts * div_gap ** 2)) <= 1e-12
 
-        dw1 = np.imag(ms.w(x, y, t + 1j * _CSTEP)[0]) / _CSTEP
-        dw2 = np.imag(ms.w(x, y, t + 1j * _CSTEP)[1]) / _CSTEP
-        u1, u2 = ms.u(x, y, t)
-        gap = (dw1 - u1) ** 2 + (dw2 - u2) ** 2
+        # dw/dt = u, at phi = 1
+        ds_w = np.imag(ms.factors(t + 1j * _CSTEP)[2]) / _CSTEP
+        gap = (ds_w - s_u) ** 2 * (flow1 ** 2 + flow2 ** 2)
         assert np.sqrt(np.sum(wts * gap)) <= 1e-12
 
-        gx, gy = ms.grad_phi(x, y, t)
-        gx_ref = np.imag(ms.phi(x + 1j * _CSTEP, y, t)) / _CSTEP
-        gy_ref = np.imag(ms.phi(x, y + 1j * _CSTEP, t)) / _CSTEP
-        assert np.max(np.abs(gx - gx_ref)) <= 1e-12
-        assert np.max(np.abs(gy - gy_ref)) <= 1e-12
+    # the flow profile is -grad P / pi, and the preset's gradient is grad P
+    gx_ref = np.imag(ms.height(x + 1j * _CSTEP, y)) / _CSTEP
+    gy_ref = np.imag(ms.height(x, y + 1j * _CSTEP)) / _CSTEP
+    gx, gy = get_preset("standing_wave").grad_phi0(x, y)
+    for got in ((gx, gy), (-np.pi * flow1, -np.pi * flow2)):
+        assert np.max(np.abs(got[0] - gx_ref)) <= 1e-12
+        assert np.max(np.abs(got[1] - gy_ref)) <= 1e-12
 
 
 def test_exact_state_projection_values():
     mesh = generate_uniform_square(2)
     spaces = build_spaces(mesh, 2)
     ms = ManufacturedSolution()
-    assert np.all(spaces.vector.project(ms.u_at(0.0)).coeffs == 0.0)
-    assert np.linalg.norm(spaces.scalar.project(ms.phi_at(0.0)).coeffs) > 0.1
-    assert np.linalg.norm(spaces.vector.project(ms.w_at(0.0)).coeffs) > 0.01
-    assert ms.phi(0.5, 0.5, 0.0) == pytest.approx(0.0, abs=1e-15)
-    assert np.linalg.norm(spaces.vector.project(ms.u_at(0.3)).coeffs) > 0.01
+    flow = np.linalg.norm(spaces.vector.project(ms.flow).coeffs)
+    s_phi, s_u, s_w = ms.factors(0.0)
+    assert get_preset("standing_wave").u0 is None and s_u == 0.0 and s_phi == 1.0
+    assert np.linalg.norm(spaces.scalar.project(ms.height).coeffs) > 0.1
+    assert abs(s_w) * flow > 0.01
+    assert ms.height(0.5, 0.5) == pytest.approx(0.0, abs=1e-15)
+    assert abs(ms.factors(0.3)[1]) * flow > 0.01
 
 
 def test_preset_parameters_and_profiles():
