@@ -2,23 +2,28 @@
 condensed wave operator, and the stationary vector-Laplacian
 initialization solve.
 
-:class:`CondensedSolver` is the hybridization kernel shared by every
-implicit solve: element-local unknowns are eliminated block by block,
-and only the remaining trace system is factored.  The recovery of the
-height from the flux is its simplest instance (the local block is
-identity plus boundary stabilization); the implicit stages of both
-schemes reuse it with larger local blocks, and the init solve eliminates
-(rotation, height, flux) per element onto the (height trace, tangential
-flux trace) system, with its gauge multipliers as extra trace unknowns.
+:func:`condense` is the hybridization kernel shared by every implicit
+solve: element-local unknowns are eliminated block by block, and only
+the remaining trace system is factored, by :func:`factor_trace` once
+the call that condensed it has returned, so no element block is held
+through a factorization.  The recovery of the height from the flux is
+its simplest instance (the local block is identity plus boundary
+stabilization); the implicit stages of both schemes reuse it with larger
+local blocks, and the init solve (:class:`CondensedSolver`, which keeps
+its blocks for the back-substitution) eliminates (rotation, height,
+flux) per element onto the (height trace, tangential flux trace)
+system, with its gauge multipliers as extra trace unknowns.
 
 A solve that is repeated for data linear in one vector, and whose
 caller reads a linear output of the solution, is precomposed by the
-``compose`` maps of :class:`CondensedSolver` into three sparse operators:
-the height recovery, its transpose (the bathymetry load), the wave
-operator and every implicit stage then run as one gather, one trace LU
-solve and one scatter; the wave operator F p_hat - D p is formed from the
-height map of the recovery's one composition.
-:meth:`CondensedSolver.solve` is left to the one-shot init solve.
+``compose`` maps of :func:`condense` into three sparse operators: the
+height recovery, its transpose (the bathymetry load), the wave operator
+and every implicit stage then run as one gather, one trace LU solve and
+one scatter; the wave operator F p_hat - D p is formed from the height
+map of the recovery's one composition, at its first application.
+:meth:`CondensedSolver.solve` is left to the one-shot init solve.  The
+recovery is factored at its first trace solve, which an implicit run
+without bathymetry never makes: the init solve gives its initial pair.
 """
 
 import logging
@@ -52,9 +57,10 @@ def _solve_blocks(local, rhs):
     return out
 
 
-class CondensedSolver:
-    """Direct solver for a hybridized block system, condensed onto the
-    trace dofs.
+def condense(local, from_trace, to_trace, trace, cols, compose=None):
+    """Condense a hybridized block system onto its trace dofs: returns the
+    trace Schur complement as the CSC matrix :func:`factor_trace` takes,
+    and the composed operators (R, K, Kt') of ``compose`` (None without).
 
     The system couples n element-local unknowns per element (element by
     element, so local dof ``e * n + i``) with the trace unknowns t:
@@ -67,11 +73,9 @@ class CondensedSolver:
     B_e (n x c) and C_e (c x n); T is sparse on the trace.  No A_e is
     inverted or held: one batched LU solve of the transposed blocks A_e^T
     against C_e^T gives C_e A_e^-1, the Schur complement
-    T - sum_e C_e A_e^-1 B_e is scattered straight into the CSC that
-    SuperLU factors, and no dense block product outlives the scatter.
-    The solver keeps only references to the caller's blocks, and
-    :meth:`solve` costs two one-column batched solves, a gather and a
-    scatter around one trace LU solve.
+    T - sum_e C_e A_e^-1 B_e is scattered straight into CSC, and no dense
+    block product outlives the scatter.  Nothing returned refers to the
+    blocks, so they die with the call, before any factorization.
 
     A caller that solves the system many times for data that a fixed
     linear map of some vector y produces, and that reads only a fixed
@@ -82,8 +86,8 @@ class CondensedSolver:
     output, in the rows ``out_rows[e]``, is Kx_e x_e + Kt_e t[cols[e]].
     A Lf of None is the identity, a Lg or Kt of None is zero, and
     ``shape`` is (output length, length of y).  The readout rows Kx_e
-    join C_e in the same batched solve, and ``composed`` holds the CSR
-    operators (R, K, Kt'),
+    join C_e in the same batched solve, and the composed CSR operators
+    are
 
         R   = Lg - C A^-1 Lf          (trace x y)
         K   = Kx A^-1 Lf              (output x y)
@@ -96,6 +100,78 @@ class CondensedSolver:
     more than the columns of [Lf_e | B_e] in every stage and recovery
     here, and one solve per build costs less than two: the batched LU
     of each block is a large share of a solve.
+
+    A trace unknown need not sit on a facet.  The init solve adds its
+    gauge multipliers as trace unknowns shared by every element: they
+    appear in every element's ``cols`` and border T, and the same scatter
+    forms their rows, columns and corner of the Schur complement.
+
+    A singular A_e raises RuntimeError.
+    """
+    nt, c = trace.shape[0], to_trace.shape[1]
+    readers = to_trace
+    if compose is not None:
+        kx = compose[2]
+        readers = np.concatenate(
+            [to_trace, np.broadcast_to(kx, (len(local), *kx.shape[-2:]))], axis=1)
+    # [C_e; Kx_e] A_e^-1, by one solve of the transposed blocks
+    solved = _solve_blocks(local.transpose(0, 2, 1),
+                           readers.transpose(0, 2, 1)).transpose(0, 2, 1)
+    del readers
+    composed = None
+    if compose is not None:
+        composed = _compose(solved[:, :c], solved[:, c:], from_trace, cols, nt, compose)
+    # T - sum_e C_e A_e^-1 B_e, scattered straight into CSC: a column
+    # holds T's entries, then those of the blocks' columns in element
+    # order, so the duplicates are summed and no zero is dropped
+    coupling = from_trace.transpose(0, 2, 1) @ solved[:, :c].transpose(0, 2, 1)
+    del solved
+    trace, flat = trace.tocsc(), cols.reshape(-1)
+    before = c * np.concatenate([[0], np.cumsum(np.bincount(flat, minlength=nt))])
+    indptr = trace.indptr + before
+    data, rows = np.empty(indptr[-1]), np.empty(indptr[-1], dtype=trace.indices.dtype)
+    at = np.arange(trace.nnz) + np.repeat(before[:-1], np.diff(trace.indptr))
+    data[at], rows[at] = trace.data, trace.indices
+    # the q-th block column in column order follows the T entries of its
+    # column and the q block columns before it
+    order = np.argsort(flat, kind="stable")
+    at = np.empty_like(flat)
+    at[order] = trace.indptr[1:][flat[order]] + c * np.arange(flat.size)
+    at = at.reshape(-1, c)
+    for i in range(c):
+        data[at + i], rows[at + i] = -coupling[:, :, i], cols[:, i, None]
+    del coupling
+    schur = sparse.csc_matrix((data, rows, indptr), shape=(nt, nt))
+    schur.sum_duplicates()
+    return schur, composed
+
+
+def _compose(restrict, readout, from_trace, cols, nt, compose):
+    """(R, K, Kt') of the ``compose`` maps, from the blocks C A^-1
+    (``restrict``) and Kx A^-1 (``readout``) over ``nt`` trace unknowns."""
+    lf, lg, _, kt, rows, out_rows, shape = compose
+    out = _held(_block_rows(readout if lf is None else readout @ lf, out_rows, rows, shape))
+    trace_data = -(restrict if lf is None else restrict @ lf)
+    if lg is not None:
+        trace_data += lg
+    trace_data = _held(_block_rows(trace_data, cols, rows, (nt, shape[1])))
+    out_trace = -(readout @ from_trace)
+    if kt is not None:
+        out_trace += kt
+    return trace_data, out, _held(_block_rows(out_trace, out_rows, cols, (shape[0], nt)))
+
+
+def _held(matrix):
+    """``matrix`` storing no more than its entries.  A block scatter that
+    dropped zeros may keep views of its full arrays, and a composed
+    operator is held for a whole run."""
+    if matrix.data.base is not None and matrix.data.base.size > matrix.nnz:
+        matrix.data, matrix.indices = matrix.data.copy(), matrix.indices.copy()
+    return matrix
+
+
+def factor_trace(schur):
+    """Sparse LU of a trace Schur complement from :func:`condense`.
 
     Every trace Schur complement built here is structurally symmetric, and
     several are indefinite (the init system, the stages), so the factor
@@ -110,56 +186,32 @@ class CondensedSolver:
     relative residual above 1.  With both, the fill is about half of
     COLAMD's or less on every system.
 
-    A trace unknown need not sit on a facet.  The init solve adds its
-    gauge multipliers as trace unknowns shared by every element: they
-    appear in every element's ``cols`` and border T, and the same scatter
-    forms their rows, columns and corner of the Schur complement.
+    A failed factorization raises RuntimeError("trace factorization
+    failed: ...").
+    """
+    try:
+        return splu(schur, permc_spec="MMD_AT_PLUS_A",
+                    diag_pivot_thresh=0.1, options=dict(SymmetricMode=True))
+    except RuntimeError as err:
+        raise RuntimeError(f"trace factorization failed: {err}") from None
 
-    A singular A_e or a failed trace factorization raises RuntimeError.
+
+class CondensedSolver:
+    """Direct solver of a hybridized block system for the one-shot init
+    solve: :func:`condense` onto the trace, then :func:`factor_trace`.
+
+    The solver keeps references to the caller's blocks, because
+    :meth:`solve` reads them: it costs two one-column batched solves, a
+    gather and a scatter around one trace LU solve.  The repeated solves
+    (the recovery, the stages) are composed by :func:`condense` instead
+    and factor after its blocks have died.  A singular A_e or a failed
+    trace factorization raises RuntimeError.
     """
 
-    def __init__(self, local, from_trace, to_trace, trace, cols, compose=None):
-        nt, c = trace.shape[0], to_trace.shape[1]
+    def __init__(self, local, from_trace, to_trace, trace, cols):
         self.cols = cols
         self._local, self._from_trace, self._to_trace = local, from_trace, to_trace
-        readers = to_trace
-        if compose is not None:
-            kx = compose[2]
-            readers = np.concatenate(
-                [to_trace, np.broadcast_to(kx, (len(local), *kx.shape[-2:]))], axis=1)
-        # [C_e; Kx_e] A_e^-1, by one solve of the transposed blocks
-        solved = _solve_blocks(local.transpose(0, 2, 1),
-                               readers.transpose(0, 2, 1)).transpose(0, 2, 1)
-        del readers
-        if compose is not None:
-            self.composed = self._compose(solved[:, :c], solved[:, c:], nt, compose)
-        # T - sum_e C_e A_e^-1 B_e, scattered straight into CSC: a column
-        # holds T's entries, then those of the blocks' columns in element
-        # order, so the duplicates are summed and no zero is dropped
-        coupling = from_trace.transpose(0, 2, 1) @ solved[:, :c].transpose(0, 2, 1)
-        del solved
-        trace, flat = trace.tocsc(), cols.reshape(-1)
-        before = c * np.concatenate([[0], np.cumsum(np.bincount(flat, minlength=nt))])
-        indptr = trace.indptr + before
-        data, rows = np.empty(indptr[-1]), np.empty(indptr[-1], dtype=trace.indices.dtype)
-        at = np.arange(trace.nnz) + np.repeat(before[:-1], np.diff(trace.indptr))
-        data[at], rows[at] = trace.data, trace.indices
-        # the q-th block column in column order follows the T entries of its
-        # column and the q block columns before it
-        order = np.argsort(flat, kind="stable")
-        at = np.empty_like(flat)
-        at[order] = trace.indptr[1:][flat[order]] + c * np.arange(flat.size)
-        at = at.reshape(-1, c)
-        for i in range(c):
-            data[at + i], rows[at + i] = -coupling[:, :, i], cols[:, i, None]
-        del coupling
-        schur = sparse.csc_matrix((data, rows, indptr), shape=(nt, nt))
-        schur.sum_duplicates()
-        try:
-            self.lu = splu(schur, permc_spec="MMD_AT_PLUS_A",
-                           diag_pivot_thresh=0.1, options=dict(SymmetricMode=True))
-        except RuntimeError as err:
-            raise RuntimeError(f"trace factorization failed: {err}") from None
+        self.lu = factor_trace(condense(local, from_trace, to_trace, trace, cols)[0])
 
     def solve(self, f, g):
         """Local and trace parts (x, t) of the solution for data (f, g)."""
@@ -172,25 +224,10 @@ class CondensedSolver:
         x = _solve_blocks(self._local, f - self._from_trace @ t[self.cols][..., None])
         return x.reshape(-1), t
 
-    def _compose(self, restrict, readout, nt, compose):
-        """(R, K, Kt') of the ``compose`` maps, from the blocks C A^-1
-        (``restrict``) and Kx A^-1 (``readout``) over ``nt`` trace
-        unknowns."""
-        lf, lg, _, kt, rows, out_rows, shape = compose
-        cols = self.cols
-        out = _block_rows(readout if lf is None else readout @ lf, out_rows, rows, shape)
-        trace_data = -(restrict if lf is None else restrict @ lf)
-        if lg is not None:
-            trace_data += lg
-        trace_data = _block_rows(trace_data, cols, rows, (nt, shape[1]))
-        out_trace = -(readout @ self._from_trace)
-        if kt is not None:
-            out_trace += kt
-        return trace_data, out, _block_rows(out_trace, out_rows, cols, (shape[0], nt))
-
 
 class PhiRecovery:
-    """Cached factorizations for recovering the height field from the flux.
+    """Recovery of the height field from the flux, condensed at build and
+    factored at its first trace solve.
 
     Eliminating the element-local block leaves a symmetric positive
     definite system on the trace dofs (the stabilization trace mass minus
@@ -200,9 +237,9 @@ class PhiRecovery:
     The height data of the recovery is linear in the flux w: -D_e^T w_e
     in the local rows of element e and F_e^T w_e in its trace rows, with
     D = div_pair, F = flux_pair and A the local blocks I + S_l.  One
-    composition onto the height (:class:`CondensedSolver`'s ``compose``)
-    gives the trace data G and the height map p = Pw w + Pt p_hat of
-    :meth:`recover`,
+    composition onto the height (the ``compose`` maps of
+    :func:`condense`) gives the trace data G and the height map
+    p = Pw w + Pt p_hat of :meth:`recover`,
 
         G = F^T + C A^-1 D^T,    Pw = -A^-1 D^T,    Pt = -A^-1 B,
 
@@ -213,38 +250,71 @@ class PhiRecovery:
     transpose of the height map, :meth:`recover_transpose`, which
     carries a height functional back onto the flux (the bathymetry load).
 
+    Only what a run reads is built.  The build condenses: it keeps G, Pw,
+    Pt and the trace Schur complement in CSC, and ``schur`` is None.  The
+    first trace solve (:meth:`recover` of an unknown flux, :meth:`apply`
+    or :meth:`recover_transpose`) factors it and drops the CSC, and the
+    first :meth:`apply` builds H and Mw; :meth:`prepare_apply` does both
+    at once, for a stepper that applies the operator every step.  A
+    failed factorization raises RuntimeError("recovery factorization
+    failed: ...") there.
+
     The recovery keeps the last pair (w, p_hat(w)) it knows: a copy of w
     and a read-only p_hat, since :meth:`recover` hands that array out.
-    :meth:`recover` and :meth:`apply` store the pair of every trace
-    solve they make, and :meth:`recover` of the stored flux returns the
-    stored p_hat without a solve.  A stepper carries the pair across its
-    substeps through :meth:`carry`: an implicit midpoint substep from w to
-    w' solves the recovery equations at its midpoint flux (w + w') / 2,
-    and by linearity p_hat(w') = 2 t - p_hat(w), with t its trace
-    solution.  So once a run has recovered its initial flux, the record
-    after an implicit flux step, or after an explicit one that ends on a
-    kick (seprk1, seprk3), makes no trace solve; any other flux is solved
-    afresh.
+    The caller may seed it with a pair it knows (``known``, copied): the
+    init solve of the flux scheme contains the recovery equations at its
+    flux w0, so its height trace is p_hat(w0).  :meth:`recover` and
+    :meth:`apply` store the pair of every trace solve they make, and
+    :meth:`recover` of the stored flux returns the stored p_hat without a
+    solve.  A stepper carries the pair across its substeps through
+    :meth:`carry`: an implicit midpoint substep from w to w' solves the
+    recovery equations at its midpoint flux (w + w') / 2, and by
+    linearity p_hat(w') = 2 t - p_hat(w), with t its trace solution.  So
+    a seeded run records its initial flux without a trace solve, the
+    record after an implicit flux step, or after an explicit one that
+    ends on a kick (seprk1, seprk3), makes none either, and an implicit
+    run without bathymetry never factors the recovery; any other flux is
+    solved afresh.
     """
 
-    def __init__(self, matrices):
+    def __init__(self, matrices, known=None):
         mats = matrices
         m = mats.spaces.scalar.dim_local
         coupling = -mats.stab_mixed_blocks
         vdofs = mats.vdofs.reshape(len(mats.wdofs), -1)
         try:
-            solver = CondensedSolver(
+            self._csc, (self._G, self._Pw, self._Pt) = condense(
                 mats.stab_local_blocks + np.eye(m), coupling, coupling.transpose(0, 2, 1),
                 mats.stab_trace, mats.trace_cols,
                 compose=(-mats.div_blocks.transpose(0, 2, 1), mats.flux_blocks.transpose(0, 2, 1),
                          np.eye(m), None, vdofs, mats.wdofs, mats.div_pair.shape[::-1]))
         except RuntimeError as err:
             raise RuntimeError(f"recovery factorization failed: {err}") from None
-        self.schur = solver.lu
-        self._G, self._Pw, self._Pt = solver.composed
-        self._Mw = -(mats.div_pair @ self._Pw)
-        self._H = mats.flux_pair - mats.div_pair @ self._Pt
+        self._div_pair, self._flux_pair = mats.div_pair, mats.flux_pair
+        self.schur = None
+        self._wave = None
         self._known = None
+        if known is not None:
+            self._store(known[0], np.array(known[1], dtype=float))
+
+    def factor(self):
+        """The trace factor ``schur``, factored at the first call."""
+        if self.schur is None:
+            try:
+                self.schur = factor_trace(self._csc)
+            except RuntimeError as err:
+                raise RuntimeError(f"recovery factorization failed: {err}") from None
+            self._csc = None
+        return self.schur
+
+    def prepare_apply(self):
+        """(H, Mw) of :meth:`apply`, with the recovery factored; both are
+        built at the first call."""
+        self.factor()
+        if self._wave is None:
+            self._wave = (self._flux_pair - self._div_pair @ self._Pt,
+                          -(self._div_pair @ self._Pw))
+        return self._wave
 
     def _store(self, w, phat):
         phat.flags.writeable = False
@@ -259,7 +329,7 @@ class PhiRecovery:
 
     def _solve(self, w):
         """p_hat(w) by one trace solve, stored as the known pair."""
-        phat = self.schur.solve(self._G @ w)
+        phat = self.factor().solve(self._G @ w)
         self._store(w, phat)
         return phat
 
@@ -283,11 +353,12 @@ class PhiRecovery:
         """Transpose of the height map of :meth:`recover` applied to height
         coefficients b: Pw^T b + G^T S^-T Pt^T b, with S the trace Schur
         complement."""
-        return self._Pw.T @ b + self._G.T @ self.schur.solve(self._Pt.T @ b, trans="T")
+        return self._Pw.T @ b + self._G.T @ self.factor().solve(self._Pt.T @ b, trans="T")
 
     def apply(self, w):
         """Action of the condensed wave operator on flux coefficients."""
-        return self._H @ self._solve(w) + self._Mw @ w
+        H, Mw = self.prepare_apply()
+        return H @ self._solve(w) + Mw @ w
 
 
 @dataclass

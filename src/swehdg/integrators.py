@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .assembly import SystemMatrices
-from .elliptic import CondensedSolver, PhiRecovery
+from .elliptic import PhiRecovery, condense, factor_trace
 
 _ROWSUM_TOL = 1e-14
 _SYMPLECTIC_TOL = 1e-14
@@ -226,7 +226,7 @@ class SemidiscreteSystem:
 
 def uw_stage_blocks(matrices, phi, delta):
     """Element blocks (A_e, B_e, C_e) of the flux-scheme stage with stage
-    scale delta, for :class:`~swehdg.elliptic.CondensedSolver`.
+    scale delta, for :func:`~swehdg.elliptic.condense`.
 
     The stage system in (flux w, velocity u, height p, trace p_hat) reads
 
@@ -281,15 +281,19 @@ class DirkIntegrator:
     Each scheme reads one output z of the substep, linear in its solution
     and the forcing, and advances the state from z alone.  The unforced
     substep data and the output are linear in y and in the substep
-    solution, element by element, so :class:`CondensedSolver` folds them
-    around the local elimination once per distinct scale delta = h/2, in
-    the same batched solve that forms the trace system, and a substep is
+    solution, element by element, so :func:`~swehdg.elliptic.condense`
+    folds them around the local elimination once per distinct scale
+    delta = h/2, in the same batched solve that forms the trace system,
+    and a substep is
 
         t = lu.solve(R y + r0),    z = K y + Kt t + k0,    y <- advance(y, h, z, t)
 
     with r0 = R (delta F) and k0 = K (delta F) + z0, z0 the output's
     constant term: one sparse product into the trace, one trace LU solve
-    and two sparse products out.  The ``SuperLU`` objects are kept in
+    and two sparse products out.  Each scale is condensed in one call
+    that returns only the trace Schur complement and the composed
+    operators, so the element blocks and maps die before its trace
+    factorization.  The ``SuperLU`` objects are kept in
     ``trace_factors``, keyed by scale.  A tableau built with
     ``symplectic=False`` is refused (ValueError).
 
@@ -319,16 +323,16 @@ class DirkIntegrator:
         for delta in 0.5 * self.dt * tableau.b:
             if delta in self._stages:
                 continue
-            # the maps are rebuilt per scale: held across the next
-            # factorization they would raise the peak memory of the build
+            # the blocks and maps are built per scale inside the condense
+            # call, so none of them is alive while the factorization runs
             try:
-                solver = CondensedSolver(*self._stage_blocks(delta), trace, cols,
-                                         compose=(*self._stage_maps(), rows, out_rows, shape))
+                schur, (R, K, Kt) = condense(*self._stage_blocks(delta), trace, cols,
+                                             compose=(*self._stage_maps(), rows, out_rows, shape))
+                self.trace_factors[delta] = factor_trace(schur)
             except RuntimeError as exc:
                 raise RuntimeError(
                     f"stage factorization failed for stage scale {delta}: {exc}") from exc
-            R, K, Kt = solver.composed
-            self.trace_factors[delta] = solver.lu
+            del schur
             self._stages[delta] = (R, K, Kt, R @ (delta * forcing),
                                    K @ (delta * forcing) + out_const)
 
@@ -401,8 +405,11 @@ class SeprkIntegrator:
     leapfrog compositions end with such a pair, so seprk2/4/6 apply the
     operator 1/3/7 times per step.  seprk1 and seprk3 end on a kick at
     the final flux, whose trace solve the recovery keeps, so a record
-    after their step makes no trace solve.  A tableau built with
-    ``symplectic=False`` is refused (ValueError).
+    after their step makes no trace solve.  The build factors the
+    recovery and forms its wave operator
+    (:meth:`~swehdg.elliptic.PhiRecovery.prepare_apply`), so the first
+    step does no build work.  A tableau built with ``symplectic=False``
+    is refused (ValueError).
 
     The rotation term is evaluated explicitly in each kick, so the
     composition retains its declared order only when rotation is absent
@@ -415,6 +422,7 @@ class SeprkIntegrator:
         self.system = system
         self.tableau = tableau
         self.dt = float(dt)
+        system.recovery.prepare_apply()
 
     def step(self, y):
         sysm, dt = self.system, self.dt

@@ -367,35 +367,60 @@ def load_mesh(path):
     ``v0 v1 tag``.  ``#`` starts a comment.  Every boundary facet is a
     wall whatever its tag, and a line naming no boundary facet is
     refused: pairing has to be requested through ``pair_periodic``.
+    Every refusal is a ValueError naming the file, and the 1-based line
+    when one line is at fault.
     """
     rows = []
     with open(path) as fh:
-        for line in fh:
+        for number, line in enumerate(fh, start=1):
             line = line.split("#", 1)[0].strip()
             if line:
-                rows.append(line.split())
+                rows.append((number, line.split()))
 
     if not rows:
         raise ValueError(f"{path}: empty mesh file")
-    header = dict(tok.split("=", 1) for tok in rows[0] if "=" in tok)
+    number, tokens = rows[0]
+    header = dict(tok.split("=", 1) for tok in tokens if "=" in tok)
     try:
-        ndim = int(header["ndim"])
-        nn = int(header["nnodes"])
-        ne = int(header["nelems"])
-        nt = int(header["nfacets_tagged"])
+        ndim, nn, ne, nt = (int(header[key]) for key in
+                            ("ndim", "nnodes", "nelems", "nfacets_tagged"))
     except KeyError as err:
-        raise ValueError(f"{path}: malformed header, missing {err}") from None
+        raise ValueError(f"{path}:{number}: malformed header, missing {err}") from None
+    except ValueError as err:
+        raise ValueError(f"{path}:{number}: malformed header, {err}") from None
     if ndim != 2:
-        raise ValueError(f"{path}: only ndim=2 supported")
+        raise ValueError(f"{path}:{number}: only ndim=2 supported")
     if len(rows) != 1 + nn + ne + nt:
         raise ValueError(f"{path}: expected {1 + nn + ne + nt} rows, found {len(rows)}")
 
-    nodes = np.array([[float(r[0]), float(r[1])] for r in rows[1:1 + nn]])
-    elements = np.array([[int(v) for v in r[:3]] for r in rows[1 + nn:1 + nn + ne]])
-    mesh = Mesh(nodes, elements)
+    def read(lines, count, kind, what):
+        """The first ``count`` values of every line, as ``kind``; ids
+        (``kind`` int) must name a node."""
+        out = []
+        for number, tokens in lines:
+            try:
+                if len(tokens) < count:
+                    raise ValueError(f"expected {count} values, found {len(tokens)}")
+                values = [kind(tok) for tok in tokens[:count]]
+            except ValueError as err:
+                raise ValueError(f"{path}:{number}: malformed {what} line: {err}") from None
+            if kind is int and not all(0 <= v < nn for v in values):
+                raise ValueError(f"{path}:{number}: {what} line names a vertex outside "
+                                 f"0..{nn - 1}")
+            out.append(values)
+        return out
+
+    nodes = read(rows[1:1 + nn], 2, float, "node")
+    elements = read(rows[1 + nn:1 + nn + ne], 3, int, "element")
+    facets = read(rows[1 + nn + ne:], 2, int, "facet")
+    try:
+        mesh = Mesh(np.array(nodes, dtype=float).reshape(nn, 2),
+                    np.array(elements, dtype=np.int64).reshape(ne, 3))
+    except ValueError as err:
+        raise ValueError(f"{path}: {err}") from None
     boundary = {tuple(mesh.facet_nodes[f]) for f in mesh.boundary_facets}
-    for r in rows[1 + nn + ne:]:
-        pair = tuple(sorted((int(r[0]), int(r[1]))))
+    for (number, _), pair in zip(rows[1 + nn + ne:], facets):
+        pair = tuple(sorted(pair))
         if pair not in boundary:
-            raise ValueError(f"tagged facet {pair} is not a boundary facet")
+            raise ValueError(f"{path}:{number}: tagged facet {pair} is not a boundary facet")
     return mesh

@@ -219,7 +219,9 @@ def build_uw_system(spec):
     state = initialize_state(spec.mesh, spaces, spec.phi0, spec.u0,
                              spec.params, grad_phi0=spec.grad_phi0,
                              matrices=matrices)
-    recovery = PhiRecovery(matrices)
+    # the init system holds the recovery equations at its flux, so its
+    # height trace is the recovered trace of the initial flux
+    recovery = PhiRecovery(matrices, known=(state.w.coeffs, state.init.phi_hat.coeffs))
     bath = None
     forcing = None
     if spec.bathymetry is not None:
@@ -296,7 +298,7 @@ def phiu_slope_blocks(matrices, phi):
 
 def phiu_stage_blocks(matrices, phi, delta):
     """Element blocks (A_e, B_e, C_e) of the height-scheme stage with stage
-    scale delta, for :class:`~swehdg.elliptic.CondensedSolver`; the trace
+    scale delta, for :func:`~swehdg.elliptic.condense`; the trace
     block is -S_t.  The stage X = r + delta (Kx X + Kt q_hat), with the
     slope blocks of :func:`phiu_slope_blocks`, gives A_e = I - delta Kx_e,
     B_e = -delta Kt_e, and the trace equation C_e = [S_m,e^T, phi F_e^T].

@@ -18,7 +18,7 @@ slope.
 import numpy as np
 
 from swehdg.diagnostics import QuantityRecord, _energy_parts, _height_state
-from swehdg.elliptic import CondensedSolver
+from swehdg.elliptic import condense, factor_trace
 from swehdg.fespace import VectorSpace, element_quadrature
 from swehdg.integrators import ButcherTableau
 from swehdg.swe import PhiuIntegrator
@@ -332,11 +332,10 @@ def slope_form(stepper):
     m = stepper.system.matrices
     forms = {}
     for delta in stepper.trace_factors:
-        solver = CondensedSolver(*stepper._stage_blocks(delta), m.stab_trace, cols,
-                                 compose=(*uw_slope_maps(stepper.system), rows, rows,
-                                          (forcing.size,) * 2))
-        R, K, Kt = solver.composed
-        forms[delta] = (solver.lu, R, K, Kt, R @ (delta * forcing),
+        schur, (R, K, Kt) = condense(*stepper._stage_blocks(delta), m.stab_trace, cols,
+                                     compose=(*uw_slope_maps(stepper.system), rows, rows,
+                                              (forcing.size,) * 2))
+        forms[delta] = (factor_trace(schur), R, K, Kt, R @ (delta * forcing),
                         K @ (delta * forcing) + forcing)
     return forms
 

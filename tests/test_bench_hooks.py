@@ -6,6 +6,7 @@ fill counts.  The tracer module is executed from its source, read only
 import types
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from swehdg import cli, elliptic, swe
@@ -38,9 +39,13 @@ def test_hooked_names_resolve(tracing):
 
 
 def test_recovery_has_traced_methods_and_factor(tracing, run):
+    # the recovery factors at its first trace solve; until then the
+    # tracer reads its fill as absent
     rec = PhiRecovery(run.matrices)
     for method in tracing.RECOVERY_METHODS:
         assert callable(getattr(rec, method))
+    assert tracing.lu_fill(rec.schur) is None
+    rec.recover(np.ones(run.matrices.div_pair.shape[0]))
     assert tracing.lu_fill(rec.schur) > 0
 
 

@@ -225,6 +225,30 @@ def test_compare_singular_init_block_names_the_run(tmp_path, capsys, monkeypatch
     assert not (tmp_path / "energy_compare.csv").exists()
 
 
+def test_compare_never_factors_the_recovery(tmp_path, monkeypatch):
+    # the implicit flux run reads its t = 0 trace from the init solve and
+    # carries it across every substep: no recovery solve, no factor
+    runs, solves = [], []
+
+    def build(spec):
+        run = swe.build_uw_system(spec)
+        solve = run.recovery._solve
+
+        def counted(w):
+            solves.append(w)
+            return solve(w)
+
+        run.recovery._solve = counted
+        runs.append(run)
+        return run
+
+    monkeypatch.setattr(cli, "build_uw_system", build)
+    cfg = _write(tmp_path, "c.ini", COMPARE.format(tau=1.0, T=0.02))
+    assert main(["compare_dissipative", "--config", cfg, "--out", str(tmp_path)]) == 0
+    assert len(runs) == 1 and runs[0].recovery.schur is None
+    assert not solves
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_compare_conserving_blow_up_names_the_step(tmp_path, capsys):
     text = COMPARE.format(tau=1.0, T=200.0).replace("dt = 0.001", "dt = 1.0")
@@ -346,6 +370,20 @@ def test_saved_periodic_mesh_runs_with_fewer_pairs(tmp_path, periodic):
     assert main(["run", "--config", cfg, "--out", str(tmp_path)]) == 0
 
 
+@pytest.mark.parametrize("facet", ["0", "0 9 wall"])
+def test_malformed_mesh_file_names_it(tmp_path, capsys, facet):
+    mesh_file = tmp_path / "bad.msh"
+    save_mesh(generate_uniform_square(1), mesh_file)
+    lines = mesh_file.read_text().splitlines()
+    lines[-1] = facet
+    mesh_file.write_text("\n".join(lines) + "\n")
+    cfg = _write(tmp_path, "c.ini", "[problem]\npreset = standing_wave\n"
+                 f"[mesh]\nkind = file\npath = {mesh_file}\n"
+                 "[time]\nfinal_time = 0.1\ndt = 0.05\n")
+    assert main(["run", "--config", cfg, "--out", str(tmp_path)]) == 1
+    assert f"{mesh_file}:{len(lines)}: " in capsys.readouterr().err
+
+
 def test_unknown_preset_fails_cleanly(tmp_path, capsys):
     cfg = _write(tmp_path, "c.ini", "[problem]\npreset = tidal_flat\n")
     assert main(["run", "--config", cfg, "--out", str(tmp_path)]) == 1
@@ -435,9 +473,8 @@ def test_shipped_configs_parse():
         assert cfg.preset in ("standing_wave", "moving_bump", "gaussian_pulse")
 
 
-class _FailingStage:
-    def __init__(self, *args, **kwargs):
-        raise RuntimeError("trace factorization failed: forced")
+def _failing_factor(schur):
+    raise RuntimeError("trace factorization failed: forced")
 
 
 STAGE_RUN = """
@@ -466,8 +503,9 @@ integrator = {integrator}
 ])
 def test_stepper_setup_failure_names_the_run(tmp_path, capsys, monkeypatch,
                                              subcommand, text):
-    # the recovery keeps its own solver; only the stage builds fail
-    monkeypatch.setattr(integrators, "CondensedSolver", _FailingStage)
+    # the recovery factors through the elliptic module's own name; only
+    # the stage builds fail
+    monkeypatch.setattr(integrators, "factor_trace", _failing_factor)
     cfg = _write(tmp_path, "c.ini", text)
     assert main([subcommand, "--config", cfg, "--out", str(tmp_path)]) == 1
     assert ("stepper setup failed for k=1, h=0.25: stage factorization failed "

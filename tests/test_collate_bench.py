@@ -4,6 +4,8 @@ import importlib.util
 import json
 from pathlib import Path
 
+import pytest
+
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "collate_bench.py"
 
 
@@ -45,6 +47,24 @@ def test_collate_writes_both_sides_per_workload_and_metric(tmp_path):
     assert wall["change_better_at_seeds"] == "3 of 4"
     assert wall["unit"] == "s" and wall["better"] == "lower"
     assert set(bench["workloads"]["bump"]) == {"wall_s", "ms_per_step"}
+
+
+def test_collate_refuses_a_side_of_two_commits(tmp_path):
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    _records(parent, "bump", [1.0, 2.0])
+    _records(change, "bump", [1.0, 2.0])
+    # a record left by a run of other code
+    stale = change / ".perfbench_work" / "results" / "bump-seed2-trace0.json"
+    record = json.loads(stale.read_text())
+    record["env"]["commit"] = "older"
+    stale.write_text(json.dumps(record))
+    out = tmp_path / "b.json"
+    with pytest.raises(SystemExit) as info:
+        _tool().main(["--parent", str(parent), "--change", str(change), "--out", str(out)])
+    assert str(info.value) == (f"collate_bench: {change} holds records of 2 commits: "
+                               "change (bump-seed1-trace0.json); "
+                               "older (bump-seed2-trace0.json)")
+    assert not out.exists()
 
 
 def test_collate_refuses_when_no_workload_has_both_sides(tmp_path, capsys):

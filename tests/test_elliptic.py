@@ -10,6 +10,7 @@ from swehdg.elliptic import (
     solve_vector_laplacian,
 )
 from swehdg.fespace import build_spaces
+from swehdg.swe import build_uw_system, make_problem
 from swehdg.mesh import (
     generate_rect_with_hole,
     generate_uniform_rect,
@@ -229,6 +230,30 @@ def test_initialize_state_needs_the_height_gradient():
     with pytest.raises(ValueError, match="grad_phi0"):
         initialize_state(mesh, spaces, phi0=lambda x, y: np.sin(x) * np.sin(y),
                          u0=None, params=PhysicalParams())
+
+
+# largest max-norm distance, relative to a fresh solve, of the recovered
+# trace the init solve seeds; fixed before measuring
+SEEDED_TRACE_RTOL = 1e-10
+
+
+@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("mesh", [
+    generate_uniform_rect(2, 3),
+    pair_periodic(generate_uniform_square(2), "both"),
+    generate_rect_with_hole((0.0, 3.0, 0.0, 3.0), (1.5, 1.5), 0.6, 1.2),
+], ids=["wall", "periodic", "holed"])
+def test_init_seeds_the_recovered_trace(mesh, k):
+    # the init system holds the recovery equations at its flux w0, so its
+    # height trace is p_hat(w0): recover(w0) makes no solve and agrees
+    # with one
+    run = build_uw_system(make_problem("standing_wave", mesh, k))
+    w0 = run.system.split(run.y0)[0]
+    phat = run.recovery.recover(w0)[1]
+    assert run.recovery.schur is None
+    fresh = PhiRecovery(run.matrices).recover(w0)[1]
+    assert np.abs(phat - fresh).max() <= SEEDED_TRACE_RTOL * np.abs(fresh).max()
+    assert np.array_equal(phat, run.init.init.phi_hat.coeffs)
 
 
 def test_zero_state_shortcut():

@@ -1,5 +1,7 @@
 """Mesh construction, connectivity, periodic pairing, text format."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -222,3 +224,39 @@ def test_text_format_comments_and_errors(tmp_path):
     bad.write_text("ndim=2 nnodes=1\n0.0 0.0\n")
     with pytest.raises(ValueError, match="header"):
         load_mesh(bad)
+
+
+# two triangles of the unit square, its boundary facets on lines 8-11
+SQUARE = ["ndim=2 nnodes=4 nelems=2 nfacets_tagged=4",
+          "0.0 0.0", "1.0 0.0", "1.0 1.0", "0.0 1.0",
+          "0 1 2", "0 2 3",
+          "0 1 wall", "1 2 wall", "2 3 wall", "3 0 wall"]
+
+
+@pytest.mark.parametrize("line,text,message", [
+    (1, "ndim=2 nnodes=four nelems=2 nfacets_tagged=4", "malformed header, invalid literal"),
+    (3, "1.0 zero", "malformed node line: could not convert string to float"),
+    (2, "0.0", "malformed node line: expected 2 values, found 1"),
+    (7, "0 2 3.5", "malformed element line: invalid literal for int()"),
+    (6, "0 1 4", "element line names a vertex outside 0..3"),
+    (7, "-1 2 3", "element line names a vertex outside 0..3"),
+    (9, "1", "malformed facet line: expected 2 values, found 1"),
+    (10, "2 7 wall", "facet line names a vertex outside 0..3"),
+    (11, "0 2 wall", r"tagged facet \(0, 2\) is not a boundary facet"),
+])
+def test_malformed_lines_name_the_file_and_line(tmp_path, line, text, message):
+    path = tmp_path / "bad.msh"
+    lines = list(SQUARE)
+    lines[line - 1] = text
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:{line}: {message}"):
+        load_mesh(path)
+
+
+def test_a_refused_mesh_names_the_file(tmp_path):
+    path = tmp_path / "flat.msh"
+    lines = list(SQUARE)
+    lines[2:5] = ["1.0 0.0", "2.0 0.0", "3.0 0.0"]
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: degenerate element"):
+        load_mesh(path)

@@ -25,11 +25,20 @@ ROOT = Path(__file__).resolve().parent.parent
 
 
 def read_side(checkout):
-    """{workload: {seed: record}} of the untraced records of a checkout."""
-    records = {}
+    """{workload: {seed: record}} of the untraced records of a checkout.
+
+    Records that name more than one commit (``env.commit``) are refused
+    (SystemExit naming each commit and its files): they are left from
+    runs of other code, and would be mixed into one side."""
+    records, files = {}, {}
     for path in sorted(Path(checkout, ".perfbench_work", "results").glob("*-trace0.json")):
         record = json.loads(path.read_text())
         records.setdefault(record["workload"], {})[record["seed"]] = record
+        files.setdefault(str(record["env"].get("commit")), []).append(path.name)
+    if len(files) > 1:
+        raise SystemExit(f"collate_bench: {checkout} holds records of {len(files)} commits: "
+                         + "; ".join(f"{commit} ({', '.join(names)})"
+                                     for commit, names in sorted(files.items())))
     return records
 
 
