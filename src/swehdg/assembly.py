@@ -172,6 +172,18 @@ def _block_rows(blocks, rows, cols, shape):
     return mat
 
 
+def _held(matrix):
+    """``matrix`` storing no more than its entries.  Dropping zeros or
+    summing duplicates may leave its arrays views of longer ones, and
+    the assembled pairings and composed operators are held for a whole
+    run."""
+    if matrix.data.base is not None and matrix.data.base.size > matrix.nnz:
+        matrix.data = matrix.data.copy()
+    if matrix.indices.base is not None and matrix.indices.base.size > matrix.nnz:
+        matrix.indices = matrix.indices.copy()
+    return matrix
+
+
 def assemble_all(mesh, spaces, params):
     """Assemble every coupling block of the semidiscrete system.
 
@@ -234,6 +246,7 @@ def assemble_all(mesh, spaces, params):
     for pairing in (mats.div_pair, mats.flux_pair, mats.stab_local, mats.stab_mixed,
                     mats.stab_trace, mats.coriolis):
         pairing.sum_duplicates()
+        _held(pairing)
     return mats
 
 

@@ -75,6 +75,7 @@ from .mesh import (
 from .swe import (
     PRESETS,
     PhiuIntegrator,
+    build_init,
     build_phiu_system,
     build_uw_system,
     get_preset,
@@ -346,15 +347,16 @@ def _build_stepper(label, preset, factory, *args):
         raise RunFailure(f"integrator refused for {label}, preset {preset}: {exc}") from exc
 
 
-def _flux_run(cfg, degree, level=None):
+def _flux_run(cfg, degree, level=None, init_only=False):
     """(label, spec, run) of the flux scheme on the config's mesh, with a
     failed init solve or an init residual out of bounds turned into a
-    RunFailure naming the run."""
+    RunFailure naming the run.  With ``init_only`` the run is the
+    :class:`~swehdg.swe.InitRun` of the init solve alone."""
     mesh = build_mesh(cfg, level)
     label = f"k={degree}, h={mesh.h_nominal:g}"
     spec = make_problem(cfg.preset, mesh, degree, **cfg.overrides)
     try:
-        run = build_uw_system(spec)
+        run = build_init(spec) if init_only else build_uw_system(spec)
     except RuntimeError as exc:
         raise RunFailure(f"init solve failed for {label}: {exc}") from exc
     residual = run.init.init.residual
@@ -462,7 +464,7 @@ def _convergence_task(cfg, degree, level, with_time):
     ms = get_preset(cfg.preset).manufactured
     if ms is None:
         raise RunFailure(f"preset {cfg.preset} has no closed-form solution")
-    label, spec, run = _flux_run(cfg, degree, level)
+    label, spec, run = _flux_run(cfg, degree, level, init_only=not with_time)
     h = spec.mesh.h_nominal
     norms = ErrorNorms(run.spaces, ms)
     if not with_time:

@@ -9,10 +9,9 @@ the call that condensed it has returned, so no element block is held
 through a factorization.  The recovery of the height from the flux is
 its simplest instance (the local block is identity plus boundary
 stabilization); the implicit stages of both schemes reuse it with larger
-local blocks, and the init solve (:class:`CondensedSolver`, which keeps
-its blocks for the back-substitution) eliminates (rotation, height,
-flux) per element onto the (height trace, tangential flux trace)
-system, with its gauge multipliers as extra trace unknowns.
+local blocks, and the init solve eliminates (rotation, height, flux) per
+element onto the (height trace, tangential flux trace) system, with its
+gauge multipliers as extra trace unknowns.
 
 A solve that is repeated for data linear in one vector, and whose
 caller reads a linear output of the solution, is precomposed by the
@@ -20,10 +19,12 @@ caller reads a linear output of the solution, is precomposed by the
 height recovery, its transpose (the bathymetry load), the wave operator
 and every implicit stage then run as one gather, one trace LU solve and
 one scatter; the wave operator F p_hat - D p is formed from the height
-map of the recovery's one composition, at its first application.
-:meth:`CondensedSolver.solve` is left to the one-shot init solve.  The
-recovery is factored at its first trace solve, which an implicit run
-without bathymetry never makes: the init solve gives its initial pair.
+map of the recovery's one composition, at its first application.  The
+one-shot init solve passes its data to :func:`condense` instead, which
+reduces it onto the trace, and builds its element blocks again for the
+back-substitution once the trace system is solved.  The recovery is
+factored at its first trace solve, which an implicit run without
+bathymetry never makes: the init solve gives its initial pair.
 """
 
 import logging
@@ -33,7 +34,7 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse.linalg import splu
 
-from .assembly import _block_rows, _element_columns, assemble_all
+from .assembly import _block_rows, _element_columns, _held, assemble_all
 from .fespace import GridFunction, TangentialTraceSpace
 from .mesh import hole_boundaries
 
@@ -57,10 +58,11 @@ def _solve_blocks(local, rhs):
     return out
 
 
-def condense(local, from_trace, to_trace, trace, cols, compose=None):
+def condense(local, from_trace, to_trace, trace, cols, compose=None, rhs=None):
     """Condense a hybridized block system onto its trace dofs: returns the
     trace Schur complement as the CSC matrix :func:`factor_trace` takes,
-    and the composed operators (R, K, Kt') of ``compose`` (None without).
+    and the composed operators (R, K, Kt') of ``compose``, or the reduced
+    trace data of ``rhs``, or None.
 
     The system couples n element-local unknowns per element (element by
     element, so local dof ``e * n + i``) with the trace unknowns t:
@@ -75,7 +77,8 @@ def condense(local, from_trace, to_trace, trace, cols, compose=None):
     against C_e^T gives C_e A_e^-1, the Schur complement
     T - sum_e C_e A_e^-1 B_e is scattered straight into CSC, and no dense
     block product outlives the scatter.  Nothing returned refers to the
-    blocks, so they die with the call, before any factorization.
+    blocks, so they die with the call, before any factorization, and the
+    Schur complement stores only its entries.
 
     A caller that solves the system many times for data that a fixed
     linear map of some vector y produces, and that reads only a fixed
@@ -101,6 +104,13 @@ def condense(local, from_trace, to_trace, trace, cols, compose=None):
     here, and one solve per build costs less than two: the batched LU
     of each block is a large share of a solve.
 
+    A system solved once passes its local data f (ne, n) as ``rhs``
+    instead, and gets back the reduced trace data -sum_e C_e A_e^-1 f_e:
+    a vector over the trace unknowns, to which the caller adds g, formed
+    from the C_e A_e^-1 of the same batched solve.  The caller then
+    solves the trace system for t and back-substitutes
+    x_e = A_e^-1 (f_e - B_e t[cols[e]]).
+
     A trace unknown need not sit on a facet.  The init solve adds its
     gauge multipliers as trace unknowns shared by every element: they
     appear in every element's ``cols`` and border T, and the same scatter
@@ -118,9 +128,12 @@ def condense(local, from_trace, to_trace, trace, cols, compose=None):
     solved = _solve_blocks(local.transpose(0, 2, 1),
                            readers.transpose(0, 2, 1)).transpose(0, 2, 1)
     del readers
-    composed = None
+    out = None
     if compose is not None:
-        composed = _compose(solved[:, :c], solved[:, c:], from_trace, cols, nt, compose)
+        out = _compose(solved[:, :c], solved[:, c:], from_trace, cols, nt, compose)
+    elif rhs is not None:
+        out = -np.bincount(cols.reshape(-1), minlength=nt, weights=np.einsum(
+            "eci,ei->ec", solved[:, :c], rhs).reshape(-1))
     # T - sum_e C_e A_e^-1 B_e, scattered straight into CSC: a column
     # holds T's entries, then those of the blocks' columns in element
     # order, so the duplicates are summed and no zero is dropped
@@ -143,7 +156,7 @@ def condense(local, from_trace, to_trace, trace, cols, compose=None):
     del coupling
     schur = sparse.csc_matrix((data, rows, indptr), shape=(nt, nt))
     schur.sum_duplicates()
-    return schur, composed
+    return _held(schur), out
 
 
 def _compose(restrict, readout, from_trace, cols, nt, compose):
@@ -159,15 +172,6 @@ def _compose(restrict, readout, from_trace, cols, nt, compose):
     if kt is not None:
         out_trace += kt
     return trace_data, out, _held(_block_rows(out_trace, out_rows, cols, (shape[0], nt)))
-
-
-def _held(matrix):
-    """``matrix`` storing no more than its entries.  A block scatter that
-    dropped zeros may keep views of its full arrays, and a composed
-    operator is held for a whole run."""
-    if matrix.data.base is not None and matrix.data.base.size > matrix.nnz:
-        matrix.data, matrix.indices = matrix.data.copy(), matrix.indices.copy()
-    return matrix
 
 
 def factor_trace(schur):
@@ -194,35 +198,6 @@ def factor_trace(schur):
                     diag_pivot_thresh=0.1, options=dict(SymmetricMode=True))
     except RuntimeError as err:
         raise RuntimeError(f"trace factorization failed: {err}") from None
-
-
-class CondensedSolver:
-    """Direct solver of a hybridized block system for the one-shot init
-    solve: :func:`condense` onto the trace, then :func:`factor_trace`.
-
-    The solver keeps references to the caller's blocks, because
-    :meth:`solve` reads them: it costs two one-column batched solves, a
-    gather and a scatter around one trace LU solve.  The repeated solves
-    (the recovery, the stages) are composed by :func:`condense` instead
-    and factor after its blocks have died.  A singular A_e or a failed
-    trace factorization raises RuntimeError.
-    """
-
-    def __init__(self, local, from_trace, to_trace, trace, cols):
-        self.cols = cols
-        self._local, self._from_trace, self._to_trace = local, from_trace, to_trace
-        self.lu = factor_trace(condense(local, from_trace, to_trace, trace, cols)[0])
-
-    def solve(self, f, g):
-        """Local and trace parts (x, t) of the solution for data (f, g)."""
-        ne, n, _ = self._local.shape
-        f = f.reshape(ne, n, 1)
-        nt = self.lu.shape[0]
-        t = self.lu.solve(g - np.bincount(
-            self.cols.reshape(-1), minlength=nt,
-            weights=(self._to_trace @ _solve_blocks(self._local, f)).reshape(-1)))
-        x = _solve_blocks(self._local, f - self._from_trace @ t[self.cols][..., None])
-        return x.reshape(-1), t
 
 
 class PhiRecovery:
@@ -381,19 +356,53 @@ class InitState:
     init: InitSolution
 
 
-def _init_blocks(mats, tangential, alpha):
-    """Element and trace blocks of the init system for
-    :class:`CondensedSolver`, built from the shared facet tensors.
+def _solve_once(element_blocks, trace, cols, f, g):
+    """Solution (x, t) of the system of :func:`condense` for local data f
+    (ne, n) and trace data g, with x as (ne, n), and its residual.
 
-    Returns (local, from_trace, trace, cols): the local blocks A_e over
-    (sigma_e, phi_e, w_e), the couplings B_e = C_e^T of each element to
-    the (phi_hat, psi_hat) dofs ``cols[e]`` of its facets, and the trace
-    block diag(-S_t, Z / alpha) over (phi_hat, psi_hat).
+    ``element_blocks()`` returns (local, from_trace, to_trace).  It is
+    called twice, so that no element block is alive while the trace
+    system is factored: the blocks of the first call die with the
+    condensation, which also reduces f onto the trace, and those of the
+    second back-substitute x_e = A_e^-1 (f_e - B_e t[cols[e]]) by one
+    batched solve, once the factor is freed.  The residual is measured on
+    the full, uncondensed operator, applied block by block, relative to
+    max(1, |(f, g)|).  A singular A_e or a failed trace factorization
+    raises RuntimeError.
     """
-    mesh = mats.mesh
+    local, from_trace, to_trace = element_blocks()
+    schur, reduced = condense(local, from_trace, to_trace, trace, cols, rhs=f)
+    del local, from_trace, to_trace
+    t = factor_trace(schur).solve(g + reduced)
+    del schur
+
+    local, from_trace, to_trace = element_blocks()
+    coupled = np.einsum("eij,ej->ei", from_trace, t[cols])
+    x = _solve_blocks(local, (f - coupled)[..., None])[..., 0]
+    out_local = np.einsum("eij,ej->ei", local, x) + coupled - f
+    out_trace = trace @ t - g + np.bincount(
+        cols.reshape(-1), weights=np.einsum("eij,ej->ei", to_trace, x).reshape(-1),
+        minlength=t.size)
+    residual = (np.linalg.norm(np.concatenate([out_local.reshape(-1), out_trace]))
+                / max(1.0, np.linalg.norm(np.concatenate([f.reshape(-1), g]))))
+    return x, t, float(residual)
+
+
+def _tangent_signs(mats, tangential):
+    """(nperp, tdot) per element edge: the outward normal rotated by -90
+    degrees, and its dot product with the stored facet tangent."""
+    nk = mats.normals_signed
+    nperp = np.stack([nk[..., 1], -nk[..., 0]], axis=-1)     # outward n rotated by -90
+    return nperp, np.einsum("efd,efd->ef", tangential.tangent[mats.mesh.element_facets], nperp)
+
+
+def _init_blocks(mats, tangential, alpha):
+    """Element blocks (local, from_trace) of the init system, built from
+    the shared facet tensors: the local blocks A_e over (sigma_e, phi_e,
+    w_e) and the couplings B_e = C_e^T of each element to the (phi_hat,
+    psi_hat) dofs of its facets, in the order of :func:`_init_trace`.
+    """
     ne, m = mats.wdofs.shape
-    nm = mats.stab_trace.shape[0]
-    ef = mesh.element_facets
     ainv = 1.0 / alpha
 
     # (z_k, curl phi_i) over elements; curl phi = (dphi/dy, -dphi/dx)
@@ -401,23 +410,16 @@ def _init_blocks(mats, tangential, alpha):
                            -mats.vol_dx.transpose(0, 2, 1)], axis=1)
     div = mats.div_blocks
 
-    nk = mats.normals_signed
-    nperp = np.stack([nk[..., 1], -nk[..., 0]], axis=-1)     # outward n rotated by -90
-    tdot = np.einsum("efd,efd->ef", tangential.tangent[ef], nperp)
-
+    nperp, tdot = _tangent_signs(mats, tangential)
     wt = mats.facet_tensor
     tang_pair = _element_columns(tdot[..., None, None] * wt)
     tang_flux = _element_columns(tdot[..., None, None] * np.concatenate(
         [nperp[..., 0, None, None] * wt, nperp[..., 1, None, None] * wt], axis=2))
 
-    # tangential boundary penalty of the flux, and of its trace
+    # tangential boundary penalty of the flux
     norm_pen = np.einsum("efa,efb,efij->eaibj", nperp, nperp,
                          mats.facet_elem_mass).reshape(ne, 2 * m, 2 * m)
     norm_pen = 0.5 * (norm_pen + norm_pen.transpose(0, 2, 1))
-    md = mats.mdofs.shape[1]
-    cols_m = mats.mdofs[ef].reshape(3 * ne, md)
-    tang_pen = _block_rows(((tdot ** 2)[..., None, None] * mats.facet_trace_mass)
-                           .reshape(3 * ne, md, md), cols_m, cols_m, (nm, nm))
 
     local = np.zeros((ne, 4 * m, 4 * m))
     local[:, :m, :m] = -np.eye(m)
@@ -434,10 +436,23 @@ def _init_blocks(mats, tangential, alpha):
     from_trace[:, m:2 * m, :nc] = mats.stab_mixed_blocks
     from_trace[:, 2 * m:, :nc] = mats.flux_blocks
     from_trace[:, 2 * m:, nc:] = -ainv * tang_flux
+    return local, from_trace
 
-    trace = sparse.block_diag([-mats.stab_trace, ainv * tang_pen], format="csr")
-    cols = np.concatenate([mats.trace_cols, nm + mats.trace_cols], axis=1)
-    return local, from_trace, trace, cols
+
+def _init_trace(mats, tangential, alpha):
+    """Trace block and columns (trace, cols) of the init system: the block
+    diag(-S_t, Z / alpha) over (phi_hat, psi_hat), with Z the tangential
+    boundary penalty of the flux trace, and the (phi_hat, psi_hat) dofs
+    ``cols[e]`` of each element's facets."""
+    ne = mats.wdofs.shape[0]
+    nm = mats.stab_trace.shape[0]
+    md = mats.mdofs.shape[1]
+    cols_m = mats.mdofs[mats.mesh.element_facets].reshape(3 * ne, md)
+    tdot = _tangent_signs(mats, tangential)[1]
+    tang_pen = _block_rows(((tdot ** 2)[..., None, None] * mats.facet_trace_mass)
+                           .reshape(3 * ne, md, md), cols_m, cols_m, (nm, nm))
+    trace = sparse.block_diag([-mats.stab_trace, (1.0 / alpha) * tang_pen], format="csr")
+    return trace, np.concatenate([mats.trace_cols, nm + mats.trace_cols], axis=1)
 
 
 def _gauge_constraints(mesh, spaces):
@@ -484,22 +499,24 @@ def solve_vector_laplacian(mesh, spaces, f, params, matrices=None):
     phi_hat, and tangential flux trace psi_hat; both flux definitions
     carry their stabilization terms (tau for the normal part, 1/alpha for
     the tangential part).  The system is symmetric indefinite and is
-    solved by static condensation (:class:`CondensedSolver`): per element
-    the local unknowns (sigma, phi, w) are eliminated through
+    solved by static condensation (:func:`_solve_once`): per element the
+    local unknowns (sigma, phi, w) are eliminated through
 
         A_e = [[-I,      0,              curl_e^T],
                [ 0,      -(I + S_l,e),   -D_e^T  ],
                [ curl_e, -D_e,           N_e / alpha]]
 
-    and only the (phi_hat, psi_hat) trace system is factored.  Every A_e
-    is invertible: its (sigma, phi) part is negative definite, and the
-    Schur complement left on w, N_e / alpha + curl_e curl_e^T
-    + D_e (I + S_l,e)^-1 D_e^T, is positive definite.  It is a sum of
-    semidefinite terms, and a w in the kernel of all three has zero
-    tangential trace on the element boundary (the tangential boundary
-    penalty N_e), zero divergence (D_e) and then, integrating the curl
-    pairing by parts, zero rotation (curl_e): the gradient of a harmonic
-    polynomial that is constant on the boundary, so w = 0.
+    and only the (phi_hat, psi_hat) trace system is factored, once the
+    element blocks of the condensation have died; they are built again
+    for the back-substitution.  Every A_e is invertible: its (sigma, phi)
+    part is negative definite, and the Schur complement left on w,
+    N_e / alpha + curl_e curl_e^T + D_e (I + S_l,e)^-1 D_e^T, is positive
+    definite.  It is a sum of semidefinite terms, and a w in the kernel
+    of all three has zero tangential trace on the element boundary (the
+    tangential boundary penalty N_e), zero divergence (D_e) and then,
+    integrating the curl pairing by parts, zero rotation (curl_e): the
+    gradient of a harmonic polynomial that is constant on the boundary,
+    so w = 0.
 
     On topologically nontrivial domains the gauge multipliers of
     :func:`_gauge_constraints` are appended to the trace unknowns: each
@@ -517,33 +534,25 @@ def solve_vector_laplacian(mesh, spaces, f, params, matrices=None):
     sc, tr, tg = spaces.scalar, spaces.trace, spaces.tangential
     ne, m = mats.wdofs.shape
     nm = tr.ndof
-    local, from_trace, trace, tcols = _init_blocks(mats, tg, params.alpha)
+    trace, tcols = _init_trace(mats, tg, params.alpha)
     n_trace = trace.shape[0]
 
     gauge_local, gauge_trace = _gauge_constraints(mesh, spaces)
     r = gauge_local.shape[2]
-    from_trace = np.concatenate([from_trace, gauge_local], axis=2)
     tcols = np.concatenate([tcols, np.broadcast_to(n_trace + np.arange(r), (ne, r))], axis=1)
     trace = sparse.bmat([[trace, gauge_trace], [gauge_trace.T, None]], format="csr")
-    try:
-        solver = CondensedSolver(local, from_trace, from_trace.transpose(0, 2, 1),
-                                 trace, tcols)
-    except RuntimeError as err:
-        raise RuntimeError(f"init solve factorization failed: {err}") from None
-
     rhs = np.zeros((ne, 4 * m))
     rhs[:, 2 * m:] = spaces.vector.project(f).coeffs.reshape(ne, 2 * m)
-    x, t = solver.solve(rhs.reshape(-1), np.zeros(n_trace + r))
 
-    # the uncondensed bordered operator, from the element blocks
-    xe = x.reshape(ne, 4 * m)
-    out_local = (np.einsum("eij,ej->ei", local, xe)
-                 + np.einsum("eij,ej->ei", from_trace, t[tcols]))
-    out_trace = trace @ t + np.bincount(
-        tcols.reshape(-1), weights=np.einsum("eij,ei->ej", from_trace, xe).reshape(-1),
-        minlength=n_trace + r)
-    residual = (np.linalg.norm(np.concatenate([(out_local - rhs).reshape(-1), out_trace]))
-                / max(1.0, np.linalg.norm(rhs)))
+    def element_blocks():
+        local, from_trace = _init_blocks(mats, tg, params.alpha)
+        from_trace = np.concatenate([from_trace, gauge_local], axis=2)
+        return local, from_trace, from_trace.transpose(0, 2, 1)
+
+    try:
+        xe, t, residual = _solve_once(element_blocks, trace, tcols, rhs, np.zeros(n_trace + r))
+    except RuntimeError as err:
+        raise RuntimeError(f"init solve factorization failed: {err}") from None
 
     lam = t[n_trace:]
     if lam.size and np.abs(lam).max() > 1e-8 * max(1.0, np.abs(rhs).max()):
@@ -556,7 +565,7 @@ def solve_vector_laplacian(mesh, spaces, f, params, matrices=None):
         w=GridFunction(spaces.vector, xe[:, 2 * m:].reshape(-1)),
         phi_hat=GridFunction(tr, t[:nm]),
         w_tangent=GridFunction(tg, t[nm:n_trace]),
-        residual=float(residual),
+        residual=residual,
         multipliers=lam,
     )
 

@@ -212,13 +212,31 @@ def hamiltonian_load(recovery, bath_coeffs):
     return -recovery.recover_transpose(bath_coeffs)
 
 
-def build_uw_system(spec):
-    """Assemble the operators and initial state of the conserving scheme."""
+@dataclass
+class InitRun:
+    """The spaces, operators and initial state of a conserving-scheme
+    problem, without its recovery or stepping data."""
+    spaces: SpaceSet
+    matrices: object
+    init: InitState
+
+
+def build_init(spec):
+    """Spaces, operators and initial state of the conserving scheme: what
+    :func:`build_uw_system` builds on, and all a stationary-solve sweep
+    reads."""
     spaces = build_spaces(spec.mesh, spec.degree, tangential=True)
     matrices = assemble_all(spec.mesh, spaces, spec.params)
     state = initialize_state(spec.mesh, spaces, spec.phi0, spec.u0,
                              spec.params, grad_phi0=spec.grad_phi0,
                              matrices=matrices)
+    return InitRun(spaces=spaces, matrices=matrices, init=state)
+
+
+def build_uw_system(spec):
+    """Assemble the operators and initial state of the conserving scheme."""
+    base = build_init(spec)
+    spaces, matrices, state = base.spaces, base.matrices, base.init
     # the init system holds the recovery equations at its flux, so its
     # height trace is the recovered trace of the initial flux
     recovery = PhiRecovery(matrices, known=(state.w.coeffs, state.init.phi_hat.coeffs))

@@ -51,6 +51,18 @@ def test_pairings_are_canonical_without_stored_zeros(k):
         assert np.all(mat.data != 0.0), name
 
 
+@pytest.mark.parametrize("k", [0, 1, 2, 3])
+def test_pairings_store_only_their_entries(k):
+    # summing the duplicates of the trace mass halves its entries, and a
+    # view of the unsummed arrays would be held for the whole run
+    mats, _ = _assembled(generate_uniform_square(3), k, f0=0.3, beta=0.2)
+    for name in ("div_pair", "flux_pair", "stab_local", "stab_mixed", "stab_trace",
+                 "coriolis"):
+        mat = getattr(mats, name)
+        for array in (mat.data, mat.indices):
+            assert array.base is None or array.base.size == mat.nnz, name
+
+
 @pytest.mark.parametrize("kw", [dict(f0=0.7), dict(f0=0.3, beta=1.5, y_mid=0.5)])
 def test_coriolis_antisymmetric(kw):
     mats, _ = _assembled(generate_uniform_square(2), 2, **kw)

@@ -54,6 +54,40 @@ def test_converge_init_schema_and_orders(tmp_path):
         assert float(rows[1][col]) < float(rows[0][col])
 
 
+def test_converge_init_builds_the_init_solve_alone(tmp_path, monkeypatch):
+    # the sweep reads only the init solve: it builds no recovery, and its
+    # CSV is the one that building the whole flux run gives
+    cfg = _write(tmp_path, "c.ini", INIT_SWEEP)
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "build_init", swe.build_uw_system)
+        assert main(["converge_init", "--config", cfg, "--out", str(tmp_path / "whole")]) == 0
+    recoveries = []
+
+    def counted(*args, **kwargs):
+        recoveries.append(args)
+        return elliptic.PhiRecovery(*args, **kwargs)
+
+    monkeypatch.setattr(swe, "PhiRecovery", counted)
+    assert main(["converge_init", "--config", cfg, "--out", str(tmp_path / "init")]) == 0
+    assert not recoveries
+    assert ((tmp_path / "init" / "init_convergence.csv").read_bytes()
+            == (tmp_path / "whole" / "init_convergence.csv").read_bytes())
+
+
+def test_converge_init_residual_names_the_run(tmp_path, capsys, monkeypatch):
+    real = elliptic._solve_once
+
+    def inaccurate(*args):
+        x, t, _ = real(*args)
+        return x, t, 1.0
+
+    monkeypatch.setattr(elliptic, "_solve_once", inaccurate)
+    cfg = _write(tmp_path, "c.ini", INIT_SWEEP)
+    assert main(["converge_init", "--config", cfg, "--out", str(tmp_path)]) == 1
+    assert "init residual 1.000e+00 out of bounds for k=1, h=0.25" in capsys.readouterr().err
+    assert not (tmp_path / "init_convergence.csv").exists()
+
+
 def test_converge_schema_and_orders(tmp_path):
     cfg = _write(tmp_path, "c.ini", TIME_SWEEP)
     assert main(["converge", "--config", cfg, "--out", str(tmp_path)]) == 0
@@ -212,9 +246,9 @@ def test_compare_singular_init_block_names_the_run(tmp_path, capsys, monkeypatch
     real = elliptic._init_blocks
 
     def singular(*args):
-        local, from_trace, trace, cols = real(*args)
+        local, from_trace = real(*args)
         local[3] = 0.0
-        return local, from_trace, trace, cols
+        return local, from_trace
 
     monkeypatch.setattr(elliptic, "_init_blocks", singular)
     cfg = _write(tmp_path, "c.ini", COMPARE.format(tau=1.0, T=0.01))

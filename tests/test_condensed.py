@@ -13,9 +13,10 @@ from scipy.sparse.linalg import splu
 from swehdg import elliptic, integrators
 from swehdg.assembly import PhysicalParams, _block_rows, assemble_all
 from swehdg.elliptic import (
-    CondensedSolver,
     PhiRecovery,
     _init_blocks,
+    _init_trace,
+    _solve_once,
     condense,
     factor_trace,
     solve_vector_laplacian,
@@ -330,7 +331,7 @@ def test_bathymetry_load_is_the_transposed_height_map(k, kind):
 
 def test_step_and_recover_never_call_the_general_solve(monkeypatch):
     # every per-step solve and the bathymetry load go through the
-    # precomposed operators
+    # precomposed operators: no condensation and no element block solve
     spaces, mats = _matrices("periodic", 1)
     rec = PhiRecovery(mats)
     system = SemidiscreteSystem(matrices=mats, recovery=rec)
@@ -338,10 +339,12 @@ def test_step_and_recover_never_call_the_general_solve(monkeypatch):
     steppers = [SdirkIntegrator(system, make_sdirk(4), DT),
                 PhiuIntegrator(run, make_sdirk(2), DT)]
 
-    def forbidden(self, f, g):
-        raise AssertionError("CondensedSolver.solve called")
+    def forbidden(*args, **kwargs):
+        raise AssertionError("condense or _solve_blocks called")
 
-    monkeypatch.setattr(CondensedSolver, "solve", forbidden)
+    for module, name in ((elliptic, "condense"), (integrators, "condense"),
+                         (elliptic, "_solve_blocks")):
+        monkeypatch.setattr(module, name, forbidden)
     rng = np.random.default_rng(12)
     w = rng.standard_normal(spaces.vector.ndof)
     rec.recover(w)
@@ -411,21 +414,22 @@ def test_singular_local_block_names_the_element():
     local[3] = 0.0
     cols = np.array([[0, 1], [1, 2], [2, 3], [3, 0]])
     with pytest.raises(RuntimeError, match="element 2 is singular"):
-        CondensedSolver(local, np.zeros((4, 3, 2)), np.zeros((4, 2, 3)),
-                        sparse.identity(4, format="csr"), cols)
+        condense(local, np.zeros((4, 3, 2)), np.zeros((4, 2, 3)),
+                 sparse.identity(4, format="csr"), cols)
 
 
 def test_init_solve_holds_no_block_inverse_or_products():
     # traced (numpy) peak of the L4, k = 2 standing-wave init solve against
     # a bound fixed before measuring: the local and coupling blocks, which
-    # the solve keeps for its local solves, twice the trace Schur
-    # complement in CSC (its scatter and the matrix SuperLU takes), and
-    # 25% for the rest.  Holding A_e^-1, A^-1 B or C A^-1 beside them does
-    # not fit.  SuperLU's own factor is not traced.
+    # the condensation and the back-substitution each build, twice the
+    # trace Schur complement in CSC (its scatter and the matrix SuperLU
+    # takes), and 25% for the rest.  Holding A_e^-1, A^-1 B or C A^-1
+    # beside them does not fit.  SuperLU's own factor is not traced.
     spec = make_problem("standing_wave", generate_uniform_square(4), 2)
     spaces = build_spaces(spec.mesh, 2, tangential=True)
     mats = assemble_all(spec.mesh, spaces, spec.params)
-    local, from_trace, trace, cols = _init_blocks(mats, spaces.tangential, spec.params.alpha)
+    local, from_trace = _init_blocks(mats, spaces.tangential, spec.params.alpha)
+    trace, cols = _init_trace(mats, spaces.tangential, spec.params.alpha)
     ne, c = cols.shape
     pattern = abs(trace) + _block_rows(np.ones((ne, c, c)), cols, cols, trace.shape)
     pattern.sum_duplicates()
@@ -479,6 +483,40 @@ def test_stage_blocks_die_before_the_factorization(monkeypatch):
         f"live at the factorization {live[0] / 2**20:.2f} MiB, bound {bound / 2**20:.2f} MiB"
 
 
+def test_init_blocks_die_before_the_factorization(monkeypatch):
+    # traced (numpy) memory live when the L4, k = 2 standing-wave init
+    # system is factored, against a bound fixed before measuring: the
+    # Schur complement in CSC that SuperLU takes and half of the element
+    # blocks (local and coupling).  The blocks themselves do not fit
+    # beside it: they are built again for the back-substitution.
+    spec = make_problem("standing_wave", generate_uniform_square(4), 2)
+    spaces = build_spaces(spec.mesh, 2, tangential=True)
+    mats = assemble_all(spec.mesh, spaces, spec.params)
+    local, from_trace = _init_blocks(mats, spaces.tangential, spec.params.alpha)
+    block_bytes = local.nbytes + from_trace.nbytes
+    del local, from_trace
+    live, factored = [], []
+    real = elliptic.splu
+
+    def spy(schur, **kwargs):
+        live.append(tracemalloc.get_traced_memory()[0])
+        factored.append(schur)
+        return real(schur, **kwargs)
+
+    monkeypatch.setattr(elliptic, "splu", spy)
+    tracemalloc.start()
+    try:
+        sol = solve_vector_laplacian(spec.mesh, spaces, spec.grad_phi0, spec.params,
+                                     matrices=mats)
+    finally:
+        tracemalloc.stop()
+    bound = _nbytes(factored[0]) + 0.5 * block_bytes
+    assert sol.residual <= 1e-12
+    assert len(live) == 1
+    assert live[0] <= bound, \
+        f"live at the factorization {live[0] / 2**20:.2f} MiB, bound {bound / 2**20:.2f} MiB"
+
+
 def test_bordered_solve_matches_dense_system():
     # nonsymmetric blocks, a repeated trace column, and two multipliers as
     # extra trace unknowns: one coupled to every element's local rows (and
@@ -509,14 +547,15 @@ def test_bordered_solve_matches_dense_system():
 
     gauge = border[:ne * n, :1].reshape(ne, n, 1)
     b_trace = border[ne * n:]
-    solver = CondensedSolver(
-        local, np.concatenate([from_trace, gauge], axis=2),
-        np.concatenate([to_trace, gauge.transpose(0, 2, 1)], axis=1),
-        sparse.bmat([[trace, b_trace], [b_trace.T, None]], format="csr"),
-        np.concatenate([cols, np.full((ne, 1), nt)], axis=1))
+    blocks = (local, np.concatenate([from_trace, gauge], axis=2),
+              np.concatenate([to_trace, gauge.transpose(0, 2, 1)], axis=1))
     rhs = rng.standard_normal(dense.shape[0])
-    x, t = solver.solve(rhs[:ne * n], rhs[ne * n:])
-    assert _rel(np.concatenate([x, t]), np.linalg.solve(dense, rhs)) <= 1e-12
+    x, t, residual = _solve_once(
+        lambda: blocks, sparse.bmat([[trace, b_trace], [b_trace.T, None]], format="csr"),
+        np.concatenate([cols, np.full((ne, 1), nt)], axis=1),
+        rhs[:ne * n].reshape(ne, n), rhs[ne * n:])
+    assert _rel(np.concatenate([x.reshape(-1), t]), np.linalg.solve(dense, rhs)) <= 1e-12
+    assert residual <= 1e-12
 
 
 def test_stage_failures_name_the_scale():
