@@ -10,6 +10,7 @@ function, :func:`_block_rows`.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy import sparse
@@ -58,8 +59,9 @@ class PhysicalParams:
 class SystemMatrices:
     """Assembled coupling blocks plus the batched local data they came from.
 
-    Sparse blocks (canonical CSR without stored zeros), named by the
-    pairing they represent and scattered from the element blocks below:
+    Sparse blocks (canonical CSR without stored zeros, storing only their
+    entries), named by the pairing they represent and scattered from the
+    element blocks below:
 
     - ``div_pair``     (vector x scalar): (phi_i, div z_k) over elements
     - ``flux_pair``    (vector x trace): <eta_m, z_k . n> over element boundaries
@@ -67,6 +69,13 @@ class SystemMatrices:
     - ``stab_mixed``   (scalar x trace): <tau eta_m, phi_i>
     - ``stab_trace``   (trace x trace): <tau eta_n, eta_m>
     - ``coriolis``     (vector x vector): (f z_l-perp, z_k), antisymmetric
+
+    :func:`assemble_all` scatters ``stab_trace``, which the init solve
+    reads.  The other five are scattered at their first read and kept
+    from then on (each is an attribute of the instance once built), so
+    a run holds only the pairings it reads: the init solve reads none of
+    them, and a convergence sweep never reads ``stab_local`` or
+    ``stab_mixed``.
 
     The batched arrays keep the per-element facet tensors and local
     masses, and the properties rebuild from them the element blocks of
@@ -93,16 +102,40 @@ class SystemMatrices:
     spaces: object = field(repr=False, default=None)
     params: PhysicalParams = field(repr=False, default=None)
 
-    div_pair: sparse.csr_matrix = None
-    flux_pair: sparse.csr_matrix = None
-    stab_local: sparse.csr_matrix = None
-    stab_mixed: sparse.csr_matrix = None
     stab_trace: sparse.csr_matrix = None
-    coriolis: sparse.csr_matrix = None
 
     @property
     def mesh(self):
         return self.spaces.mesh
+
+    @cached_property
+    def div_pair(self):
+        return _pairing(self.div_blocks, self._vector_rows, self.wdofs,
+                        (self.vdofs.size, self.wdofs.size))
+
+    @cached_property
+    def flux_pair(self):
+        return _pairing(self.flux_blocks, self._vector_rows, self.trace_cols,
+                        (self.vdofs.size, self.stab_trace.shape[0]))
+
+    @cached_property
+    def stab_local(self):
+        return _pairing(self.stab_local_blocks, self.wdofs, self.wdofs,
+                        (self.wdofs.size, self.wdofs.size))
+
+    @cached_property
+    def stab_mixed(self):
+        return _pairing(self.stab_mixed_blocks, self.wdofs, self.trace_cols,
+                        (self.wdofs.size, self.stab_trace.shape[0]))
+
+    @cached_property
+    def coriolis(self):
+        return _pairing(self.coriolis_blocks, self._vector_rows, self._vector_rows,
+                        (self.vdofs.size, self.vdofs.size))
+
+    @property
+    def _vector_rows(self):
+        return self.vdofs.reshape(self.wdofs.shape[0], -1)
 
     @property
     def div_blocks(self):
@@ -172,6 +205,14 @@ def _block_rows(blocks, rows, cols, shape):
     return mat
 
 
+def _pairing(blocks, rows, cols, shape):
+    """The pairing scattered from its element blocks by :func:`_block_rows`,
+    canonical and storing only its entries."""
+    pairing = _block_rows(blocks, rows, cols, shape)
+    pairing.sum_duplicates()
+    return _held(pairing)
+
+
 def _held(matrix):
     """``matrix`` storing no more than its entries.  Dropping zeros or
     summing duplicates may leave its arrays views of longer ones, and
@@ -225,29 +266,18 @@ def assemble_all(mesh, spaces, params):
     facet_trace_mass = 0.5 * (facet_trace_mass + facet_trace_mass.transpose(0, 1, 3, 2))
     normals_signed = mesh.element_facet_signs[:, :, None] * mesh.facet_normals[ef]
 
-    mats = SystemMatrices(
+    # the trace mass is scattered from its facet blocks; the other
+    # pairings, at their first read, from the element blocks the
+    # condensed solves use
+    facet_cols = mdofs[ef].reshape(3 * ne, md)
+    stab_trace = _pairing(tau * facet_trace_mass.reshape(3 * ne, md, md),
+                          facet_cols, facet_cols, (tr.ndof, tr.ndof))
+    return SystemMatrices(
         stab_local_blocks=tau * facet_elem_mass.sum(axis=1), coriolis_mass=fmass,
         facet_tensor=facet_tensor, facet_elem_mass=facet_elem_mass,
         facet_trace_mass=facet_trace_mass, normals_signed=normals_signed,
         vol_dx=vol_dx, vol_dy=vol_dy, wdofs=wdofs, vdofs=vdofs, mdofs=mdofs,
-        spaces=spaces, params=params)
-    # each pairing is scattered from the element blocks the condensed
-    # solves use, the trace mass from its facet blocks
-    nw, nv, nm = ne * m, 2 * ne * m, tr.ndof
-    rows_v, cols = vdofs.reshape(ne, 2 * m), mats.trace_cols
-    facet_cols = mdofs[ef].reshape(3 * ne, md)
-    mats.div_pair = _block_rows(mats.div_blocks, rows_v, wdofs, (nv, nw))
-    mats.coriolis = _block_rows(mats.coriolis_blocks, rows_v, rows_v, (nv, nv))
-    mats.stab_local = _block_rows(mats.stab_local_blocks, wdofs, wdofs, (nw, nw))
-    mats.stab_mixed = _block_rows(mats.stab_mixed_blocks, wdofs, cols, (nw, nm))
-    mats.flux_pair = _block_rows(mats.flux_blocks, rows_v, cols, (nv, nm))
-    mats.stab_trace = _block_rows(tau * facet_trace_mass.reshape(3 * ne, md, md),
-                                  facet_cols, facet_cols, (nm, nm))
-    for pairing in (mats.div_pair, mats.flux_pair, mats.stab_local, mats.stab_mixed,
-                    mats.stab_trace, mats.coriolis):
-        pairing.sum_duplicates()
-        _held(pairing)
-    return mats
+        spaces=spaces, params=params, stab_trace=stab_trace)
 
 
 def assemble_bathymetry_load(spaces, grad, phi):

@@ -335,7 +335,7 @@ def _explicit_name(degree):
     return f"seprk{orders[0]}"
 
 
-def _build_stepper(label, preset, factory, *args):
+def _build_stepper(label, factory, *args):
     """factory(*args), with a failed stage factorization or a refused
     integrator (an explicit one on a rotating problem) turned into a
     RunFailure naming the run."""
@@ -344,16 +344,17 @@ def _build_stepper(label, preset, factory, *args):
     except RuntimeError as exc:
         raise RunFailure(f"stepper setup failed for {label}: {exc}") from exc
     except ValueError as exc:
-        raise RunFailure(f"integrator refused for {label}, preset {preset}: {exc}") from exc
+        raise RunFailure(f"integrator refused for {label}: {exc}") from exc
 
 
 def _flux_run(cfg, degree, level=None, init_only=False):
     """(label, spec, run) of the flux scheme on the config's mesh, with a
     failed init solve or an init residual out of bounds turned into a
-    RunFailure naming the run.  With ``init_only`` the run is the
-    :class:`~swehdg.swe.InitRun` of the init solve alone."""
+    RunFailure naming the run; the label names k, h and the preset.
+    With ``init_only`` the run is the :class:`~swehdg.swe.InitRun` of the
+    init solve alone."""
     mesh = build_mesh(cfg, level)
-    label = f"k={degree}, h={mesh.h_nominal:g}"
+    label = f"k={degree}, h={mesh.h_nominal:g}, preset {cfg.preset}"
     spec = make_problem(cfg.preset, mesh, degree, **cfg.overrides)
     try:
         run = build_init(spec) if init_only else build_uw_system(spec)
@@ -473,7 +474,7 @@ def _convergence_task(cfg, degree, level, with_time):
     final_time = cfg.final_time if cfg.final_time > 0.0 else 0.5
     nsteps, dt = step_count(final_time, _pick_dt(cfg, degree, h))
     name = cfg.integrator or _explicit_name(degree)
-    stepper = _build_stepper(label, cfg.preset, make_integrator, name, run.system, dt)
+    stepper = _build_stepper(label, make_integrator, name, run.system, dt)
     cadence = cfg.cadence if cfg.cadence > 0 else 1
     worst = l2_errors(run, run.y0, norms, 0.0)
     for n, (y,) in _march(label, nsteps, (name, stepper, run.y0)):
@@ -550,7 +551,7 @@ def cmd_run(cfg, out_dir, threads):
         write_vtk_snapshot(out_dir / f"{base}_0000.vtk", run, run.y0, frame)
 
     if nsteps > 0:
-        stepper = _build_stepper(label, cfg.preset, make_integrator, name, run.system, dt)
+        stepper = _build_stepper(label, make_integrator, name, run.system, dt)
         for n, (y,) in _march(label, nsteps, (name, stepper, run.y0)):
             if n % cadence == 0 or n == nsteps:
                 rows.append(_series_row(conserved_quantities(run, y, n * dt)))
@@ -569,9 +570,9 @@ def cmd_compare_dissipative(cfg, out_dir, threads):
 
     nsteps, dt = step_count(cfg.final_time, _pick_dt(cfg, cfg.degree, spec.mesh.h_nominal,
                                                      long_run=True))
-    uw_stepper = _build_stepper(label, cfg.preset, make_integrator,
+    uw_stepper = _build_stepper(label, make_integrator,
                                 cfg.integrator or "midpoint", uw.system, dt)
-    phiu_stepper = _build_stepper(label, cfg.preset, PhiuIntegrator, phiu,
+    phiu_stepper = _build_stepper(label, PhiuIntegrator, phiu,
                                   make_sdirk(2), dt)
 
     rows = [[_fmt(0.0), _fmt(total_energy(uw, uw.y0)), _fmt(phiu_energy(phiu, phiu.y0))]]

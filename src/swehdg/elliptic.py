@@ -21,10 +21,11 @@ and every implicit stage then run as one gather, one trace LU solve and
 one scatter; the wave operator F p_hat - D p is formed from the height
 map of the recovery's one composition, at its first application.  The
 one-shot init solve passes its data to :func:`condense` instead, which
-reduces it onto the trace, and builds its element blocks again for the
-back-substitution once the trace system is solved.  The recovery is
-factored at its first trace solve, which an implicit run without
-bathymetry never makes: the init solve gives its initial pair.
+reduces it onto the trace.  Since it solves its trace system once, it
+factors it in single precision and refines the solve in double; it
+builds its element blocks again for the back-substitution.  The
+recovery is factored at its first trace solve, which an implicit run
+without bathymetry never makes: the init solve gives its initial pair.
 """
 
 import logging
@@ -189,6 +190,11 @@ def factor_trace(schur):
     them: the standing-wave init solve at level 5, k = 1 then has a
     relative residual above 1.  With both, the fill is about half of
     COLAMD's or less on every system.
+
+    The factor keeps the dtype of ``schur``, and its solves take
+    right-hand sides of that dtype.  Every repeated solve factors in
+    double; the one-shot init solve factors a float32 copy and refines
+    in double (:func:`_refined_solve`).
 
     A failed factorization raises RuntimeError("trace factorization
     failed: ...").
@@ -356,6 +362,48 @@ class InitState:
     init: InitSolution
 
 
+# the most corrections that refine the single-precision init solve
+_INIT_REFINEMENTS = 10
+
+
+def _refined_solve(schur, b):
+    """Solution of schur t = b by a single-precision factor of the CSC
+    ``schur``, refined in double (Moler, J. ACM 14, 1967; Higham,
+    *Accuracy and Stability of Numerical Algorithms*, ch. 12).
+
+    The factor is taken of a float32 copy of the values that shares the
+    double matrix's ``indices`` and ``indptr``; the factor's values take
+    half the bytes of a double factor's.  Each correction solves for the double
+    residual b - schur t, scaled to unit maximum so that float32 neither
+    overflows nor underflows on it, and is kept while it lowers the
+    residual.  Refinement stops once a correction fails to halve it, or
+    after ``_INIT_REFINEMENTS`` corrections.  A failed factorization
+    raises RuntimeError.
+    """
+    lu = factor_trace(sparse.csc_matrix(
+        (schur.data.astype(np.float32), schur.indices, schur.indptr), shape=schur.shape))
+
+    def solve(r):
+        scale = np.abs(r).max()
+        if scale == 0.0:
+            return np.zeros_like(r)
+        return scale * lu.solve((r / scale).astype(np.float32)).astype(float)
+
+    t = solve(b)
+    r = b - schur @ t
+    norm = np.linalg.norm(r)
+    for _ in range(_INIT_REFINEMENTS):
+        step = t + solve(r)
+        step_r = b - schur @ step
+        step_norm = np.linalg.norm(step_r)
+        if step_norm < norm:
+            t, r = step, step_r
+        if not step_norm <= 0.5 * norm:
+            break
+        norm = step_norm
+    return t
+
+
 def _solve_once(element_blocks, trace, cols, f, g):
     """Solution (x, t) of the system of :func:`condense` for local data f
     (ne, n) and trace data g, with x as (ne, n), and its residual.
@@ -365,15 +413,19 @@ def _solve_once(element_blocks, trace, cols, f, g):
     system is factored: the blocks of the first call die with the
     condensation, which also reduces f onto the trace, and those of the
     second back-substitute x_e = A_e^-1 (f_e - B_e t[cols[e]]) by one
-    batched solve, once the factor is freed.  The residual is measured on
-    the full, uncondensed operator, applied block by block, relative to
-    max(1, |(f, g)|).  A singular A_e or a failed trace factorization
-    raises RuntimeError.
+    batched solve, once the factor is freed.  The system is solved once,
+    so its trace system is factored in single precision and the solve
+    refined in double against the double Schur complement
+    (:func:`_refined_solve`): a refinement step costs one more trace
+    solve, which a repeated solve would pay every time.  The residual is
+    measured on the full, uncondensed operator, applied block by block,
+    relative to max(1, |(f, g)|).  A singular A_e or a failed trace
+    factorization raises RuntimeError.
     """
     local, from_trace, to_trace = element_blocks()
     schur, reduced = condense(local, from_trace, to_trace, trace, cols, rhs=f)
     del local, from_trace, to_trace
-    t = factor_trace(schur).solve(g + reduced)
+    t = _refined_solve(schur, g + reduced)
     del schur
 
     local, from_trace, to_trace = element_blocks()

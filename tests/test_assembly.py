@@ -3,13 +3,15 @@
 import numpy as np
 import pytest
 
-from swehdg.assembly import PhysicalParams, assemble_all, assemble_bathymetry_load
+from swehdg.assembly import PhysicalParams, _block_rows, assemble_all, assemble_bathymetry_load
+from swehdg.elliptic import solve_vector_laplacian
 from swehdg.fespace import build_spaces
-from swehdg.mesh import Mesh, generate_uniform_square, pair_periodic
+from swehdg.mesh import Mesh, generate_rect_with_hole, generate_uniform_square, pair_periodic
 
 from helpers import div_values, dofs_of_facet, scalar_values, trace_values
 
 REF_TRI = Mesh([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]], [[0, 1, 2]])
+PAIRINGS_ON_READ = ("div_pair", "flux_pair", "stab_local", "stab_mixed", "coriolis")
 
 
 def _assembled(mesh, k, **params):
@@ -61,6 +63,56 @@ def test_pairings_store_only_their_entries(k):
         mat = getattr(mats, name)
         for array in (mat.data, mat.indices):
             assert array.base is None or array.base.size == mat.nnz, name
+
+
+def _eager_pairings(mats):
+    """The five pairings as assemble_all once scattered them all, before
+    any was read: the oracle of those built at their first read."""
+    ne, m = mats.wdofs.shape
+    nw, nv, nm = ne * m, 2 * ne * m, mats.stab_trace.shape[0]
+    rows_v, cols = mats.vdofs.reshape(ne, 2 * m), mats.trace_cols
+    eager = {
+        "div_pair": _block_rows(mats.div_blocks, rows_v, mats.wdofs, (nv, nw)),
+        "flux_pair": _block_rows(mats.flux_blocks, rows_v, cols, (nv, nm)),
+        "stab_local": _block_rows(mats.stab_local_blocks, mats.wdofs, mats.wdofs, (nw, nw)),
+        "stab_mixed": _block_rows(mats.stab_mixed_blocks, mats.wdofs, cols, (nw, nm)),
+        "coriolis": _block_rows(mats.coriolis_blocks, rows_v, rows_v, (nv, nv)),
+    }
+    for pairing in eager.values():
+        pairing.sum_duplicates()
+    return eager
+
+
+PAIRING_MESHES = {
+    "wall": lambda: generate_uniform_square(2),
+    "periodic": lambda: pair_periodic(generate_uniform_square(2), "both"),
+    "holed": lambda: generate_rect_with_hole((0.0, 3.0, 0.0, 3.0), (1.5, 1.5), 0.6, 1.2),
+}
+
+
+@pytest.mark.parametrize("kind", list(PAIRING_MESHES))
+@pytest.mark.parametrize("k", [0, 1, 2, 3])
+def test_pairings_built_on_read_equal_the_eager_scatter(k, kind):
+    mats, _ = _assembled(PAIRING_MESHES[kind](), k, f0=0.3, beta=0.2)
+    assert not set(PAIRINGS_ON_READ) & set(vars(mats))
+    eager = _eager_pairings(mats)
+    for name in PAIRINGS_ON_READ:
+        mat, expected = getattr(mats, name), eager[name]
+        assert getattr(mats, name) is mat, name
+        assert mat.shape == expected.shape, name
+        for part in ("data", "indices", "indptr"):
+            assert np.array_equal(getattr(mat, part), getattr(expected, part)), (name, part)
+
+
+def test_init_solve_builds_no_pairing_it_does_not_read():
+    mesh = generate_uniform_square(2)
+    spaces = build_spaces(mesh, 2, tangential=True)
+    params = PhysicalParams(f0=0.3, beta=0.2)
+    mats = assemble_all(mesh, spaces, params)
+    sol = solve_vector_laplacian(mesh, spaces, lambda x, y: (np.sin(x), np.cos(y)), params,
+                                 matrices=mats)
+    assert sol.residual <= 1e-12
+    assert not set(PAIRINGS_ON_READ) & set(vars(mats))
 
 
 @pytest.mark.parametrize("kw", [dict(f0=0.7), dict(f0=0.3, beta=1.5, y_mid=0.5)])

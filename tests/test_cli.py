@@ -84,7 +84,8 @@ def test_converge_init_residual_names_the_run(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(elliptic, "_solve_once", inaccurate)
     cfg = _write(tmp_path, "c.ini", INIT_SWEEP)
     assert main(["converge_init", "--config", cfg, "--out", str(tmp_path)]) == 1
-    assert "init residual 1.000e+00 out of bounds for k=1, h=0.25" in capsys.readouterr().err
+    assert ("init residual 1.000e+00 out of bounds for k=1, h=0.25, preset standing_wave"
+            in capsys.readouterr().err)
     assert not (tmp_path / "init_convergence.csv").exists()
 
 
@@ -254,7 +255,8 @@ def test_compare_singular_init_block_names_the_run(tmp_path, capsys, monkeypatch
     cfg = _write(tmp_path, "c.ini", COMPARE.format(tau=1.0, T=0.01))
     assert main(["compare_dissipative", "--config", cfg,
                  "--out", str(tmp_path)]) == 1
-    assert ("init solve failed for k=1, h=0.25: init solve factorization failed: "
+    assert ("init solve failed for k=1, h=0.25, preset standing_wave: "
+            "init solve factorization failed: "
             "local block of element 3 is singular") in capsys.readouterr().err
     assert not (tmp_path / "energy_compare.csv").exists()
 
@@ -290,7 +292,7 @@ def test_compare_conserving_blow_up_names_the_step(tmp_path, capsys):
     assert main(["compare_dissipative", "--config", cfg,
                  "--out", str(tmp_path)]) == 1
     err = capsys.readouterr().err
-    assert "conserving solution blew up for k=1, h=0.25 at step " in err
+    assert "conserving solution blew up for k=1, h=0.25, preset standing_wave at step " in err
     assert not (tmp_path / "energy_compare.csv").exists()
 
 
@@ -309,7 +311,7 @@ def test_compare_dissipative_blow_up_names_the_step(tmp_path, capsys, monkeypatc
     cfg = _write(tmp_path, "c.ini", COMPARE.format(tau=1.0, T=0.01))
     assert main(["compare_dissipative", "--config", cfg,
                  "--out", str(tmp_path)]) == 1
-    assert ("dissipative solution blew up for k=1, h=0.25 at step 3"
+    assert ("dissipative solution blew up for k=1, h=0.25, preset standing_wave at step 3"
             in capsys.readouterr().err)
 
 
@@ -356,7 +358,8 @@ def test_blow_up_between_records_names_its_step(tmp_path, capsys, monkeypatch, s
     monkeypatch.setattr(cli, "make_integrator", poisoned)
     cfg = _write(tmp_path, "c.ini", POISONED_RUN)
     assert main([subcommand, "--config", cfg, "--out", str(tmp_path)]) == 1
-    assert "solution blew up for k=1, h=0.25 at step 3" in capsys.readouterr().err
+    assert ("solution blew up for k=1, h=0.25, preset standing_wave at step 3"
+            in capsys.readouterr().err)
     assert not list(tmp_path.glob("*.csv"))
     if subcommand == "run":
         # no snapshot is written from the non-finite state
@@ -542,7 +545,8 @@ def test_stepper_setup_failure_names_the_run(tmp_path, capsys, monkeypatch,
     monkeypatch.setattr(integrators, "factor_trace", _failing_factor)
     cfg = _write(tmp_path, "c.ini", text)
     assert main([subcommand, "--config", cfg, "--out", str(tmp_path)]) == 1
-    assert ("stepper setup failed for k=1, h=0.25: stage factorization failed "
+    assert ("stepper setup failed for k=1, h=0.25, preset standing_wave: "
+            "stage factorization failed "
             "for stage scale ") in capsys.readouterr().err
     assert not list(tmp_path.glob("*.csv"))
 

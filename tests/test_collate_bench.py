@@ -74,3 +74,16 @@ def test_collate_refuses_when_no_workload_has_both_sides(tmp_path, capsys):
                          "--out", str(tmp_path / "b.json")]) == 1
     assert "no workload" in capsys.readouterr().err
     assert not (tmp_path / "b.json").exists()
+
+
+def test_collate_needs_an_out_file(tmp_path, capsys):
+    # without --out nothing is written, a committed BENCH file included
+    _records(tmp_path / "parent", "bump", [1.0])
+    _records(tmp_path / "change", "bump", [1.0])
+    tool = _tool()
+    before = {path: path.read_bytes() for path in tool.ROOT.glob("BENCH_*.json")}
+    with pytest.raises(SystemExit) as info:
+        tool.main(["--parent", str(tmp_path / "parent"), "--change", str(tmp_path / "change")])
+    assert info.value.code == 2
+    assert "--out" in capsys.readouterr().err
+    assert {path: path.read_bytes() for path in tool.ROOT.glob("BENCH_*.json")} == before

@@ -517,6 +517,79 @@ def test_init_blocks_die_before_the_factorization(monkeypatch):
         f"live at the factorization {live[0] / 2**20:.2f} MiB, bound {bound / 2**20:.2f} MiB"
 
 
+def test_init_holds_only_what_it_reads_at_the_factorization(monkeypatch):
+    # traced (numpy) memory live when the L4, k = 2 standing-wave init
+    # system is factored, assembly included, against a bound fixed before
+    # measuring: the batched arrays of the assembled matrices, the trace
+    # mass, the init trace block, the Schur complement in CSC with the
+    # single-precision copy of its values, and 15% for the rest.  The
+    # pairings the init does not read do not fit beside them.
+    spec = make_problem("standing_wave", generate_uniform_square(4), 2)
+    spaces = build_spaces(spec.mesh, 2, tangential=True)
+    live, factored = [], []
+    real = elliptic.splu
+
+    def spy(schur, **kwargs):
+        live.append(tracemalloc.get_traced_memory()[0])
+        factored.append(schur)
+        return real(schur, **kwargs)
+
+    monkeypatch.setattr(elliptic, "splu", spy)
+    tracemalloc.start()
+    try:
+        mats = assemble_all(spec.mesh, spaces, spec.params)
+        sol = solve_vector_laplacian(spec.mesh, spaces, spec.grad_phi0, spec.params,
+                                     matrices=mats)
+    finally:
+        tracemalloc.stop()
+    trace = _init_trace(mats, spaces.tangential, spec.params.alpha)[0]
+    schur = factored[0]
+    arrays = sum(v.nbytes for v in vars(mats).values() if isinstance(v, np.ndarray))
+    bound = 1.15 * (arrays + _nbytes(mats.stab_trace) + _nbytes(trace)
+                    + schur.nnz * (8 + 4 + 4) + schur.indptr.nbytes)
+    assert sol.residual <= 1e-12
+    assert len(live) == 1
+    assert live[0] <= bound, \
+        f"live at the factorization {live[0] / 2**20:.2f} MiB, bound {bound / 2**20:.2f} MiB"
+
+
+def _init_trace_solve(kind, k, monkeypatch):
+    """(solution, Schur complement, data) of the init trace system on a
+    mesh kind at degree k, captured from the refined solve."""
+    captured = []
+    real = elliptic._refined_solve
+
+    def capture(schur, b):
+        t = real(schur, b)
+        captured.append((t, schur, b))
+        return t
+
+    monkeypatch.setattr(elliptic, "_refined_solve", capture)
+    mesh = _mesh(kind)
+    spaces = build_spaces(mesh, k, tangential=True)
+    sol = solve_vector_laplacian(mesh, spaces, _init_data, PhysicalParams(**INIT_PARAMS))
+    assert len(captured) == 1
+    return sol, *captured[0]
+
+
+@pytest.mark.parametrize("kind", ["wall", "periodic", "holed"])
+@pytest.mark.parametrize("k", [0, 1, 2, 3])
+def test_refined_init_solve_matches_a_double_factor(k, kind, monkeypatch):
+    # against a double-precision splu solve of the same Schur complement
+    sol, t, schur, b = _init_trace_solve(kind, k, monkeypatch)
+    assert schur.dtype == np.float64
+    assert _rel(t, splu(schur).solve(b)) <= 1e-12
+    assert sol.residual <= 1e-12
+
+
+@pytest.mark.parametrize("kind", ["wall", "periodic", "holed"])
+def test_unrefined_init_solve_misses_the_double_factor(kind, monkeypatch):
+    # the single-precision factor alone is accurate to float32 only
+    monkeypatch.setattr(elliptic, "_INIT_REFINEMENTS", 0)
+    _, t, schur, b = _init_trace_solve(kind, 2, monkeypatch)
+    assert _rel(t, splu(schur).solve(b)) > 1e-12
+
+
 def test_bordered_solve_matches_dense_system():
     # nonsymmetric blocks, a repeated trace column, and two multipliers as
     # extra trace unknowns: one coupled to every element's local rows (and

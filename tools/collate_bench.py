@@ -89,7 +89,8 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", required=True, help="checkout of the parent commit")
     parser.add_argument("--change", required=True, help="checkout of the change")
-    parser.add_argument("--out", default=str(ROOT / "BENCH_1.json"))
+    parser.add_argument("--out", required=True,
+                        help="file to write; the committed BENCH_<n>.json are never a default")
     args = parser.parse_args(argv)
     metrics = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
     record = collate(read_side(args.parent), read_side(args.change), metrics)
