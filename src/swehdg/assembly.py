@@ -6,7 +6,8 @@ couplings are built from one tensor per element edge (element basis
 against trace basis), which keeps the recovery, time stepping, and init
 paths structurally consistent.  Every sparse operator, here and in the
 condensed solves, is scattered from batched element blocks by one
-function, :func:`_block_rows`.
+function, :func:`_block_rows`, except the trace Schur complements, which
+:func:`~swehdg.elliptic.condense` scatters straight into CSC.
 """
 
 from dataclasses import dataclass, field

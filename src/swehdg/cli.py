@@ -75,7 +75,6 @@ from .mesh import (
 from .swe import (
     PRESETS,
     PhiuIntegrator,
-    build_init,
     build_phiu_system,
     build_uw_system,
     get_preset,
@@ -347,20 +346,19 @@ def _build_stepper(label, factory, *args):
         raise RunFailure(f"integrator refused for {label}: {exc}") from exc
 
 
-def _flux_run(cfg, degree, level=None, init_only=False):
-    """(label, spec, run) of the flux scheme on the config's mesh, with a
-    failed init solve or an init residual out of bounds turned into a
-    RunFailure naming the run; the label names k, h and the preset.
-    With ``init_only`` the run is the :class:`~swehdg.swe.InitRun` of the
-    init solve alone."""
+def _flux_run(cfg, degree, level=None):
+    """(label, spec, run) of the flux scheme on the config's mesh, for
+    every command, with a failed init solve or an init residual out of
+    bounds turned into a RunFailure naming the run; the label names k, h
+    and the preset."""
     mesh = build_mesh(cfg, level)
     label = f"k={degree}, h={mesh.h_nominal:g}, preset {cfg.preset}"
     spec = make_problem(cfg.preset, mesh, degree, **cfg.overrides)
     try:
-        run = build_init(spec) if init_only else build_uw_system(spec)
+        run = build_uw_system(spec)
     except RuntimeError as exc:
         raise RunFailure(f"init solve failed for {label}: {exc}") from exc
-    residual = run.init.init.residual
+    residual = run.init.residual
     if not np.isfinite(residual) or residual > _INIT_RESIDUAL_LIMIT:
         raise RunFailure(f"init residual {residual:.3e} out of bounds for {label}")
     return label, spec, run
@@ -465,11 +463,11 @@ def _convergence_task(cfg, degree, level, with_time):
     ms = get_preset(cfg.preset).manufactured
     if ms is None:
         raise RunFailure(f"preset {cfg.preset} has no closed-form solution")
-    label, spec, run = _flux_run(cfg, degree, level, init_only=not with_time)
+    label, spec, run = _flux_run(cfg, degree, level)
     h = spec.mesh.h_nominal
     norms = ErrorNorms(run.spaces, ms)
     if not with_time:
-        return h, init_errors(run.init.init, norms)
+        return h, init_errors(run.init, norms)
 
     final_time = cfg.final_time if cfg.final_time > 0.0 else 0.5
     nsteps, dt = step_count(final_time, _pick_dt(cfg, degree, h))

@@ -24,8 +24,9 @@ one-shot init solve passes its data to :func:`condense` instead, which
 reduces it onto the trace.  Since it solves its trace system once, it
 factors it in single precision and refines the solve in double; it
 builds its element blocks again for the back-substitution.  The
-recovery is factored at its first trace solve, which an implicit run
-without bathymetry never makes: the init solve gives its initial pair.
+recovery condenses at its first use and is factored at its first trace
+solve, which an implicit run without bathymetry never makes: the init
+solve gives its initial pair.
 """
 
 import logging
@@ -207,8 +208,8 @@ def factor_trace(schur):
 
 
 class PhiRecovery:
-    """Recovery of the height field from the flux, condensed at build and
-    factored at its first trace solve.
+    """Recovery of the height field from the flux, condensed at its first
+    use and factored at its first trace solve.
 
     Eliminating the element-local block leaves a symmetric positive
     definite system on the trace dofs (the stabilization trace mass minus
@@ -231,14 +232,16 @@ class PhiRecovery:
     transpose of the height map, :meth:`recover_transpose`, which
     carries a height functional back onto the flux (the bathymetry load).
 
-    Only what a run reads is built.  The build condenses: it keeps G, Pw,
-    Pt and the trace Schur complement in CSC, and ``schur`` is None.  The
-    first trace solve (:meth:`recover` of an unknown flux, :meth:`apply`
-    or :meth:`recover_transpose`) factors it and drops the CSC, and the
-    first :meth:`apply` builds H and Mw; :meth:`prepare_apply` does both
-    at once, for a stepper that applies the operator every step.  A
-    failed factorization raises RuntimeError("recovery factorization
-    failed: ...") there.
+    Only what a run reads is built, each piece at its first read.  The
+    first :meth:`recover`, :meth:`factor`, :meth:`apply` or
+    :meth:`recover_transpose` condenses (G, Pw, Pt and the trace Schur
+    complement in CSC), the first trace solve factors it and drops the
+    CSC (``schur`` is None until then), and the first :meth:`apply` forms
+    H and Mw, the one read of D and F; :meth:`prepare_apply` does all
+    three, for a stepper that applies the operator every step.  A failure
+    raises RuntimeError("recovery factorization failed: ...") where it
+    happens; the condensation fails only on hand-made matrices, since
+    I + S_l is positive definite for tau > 0.
 
     The recovery keeps the last pair (w, p_hat(w)) it knows: a copy of w
     and a read-only p_hat, since :meth:`recover` hands that array out.
@@ -259,28 +262,36 @@ class PhiRecovery:
     """
 
     def __init__(self, matrices, known=None):
-        mats = matrices
-        m = mats.spaces.scalar.dim_local
-        coupling = -mats.stab_mixed_blocks
-        vdofs = mats.vdofs.reshape(len(mats.wdofs), -1)
-        try:
-            self._csc, (self._G, self._Pw, self._Pt) = condense(
-                mats.stab_local_blocks + np.eye(m), coupling, coupling.transpose(0, 2, 1),
-                mats.stab_trace, mats.trace_cols,
-                compose=(-mats.div_blocks.transpose(0, 2, 1), mats.flux_blocks.transpose(0, 2, 1),
-                         np.eye(m), None, vdofs, mats.wdofs, mats.div_pair.shape[::-1]))
-        except RuntimeError as err:
-            raise RuntimeError(f"recovery factorization failed: {err}") from None
-        self._div_pair, self._flux_pair = mats.div_pair, mats.flux_pair
+        self._mats = matrices
+        self._G = self._Pw = self._Pt = self._csc = None
         self.schur = None
         self._wave = None
         self._known = None
         if known is not None:
             self._store(known[0], np.array(known[1], dtype=float))
 
+    def _condense(self):
+        """G, Pw, Pt and the trace Schur complement in CSC, condensed at
+        the first call."""
+        if self._G is not None:
+            return
+        mats, m = self._mats, self._mats.spaces.scalar.dim_local
+        coupling = -mats.stab_mixed_blocks
+        try:
+            self._csc, (self._G, self._Pw, self._Pt) = condense(
+                mats.stab_local_blocks + np.eye(m), coupling, coupling.transpose(0, 2, 1),
+                mats.stab_trace, mats.trace_cols,
+                compose=(-mats.div_blocks.transpose(0, 2, 1), mats.flux_blocks.transpose(0, 2, 1),
+                         np.eye(m), None, mats.vdofs.reshape(len(mats.wdofs), -1),
+                         mats.wdofs, (mats.wdofs.size, mats.vdofs.size)))
+        except RuntimeError as err:
+            raise RuntimeError(f"recovery factorization failed: {err}") from None
+
     def factor(self):
-        """The trace factor ``schur``, factored at the first call."""
+        """The trace factor ``schur``, condensed and factored at the first
+        call."""
         if self.schur is None:
+            self._condense()
             try:
                 self.schur = factor_trace(self._csc)
             except RuntimeError as err:
@@ -293,8 +304,8 @@ class PhiRecovery:
         built at the first call."""
         self.factor()
         if self._wave is None:
-            self._wave = (self._flux_pair - self._div_pair @ self._Pt,
-                          -(self._div_pair @ self._Pw))
+            div = self._mats.div_pair
+            self._wave = (self._mats.flux_pair - div @ self._Pt, -(div @ self._Pw))
         return self._wave
 
     def _store(self, w, phat):
@@ -317,6 +328,7 @@ class PhiRecovery:
     def recover(self, w):
         """Height and trace coefficients induced by flux coefficients w;
         the trace part is read-only."""
+        self._condense()
         phat = self._known_trace(w)
         if phat is None:
             phat = self._solve(w)
@@ -334,7 +346,8 @@ class PhiRecovery:
         """Transpose of the height map of :meth:`recover` applied to height
         coefficients b: Pw^T b + G^T S^-T Pt^T b, with S the trace Schur
         complement."""
-        return self._Pw.T @ b + self._G.T @ self.factor().solve(self._Pt.T @ b, trans="T")
+        lu = self.factor()
+        return self._Pw.T @ b + self._G.T @ lu.solve(self._Pt.T @ b, trans="T")
 
     def apply(self, w):
         """Action of the condensed wave operator on flux coefficients."""

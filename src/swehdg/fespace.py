@@ -171,10 +171,6 @@ class VectorSpace:
         self.dim_local = 2 * scalar.dim_local
         self.ndof = 2 * scalar.ndof
 
-    def reshape(self, coeffs):
-        """(ne, 2, m) view of a coefficient vector."""
-        return np.asarray(coeffs).reshape(self.mesh.num_elements, 2, self.scalar.dim_local)
-
     def project(self, func):
         """L2 projection of a vector field given as func(x, y) -> (z1, z2)."""
         s = self.scalar

@@ -197,7 +197,7 @@ class SemidiscreteSystem:
     forcing: np.ndarray | None = None
 
     def __post_init__(self):
-        nv = self.matrices.div_pair.shape[0]
+        nv = self.nv
         if self.forcing is None:
             self.forcing = np.zeros(nv)
         self.forcing = np.asarray(self.forcing, dtype=float)
@@ -206,7 +206,7 @@ class SemidiscreteSystem:
 
     @property
     def nv(self):
-        return self.matrices.div_pair.shape[0]
+        return self.matrices.vdofs.size
 
     @property
     def phi(self):

@@ -19,7 +19,7 @@ import numpy as np
 
 from .assembly import PhysicalParams, assemble_all, assemble_bathymetry_load
 from .diagnostics import RecordFunctionals
-from .elliptic import InitState, PhiRecovery, initialize_state
+from .elliptic import InitSolution, PhiRecovery, initialize_state
 from .fespace import SpaceSet, build_spaces
 from .integrators import DirkIntegrator, SemidiscreteSystem
 from .mesh import Mesh
@@ -181,7 +181,7 @@ class UwRun:
     spaces: SpaceSet
     system: SemidiscreteSystem
     y0: np.ndarray
-    init: InitState
+    init: InitSolution
     bathymetry_coeffs: np.ndarray = None
 
     @property
@@ -212,31 +212,15 @@ def hamiltonian_load(recovery, bath_coeffs):
     return -recovery.recover_transpose(bath_coeffs)
 
 
-@dataclass
-class InitRun:
-    """The spaces, operators and initial state of a conserving-scheme
-    problem, without its recovery or stepping data."""
-    spaces: SpaceSet
-    matrices: object
-    init: InitState
-
-
-def build_init(spec):
-    """Spaces, operators and initial state of the conserving scheme: what
-    :func:`build_uw_system` builds on, and all a stationary-solve sweep
-    reads."""
+def build_uw_system(spec):
+    """Assemble the operators and initial state of the conserving scheme:
+    the one builder of every flux run.  Its recovery builds nothing until
+    read, so a sweep of init solves condenses no recovery."""
     spaces = build_spaces(spec.mesh, spec.degree, tangential=True)
     matrices = assemble_all(spec.mesh, spaces, spec.params)
     state = initialize_state(spec.mesh, spaces, spec.phi0, spec.u0,
                              spec.params, grad_phi0=spec.grad_phi0,
                              matrices=matrices)
-    return InitRun(spaces=spaces, matrices=matrices, init=state)
-
-
-def build_uw_system(spec):
-    """Assemble the operators and initial state of the conserving scheme."""
-    base = build_init(spec)
-    spaces, matrices, state = base.spaces, base.matrices, base.init
     # the init system holds the recovery equations at its flux, so its
     # height trace is the recovered trace of the initial flux
     recovery = PhiRecovery(matrices, known=(state.w.coeffs, state.init.phi_hat.coeffs))
@@ -249,7 +233,7 @@ def build_uw_system(spec):
                                 forcing=forcing)
     y0 = np.concatenate([state.w.coeffs, state.u.coeffs])
     return UwRun(spec=spec, spaces=spaces, system=system, y0=y0,
-                 init=state, bathymetry_coeffs=bath)
+                 init=state.init, bathymetry_coeffs=bath)
 
 
 @dataclass
@@ -359,7 +343,7 @@ class PhiuIntegrator(DirkIntegrator):
         self.run = run
         m = run.matrices
         ne = m.wdofs.shape[0]
-        nw = m.div_pair.shape[1]
+        nw = m.wdofs.size
         rows = np.concatenate([m.wdofs, nw + m.vdofs.reshape(ne, -1)], axis=1)
         forcing = np.concatenate([np.zeros(nw), run.forcing])
         super().__init__(tableau, dt, -m.stab_trace, m.trace_cols, rows, forcing,

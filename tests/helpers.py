@@ -30,14 +30,19 @@ def scalar_values(space, coeffs):
     return np.einsum("eqi,ei->eq", space.tab, u)
 
 
+def vector_blocks(vector, coeffs):
+    """(ne, 2, m) view of a VectorSpace coefficient vector."""
+    return np.asarray(coeffs).reshape(vector.mesh.num_elements, 2, vector.scalar.dim_local)
+
+
 def vector_values(vector, coeffs):
     """Field values of a VectorSpace at the volume quadrature points, (ne, nq, 2)."""
-    return np.einsum("eqi,eci->eqc", vector.scalar.tab, vector.reshape(coeffs))
+    return np.einsum("eqi,eci->eqc", vector.scalar.tab, vector_blocks(vector, coeffs))
 
 
 def rot_values(vector, coeffs):
     """rot z = dz2/dx - dz1/dy at the volume quadrature points."""
-    u = vector.reshape(coeffs)
+    u = vector_blocks(vector, coeffs)
     return (np.einsum("eqi,ei->eq", vector.scalar.tab_dx, u[:, 1])
             - np.einsum("eqi,ei->eq", vector.scalar.tab_dy, u[:, 0]))
 
@@ -130,7 +135,7 @@ def locate(mesh, x, y):
 
 def _element_coeffs(gf, e):
     if isinstance(gf.space, VectorSpace):
-        return gf.space.reshape(gf.coeffs)[e]
+        return vector_blocks(gf.space, gf.coeffs)[e]
     m = gf.space.dim_local
     return gf.coeffs[e * m:(e + 1) * m]
 
@@ -182,7 +187,7 @@ def point_rot(gf, x, y):
 
 def div_values(vector, coeffs):
     """Divergence of a vector field at the volume quadrature points."""
-    u = vector.reshape(coeffs)
+    u = vector_blocks(vector, coeffs)
     return (np.einsum("eqi,ei->eq", vector.scalar.tab_dx, u[:, 0])
             + np.einsum("eqi,ei->eq", vector.scalar.tab_dy, u[:, 1]))
 
@@ -244,7 +249,7 @@ def _stage_layout(stepper):
         run = stepper.run
         m = run.matrices
         ne, nq = m.wdofs.shape
-        nw = m.div_pair.shape[1]
+        nw = m.wdofs.size
         rows = np.concatenate([m.wdofs, nw + m.vdofs.reshape(ne, -1)], axis=1)
         return rows, m.trace_cols, np.concatenate([np.zeros(nw), run.forcing]), nq
     system = stepper.system

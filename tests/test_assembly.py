@@ -8,7 +8,7 @@ from swehdg.elliptic import solve_vector_laplacian
 from swehdg.fespace import build_spaces
 from swehdg.mesh import Mesh, generate_rect_with_hole, generate_uniform_square, pair_periodic
 
-from helpers import div_values, dofs_of_facet, scalar_values, trace_values
+from helpers import div_values, dofs_of_facet, scalar_values, trace_values, vector_blocks
 
 REF_TRI = Mesh([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]], [[0, 1, 2]])
 PAIRINGS_ON_READ = ("div_pair", "flux_pair", "stab_local", "stab_mixed", "coriolis")
@@ -168,7 +168,7 @@ def test_flux_pair_adjoint_identity():
     lhs = z @ (mats.flux_pair @ eta)
     # recompute by summing facet quadrature element by element
     rhs = 0.0
-    zc = spaces.vector.reshape(z)
+    zc = vector_blocks(spaces.vector, z)
     for e in range(mesh.num_elements):
         for lf in range(3):
             f = mesh.element_facets[e, lf]

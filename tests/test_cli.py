@@ -54,24 +54,33 @@ def test_converge_init_schema_and_orders(tmp_path):
         assert float(rows[1][col]) < float(rows[0][col])
 
 
-def test_converge_init_builds_the_init_solve_alone(tmp_path, monkeypatch):
-    # the sweep reads only the init solve: it builds no recovery, and its
-    # CSV is the one that building the whole flux run gives
+def test_converge_init_condenses_no_recovery(tmp_path, monkeypatch):
+    # the sweep reads only the init solve: every condensation it makes is
+    # the init's (local data passed as rhs), none the recovery's, and its
+    # CSV is the one a recovery condensed at build gives
     cfg = _write(tmp_path, "c.ini", INIT_SWEEP)
+
+    def eager(*args, **kwargs):
+        recovery = elliptic.PhiRecovery(*args, **kwargs)
+        recovery.factor()
+        return recovery
+
     with monkeypatch.context() as patch:
-        patch.setattr(cli, "build_init", swe.build_uw_system)
-        assert main(["converge_init", "--config", cfg, "--out", str(tmp_path / "whole")]) == 0
-    recoveries = []
+        patch.setattr(swe, "PhiRecovery", eager)
+        assert main(["converge_init", "--config", cfg, "--out", str(tmp_path / "eager")]) == 0
+    calls = []
+    real = elliptic.condense
 
-    def counted(*args, **kwargs):
-        recoveries.append(args)
-        return elliptic.PhiRecovery(*args, **kwargs)
+    def spy(*args, **kwargs):
+        calls.append(kwargs)
+        return real(*args, **kwargs)
 
-    monkeypatch.setattr(swe, "PhiRecovery", counted)
-    assert main(["converge_init", "--config", cfg, "--out", str(tmp_path / "init")]) == 0
-    assert not recoveries
-    assert ((tmp_path / "init" / "init_convergence.csv").read_bytes()
-            == (tmp_path / "whole" / "init_convergence.csv").read_bytes())
+    monkeypatch.setattr(elliptic, "condense", spy)
+    assert main(["converge_init", "--config", cfg, "--out", str(tmp_path / "lazy")]) == 0
+    assert len(calls) == 2          # one init solve per level
+    assert all(call.get("rhs") is not None and call.get("compose") is None for call in calls)
+    assert ((tmp_path / "lazy" / "init_convergence.csv").read_bytes()
+            == (tmp_path / "eager" / "init_convergence.csv").read_bytes())
 
 
 def test_converge_init_residual_names_the_run(tmp_path, capsys, monkeypatch):

@@ -47,6 +47,10 @@ def test_collate_writes_both_sides_per_workload_and_metric(tmp_path):
     assert wall["change_better_at_seeds"] == "3 of 4"
     assert wall["unit"] == "s" and wall["better"] == "lower"
     assert set(bench["workloads"]["bump"]) == {"wall_s", "ms_per_step"}
+    # a workload dropped from the comparison is named, with its side and why
+    assert bench["missing"] == [
+        {"workload": "only_change", "side": "parent", "reason": "no record"},
+        {"workload": "wave", "side": "change", "reason": "no passing repetition"}]
 
 
 def test_collate_refuses_a_side_of_two_commits(tmp_path):

@@ -305,7 +305,8 @@ def _hand_written_wave_operator(mats):
 def test_composed_wave_operator_matches_hand_written_products(k, kind):
     spaces, mats = _matrices(kind, k)
     rec = PhiRecovery(mats)
-    for got, ref in zip((rec._G, *rec.prepare_apply()), _hand_written_wave_operator(mats)):
+    wave = rec.prepare_apply()      # condenses the recovery, then forms H and Mw
+    for got, ref in zip((rec._G, *wave), _hand_written_wave_operator(mats)):
         assert got.shape == ref.shape
         assert abs(got - ref).max() <= 1e-13 * abs(ref).max()
         assert np.all(got.data != 0.0)          # no stored zeros
@@ -338,6 +339,7 @@ def test_step_and_recover_never_call_the_general_solve(monkeypatch):
     run = build_phiu_system(make_problem("moving_bump", mats.mesh, 1, **PARAMS))
     steppers = [SdirkIntegrator(system, make_sdirk(4), DT),
                 PhiuIntegrator(run, make_sdirk(2), DT)]
+    rec.factor()        # the recovery condenses at its first read
 
     def forbidden(*args, **kwargs):
         raise AssertionError("condense or _solve_blocks called")
@@ -359,7 +361,7 @@ def test_init_residual_where_diagonal_pivoting_breaks_down(monkeypatch):
     # pivot order leaves a residual above 1 there, the threshold-0.1
     # symmetric-mode factorization a residual at rounding level
     spec = make_problem("standing_wave", generate_uniform_square(5), 1)
-    assert build_uw_system(spec).init.init.residual <= 1e-12
+    assert build_uw_system(spec).init.residual <= 1e-12
 
     real = elliptic.splu
 
@@ -367,7 +369,7 @@ def test_init_residual_where_diagonal_pivoting_breaks_down(monkeypatch):
         return real(matrix, **dict(kwargs, diag_pivot_thresh=0.0))
 
     monkeypatch.setattr(elliptic, "splu", diagonal_only)
-    assert build_uw_system(spec).init.init.residual > 1e-10
+    assert build_uw_system(spec).init.residual > 1e-10
 
 
 @pytest.mark.parametrize("kind", ["wall", "periodic", "holed"])
@@ -650,10 +652,27 @@ def test_stage_failures_name_the_scale():
     run = replace(build_phiu_system(spec, spaces=spaces, matrices=mats), matrices=zero)
     with pytest.raises(RuntimeError, match=r"stage scale 0\.025: trace factorization failed"):
         PhiuIntegrator(run, make_sdirk(2), 0.05)
-    # the recovery condenses at build and factors at its first solve
+    # the recovery condenses at its first read and factors at its first solve
     rec = PhiRecovery(zero)
     with pytest.raises(RuntimeError, match="recovery factorization failed: trace"):
-        rec.recover(np.ones(zero.div_pair.shape[0]))
+        rec.recover(np.ones(zero.vdofs.size))
+
+
+@pytest.mark.parametrize("first", ["recover", "apply", "recover_transpose", "factor"])
+def test_recovery_condenses_at_its_first_read(first):
+    # I + S_l of element 3 made zero: the build condenses nothing, so it
+    # succeeds; the first read condenses and names the singular block
+    spaces, mats = _matrices("wall", 1)
+    blocks = mats.stab_local_blocks.copy()
+    blocks[3] = -np.eye(spaces.scalar.dim_local)
+    rec = PhiRecovery(replace(mats, stab_local_blocks=blocks))
+    assert rec.schur is None and rec._G is None
+    args = {"recover": (np.ones(spaces.vector.ndof),), "apply": (np.ones(spaces.vector.ndof),),
+            "recover_transpose": (np.ones(spaces.scalar.ndof),), "factor": ()}[first]
+    with pytest.raises(RuntimeError, match="^recovery factorization failed: local block "
+                                           "of element 3 is singular$"):
+        getattr(rec, first)(*args)
+    assert rec.schur is None
 
 
 def _held_factors(holder):

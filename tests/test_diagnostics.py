@@ -270,7 +270,7 @@ def test_profiles_are_evaluated_only_at_build():
     stepper = make_integrator("seprk3", run.system, 0.02)
     for n, y in iterate_steps(stepper, run.y0, 5):
         l2_errors(run, y, norms, 0.02 * n)
-    init_errors(run.init.init, norms)
+    init_errors(run.init, norms)
     assert ms.calls == {"height": 1, "flow": 1}
 
 
@@ -278,7 +278,7 @@ def test_init_errors_against_reference_row():
     ms = ManufacturedSolution()
     mesh = generate_uniform_square(2)
     run = build_uw_system(make_problem("standing_wave", mesh, 1))
-    errs = init_errors(run.init.init, ErrorNorms(run.spaces, ms))
+    errs = init_errors(run.init, ErrorNorms(run.spaces, ms))
     expected = {"sigma": 5.16e-3, "w": 2.15e-2, "phi": 2.05e-2}
     for key, ref in expected.items():
         assert errs[key] <= 2.0 * ref

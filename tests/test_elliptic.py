@@ -253,7 +253,7 @@ def test_init_seeds_the_recovered_trace(mesh, k):
     assert run.recovery.schur is None
     fresh = PhiRecovery(run.matrices).recover(w0)[1]
     assert np.abs(phat - fresh).max() <= SEEDED_TRACE_RTOL * np.abs(fresh).max()
-    assert np.array_equal(phat, run.init.init.phi_hat.coeffs)
+    assert np.array_equal(phat, run.init.phi_hat.coeffs)
 
 
 def test_zero_state_shortcut():

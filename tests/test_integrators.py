@@ -30,6 +30,7 @@ from swehdg.swe import (
     build_uw_system,
     hamiltonian_load,
     make_problem,
+    phiu_energy,
 )
 
 from helpers import SUBSTEP_WEIGHTS, midpoint_composition, stage_slope
@@ -634,6 +635,23 @@ def test_only_an_explicit_stepper_builds_the_wave_operator(name):
         assert rec.prepare_apply() is rec._wave
     else:
         assert rec.schur is None and rec._wave is None
+
+
+def test_implicit_runs_beside_the_height_scheme_build_no_unread_pairing():
+    # the loop of compare_dissipative: neither scheme's stages nor the
+    # records read D, F or the rotation as sparse pairings, and an
+    # implicit run without bathymetry never applies the recovery
+    uw = build_uw_system(make_problem("standing_wave", generate_uniform_square(3), 1))
+    phiu = build_phiu_system(uw.spec, spaces=uw.spaces, matrices=uw.matrices)
+    runs = [(make_integrator("midpoint", uw.system, 0.01), uw.y0),
+            (PhiuIntegrator(phiu, make_sdirk(2), 0.01), phiu.y0)]
+    total_energy(uw, uw.y0)
+    for _ in range(20):
+        runs = [(stepper, stepper.step(y)) for stepper, y in runs]
+        total_energy(uw, runs[0][1])
+        phiu_energy(phiu, runs[1][1])
+    assert not {"div_pair", "flux_pair", "coriolis"} & set(vars(uw.matrices))
+    assert uw.recovery.schur is None and uw.recovery._wave is None
 
 
 @pytest.mark.parametrize("order", [1, 3])

@@ -8,7 +8,8 @@ workload and every end-to-end metric of ``BENCHMARK.json``, the median,
 quartiles and sample count of each side, plus the number of seeds at which
 the change did better than the parent.  The environment records of both
 sides (interpreter, library and BLAS versions, CPU count, commit) are kept
-alongside.
+alongside, and ``missing`` names each workload and side that gave no
+samples, and why.
 
 Run from the repository root:
 
@@ -50,13 +51,28 @@ def summary(samples):
     return {"median": statistics.median(samples), "q1": q1, "q3": q3, "n": len(samples)}
 
 
+def _passed(record):
+    return any(rep["failure"] is None for rep in record["repetitions"])
+
+
 def collate(parent, change, metrics):
     """The BENCH record of two sides read by :func:`read_side`; ``metrics``
-    are the end-to-end entries of BENCHMARK.json."""
-    out = {"env": {}, "workloads": {}}
+    are the end-to-end entries of BENCHMARK.json.  A workload recorded on
+    one side only, or none of whose records on a side has a passing
+    repetition, is named in ``missing`` with its side and the reason."""
+    out = {"env": {}, "workloads": {}, "missing": []}
     for side, records in (("parent", parent), ("change", change)):
         first = next((r for runs in records.values() for r in runs.values()), None)
         out["env"][side] = first["env"] if first else None
+    for workload in sorted(set(parent) | set(change)):
+        for side, records in (("parent", parent), ("change", change)):
+            if workload not in records:
+                reason = "no record"
+            elif not any(map(_passed, records[workload].values())):
+                reason = "no passing repetition"
+            else:
+                continue
+            out["missing"].append({"workload": workload, "side": side, "reason": reason})
     for workload in sorted(set(parent) & set(change)):
         entry = {}
         for metric in metrics:
@@ -66,8 +82,7 @@ def collate(parent, change, metrics):
                 # a record none of whose repetitions passed reports no value
                 values[side] = {seed: r["metrics"][name]["value"]
                                 for seed, r in records[workload].items()
-                                if name in r["metrics"] and any(
-                                    rep["failure"] is None for rep in r["repetitions"])}
+                                if name in r["metrics"] and _passed(r)}
             if not values["parent"] or not values["change"]:
                 continue
             seeds = sorted(set(values["parent"]) & set(values["change"]))
