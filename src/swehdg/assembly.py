@@ -7,7 +7,7 @@ against trace basis), which keeps the recovery, time stepping, and init
 paths structurally consistent.  Every sparse operator, here and in the
 condensed solves, is scattered from batched element blocks by one
 function, :func:`_block_rows`, except the trace Schur complements, which
-:func:`~swehdg.elliptic.condense` scatters straight into CSC.
+:func:`~swehdg.elliptic.condense` scatters straight into CSR.
 """
 
 from dataclasses import dataclass, field

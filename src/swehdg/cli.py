@@ -499,8 +499,11 @@ def _sweep(cfg, out_dir, threads, with_time):
         return _convergence_task(cfg, task[0], task[1], with_time)
 
     if threads > 1:
+        # longest first: the cost of an entry grows with its level, then
+        # its degree, so the pool does not end on the largest one alone
+        order = sorted(tasks, key=lambda task: (task[1], task[0]), reverse=True)
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = dict(zip(tasks, pool.map(work, tasks)))
+            results = dict(zip(order, pool.map(work, order)))
     else:
         results = {task: work(task) for task in tasks}
 

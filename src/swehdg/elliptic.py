@@ -4,9 +4,12 @@ initialization solve.
 
 :func:`condense` is the hybridization kernel shared by every implicit
 solve: element-local unknowns are eliminated block by block, and only
-the remaining trace system is factored, by :func:`factor_trace` once
-the call that condensed it has returned, so no element block is held
-through a factorization.  The recovery of the height from the flux is
+the remaining trace system is factored, by :func:`factor_trace` once the
+call that condensed it has returned, so no element block is held through
+a factorization.  The trace system is scattered in CSR, and SuperLU
+factors its transpose over the same arrays: SuperLU's transposed solves
+are the faster ones on its column-supernodal factor, and with the factor
+of S^T they solve with S.  The recovery of the height from the flux is
 its simplest instance (the local block is identity plus boundary
 stabilization); the implicit stages of both schemes reuse it with larger
 local blocks, and the init solve eliminates (rotation, height, flux) per
@@ -62,7 +65,7 @@ def _solve_blocks(local, rhs):
 
 def condense(local, from_trace, to_trace, trace, cols, compose=None, rhs=None):
     """Condense a hybridized block system onto its trace dofs: returns the
-    trace Schur complement as the CSC matrix :func:`factor_trace` takes,
+    trace Schur complement as the CSR matrix :func:`factor_trace` takes,
     and the composed operators (R, K, Kt') of ``compose``, or the reduced
     trace data of ``rhs``, or None.
 
@@ -75,12 +78,14 @@ def condense(local, from_trace, to_trace, trace, cols, compose=None, rhs=None):
     A is block diagonal with blocks A_e (n x n); B and C couple element e
     only to the trace dofs ``cols[e]`` of its facets, through the blocks
     B_e (n x c) and C_e (c x n); T is sparse on the trace.  No A_e is
-    inverted or held: one batched LU solve of the transposed blocks A_e^T
-    against C_e^T gives C_e A_e^-1, the Schur complement
-    T - sum_e C_e A_e^-1 B_e is scattered straight into CSC, and no dense
-    block product outlives the scatter.  Nothing returned refers to the
-    blocks, so they die with the call, before any factorization, and the
-    Schur complement stores only its entries.
+    inverted or held: one batched LU solve of the transposed blocks
+    A_e^T against C_e^T gives C_e A_e^-1, the Schur complement
+    T - sum_e C_e A_e^-1 B_e is scattered straight into CSR, whose
+    arrays are the CSC arrays of its transpose, the matrix SuperLU
+    factors (see :func:`factor_trace`), and no dense block product
+    outlives the scatter.  Nothing returned refers to the blocks, so
+    they die with the call, before any factorization, and the Schur
+    complement stores only its entries.
 
     A caller that solves the system many times for data that a fixed
     linear map of some vector y produces, and that reads only a fixed
@@ -136,27 +141,27 @@ def condense(local, from_trace, to_trace, trace, cols, compose=None, rhs=None):
     elif rhs is not None:
         out = -np.bincount(cols.reshape(-1), minlength=nt, weights=np.einsum(
             "eci,ei->ec", solved[:, :c], rhs).reshape(-1))
-    # T - sum_e C_e A_e^-1 B_e, scattered straight into CSC: a column
-    # holds T's entries, then those of the blocks' columns in element
-    # order, so the duplicates are summed and no zero is dropped
-    coupling = from_trace.transpose(0, 2, 1) @ solved[:, :c].transpose(0, 2, 1)
+    # T - sum_e C_e A_e^-1 B_e, scattered straight into CSR: a row holds
+    # T's entries, then those of the blocks' rows in element order, so
+    # the duplicates are summed and no zero is dropped
+    coupling = solved[:, :c] @ from_trace
     del solved
-    trace, flat = trace.tocsc(), cols.reshape(-1)
+    trace, flat = trace.tocsr(), cols.reshape(-1)
     before = c * np.concatenate([[0], np.cumsum(np.bincount(flat, minlength=nt))])
     indptr = trace.indptr + before
-    data, rows = np.empty(indptr[-1]), np.empty(indptr[-1], dtype=trace.indices.dtype)
+    data, columns = np.empty(indptr[-1]), np.empty(indptr[-1], dtype=trace.indices.dtype)
     at = np.arange(trace.nnz) + np.repeat(before[:-1], np.diff(trace.indptr))
-    data[at], rows[at] = trace.data, trace.indices
-    # the q-th block column in column order follows the T entries of its
-    # column and the q block columns before it
+    data[at], columns[at] = trace.data, trace.indices
+    # the q-th block row in row order follows the T entries of its row
+    # and the q block rows before it
     order = np.argsort(flat, kind="stable")
     at = np.empty_like(flat)
     at[order] = trace.indptr[1:][flat[order]] + c * np.arange(flat.size)
     at = at.reshape(-1, c)
     for i in range(c):
-        data[at + i], rows[at + i] = -coupling[:, :, i], cols[:, i, None]
+        data[at + i], columns[at + i] = -coupling[:, :, i], cols[:, i, None]
     del coupling
-    schur = sparse.csc_matrix((data, rows, indptr), shape=(nt, nt))
+    schur = sparse.csr_matrix((data, columns, indptr), shape=(nt, nt))
     schur.sum_duplicates()
     return _held(schur), out
 
@@ -176,21 +181,60 @@ def _compose(restrict, readout, from_trace, cols, nt, compose):
     return trace_data, out, _held(_block_rows(out_trace, out_rows, cols, (shape[0], nt)))
 
 
-def factor_trace(schur):
-    """Sparse LU of a trace Schur complement from :func:`condense`.
+class TraceFactor:
+    """Sparse LU of a trace Schur complement S, held as SuperLU's factor
+    of S^T: ``solve(b)`` is S^-1 b, by SuperLU's transposed solve, and
+    ``solve(b, trans="T")`` is S^-T b, by its forward solve.  ``L`` and
+    ``U`` are the triangular factors of S that the factor of S^T gives
+    (U^T and L^T), and ``shape`` is that of S."""
 
-    Every trace Schur complement built here is structurally symmetric, and
-    several are indefinite (the init system, the stages), so the factor
-    orders the columns by minimum degree on A^T + A and runs SuperLU in
-    symmetric mode: pivots stay on the diagonal unless one falls below
-    0.1 times the largest entry of its column.  Both settings are needed.
-    The minimum-degree ordering alone, under partial pivoting, raises
-    the fill of the indefinite init systems above COLAMD's, because
-    off-diagonal pivots break the symmetric elimination order it was
-    chosen for.  Pure diagonal pivoting (threshold 0) breaks down on
-    them: the standing-wave init solve at level 5, k = 1 then has a
-    relative residual above 1.  With both, the fill is about half of
-    COLAMD's or less on every system.
+    _SWAP = {"N": "T", "T": "N"}
+
+    def __init__(self, lu):
+        self._lu = lu
+        self.shape = lu.shape
+
+    @property
+    def L(self):
+        return self._lu.U.T
+
+    @property
+    def U(self):
+        return self._lu.L.T
+
+    def solve(self, b, trans="N"):
+        return self._lu.solve(b, trans=self._SWAP[trans])
+
+
+def factor_trace(schur):
+    """Sparse LU of a CSR trace Schur complement from :func:`condense`, as
+    a :class:`TraceFactor`.
+
+    The CSR arrays of S are the CSC arrays of S^T, so SuperLU factors
+    S^T (``schur.T``, a CSC view of them) with no copy, and every solve
+    with S runs as SuperLU's transposed solve.  SuperLU stores its
+    factor in column supernodes, and its transposed triangular solves
+    run faster than its forward ones at the same fill.  Measured on a
+    2-core Intel Xeon with scipy 1.17, one solve with S took 1.10 ms
+    against 1.69-1.74 ms on the level-5, k = 2 recovery (9,408
+    unknowns), 0.64 ms against 0.97-1.09 ms on the level-5, k = 1
+    midpoint stage (6,272), and 0.48 ms against 0.71 ms on the rotating
+    midpoint stage of the holed periodic box (3,576), with the fill
+    within 16 entries of the factor of S.
+
+    Every trace Schur complement built here is structurally symmetric,
+    and several are indefinite (the init system, the stages), so the
+    factor orders the columns by minimum degree on A^T + A and runs
+    SuperLU in symmetric mode: pivots stay on the diagonal unless one
+    falls below 0.1 times the largest entry of its column (of S^T: its
+    row of S).  Both settings are needed.  The minimum-degree ordering
+    alone, under partial pivoting, raises the fill of the indefinite
+    init systems above COLAMD's, because off-diagonal pivots break the
+    symmetric elimination order it was chosen for.  Pure diagonal
+    pivoting (threshold 0) breaks down on them: the standing-wave init
+    solve at level 5, k = 1 then has a relative residual above 1.  With
+    both, the fill is about half of COLAMD's or less on every system.
+    A^T + A, and so the ordering, is the same for S and S^T.
 
     The factor keeps the dtype of ``schur``, and its solves take
     right-hand sides of that dtype.  Every repeated solve factors in
@@ -201,8 +245,8 @@ def factor_trace(schur):
     failed: ...").
     """
     try:
-        return splu(schur, permc_spec="MMD_AT_PLUS_A",
-                    diag_pivot_thresh=0.1, options=dict(SymmetricMode=True))
+        return TraceFactor(splu(schur.T, permc_spec="MMD_AT_PLUS_A",
+                                diag_pivot_thresh=0.1, options=dict(SymmetricMode=True)))
     except RuntimeError as err:
         raise RuntimeError(f"trace factorization failed: {err}") from None
 
@@ -235,10 +279,11 @@ class PhiRecovery:
     Only what a run reads is built, each piece at its first read.  The
     first :meth:`recover`, :meth:`factor`, :meth:`apply` or
     :meth:`recover_transpose` condenses (G, Pw, Pt and the trace Schur
-    complement in CSC), the first trace solve factors it and drops the
-    CSC (``schur`` is None until then), and the first :meth:`apply` forms
-    H and Mw, the one read of D and F; :meth:`prepare_apply` does all
-    three, for a stepper that applies the operator every step.  A failure
+    complement in CSR), the first trace solve factors it and drops the
+    CSR matrix (``schur`` is None until then), and the first
+    :meth:`apply` forms H and Mw, the one read of D and F;
+    :meth:`prepare_apply` does all three, for a stepper that applies the
+    operator every step.  A failure
     raises RuntimeError("recovery factorization failed: ...") where it
     happens; the condensation fails only on hand-made matrices, since
     I + S_l is positive definite for tau > 0.
@@ -263,7 +308,7 @@ class PhiRecovery:
 
     def __init__(self, matrices, known=None):
         self._mats = matrices
-        self._G = self._Pw = self._Pt = self._csc = None
+        self._G = self._Pw = self._Pt = self._trace_matrix = None
         self.schur = None
         self._wave = None
         self._known = None
@@ -271,14 +316,14 @@ class PhiRecovery:
             self._store(known[0], np.array(known[1], dtype=float))
 
     def _condense(self):
-        """G, Pw, Pt and the trace Schur complement in CSC, condensed at
+        """G, Pw, Pt and the trace Schur complement in CSR, condensed at
         the first call."""
         if self._G is not None:
             return
         mats, m = self._mats, self._mats.spaces.scalar.dim_local
         coupling = -mats.stab_mixed_blocks
         try:
-            self._csc, (self._G, self._Pw, self._Pt) = condense(
+            self._trace_matrix, (self._G, self._Pw, self._Pt) = condense(
                 mats.stab_local_blocks + np.eye(m), coupling, coupling.transpose(0, 2, 1),
                 mats.stab_trace, mats.trace_cols,
                 compose=(-mats.div_blocks.transpose(0, 2, 1), mats.flux_blocks.transpose(0, 2, 1),
@@ -293,10 +338,10 @@ class PhiRecovery:
         if self.schur is None:
             self._condense()
             try:
-                self.schur = factor_trace(self._csc)
+                self.schur = factor_trace(self._trace_matrix)
             except RuntimeError as err:
                 raise RuntimeError(f"recovery factorization failed: {err}") from None
-            self._csc = None
+            self._trace_matrix = None
         return self.schur
 
     def prepare_apply(self):
@@ -380,7 +425,7 @@ _INIT_REFINEMENTS = 10
 
 
 def _refined_solve(schur, b):
-    """Solution of schur t = b by a single-precision factor of the CSC
+    """Solution of schur t = b by a single-precision factor of the CSR
     ``schur``, refined in double (Moler, J. ACM 14, 1967; Higham,
     *Accuracy and Stability of Numerical Algorithms*, ch. 12).
 
@@ -393,7 +438,7 @@ def _refined_solve(schur, b):
     after ``_INIT_REFINEMENTS`` corrections.  A failed factorization
     raises RuntimeError.
     """
-    lu = factor_trace(sparse.csc_matrix(
+    lu = factor_trace(sparse.csr_matrix(
         (schur.data.astype(np.float32), schur.indices, schur.indptr), shape=schur.shape))
 
     def solve(r):

@@ -293,7 +293,9 @@ class DirkIntegrator:
     and two sparse products out.  Each scale is condensed in one call
     that returns only the trace Schur complement and the composed
     operators, so the element blocks and maps die before its trace
-    factorization.  The ``SuperLU`` objects are kept in
+    factorization.  The factors, :class:`~swehdg.elliptic.TraceFactor`
+    objects that hold SuperLU's LU of the transposed trace system and
+    solve with the trace system by its transposed solve, are kept in
     ``trace_factors``, keyed by scale.  A tableau built with
     ``symplectic=False`` is refused (ValueError).
 

@@ -139,6 +139,27 @@ def test_threads_match_serial_bytes(tmp_path):
     assert serial == parallel
 
 
+def test_threaded_sweep_submits_the_largest_entries_first(tmp_path, monkeypatch):
+    # the pool gets the (k, level) entries in decreasing (level, k) order,
+    # and the CSV is still the serial sweep's
+    submitted = []
+
+    class Recording(cli.ThreadPoolExecutor):
+        def map(self, fn, tasks):
+            tasks = list(tasks)
+            submitted.extend(tasks)
+            return super().map(fn, tasks)
+
+    cfg = _write(tmp_path, "c.ini", INIT_SWEEP.replace("degrees = 1", "degrees = 0, 1"))
+    assert main(["converge_init", "--config", cfg, "--out", str(tmp_path / "serial")]) == 0
+    monkeypatch.setattr(cli, "ThreadPoolExecutor", Recording)
+    assert main(["converge_init", "--config", cfg, "--out", str(tmp_path / "par"),
+                 "--threads", "2"]) == 0
+    assert submitted == [(1, 3), (0, 3), (1, 2), (0, 2)]
+    assert ((tmp_path / "par" / "init_convergence.csv").read_bytes()
+            == (tmp_path / "serial" / "init_convergence.csv").read_bytes())
+
+
 def test_run_with_zero_dt_writes_single_row(tmp_path):
     cfg = _write(tmp_path, "c.ini", """
 [problem]

@@ -580,7 +580,7 @@ def test_refined_init_solve_matches_a_double_factor(k, kind, monkeypatch):
     # against a double-precision splu solve of the same Schur complement
     sol, t, schur, b = _init_trace_solve(kind, k, monkeypatch)
     assert schur.dtype == np.float64
-    assert _rel(t, splu(schur).solve(b)) <= 1e-12
+    assert _rel(t, splu(schur.tocsc()).solve(b)) <= 1e-12
     assert sol.residual <= 1e-12
 
 
@@ -589,7 +589,7 @@ def test_unrefined_init_solve_misses_the_double_factor(kind, monkeypatch):
     # the single-precision factor alone is accurate to float32 only
     monkeypatch.setattr(elliptic, "_INIT_REFINEMENTS", 0)
     _, t, schur, b = _init_trace_solve(kind, 2, monkeypatch)
-    assert _rel(t, splu(schur).solve(b)) > 1e-12
+    assert _rel(t, splu(schur.tocsc()).solve(b)) > 1e-12
 
 
 def test_bordered_solve_matches_dense_system():
@@ -921,3 +921,56 @@ def test_fill_does_not_depend_on_rounding(monkeypatch):
             lu = factor_trace(condense(*system)[0])
             fills.append(lu.L.nnz + lu.U.nnz)
         assert abs(fills[1] - fills[0]) <= 1e-3 * fills[0]
+
+
+@pytest.fixture(scope="module")
+def bump_stage():
+    """Trace Schur complement of the midpoint stage on the benchmark's
+    rotating holed periodic box, as :func:`condense` returns it; rotation
+    makes it nonsymmetric."""
+    captured = []
+
+    def capture(*args, **kwargs):
+        out = condense(*args, **kwargs)
+        captured.append(out[0])
+        return out
+
+    mesh = pair_periodic(generate_rect_with_hole((-10.0, 10.0, -10.0, 10.0), (3.0, 0.0),
+                                                 1.0, 1.0), "both")
+    run = build_uw_system(make_problem("moving_bump", mesh, 2))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(integrators, "condense", capture)
+        make_integrator("midpoint", run.system, 0.05)
+    schur, = captured
+    assert abs(schur - schur.T).max() > 1e-6 * abs(schur).max()
+    return schur
+
+
+def test_trace_factor_solves_with_the_schur_complement(bump_stage):
+    # against a plain double-precision splu solve with S
+    b = np.random.default_rng(12).standard_normal(bump_stage.shape[0])
+    t = factor_trace(bump_stage).solve(b)
+    assert _rel(t, splu(bump_stage.tocsc()).solve(b)) <= 1e-12
+
+
+def test_trace_factor_transposed_solve_is_with_the_transpose(bump_stage):
+    # the solve of recover_transpose: against a splu solve with S^T
+    b = np.random.default_rng(13).standard_normal(bump_stage.shape[0])
+    t = factor_trace(bump_stage).solve(b, trans="T")
+    assert _rel(t, splu(bump_stage.T.tocsc()).solve(b)) <= 1e-12
+
+
+def test_trace_factor_copies_no_schur_complement(bump_stage, monkeypatch):
+    # SuperLU factors S^T over the arrays condense returned
+    factored = []
+    real = elliptic.splu
+
+    def spy(matrix, **kwargs):
+        factored.append(matrix)
+        return real(matrix, **kwargs)
+
+    monkeypatch.setattr(elliptic, "splu", spy)
+    factor_trace(bump_stage)
+    matrix, = factored
+    for name in ("data", "indices", "indptr"):
+        assert np.shares_memory(getattr(matrix, name), getattr(bump_stage, name)), name
