@@ -6,14 +6,14 @@ couplings are built from one tensor per element edge (element basis
 against trace basis), which keeps the recovery, time stepping, and init
 paths structurally consistent.  Every sparse operator, here and in the
 condensed solves, is scattered from batched element blocks by one
-function, :func:`_block_rows`, except the trace Schur complements, which
-:func:`~swehdg.elliptic.condense` scatters straight into CSR.
+function, :func:`_block_rows`.
 """
 
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy import sparse
 
 
@@ -185,31 +185,45 @@ def _element_columns(blocks):
     return blocks.transpose(0, 2, 1, 3).reshape(ne, a, 3 * md)
 
 
-def _block_rows(blocks, rows, cols, shape):
+def _block_rows(blocks, rows, cols, shape, head=None):
     """CSR matrix of batched dense blocks (n, a, b) at rows (n, a) x
-    cols (n, b), the one scatter of every block operator.
+    cols (n, b), added to the sparse ``head``: the one scatter of every
+    sparse operator.
 
-    Entries are grouped by row, unsorted, and a (row, column) pair shared
-    by several blocks is stored once per block: the copies add up in any
-    product, and ``sum_duplicates()`` makes the matrix canonical.  Exact
-    zeros are dropped (the derivatives of constants, the rotation at
-    f = 0)."""
+    A row holds the entries of ``head``, then the block rows at that row
+    in element order.  Every entry is stored, zeros and duplicates
+    included (the copies add up in any product), and the finishers
+    decide what is dropped: :func:`_pairing` drops exact zeros and sums
+    the copies, and :func:`~swehdg.elliptic.condense` only sums them, so
+    that the fill of a trace factor does not depend on rounding.  Each
+    block row is written into the final arrays through a view of the b
+    entries from its position on, so no copy of the blocks is made."""
     n, a, b = blocks.shape
-    index = np.int32 if blocks.size < 2 ** 31 else np.int64
-    order = np.argsort(rows.reshape(-1), kind="stable")
-    indptr = np.zeros(shape[0] + 1, dtype=index)
-    np.cumsum(b * np.bincount(rows.reshape(-1), minlength=shape[0]), out=indptr[1:])
-    indices = np.take(cols.astype(index), order // a, axis=0)
-    data = np.take(blocks.reshape(n * a, b), order, axis=0)
-    mat = sparse.csr_matrix((data.reshape(-1), indices.reshape(-1), indptr), shape=shape)
-    mat.eliminate_zeros()
-    return mat
+    head = sparse.csr_matrix(shape) if head is None else head.tocsr()
+    flat = rows.reshape(-1)
+    before = b * np.concatenate([[0], np.cumsum(np.bincount(flat, minlength=shape[0]))])
+    indptr = head.indptr + before
+    index = np.int32 if indptr[-1] < 2 ** 31 else np.int64
+    data, indices = np.empty(indptr[-1], dtype=blocks.dtype), np.empty(indptr[-1], dtype=index)
+    at = np.arange(head.nnz) + np.repeat(before[:-1], np.diff(head.indptr))
+    data[at], indices[at] = head.data, head.indices
+    # the q-th block row in row order follows the head entries of its row
+    # and the q block rows before it, so the windows below never overlap
+    order = np.argsort(flat, kind="stable")
+    at = np.empty_like(flat)
+    at[order] = head.indptr[1:][flat[order]] + b * np.arange(flat.size)
+    at = at.reshape(n, a)
+    sliding_window_view(data, b, writeable=True)[at] = blocks
+    sliding_window_view(indices, b, writeable=True)[at] = cols[:, None, :]
+    return sparse.csr_matrix((data, indices, indptr), shape=shape)
 
 
 def _pairing(blocks, rows, cols, shape):
-    """The pairing scattered from its element blocks by :func:`_block_rows`,
-    canonical and storing only its entries."""
+    """The operator of its element blocks, scattered by :func:`_block_rows`,
+    canonical and storing only its nonzero entries (the derivatives of
+    constants and the rotation at f = 0 are exact zeros)."""
     pairing = _block_rows(blocks, rows, cols, shape)
+    pairing.eliminate_zeros()
     pairing.sum_duplicates()
     return _held(pairing)
 

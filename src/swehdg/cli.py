@@ -110,7 +110,7 @@ class RunConfig:
     target_h: float = 1.0
     periodic: str = "none"
     mesh_path: str = ""
-    final_time: float = 0.0
+    final_time: float = None
     dt: float = None
     dt_scale: float = None
     integrator: str = ""
@@ -469,7 +469,7 @@ def _convergence_task(cfg, degree, level, with_time):
     if not with_time:
         return h, init_errors(run.init, norms)
 
-    final_time = cfg.final_time if cfg.final_time > 0.0 else 0.5
+    final_time = 0.5 if cfg.final_time is None else cfg.final_time
     nsteps, dt = step_count(final_time, _pick_dt(cfg, degree, h))
     name = cfg.integrator or _explicit_name(degree)
     stepper = _build_stepper(label, make_integrator, name, run.system, dt)
@@ -524,24 +524,24 @@ def _sweep(cfg, out_dir, threads, with_time):
     _write_csv(out_dir / f"{cfg.basename or base}.csv", header, rows)
 
 
-_SERIES_HEADER = ["time", "mass", "energy", "kinetic", "potential",
-                  "trace_term", "momentum1", "momentum2", "angular_momentum",
-                  "vorticity", "potential_vorticity", "potential_enstrophy"]
+# the columns of the run CSV: (header, QuantityRecord attribute)
+_SERIES = (("time", "t"), ("mass", "mass"), ("energy", "total_energy"),
+           ("kinetic", "kinetic"), ("potential", "potential"),
+           ("trace_term", "trace_term"), ("momentum1", "momentum_x"),
+           ("momentum2", "momentum_y"), ("angular_momentum", "angular_momentum"),
+           ("vorticity", "vorticity"), ("potential_vorticity", "potential_vorticity"),
+           ("potential_enstrophy", "potential_enstrophy"))
 
 
 def _series_row(rec):
-    return [_fmt(v) for v in (
-        rec.t, rec.mass, rec.total_energy, rec.kinetic, rec.potential,
-        rec.trace_term, rec.momentum_x, rec.momentum_y,
-        rec.angular_momentum, rec.vorticity, rec.potential_vorticity,
-        rec.potential_enstrophy)]
+    return [_fmt(getattr(rec, name)) for _, name in _SERIES]
 
 
 def cmd_run(cfg, out_dir, threads):
     del threads
     label, spec, run = _flux_run(cfg, cfg.degree)
-    nsteps, dt = step_count(cfg.final_time, _pick_dt(cfg, cfg.degree, spec.mesh.h_nominal,
-                                                     long_run=True))
+    nsteps, dt = step_count(cfg.final_time or 0.0,
+                            _pick_dt(cfg, cfg.degree, spec.mesh.h_nominal, long_run=True))
     cadence = cfg.cadence if cfg.cadence > 0 else 10
     name = cfg.integrator or "midpoint"
     rows = [_series_row(conserved_quantities(run, run.y0, 0.0))]
@@ -561,7 +561,7 @@ def cmd_run(cfg, out_dir, threads):
                                or n == nsteps):
                 write_vtk_snapshot(out_dir / f"{base}_{n:04d}.vtk", run, y, frame)
 
-    _write_csv(out_dir / f"{base}.csv", _SERIES_HEADER, rows)
+    _write_csv(out_dir / f"{base}.csv", [column for column, _ in _SERIES], rows)
 
 
 def cmd_compare_dissipative(cfg, out_dir, threads):
@@ -569,8 +569,8 @@ def cmd_compare_dissipative(cfg, out_dir, threads):
     label, spec, uw = _flux_run(cfg, cfg.degree)
     phiu = build_phiu_system(spec, spaces=uw.spaces, matrices=uw.matrices)
 
-    nsteps, dt = step_count(cfg.final_time, _pick_dt(cfg, cfg.degree, spec.mesh.h_nominal,
-                                                     long_run=True))
+    nsteps, dt = step_count(cfg.final_time or 0.0,
+                            _pick_dt(cfg, cfg.degree, spec.mesh.h_nominal, long_run=True))
     uw_stepper = _build_stepper(label, make_integrator,
                                 cfg.integrator or "midpoint", uw.system, dt)
     phiu_stepper = _build_stepper(label, PhiuIntegrator, phiu,

@@ -39,7 +39,7 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse.linalg import splu
 
-from .assembly import _block_rows, _element_columns, _held, assemble_all
+from .assembly import _block_rows, _element_columns, _held, _pairing, assemble_all
 from .fespace import GridFunction, TangentialTraceSpace
 from .mesh import hole_boundaries
 
@@ -79,13 +79,14 @@ def condense(local, from_trace, to_trace, trace, cols, compose=None, rhs=None):
     only to the trace dofs ``cols[e]`` of its facets, through the blocks
     B_e (n x c) and C_e (c x n); T is sparse on the trace.  No A_e is
     inverted or held: one batched LU solve of the transposed blocks
-    A_e^T against C_e^T gives C_e A_e^-1, the Schur complement
-    T - sum_e C_e A_e^-1 B_e is scattered straight into CSR, whose
+    A_e^T against C_e^T gives C_e A_e^-1, and the Schur complement
+    T - sum_e C_e A_e^-1 B_e is scattered by
+    :func:`~swehdg.assembly._block_rows` after T, its blocks negated in
+    place, its duplicates summed and none of its zeros dropped.  Its CSR
     arrays are the CSC arrays of its transpose, the matrix SuperLU
-    factors (see :func:`factor_trace`), and no dense block product
-    outlives the scatter.  Nothing returned refers to the blocks, so
-    they die with the call, before any factorization, and the Schur
-    complement stores only its entries.
+    factors (see :func:`factor_trace`).  Nothing returned refers to the
+    blocks, so they die with the call, before any factorization, and the
+    Schur complement stores only its entries.
 
     A caller that solves the system many times for data that a fixed
     linear map of some vector y produces, and that reads only a fixed
@@ -96,7 +97,8 @@ def condense(local, from_trace, to_trace, trace, cols, compose=None, rhs=None):
     output, in the rows ``out_rows[e]``, is Kx_e x_e + Kt_e t[cols[e]].
     A Lf of None is the identity, a Lg or Kt of None is zero, and
     ``shape`` is (output length, length of y).  The readout rows Kx_e
-    join C_e in the same batched solve, and the composed CSR operators
+    join C_e in the same batched solve, and the composed operators,
+    canonical CSR without stored zeros (:func:`~swehdg.assembly._pairing`),
     are
 
         R   = Lg - C A^-1 Lf          (trace x y)
@@ -141,27 +143,11 @@ def condense(local, from_trace, to_trace, trace, cols, compose=None, rhs=None):
     elif rhs is not None:
         out = -np.bincount(cols.reshape(-1), minlength=nt, weights=np.einsum(
             "eci,ei->ec", solved[:, :c], rhs).reshape(-1))
-    # T - sum_e C_e A_e^-1 B_e, scattered straight into CSR: a row holds
-    # T's entries, then those of the blocks' rows in element order, so
-    # the duplicates are summed and no zero is dropped
+    # T - sum_e C_e A_e^-1 B_e, its duplicates summed and no zero dropped
     coupling = solved[:, :c] @ from_trace
     del solved
-    trace, flat = trace.tocsr(), cols.reshape(-1)
-    before = c * np.concatenate([[0], np.cumsum(np.bincount(flat, minlength=nt))])
-    indptr = trace.indptr + before
-    data, columns = np.empty(indptr[-1]), np.empty(indptr[-1], dtype=trace.indices.dtype)
-    at = np.arange(trace.nnz) + np.repeat(before[:-1], np.diff(trace.indptr))
-    data[at], columns[at] = trace.data, trace.indices
-    # the q-th block row in row order follows the T entries of its row
-    # and the q block rows before it
-    order = np.argsort(flat, kind="stable")
-    at = np.empty_like(flat)
-    at[order] = trace.indptr[1:][flat[order]] + c * np.arange(flat.size)
-    at = at.reshape(-1, c)
-    for i in range(c):
-        data[at + i], columns[at + i] = -coupling[:, :, i], cols[:, i, None]
+    schur = _block_rows(np.negative(coupling, out=coupling), cols, cols, (nt, nt), head=trace)
     del coupling
-    schur = sparse.csr_matrix((data, columns, indptr), shape=(nt, nt))
     schur.sum_duplicates()
     return _held(schur), out
 
@@ -170,15 +156,15 @@ def _compose(restrict, readout, from_trace, cols, nt, compose):
     """(R, K, Kt') of the ``compose`` maps, from the blocks C A^-1
     (``restrict``) and Kx A^-1 (``readout``) over ``nt`` trace unknowns."""
     lf, lg, _, kt, rows, out_rows, shape = compose
-    out = _held(_block_rows(readout if lf is None else readout @ lf, out_rows, rows, shape))
+    out = _pairing(readout if lf is None else readout @ lf, out_rows, rows, shape)
     trace_data = -(restrict if lf is None else restrict @ lf)
     if lg is not None:
         trace_data += lg
-    trace_data = _held(_block_rows(trace_data, cols, rows, (nt, shape[1])))
+    trace_data = _pairing(trace_data, cols, rows, (nt, shape[1]))
     out_trace = -(readout @ from_trace)
     if kt is not None:
         out_trace += kt
-    return trace_data, out, _held(_block_rows(out_trace, out_rows, cols, (shape[0], nt)))
+    return trace_data, out, _pairing(out_trace, out_rows, cols, (shape[0], nt))
 
 
 class TraceFactor:
@@ -559,8 +545,8 @@ def _init_trace(mats, tangential, alpha):
     md = mats.mdofs.shape[1]
     cols_m = mats.mdofs[mats.mesh.element_facets].reshape(3 * ne, md)
     tdot = _tangent_signs(mats, tangential)[1]
-    tang_pen = _block_rows(((tdot ** 2)[..., None, None] * mats.facet_trace_mass)
-                           .reshape(3 * ne, md, md), cols_m, cols_m, (nm, nm))
+    tang_pen = _pairing(((tdot ** 2)[..., None, None] * mats.facet_trace_mass)
+                        .reshape(3 * ne, md, md), cols_m, cols_m, (nm, nm))
     trace = sparse.block_diag([-mats.stab_trace, (1.0 / alpha) * tang_pen], format="csr")
     return trace, np.concatenate([mats.trace_cols, nm + mats.trace_cols], axis=1)
 

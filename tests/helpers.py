@@ -12,10 +12,12 @@ elevated rule.  The diagonally implicit steppers never form the
 element-local unknowns of a stage; :func:`stage_solution` and
 :func:`stage_loop` rebuild them for checks of the stage equations, and
 :func:`slope_form_step` steps the flux scheme through the whole stage
-slope.
+slope.  :func:`straight_schur` is the oracle of the trace Schur
+complements that :func:`swehdg.elliptic.condense` scatters.
 """
 
 import numpy as np
+from scipy import sparse
 
 from swehdg.diagnostics import QuantityRecord, _energy_parts, _height_state
 from swehdg.elliptic import condense, factor_trace
@@ -368,3 +370,26 @@ def midpoint_composition(weights):
 # nonnegative compositions that the height scheme accepts: two substeps
 # of one scale, and four substeps of two scales
 SUBSTEP_WEIGHTS = {2: [0.5, 0.5], 4: [0.125, 0.375, 0.375, 0.125]}
+
+
+def straight_schur(trace, coupling, cols):
+    """T - sum_e coupling_e scattered straight into CSR, as
+    :func:`swehdg.elliptic.condense` once did by hand: a row holds T's
+    entries, then those of the block rows at that row in element order,
+    and the duplicates are summed with no zero dropped."""
+    nt, c = trace.shape[0], cols.shape[1]
+    trace, flat = trace.tocsr(), cols.reshape(-1)
+    before = c * np.concatenate([[0], np.cumsum(np.bincount(flat, minlength=nt))])
+    indptr = trace.indptr + before
+    data, columns = np.empty(indptr[-1]), np.empty(indptr[-1], dtype=trace.indices.dtype)
+    at = np.arange(trace.nnz) + np.repeat(before[:-1], np.diff(trace.indptr))
+    data[at], columns[at] = trace.data, trace.indices
+    order = np.argsort(flat, kind="stable")
+    at = np.empty_like(flat)
+    at[order] = trace.indptr[1:][flat[order]] + c * np.arange(flat.size)
+    at = at.reshape(-1, c)
+    for i in range(c):
+        data[at + i], columns[at + i] = -coupling[:, :, i], cols[:, i, None]
+    schur = sparse.csr_matrix((data, columns, indptr), shape=(nt, nt))
+    schur.sum_duplicates()
+    return schur

@@ -1,9 +1,21 @@
-"""Assembled blocks: oracle entries, symmetries, adjoint identities."""
+"""Assembled blocks: oracle entries, symmetries, adjoint identities, and
+the one scatter that builds every sparse operator."""
+
+import ast
+from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy import sparse
 
-from swehdg.assembly import PhysicalParams, _block_rows, assemble_all, assemble_bathymetry_load
+import swehdg
+from swehdg.assembly import (
+    PhysicalParams,
+    _block_rows,
+    _pairing,
+    assemble_all,
+    assemble_bathymetry_load,
+)
 from swehdg.elliptic import solve_vector_laplacian
 from swehdg.fespace import build_spaces
 from swehdg.mesh import Mesh, generate_rect_with_hole, generate_uniform_square, pair_periodic
@@ -79,8 +91,67 @@ def _eager_pairings(mats):
         "coriolis": _block_rows(mats.coriolis_blocks, rows_v, rows_v, (nv, nv)),
     }
     for pairing in eager.values():
+        pairing.eliminate_zeros()
         pairing.sum_duplicates()
     return eager
+
+
+# two elements of two block rows and two columns against a 4 x 5 head
+# with a stored zero: row 0 holds a column of the head and of both
+# elements (3) and one of the head and element 0 (1), and both blocks
+# hold a zero
+HEAD = sparse.csr_matrix((np.array([1.0, 0.0, 2.0]), np.array([3, 1, 0]),
+                          np.array([0, 2, 2, 3, 3])), shape=(4, 5))
+BLOCKS = np.array([[[10.0, 0.0], [11.0, 12.0]], [[20.0, 21.0], [0.0, 22.0]]])
+BLOCK_ROWS = np.array([[2, 0], [0, 3]])
+BLOCK_COLS = np.array([[1, 3], [3, 4]])
+
+
+def test_block_rows_put_the_head_first_and_keep_every_entry():
+    mat = _block_rows(BLOCKS, BLOCK_ROWS, BLOCK_COLS, (4, 5), head=HEAD)
+    assert mat.format == "csr"
+    assert mat.indptr.tolist() == [0, 6, 6, 9, 11]
+    assert mat.indices.tolist() == [3, 1, 1, 3, 3, 4, 0, 1, 3, 3, 4]
+    assert mat.data.tolist() == [1.0, 0.0, 11.0, 12.0, 20.0, 21.0, 2.0, 10.0, 0.0, 0.0, 22.0]
+    bare = _block_rows(BLOCKS, BLOCK_ROWS, BLOCK_COLS, (4, 5))
+    assert bare.indptr.tolist() == [0, 4, 4, 6, 8]
+    assert bare.indices.tolist() == [1, 3, 3, 4, 1, 3, 3, 4]
+    assert bare.data.tolist() == [11.0, 12.0, 20.0, 21.0, 10.0, 0.0, 0.0, 22.0]
+    pairing = _pairing(BLOCKS, BLOCK_ROWS, BLOCK_COLS, (4, 5))
+    assert pairing.indptr.tolist() == [0, 3, 3, 4, 5]
+    assert pairing.indices.tolist() == [1, 3, 4, 1, 4]
+    assert pairing.data.tolist() == [11.0, 32.0, 21.0, 10.0, 22.0]
+
+
+SPARSE_BUILDERS = {"csr_matrix", "csc_matrix", "csr_array", "csc_array"}
+
+
+def _triple_builds(path):
+    """Names of the functions of a module that build a sparse matrix
+    from a (data, indices, indptr) triple, once per build."""
+    found = []
+
+    def visit(node, where):
+        if isinstance(node, ast.FunctionDef):
+            where = node.name
+        if (isinstance(node, ast.Call)
+                and getattr(node.func, "attr", getattr(node.func, "id", None)) in SPARSE_BUILDERS
+                and node.args and isinstance(node.args[0], ast.Tuple)
+                and len(node.args[0].elts) == 3):
+            found.append(where)
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(ast.parse(path.read_text()), "<module>")
+    return found
+
+
+def test_one_scatter_builds_every_sparse_operator():
+    # _block_rows scatters every operator; _refined_solve's float32 copy
+    # shares the index arrays of the Schur complement and scatters nothing
+    found = sorted(f"{path.stem}.{name}" for path in Path(swehdg.__file__).parent.glob("*.py")
+                   for name in _triple_builds(path))
+    assert found == ["assembly._block_rows", "elliptic._refined_solve"]
 
 
 PAIRING_MESHES = {

@@ -109,6 +109,21 @@ def test_converge_schema_and_orders(tmp_path):
     assert 1.6 <= float(rows[1][7]) <= 2.4
 
 
+def test_converge_final_time_zero_takes_no_step(tmp_path):
+    # final_time = 0 takes no step, as dt = 0 does; only a sweep without
+    # final_time runs to its default t = 0.5
+    csv = {}
+    for name, key in (("zero", "final_time = 0"), ("no_dt", "dt = 0"), ("absent", ""),
+                      ("half", "final_time = 0.5")):
+        cfg = _write(tmp_path, f"{name}.ini",
+                     INIT_SWEEP.replace("2, 3", "1, 2") + f"\n[time]\n{key}\n")
+        assert main(["converge", "--config", cfg, "--out", str(tmp_path / name)]) == 0
+        csv[name] = (tmp_path / name / "convergence.csv").read_bytes()
+    assert csv["zero"] == csv["no_dt"]
+    assert csv["absent"] == csv["half"]
+    assert csv["zero"] != csv["half"]
+
+
 def test_single_level_leaves_eoc_empty(tmp_path):
     cfg = _write(tmp_path, "c.ini", INIT_SWEEP.replace("2, 3", "2"))
     assert main(["converge_init", "--config", cfg, "--out", str(tmp_path)]) == 0

@@ -51,6 +51,7 @@ from helpers import (
     slope_form_step,
     stage_loop,
     stage_solution,
+    straight_schur,
 )
 
 PARAMS = dict(phi=1.7, f0=0.3, beta=0.2, y_mid=0.4, tau=1.3)
@@ -881,6 +882,50 @@ def test_init_local_blocks_invertible(k, kind):
     assert np.abs(schur - expected).max() <= 1e-12 * np.abs(expected).max()
     assert np.linalg.eigvalsh(0.5 * (schur + schur.transpose(0, 2, 1))).min() > 0.0
     assert np.all(np.isfinite(np.linalg.inv(local)))
+
+
+@pytest.mark.parametrize("kind", ["wall", "periodic", "holed"])
+@pytest.mark.parametrize("k", [0, 1, 2, 3])
+def test_schur_complements_equal_the_straight_scatter(k, kind, monkeypatch):
+    # every trace Schur complement condense returns (the init system with
+    # its gauge multipliers, the recovery, the flux stages at sdirk4's two
+    # scales and the height stage) against the straight scatter of the
+    # coupling blocks it scattered, array for array
+    calls, couplings = [], []
+    real_condense, real_scatter = elliptic.condense, elliptic._block_rows
+
+    def condensed(*args, **kwargs):
+        out = real_condense(*args, **kwargs)
+        calls.append((args[3], args[4], out[0]))
+        return out
+
+    def scatter(blocks, rows, cols, shape, head=None):
+        if head is not None:
+            couplings.append(-blocks)
+        return real_scatter(blocks, rows, cols, shape, head=head)
+
+    monkeypatch.setattr(elliptic, "condense", condensed)
+    monkeypatch.setattr(integrators, "condense", condensed)
+    monkeypatch.setattr(elliptic, "_block_rows", scatter)
+    mesh = _mesh(kind)
+    spaces = build_spaces(mesh, k, tangential=True)
+    params = PhysicalParams(**INIT_PARAMS)
+    mats = assemble_all(mesh, spaces, params)
+    solve_vector_laplacian(mesh, spaces, _init_data, params, matrices=mats)
+    PhiRecovery(mats).factor()
+    SdirkIntegrator(SemidiscreteSystem(matrices=mats, recovery=PhiRecovery(mats)),
+                    make_sdirk(4), DT)
+    PhiuIntegrator(build_phiu_system(make_problem("moving_bump", mesh, k, **INIT_PARAMS),
+                                     spaces=spaces, matrices=mats), make_sdirk(2), DT)
+
+    assert len(calls) == len(couplings) == 5
+    gauges = calls[0][2].shape[0] - 2 * spaces.trace.ndof
+    assert gauges == {"wall": 0, "periodic": 2, "holed": 1}[kind]
+    for (trace, cols, schur), coupling in zip(calls, couplings):
+        expected = straight_schur(trace, coupling, cols)
+        assert schur.shape == expected.shape
+        for part in ("data", "indices", "indptr"):
+            assert np.array_equal(getattr(schur, part), getattr(expected, part)), part
 
 
 def _perturbed(value, rng):
