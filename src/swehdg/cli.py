@@ -31,12 +31,14 @@ that is not one of its key's choices (``preset``, ``kind``, ``periodic``,
 ``integrator``, without regard to case), a ``path`` that is not an
 existing file, and a value out of its key's range (``level = -1``, a
 negative or nan ``final_time``, ``dt``, ``dt_scale``, ``cadence`` or
-``snapshot_every``).  An explicit seprk integrator on a rotating problem
-and a ``converge`` degree k without ``[time] integrator`` for which no
-explicit scheme reaches order k + 2 are refused naming the run.  A value
-refused only where it is used (a hole outside the rectangle, a malformed
-mesh file) is reported after the config path, and a blow-up at the step
-where the solution turned non-finite.  The ``SWEHDG_LOG`` environment
+``snapshot_every``).  ``run`` and ``compare_dissipative`` run one degree
+and refuse, naming the file and the key, a ``degrees`` list of more.  An
+explicit seprk integrator on a rotating problem and a ``converge`` degree
+k without ``[time] integrator`` for which no explicit scheme reaches
+order k + 2 are refused naming the run.  A value refused only where it
+is used (a hole outside the rectangle, a malformed mesh file) is
+reported after the config path, and a blow-up at the step where the
+solution turned non-finite.  The ``SWEHDG_LOG`` environment
 variable sets the log level.  Identical configs produce byte-identical
 CSV files.
 """
@@ -592,6 +594,8 @@ _COMMANDS = {
     "run": cmd_run,
     "compare_dissipative": cmd_compare_dissipative,
 }
+# the commands that run one degree, RunConfig.degree
+_ONE_DEGREE = ("run", "compare_dissipative")
 
 
 def main(argv=None):
@@ -610,6 +614,9 @@ def main(argv=None):
 
     try:
         cfg = load_config(args.config)
+        if args.subcommand in _ONE_DEGREE and len(cfg.degrees) > 1:
+            raise RunFailure(f"{args.config}: [problem] degrees lists {len(cfg.degrees)} "
+                             f"degrees, but {args.subcommand} runs one; set [problem] degree")
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
         _COMMANDS[args.subcommand](cfg, out_dir, max(args.threads, 1))

@@ -39,7 +39,7 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse.linalg import splu
 
-from .assembly import _block_rows, _element_columns, _held, _pairing, assemble_all
+from .assembly import _block_rows, _blocked, _element_columns, _held, _pairing, assemble_all
 from .fespace import GridFunction, TangentialTraceSpace
 from .mesh import hole_boundaries
 
@@ -97,9 +97,9 @@ def condense(local, from_trace, to_trace, trace, cols, compose=None, rhs=None):
     output, in the rows ``out_rows[e]``, is Kx_e x_e + Kt_e t[cols[e]].
     A Lf of None is the identity, a Lg or Kt of None is zero, and
     ``shape`` is (output length, length of y).  The readout rows Kx_e
-    join C_e in the same batched solve, and the composed operators,
-    canonical CSR without stored zeros (:func:`~swehdg.assembly._pairing`),
-    are
+    join C_e in the same batched solve, and the composed operators, each
+    scattered by :func:`~swehdg.assembly._pairing` and held in BSR or CSR
+    as :func:`~swehdg.assembly._blocked` chooses, are
 
         R   = Lg - C A^-1 Lf          (trace x y)
         K   = Kx A^-1 Lf              (output x y)
@@ -154,17 +154,24 @@ def condense(local, from_trace, to_trace, trace, cols, compose=None, rhs=None):
 
 def _compose(restrict, readout, from_trace, cols, nt, compose):
     """(R, K, Kt') of the ``compose`` maps, from the blocks C A^-1
-    (``restrict``) and Kx A^-1 (``readout``) over ``nt`` trace unknowns."""
+    (``restrict``) and Kx A^-1 (``readout``) over ``nt`` trace unknowns,
+    each scattered by :func:`~swehdg.assembly._pairing` and held in the
+    format :func:`~swehdg.assembly._blocked` chooses for its element
+    rows and columns, so no CSR copy outlives the call."""
     lf, lg, _, kt, rows, out_rows, shape = compose
-    out = _pairing(readout if lf is None else readout @ lf, out_rows, rows, shape)
+
+    def operator(blocks, at, of, size):
+        return _blocked(_pairing(blocks, at, of, size), at, of)
+
+    out = operator(readout if lf is None else readout @ lf, out_rows, rows, shape)
     trace_data = -(restrict if lf is None else restrict @ lf)
     if lg is not None:
         trace_data += lg
-    trace_data = _pairing(trace_data, cols, rows, (nt, shape[1]))
+    trace_data = operator(trace_data, cols, rows, (nt, shape[1]))
     out_trace = -(readout @ from_trace)
     if kt is not None:
         out_trace += kt
-    return trace_data, out, _pairing(out_trace, out_rows, cols, (shape[0], nt))
+    return trace_data, out, operator(out_trace, out_rows, cols, (shape[0], nt))
 
 
 class TraceFactor:
@@ -257,17 +264,24 @@ class PhiRecovery:
 
     with B, C the mixed couplings.  The condensed wave operator is its
     definition F p_hat - D p = Mw w + H p_hat, with Mw = -D Pw (block
-    diagonal) and H = F - D Pt.  :meth:`apply` is then one gather, one
-    trace LU solve, and one scatter plus a local term, and so is the
-    transpose of the height map, :meth:`recover_transpose`, which
-    carries a height functional back onto the flux (the bathymetry load).
+    diagonal) and H = F - D Pt.  Since A is symmetric and C = B^T,
+    H = G^T.  H is stored as the transpose of the held G, so the operator
+    H S^-1 G + Mw that the explicit steppers apply is symmetric by
+    construction (F - D Pt differs from G^T by rounding, 1.5e-14
+    relative at level 5, k = 3).  G, Pw, Pt and Mw are held in the
+    format :func:`~swehdg.assembly._blocked` chooses for them (BSR at
+    k >= 2 on the uniform meshes), and H in G's.
+    :meth:`apply` is then one gather, one trace LU solve, and one
+    scatter plus a local term, and so is the transpose of the height
+    map, :meth:`recover_transpose`, which carries a height functional
+    back onto the flux (the bathymetry load).
 
     Only what a run reads is built, each piece at its first read.  The
     first :meth:`recover`, :meth:`factor`, :meth:`apply` or
     :meth:`recover_transpose` condenses (G, Pw, Pt and the trace Schur
     complement in CSR), the first trace solve factors it and drops the
     CSR matrix (``schur`` is None until then), and the first
-    :meth:`apply` forms H and Mw, the one read of D and F;
+    :meth:`apply` forms H and Mw, the one read of D;
     :meth:`prepare_apply` does all three, for a stepper that applies the
     operator every step.  A failure
     raises RuntimeError("recovery factorization failed: ...") where it
@@ -332,11 +346,16 @@ class PhiRecovery:
 
     def prepare_apply(self):
         """(H, Mw) of :meth:`apply`, with the recovery factored; both are
-        built at the first call."""
+        built at the first call.  H is G^T in G's format: transposing
+        swaps the block shape and keeps the share of nonzero entries, so
+        :func:`~swehdg.assembly._blocked` would choose that format for it
+        too, and a BSR's transpose is a BSR with transposed blocks."""
         self.factor()
         if self._wave is None:
-            div = self._mats.div_pair
-            self._wave = (self._mats.flux_pair - div @ self._Pt, -(div @ self._Pw))
+            mats, G = self._mats, self._G
+            rows = mats.vdofs.reshape(len(mats.wdofs), -1)
+            self._wave = (G.T.asformat(G.format),
+                          _blocked(-(mats.div_pair @ self._Pw), rows, rows))
         return self._wave
 
     def _store(self, w, phat):

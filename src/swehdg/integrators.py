@@ -217,7 +217,13 @@ class SemidiscreteSystem:
         return y[:nv], y[nv:]
 
     def velocity_slope(self, w, u):
-        return self.matrices.coriolis @ u + self.forcing - self.recovery.apply(w)
+        """Cor u + forcing - (wave operator) w, as a new array; the
+        rotation product is skipped on a nonrotating problem, where
+        Cor is an empty matrix."""
+        forcing = self.forcing
+        if self.matrices.params.rotating:
+            forcing = self.matrices.coriolis @ u + forcing
+        return forcing - self.recovery.apply(w)
 
     def rhs(self, y):
         w, u = self.split(y)
@@ -410,8 +416,10 @@ class SeprkIntegrator:
     after their step makes no trace solve.  The build factors the
     recovery and forms its wave operator
     (:meth:`~swehdg.elliptic.PhiRecovery.prepare_apply`), so the first
-    step does no build work.  A tableau built with ``symplectic=False``
-    is refused (ValueError).
+    step does no build work, and the step applies the held operators as
+    they are (no per-step transpose, which would copy a BSR).  The step
+    drifts and kicks one copy of the state in place.  A tableau built
+    with ``symplectic=False`` is refused (ValueError).
 
     The rotation term is evaluated explicitly in each kick, so the
     composition retains its declared order only when rotation is absent
@@ -427,13 +435,16 @@ class SeprkIntegrator:
         system.recovery.prepare_apply()
 
     def step(self, y):
+        """The state one step after y, which is left unchanged: the drifts
+        and kicks update one copy of it in place."""
         sysm, dt = self.system, self.dt
+        y = np.array(y, dtype=float)
         w, u = sysm.split(y)
         for b, b_hat in zip(self.tableau.b, self.tableau.b_hat):
-            w = w + (dt * b * sysm.phi) * u
+            w += (dt * b * sysm.phi) * u
             if b_hat:
-                u = u + (dt * b_hat) * sysm.velocity_slope(w, u)
-        return np.concatenate([w, u])
+                u += (dt * b_hat) * sysm.velocity_slope(w, u)
+        return y
 
 
 _IMPLICIT_NAMES = {"midpoint": 2, "sdirk2": 2, "sdirk4": 4}

@@ -12,7 +12,9 @@ import swehdg
 from swehdg.assembly import (
     PhysicalParams,
     _block_rows,
+    _blocked,
     _pairing,
+    _run_length,
     assemble_all,
     assemble_bathymetry_load,
 )
@@ -123,7 +125,8 @@ def test_block_rows_put_the_head_first_and_keep_every_entry():
     assert pairing.data.tolist() == [11.0, 32.0, 21.0, 10.0, 22.0]
 
 
-SPARSE_BUILDERS = {"csr_matrix", "csc_matrix", "csr_array", "csc_array"}
+SPARSE_BUILDERS = {"csr_matrix", "csc_matrix", "csr_array", "csc_array",
+                   "bsr_matrix", "bsr_array"}
 
 
 def _triple_builds(path):
@@ -152,6 +155,37 @@ def test_one_scatter_builds_every_sparse_operator():
     found = sorted(f"{path.stem}.{name}" for path in Path(swehdg.__file__).parent.glob("*.py")
                    for name in _triple_builds(path))
     assert found == ["assembly._block_rows", "elliptic._refined_solve"]
+
+
+def test_run_length_reads_the_element_blocks_of_the_dof_layout():
+    mats, spaces = _assembled(pair_periodic(generate_uniform_square(2), "both"), 2)
+    m = spaces.scalar.dim_local
+    assert _run_length(mats.trace_cols) == 3
+    assert _run_length(mats.vdofs.reshape(len(mats.wdofs), -1)) == 2 * m
+    assert _run_length(mats.wdofs) == m
+    assert _run_length(np.array([[2, 3, 0, 1]])) == 2
+    assert _run_length(np.array([[1, 2, 3, 4]])) == 1      # runs must be aligned
+
+
+@pytest.mark.parametrize("size,filled,fmt", [
+    (3, 5, "bsr"),      # 5 of 9 entries of each block: more than half
+    (3, 4, "csr"),      # 4 of 9: not more than half
+    (2, 4, "csr"),      # a full 2 x 2 block is too small
+])
+def test_blocked_converts_only_blocks_at_least_3_wide_more_than_half_full(size, filled, fmt):
+    n = 4
+    blocks = np.zeros((n, size * size))
+    blocks[:, :filled] = 1.0 + np.arange(n * filled).reshape(n, filled)
+    blocks = blocks.reshape(n, size, size)
+    rows = np.arange(n * size).reshape(n, size)
+    op = _pairing(blocks, rows, rows, (n * size, n * size))
+    held = _blocked(op, rows, rows)
+    assert held.format == fmt
+    if fmt == "bsr":
+        assert held.blocksize == (size, size)
+        assert np.array_equal(held.toarray(), op.toarray())
+    else:
+        assert held is op
 
 
 PAIRING_MESHES = {

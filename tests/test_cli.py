@@ -838,3 +838,31 @@ def test_benchmark_configs_parse(tmp_path):
         for seed in (1, 2, 3):
             cfg = load_config(_write(tmp_path, f"{name}{seed}.ini", workload.config(seed)))
             assert cfg.preset in ("standing_wave", "moving_bump")
+
+
+ONE_RUN = """
+[problem]
+preset = standing_wave
+degrees = {degrees}
+
+[mesh]
+kind = uniform_square
+level = 2
+
+[time]
+final_time = 0.02
+dt = 0.01
+"""
+
+
+@pytest.mark.parametrize("subcommand", ["run", "compare_dissipative"])
+def test_single_run_commands_refuse_more_than_one_degree(tmp_path, capsys, subcommand):
+    # each runs RunConfig.degree alone, so a second degree would be dropped
+    cfg = _write(tmp_path, "c.ini", ONE_RUN.format(degrees="1, 2"))
+    assert main([subcommand, "--config", cfg, "--out", str(tmp_path)]) == 1
+    assert (f"swehdg: {cfg}: [problem] degrees lists 2 degrees, but {subcommand} runs one"
+            in capsys.readouterr().err)
+    assert not list(tmp_path.glob("*.csv"))
+    cfg = _write(tmp_path, "c.ini", ONE_RUN.format(degrees="2"))
+    assert main([subcommand, "--config", cfg, "--out", str(tmp_path)]) == 0
+    assert len(list(tmp_path.glob("*.csv"))) == 1

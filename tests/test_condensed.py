@@ -199,7 +199,8 @@ def test_uw_step_through_the_velocity_matches_the_slope_form(kind, order):
     for delta, (_, _, K_slope, Kt_slope, _, _) in forms.items():
         _, K, Kt, _, k0 = stepper._stages[delta]
         assert K.shape == (nv, 2 * nv) and Kt.shape[0] == k0.size == nv
-        assert 2 * K.nnz <= K_slope.nnz and 2 * Kt.nnz <= Kt_slope.nnz
+        assert (2 * K.count_nonzero() <= K_slope.count_nonzero()
+                and 2 * Kt.count_nonzero() <= Kt_slope.count_nonzero())
     y = rng.standard_normal(2 * nv)
     for _ in range(3):
         y_next = stepper.step(y)
@@ -310,7 +311,65 @@ def test_composed_wave_operator_matches_hand_written_products(k, kind):
     for got, ref in zip((rec._G, *wave), _hand_written_wave_operator(mats)):
         assert got.shape == ref.shape
         assert abs(got - ref).max() <= 1e-13 * abs(ref).max()
-        assert np.all(got.data != 0.0)          # no stored zeros
+        # a BSR keeps the zeros inside its blocks, but no block is all
+        # zero and at least half the stored entries are not; a CSR (one
+        # entry per block) stores no zero
+        blocks = got.data if got.format == "bsr" else got.data[:, None, None]
+        assert blocks.any(axis=(1, 2)).all()
+        assert 2 * np.count_nonzero(got.data) >= got.data.size
+
+
+def _held_operators(mats, k, params):
+    """Every composed operator a run holds, by name: G, Pw, Pt, H and Mw
+    of the recovery and (R, K, Kt') of a flux and a height-scheme stage."""
+    rec = PhiRecovery(mats)
+    H, Mw = rec.prepare_apply()
+    held = dict(G=rec._G, Pw=rec._Pw, Pt=rec._Pt, H=H, Mw=Mw)
+    system = SemidiscreteSystem(matrices=mats, recovery=rec)
+    phiu = build_phiu_system(make_problem("moving_bump", mats.mesh, k, **params),
+                             matrices=mats)
+    for scheme, stepper in (("uw", SdirkIntegrator(system, make_sdirk(2), DT)),
+                            ("phiu", PhiuIntegrator(phiu, make_sdirk(2), DT))):
+        R, K, Kt, _, _ = next(iter(stepper._stages.values()))
+        held.update({f"{scheme} R": R, f"{scheme} K": K, f"{scheme} Kt": Kt})
+    return held
+
+
+@pytest.mark.parametrize("kind", ["wall", "periodic", "holed"])
+@pytest.mark.parametrize("k", [0, 1, 2, 3])
+def test_held_operators_equal_their_csr_scatter(k, kind, monkeypatch):
+    # the format changes no entry: each operator, built again with the
+    # format rule switched off, is the same matrix entry for entry
+    _, mats = _matrices(kind, k)
+    held = _held_operators(mats, k, PARAMS)
+    monkeypatch.setattr(elliptic, "_blocked", lambda op, rows, cols: op)
+    scattered = _held_operators(mats, k, PARAMS)
+    for name, op in held.items():
+        csr = scattered[name]
+        assert csr.format == "csr", name
+        assert op.shape == csr.shape, name
+        assert np.array_equal(op.toarray(), csr.toarray()), name
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 3])
+def test_block_format_from_degree_two_on(k):
+    # without rotation every operator at k <= 1 stays CSR, and every one
+    # at k >= 2 is a BSR of the element blocks of its rows and columns:
+    # k + 1 trace dofs per facet, 2m flux or velocity dofs and m height
+    # dofs per element
+    mesh = generate_uniform_square(3)
+    spaces = build_spaces(mesh, k)
+    held = _held_operators(assemble_all(mesh, spaces, PhysicalParams()), k, {})
+    if k <= 1:
+        assert {op.format for op in held.values()} == {"csr"}
+        return
+    t, v, p = k + 1, 2 * spaces.scalar.dim_local, spaces.scalar.dim_local
+    expected = {"G": (t, v), "Pw": (p, v), "Pt": (p, t), "H": (v, t), "Mw": (v, v),
+                "uw R": (t, v), "uw K": (v, v), "uw Kt": (v, t),
+                "phiu R": (t, p), "phiu K": (p, p), "phiu Kt": (p, t)}
+    assert set(held) == set(expected)
+    for name, op in held.items():
+        assert op.format == "bsr" and op.blocksize == expected[name], name
 
 
 @pytest.mark.parametrize("kind", ["wall", "periodic", "holed"])

@@ -666,3 +666,51 @@ def test_recover_after_a_step_ending_on_a_kick_is_the_fresh_solve(order):
     fresh = schur.lu.solve(rec._G @ w)
     assert np.array_equal(phat, fresh)
     assert np.array_equal(p, rec._Pw @ w + rec._Pt @ fresh)
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 3])
+def test_wave_operator_is_symmetric_by_construction(k):
+    # H is the transpose of the held G entry for entry, so the operator
+    # H S^-1 G + Mw is symmetric up to the rounding of the trace solve
+    run = build_uw_system(make_problem("standing_wave", generate_uniform_square(2), k))
+    rec = run.recovery
+    H, _ = rec.prepare_apply()
+    assert H.format == rec._G.format
+    assert np.array_equal(H.toarray(), rec._G.T.toarray())
+    rng = np.random.default_rng(700 + k)
+    x, y = rng.standard_normal((2, run.system.nv))
+    ax, ay = rec.apply(x), rec.apply(y)
+    assert abs(x @ ay - y @ ax) <= 1e-14 * np.linalg.norm(x) * np.linalg.norm(ay)
+
+
+@pytest.mark.parametrize("order", EXPLICIT_ORDERS)
+def test_explicit_step_leaves_its_argument_and_matches_the_allocating_step(order):
+    # the drifts and kicks run in place on one copy of the state; the
+    # result is that of the same composition on fresh arrays, bit for bit
+    run = build_uw_system(make_problem("standing_wave", generate_uniform_square(2), 2))
+    system, dt = run.system, 0.01
+    stepper = make_integrator(f"seprk{order}", system, dt)
+    y = np.random.default_rng(800 + order).standard_normal(run.y0.size)
+    kept = y.copy()
+    got = stepper.step(y)
+    assert np.array_equal(y, kept)
+    w, u = system.split(y)
+    for b, b_hat in zip(stepper.tableau.b, stepper.tableau.b_hat):
+        w = w + (dt * b * system.phi) * u
+        if b_hat:
+            u = u + (dt * b_hat) * (system.forcing - system.recovery.apply(w))
+    assert np.array_equal(got, np.concatenate([w, u]))
+
+
+@pytest.mark.parametrize("scheme", ["uw", "phiu"])
+def test_implicit_step_leaves_its_argument(scheme):
+    run = build_uw_system(make_problem("moving_bump", generate_uniform_square(2), 2))
+    if scheme == "uw":
+        stepper = make_integrator("sdirk4", run.system, 0.01)
+    else:
+        run = build_phiu_system(run.spec, spaces=run.spaces, matrices=run.matrices)
+        stepper = PhiuIntegrator(run, make_sdirk(2), 0.01)
+    y = np.random.default_rng(900).standard_normal(run.y0.size)
+    kept = y.copy()
+    stepper.step(y)
+    assert np.array_equal(y, kept)
