@@ -14,33 +14,33 @@ run
     ``time,mass,energy,kinetic,potential,trace_term,momentum1,momentum2,
     angular_momentum,vorticity,potential_vorticity,potential_enstrophy``
     (the energy column includes the bathymetry pairing when the problem
-    has a bed profile, so it is the quantity the stepper conserves) and
-    optional VTK legacy snapshots of the height and speed fields.
+    has a bed profile, so it is the quantity the stepper conserves).
 compare_dissipative
-    Runs the same problem through the conserving and the dissipative
-    schemes; writes ``time,energy_conserving,energy_dissipative``.
+    ``run`` with the dissipative scheme stepped beside the conserving
+    one; writes ``time,energy_conserving,energy_dissipative``.
+
+Both single-run commands record at step 0, every ``cadence`` steps and
+the last, and with ``fields`` write VTK snapshots of the flux run's height
+and speed at step 0, every ``snapshot_every`` steps and the last.  What
+each command does where its config is silent is one row of ``_COMMANDS``.
 
 Configs are INI files with [problem], [mesh], [time], [output] sections,
 whose keys ``_CONFIG`` declares with the reader that judges each value;
-missing keys fall back to the defaults in ``RunConfig``.  The loader
-refuses, naming the file, the section and the key: an unknown section or
-key, a conflicting pair of keys, ``kind = file`` without a ``path``, a
-value of the wrong type (a ``bounds`` of other than 4 numbers, a
-``center`` of other than 2, an empty ``degrees`` or ``levels``), a name
-that is not one of its key's choices (``preset``, ``kind``, ``periodic``,
-``integrator``, without regard to case), a ``path`` that is not an
-existing file, and a value out of its key's range (``level = -1``, a
-negative or nan ``final_time``, ``dt``, ``dt_scale``, ``cadence`` or
-``snapshot_every``).  ``run`` and ``compare_dissipative`` run one degree
-and refuse, naming the file and the key, a ``degrees`` list of more.  An
-explicit seprk integrator on a rotating problem and a ``converge`` degree
-k without ``[time] integrator`` for which no explicit scheme reaches
-order k + 2 are refused naming the run.  A value refused only where it
-is used (a hole outside the rectangle, a malformed mesh file) is
-reported after the config path, and a blow-up at the step where the
-solution turned non-finite.  The ``SWEHDG_LOG`` environment
-variable sets the log level.  Identical configs produce byte-identical
-CSV files.
+missing keys fall back to the defaults in ``RunConfig``.  ``level`` is
+the one-entry form of ``levels``, as ``degree`` is of ``degrees``.  The
+loader refuses, naming the file, the section and the key, an unknown
+section or key, a conflicting pair of keys, ``kind = file`` without an
+existing ``path``, and a value of the wrong type, out of its key's
+choices (without regard to case) or out of its range (``level = -1``, a
+nan ``dt``).  ``run`` and ``compare_dissipative`` refuse, naming the file
+and the key, more than one degree or level.  An explicit seprk integrator
+on a rotating problem and a ``converge`` degree k without ``[time]
+integrator`` for which no explicit scheme reaches order k + 2 are
+refused naming the run, whether or not a step is taken.  A value refused
+only where it is used (a hole outside the rectangle, a malformed mesh
+file) is reported after the config path, and a blow-up at the step where
+the solution turned non-finite.  ``SWEHDG_LOG`` sets the log level.
+Identical configs produce byte-identical CSV files.
 """
 
 import argparse
@@ -49,6 +49,7 @@ import difflib
 import logging
 import os
 import sys
+from collections import namedtuple
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
@@ -103,7 +104,6 @@ class RunConfig:
     overrides: dict = field(default_factory=dict)
     mesh_kind: str = "uniform_square"
     levels: tuple = ()
-    level: int = 2
     nx: int = 1
     ny: int = 1
     bounds: tuple = (0.0, 1.0, 0.0, 1.0)
@@ -209,7 +209,7 @@ _MESH_KINDS = {
 
 _DEGREES = (lambda ks: all(0 <= k <= MAX_K for k in ks),
             f"degree k must be between 0 and {MAX_K}")
-_LEVEL = _within(int, lambda n: n >= 1, "levels must be at least 1")
+_LEVELS = (lambda ns: all(n >= 1 for n in ns), "levels must be at least 1")
 _CELLS = _within(int, lambda n: n >= 1, "need at least one cell per direction")
 _SIZE = _within(float, lambda v: v > 0.0, "radius and target_h must be positive")
 _TIME = _within(float, lambda v: v >= 0.0, "must be >= 0")  # false for nan
@@ -227,9 +227,9 @@ _CONFIG = {
                                      ("phi", "mean geopotential"))},
                 **dict.fromkeys(("f0", "beta", "y_mid"), ("overrides", float))},
     "mesh": {"kind": ("mesh_kind", _one_of(_MESH_KINDS)),
-             "levels": ("levels", _within(_ints, lambda ns: all(n >= 1 for n in ns),
-                                          "levels must be at least 1")),
-             "level": ("level", _LEVEL), "nx": ("nx", _CELLS), "ny": ("ny", _CELLS),
+             "level": ("levels", _within(_single_int, *_LEVELS)),
+             "levels": ("levels", _within(_ints, *_LEVELS)),
+             "nx": ("nx", _CELLS), "ny": ("ny", _CELLS),
              "bounds": ("bounds", _within(_BOX, lambda b: b[0] < b[1] and b[2] < b[3],
                                           "degenerate bounds")),
              "center": ("center", _POINT), "radius": ("radius", _SIZE),
@@ -243,7 +243,8 @@ _CONFIG = {
                "fields": ("fields", _boolean),
                "snapshot_every": ("snapshot_every", _COUNT)},
 }
-_CONFIG_CONFLICTS = (("problem", "degree", "degrees"), ("time", "dt", "dt_scale"))
+_CONFIG_CONFLICTS = (("problem", "degree", "degrees"), ("mesh", "level", "levels"),
+                     ("time", "dt", "dt_scale"))
 
 
 def _did_you_mean(word, choices):
@@ -306,24 +307,20 @@ def load_config(path):
 
 
 def build_mesh(cfg, level=None):
-    """Mesh for one run; level overrides the config for sweep entries."""
-    mesh = _MESH_KINDS[cfg.mesh_kind.lower()](cfg, cfg.level if level is None else level)
+    """Mesh for one run; ``level`` refines a uniform_square mesh, other kinds ignore it."""
+    mesh = _MESH_KINDS[cfg.mesh_kind.lower()](cfg, level)
     periodic = cfg.periodic.lower()
     if periodic in PERIODIC_AXES:
         mesh = pair_periodic(mesh, periodic)
     return mesh
 
 
-def _pick_dt(cfg, degree, h, long_run=False):
+def _pick_dt(cfg, degree, h, command):
     """Explicit dt wins (zero means no stepping), then dt_scale * h, then
-    the command default: 0.05 h for single runs, 0.1/(k+1) h for sweeps."""
+    the command's default scale for degree k times h."""
     if cfg.dt is not None:
         return cfg.dt
-    if cfg.dt_scale is not None:
-        return cfg.dt_scale * h
-    if long_run:
-        return 0.05 * h
-    return 0.1 / (degree + 1) * h
+    return (command.dt_scale(degree) if cfg.dt_scale is None else cfg.dt_scale) * h
 
 
 def _explicit_name(degree):
@@ -348,8 +345,8 @@ def _build_stepper(label, factory, *args):
         raise RunFailure(f"integrator refused for {label}: {exc}") from exc
 
 
-def _flux_run(cfg, degree, level=None):
-    """(label, spec, run) of the flux scheme on the config's mesh, for
+def _flux_run(cfg, degree, level):
+    """(label, run) of the flux scheme on the config's mesh, for
     every command, with a failed init solve or an init residual out of
     bounds turned into a RunFailure naming the run; the label names k, h
     and the preset."""
@@ -363,14 +360,27 @@ def _flux_run(cfg, degree, level=None):
     residual = run.init.residual
     if not np.isfinite(residual) or residual > _INIT_RESIDUAL_LIMIT:
         raise RunFailure(f"init residual {residual:.3e} out of bounds for {label}")
-    return label, spec, run
+    return label, run
+
+
+def _flux_stepper(cfg, command, label, run):
+    """(name, stepper, nsteps, dt, cadence) of a flux run under ``command``'s
+    defaults; every command builds its steppers before its first record."""
+    k, h = run.spec.degree, run.spec.mesh.h_nominal
+    final_time = command.final_time if cfg.final_time is None else cfg.final_time
+    nsteps, dt = step_count(final_time, _pick_dt(cfg, k, h, command))
+    name = cfg.integrator or command.integrator(k)
+    stepper = _build_stepper(label, make_integrator, name, run.system, dt)
+    return name, stepper, nsteps, dt, cfg.cadence or command.cadence
 
 
 def _march(label, nsteps, *runs):
     """Advance every ``(name, stepper, y0)`` of ``runs`` side by side,
-    yielding ``(n, states)`` after step n; a state that turns non-finite
-    raises a RunFailure naming the scheme, the run and the step."""
+    yielding ``(n, states)`` at n = 0 and after each step n; a state that
+    turns non-finite raises a RunFailure naming the scheme, the run and
+    the step."""
     states = [y0 for _, _, y0 in runs]
+    yield 0, states
     for n in range(1, nsteps + 1):
         for i, (name, stepper, _) in enumerate(runs):
             # looked up on every call: perfbench/tracing.py replaces an
@@ -392,10 +402,7 @@ def _eoc_cell(value):
 
 
 def _write_csv(path, header, rows):
-    text = ",".join(header) + "\n"
-    for row in rows:
-        text += ",".join(row) + "\n"
-    path.write_text(text)
+    path.write_text("".join(",".join(row) + "\n" for row in (header, *rows)))
     log.info("wrote %s (%d rows)", path, len(rows))
 
 
@@ -465,32 +472,22 @@ def _convergence_task(cfg, degree, level, with_time):
     ms = get_preset(cfg.preset).manufactured
     if ms is None:
         raise RunFailure(f"preset {cfg.preset} has no closed-form solution")
-    label, spec, run = _flux_run(cfg, degree, level)
-    h = spec.mesh.h_nominal
+    label, run = _flux_run(cfg, degree, level)
+    h = run.spec.mesh.h_nominal
     norms = ErrorNorms(run.spaces, ms)
     if not with_time:
         return h, init_errors(run.init, norms)
 
-    final_time = 0.5 if cfg.final_time is None else cfg.final_time
-    nsteps, dt = step_count(final_time, _pick_dt(cfg, degree, h))
-    name = cfg.integrator or _explicit_name(degree)
-    stepper = _build_stepper(label, make_integrator, name, run.system, dt)
-    cadence = cfg.cadence if cfg.cadence > 0 else 1
-    worst = l2_errors(run, run.y0, norms, 0.0)
+    name, stepper, nsteps, dt, cadence = _flux_stepper(cfg, _COMMANDS["converge"], label, run)
+    worst = {}
     for n, (y,) in _march(label, nsteps, (name, stepper, run.y0)):
         if n % cadence == 0 or n == nsteps:
-            errs = l2_errors(run, y, norms, n * dt)
-            for key, val in errs.items():
-                worst[key] = max(worst[key], val)
+            for key, val in l2_errors(run, y, norms, n * dt).items():
+                worst[key] = max(worst.get(key, val), val)
     return h, worst
 
 
-# with_time -> (default basename, the fields whose errors the sweep writes)
-_SWEEPS = {False: ("init_convergence", ("sigma", "w", "phi")),
-           True: ("convergence", ("phi", "u", "w"))}
-
-
-def _sweep(cfg, out_dir, threads, with_time):
+def _sweep(cfg, out_dir, threads, command, with_time):
     if not cfg.levels:
         raise RunFailure("convergence sweeps need [mesh] levels")
     if cfg.mesh_kind.lower() != "uniform_square":
@@ -509,7 +506,7 @@ def _sweep(cfg, out_dir, threads, with_time):
     else:
         results = {task: work(task) for task in tasks}
 
-    base, keys = _SWEEPS[with_time]
+    keys = ("phi", "u", "w") if with_time else ("sigma", "w", "phi")
     header = ["k", "h"] + [f"{col}_{key}" for key in keys for col in ("err", "eoc")]
     rows = []
     for k in cfg.degrees:
@@ -523,7 +520,7 @@ def _sweep(cfg, out_dir, threads, with_time):
                 row.append(_fmt(errs[key][i]))
                 row.append("" if i == 0 else _eoc_cell(orders[key][i - 1]))
             rows.append(row)
-    _write_csv(out_dir / f"{cfg.basename or base}.csv", header, rows)
+    _write_csv(out_dir / f"{cfg.basename or command.basename}.csv", header, rows)
 
 
 # the columns of the run CSV: (header, QuantityRecord attribute)
@@ -535,67 +532,62 @@ _SERIES = (("time", "t"), ("mass", "mass"), ("energy", "total_energy"),
            ("potential_enstrophy", "potential_enstrophy"))
 
 
-def _series_row(rec):
-    return [_fmt(getattr(rec, name)) for _, name in _SERIES]
-
-
-def cmd_run(cfg, out_dir, threads):
+def _single_run(cfg, out_dir, threads, command, dissipative=False):
+    """The flux run alone, recorded by its conserved quantities (``run``),
+    or with the dissipative scheme stepped beside it, recorded by the two
+    energies (``compare_dissipative``)."""
     del threads
-    label, spec, run = _flux_run(cfg, cfg.degree)
-    nsteps, dt = step_count(cfg.final_time or 0.0,
-                            _pick_dt(cfg, cfg.degree, spec.mesh.h_nominal, long_run=True))
-    cadence = cfg.cadence if cfg.cadence > 0 else 10
-    name = cfg.integrator or "midpoint"
-    rows = [_series_row(conserved_quantities(run, run.y0, 0.0))]
+    label, run = _flux_run(cfg, cfg.degree, (cfg.levels or (command.level,))[0])
+    name, stepper, nsteps, dt, cadence = _flux_stepper(cfg, command, label, run)
+    if dissipative:
+        phiu = build_phiu_system(run.spec, spaces=run.spaces, matrices=run.matrices)
+        phiu_stepper = _build_stepper(label, PhiuIntegrator, phiu, make_sdirk(2), dt)
+        runs = (("conserving", stepper, run.y0), ("dissipative", phiu_stepper, phiu.y0))
+        header = ["time", "energy_conserving", "energy_dissipative"]
 
-    base = cfg.basename or "timeseries"
-    frame = VtkFrame.of_run(run) if cfg.fields else None
-    if cfg.fields:
-        write_vtk_snapshot(out_dir / f"{base}_0000.vtk", run, run.y0, frame)
+        def record(t, y, y_phiu):
+            return [_fmt(t), _fmt(total_energy(run, y)), _fmt(phiu_energy(phiu, y_phiu))]
+    else:
+        runs = ((name, stepper, run.y0),)
+        header = [column for column, _ in _SERIES]
 
-    if nsteps > 0:
-        stepper = _build_stepper(label, make_integrator, name, run.system, dt)
-        for n, (y,) in _march(label, nsteps, (name, stepper, run.y0)):
-            if n % cadence == 0 or n == nsteps:
-                rows.append(_series_row(conserved_quantities(run, y, n * dt)))
-            if cfg.fields and ((cfg.snapshot_every > 0
-                                and n % cfg.snapshot_every == 0)
-                               or n == nsteps):
-                write_vtk_snapshot(out_dir / f"{base}_{n:04d}.vtk", run, y, frame)
+        def record(t, y):
+            rec = conserved_quantities(run, y, t)
+            return [_fmt(getattr(rec, attr)) for _, attr in _SERIES]
 
-    _write_csv(out_dir / f"{base}.csv", [column for column, _ in _SERIES], rows)
-
-
-def cmd_compare_dissipative(cfg, out_dir, threads):
-    del threads
-    label, spec, uw = _flux_run(cfg, cfg.degree)
-    phiu = build_phiu_system(spec, spaces=uw.spaces, matrices=uw.matrices)
-
-    nsteps, dt = step_count(cfg.final_time or 0.0,
-                            _pick_dt(cfg, cfg.degree, spec.mesh.h_nominal, long_run=True))
-    uw_stepper = _build_stepper(label, make_integrator,
-                                cfg.integrator or "midpoint", uw.system, dt)
-    phiu_stepper = _build_stepper(label, PhiuIntegrator, phiu,
-                                  make_sdirk(2), dt)
-
-    rows = [[_fmt(0.0), _fmt(total_energy(uw, uw.y0)), _fmt(phiu_energy(phiu, phiu.y0))]]
-    for n, (y_uw, y_phiu) in _march(label, nsteps, ("conserving", uw_stepper, uw.y0),
-                                    ("dissipative", phiu_stepper, phiu.y0)):
-        rows.append([_fmt(n * dt), _fmt(total_energy(uw, y_uw)),
-                     _fmt(phiu_energy(phiu, y_phiu))])
-    base = cfg.basename or "energy_compare"
-    _write_csv(out_dir / f"{base}.csv",
-               ["time", "energy_conserving", "energy_dissipative"], rows)
+    base = cfg.basename or command.basename
+    rows, frame = [], VtkFrame.of_run(run) if cfg.fields else None
+    for n, states in _march(label, nsteps, *runs):
+        if n % cadence == 0 or n == nsteps:
+            rows.append(record(n * dt, *states))
+        if cfg.fields and (n in (0, nsteps)
+                           or cfg.snapshot_every > 0 and n % cfg.snapshot_every == 0):
+            write_vtk_snapshot(out_dir / f"{base}_{n:04d}.vtk", run, states[0], frame)
+    _write_csv(out_dir / f"{base}.csv", header, rows)
 
 
+# each command's pipeline(cfg, out_dir, threads, command) and defaults: the
+# basename, final_time, dt / h and integrator of degree k, the cadence for
+# cadence = 0, and the level of a single run, or None for a sweep of every
+# degree and level it lists; converge_init takes no step
+Command = namedtuple("Command", "pipeline basename final_time dt_scale integrator cadence level")
 _COMMANDS = {
-    "converge_init": partial(_sweep, with_time=False),
-    "converge": partial(_sweep, with_time=True),
-    "run": cmd_run,
-    "compare_dissipative": cmd_compare_dissipative,
+    "converge_init": Command(partial(_sweep, with_time=False), "init_convergence",
+                             None, None, None, None, None),
+    "converge": Command(partial(_sweep, with_time=True), "convergence",
+                        0.5, lambda k: 0.1 / (k + 1), _explicit_name, 1, None),
+    "run": Command(_single_run, "timeseries",
+                   0.0, lambda k: 0.05, lambda k: "midpoint", 10, 2),
+    "compare_dissipative": Command(partial(_single_run, dissipative=True), "energy_compare",
+                                   0.0, lambda k: 0.05, lambda k: "midpoint", 1, 2),
 }
-# the commands that run one degree, RunConfig.degree
-_ONE_DEGREE = ("run", "compare_dissipative")
+
+
+def _count(text):
+    """``--threads``: an integer of at least 1."""
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer of at least 1, got {text!r}")
+    return int(text)
 
 
 def main(argv=None):
@@ -606,20 +598,27 @@ def main(argv=None):
     parser.add_argument("subcommand", choices=sorted(_COMMANDS))
     parser.add_argument("--config", required=True, help="INI config file")
     parser.add_argument("--out", default="swehdg_out", help="output directory")
-    parser.add_argument("--threads", type=int, default=1,
+    parser.add_argument("--threads", type=_count, default=1,
                         help="parallel (k, h) runs in convergence sweeps")
     args = parser.parse_args(argv)
-
-    logging.basicConfig(level=os.environ.get("SWEHDG_LOG", "WARNING").upper())
+    command = _COMMANDS[args.subcommand]
 
     try:
+        level = os.environ.get("SWEHDG_LOG", "WARNING")
+        if not isinstance(logging.getLevelName(level.upper()), int):
+            raise RunFailure(f"SWEHDG_LOG={level} is not a log level; use DEBUG, INFO, "
+                             "WARNING, ERROR or CRITICAL")
+        logging.basicConfig(level=level.upper())
         cfg = load_config(args.config)
-        if args.subcommand in _ONE_DEGREE and len(cfg.degrees) > 1:
-            raise RunFailure(f"{args.config}: [problem] degrees lists {len(cfg.degrees)} "
-                             f"degrees, but {args.subcommand} runs one; set [problem] degree")
+        for section, key, values in (("problem", "degree", cfg.degrees),
+                                     ("mesh", "level", cfg.levels)):
+            if command.level is not None and len(values) > 1:  # a single run
+                raise RunFailure(f"{args.config}: [{section}] {key}s lists {len(values)} "
+                                 f"{key}s, but {args.subcommand} runs one; "
+                                 f"set [{section}] {key}")
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
-        _COMMANDS[args.subcommand](cfg, out_dir, max(args.threads, 1))
+        command.pipeline(cfg, out_dir, args.threads, command)
     except RunFailure as exc:
         print(f"swehdg: {exc}", file=sys.stderr)
         return 1

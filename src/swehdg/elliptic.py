@@ -21,9 +21,8 @@ caller reads a linear output of the solution, is precomposed by the
 ``compose`` maps of :func:`condense` into three sparse operators: the
 height recovery, its transpose (the bathymetry load), the wave operator
 and every implicit stage then run as one gather, one trace LU solve and
-one scatter; the wave operator F p_hat - D p is formed from the height
-map of the recovery's one composition, at its first application.  The
-one-shot init solve passes its data to :func:`condense` instead, which
+one scatter; the wave operator H S^-1 G + Mw holds H as G^T and
+Mw = -D Pw, built at its first application.  The one-shot init solve passes its data to :func:`condense` instead, which
 reduces it onto the trace.  Since it solves its trace system once, it
 factors it in single precision and refines the solve in double; it
 builds its element blocks again for the back-substitution.  The

@@ -367,7 +367,6 @@ degree = 1
 
 [mesh]
 kind = uniform_square
-level = 2
 levels = 2
 
 [time]
@@ -485,7 +484,6 @@ degrees = 1
 
 [mesh]
 kind = uniform_square
-level = 2
 """)
     assert main(["converge", "--config", cfg, "--out", str(tmp_path)]) == 1
     assert "levels" in capsys.readouterr().err
@@ -537,12 +535,13 @@ levels = 1
 
 
 def test_dt_precedence():
-    assert _pick_dt(RunConfig(dt=0.3), 1, 0.5) == 0.3
-    assert _pick_dt(RunConfig(dt=0.0), 1, 0.5) == 0.0
-    assert _pick_dt(RunConfig(dt_scale=0.1), 1, 0.5) == pytest.approx(0.05)
-    assert _pick_dt(RunConfig(), 1, 0.5) == pytest.approx(0.025)
-    assert _pick_dt(RunConfig(), 1, 0.5, long_run=True) == pytest.approx(0.025)
-    assert _pick_dt(RunConfig(), 3, 0.5, long_run=True) == pytest.approx(0.025)
+    sweep, single = cli._COMMANDS["converge"], cli._COMMANDS["run"]
+    assert _pick_dt(RunConfig(dt=0.3), 1, 0.5, sweep) == 0.3
+    assert _pick_dt(RunConfig(dt=0.0), 1, 0.5, sweep) == 0.0
+    assert _pick_dt(RunConfig(dt_scale=0.1), 1, 0.5, sweep) == pytest.approx(0.05)
+    assert _pick_dt(RunConfig(), 1, 0.5, sweep) == pytest.approx(0.025)
+    assert _pick_dt(RunConfig(), 1, 0.5, single) == pytest.approx(0.025)
+    assert _pick_dt(RunConfig(), 3, 0.5, single) == pytest.approx(0.025)
 
 
 def test_shipped_configs_parse():
@@ -715,8 +714,7 @@ phi = 3.0
 
 [mesh]
 kind = rect_hole
-levels = 1, 2
-level = 4
+{level}
 nx = 3
 ny = 5
 bounds = -1, 2, -3, 4
@@ -740,18 +738,19 @@ snapshot_every = 9
 
 
 @pytest.mark.parametrize("degree,step,varied,left_out", [
-    ("degrees = 2, 3", "dt = 0.01", {"degrees": (2, 3), "dt": 0.01},
-     {("problem", "degree"), ("time", "dt_scale")}),
-    ("degree = 3", "dt_scale = 0.2", {"degrees": (3,), "dt_scale": 0.2},
-     {("problem", "degrees"), ("time", "dt")}),
+    ("degrees = 2, 3", "dt = 0.01", {"degrees": (2, 3), "levels": (1, 2), "dt": 0.01},
+     {("problem", "degree"), ("mesh", "level"), ("time", "dt_scale")}),
+    ("degree = 3", "dt_scale = 0.2", {"degrees": (3,), "levels": (4,), "dt_scale": 0.2},
+     {("problem", "degrees"), ("mesh", "levels"), ("time", "dt")}),
 ])
 def test_every_config_key_lands_on_its_field(tmp_path, degree, step, varied, left_out):
-    # degree/degrees and dt/dt_scale exclude each other, so each case
-    # sets one of each pair and every other key of the table
+    # degree/degrees, level/levels and dt/dt_scale exclude each other, so
+    # each case sets one of each pair and every other key of the table
+    level = "level = 4" if ("mesh", "levels") in left_out else "levels = 1, 2"
     mesh_file = tmp_path / "mesh.txt"
     mesh_file.write_text("")
-    cfg = _write(tmp_path, "c.ini", ROUND_TRIP.format(degree=degree, step=step,
-                                                      path=mesh_file))
+    cfg = _write(tmp_path, "c.ini", ROUND_TRIP.format(degree=degree, level=level,
+                                                      step=step, path=mesh_file))
     parser = configparser.ConfigParser()
     parser.read(cfg)
     written = {(section, key) for section in parser.sections() for key in parser[section]}
@@ -762,7 +761,7 @@ def test_every_config_key_lands_on_its_field(tmp_path, degree, step, varied, lef
         preset="moving_bump",
         overrides={"tau": 0.5, "alpha": 2.5, "f0": 0.25, "beta": 0.125,
                    "y_mid": 1.5, "phi": 3.0},
-        mesh_kind="rect_hole", levels=(1, 2), level=4, nx=3, ny=5,
+        mesh_kind="rect_hole", nx=3, ny=5,
         bounds=(-1.0, 2.0, -3.0, 4.0), center=(0.5, -0.5), radius=0.25,
         target_h=0.125, periodic="x", mesh_path=str(mesh_file),
         final_time=2.5, integrator="sdirk4",
@@ -866,3 +865,77 @@ def test_single_run_commands_refuse_more_than_one_degree(tmp_path, capsys, subco
     cfg = _write(tmp_path, "c.ini", ONE_RUN.format(degrees="2"))
     assert main([subcommand, "--config", cfg, "--out", str(tmp_path)]) == 0
     assert len(list(tmp_path.glob("*.csv"))) == 1
+
+
+def test_run_honours_a_one_entry_levels(tmp_path):
+    # levels = 3 is level = 3: 8 x 8 cells, 81 nodes in the VTK frame
+    cfg = _write(tmp_path, "c.ini", "[mesh]\nlevels = 3\n[output]\nfields = true\n")
+    assert main(["run", "--config", cfg, "--out", str(tmp_path)]) == 0
+    assert "POINTS 81 double" in (tmp_path / "timeseries_0000.vtk").read_text()
+
+
+@pytest.mark.parametrize("subcommand", ["run", "compare_dissipative"])
+def test_single_run_commands_refuse_more_than_one_level(tmp_path, capsys, subcommand):
+    cfg = _write(tmp_path, "c.ini", ONE_RUN.format(degrees="1").replace("level = 2",
+                                                                      "levels = 2, 3"))
+    assert main([subcommand, "--config", cfg, "--out", str(tmp_path)]) == 1
+    assert (f"swehdg: {cfg}: [mesh] levels lists 2 levels, but {subcommand} runs one; "
+            "set [mesh] level" in capsys.readouterr().err)
+    assert not list(tmp_path.glob("*.csv"))
+
+
+def test_level_with_levels_is_refused(tmp_path, capsys):
+    cfg = _write(tmp_path, "c.ini", "[mesh]\nlevel = 4\nlevels = 1, 2\n")
+    assert main(["converge", "--config", cfg, "--out", str(tmp_path)]) == 1
+    assert "[mesh] sets both level and levels; keep one" in capsys.readouterr().err
+
+
+def test_sweep_with_one_level_key_runs_that_level(tmp_path):
+    cfg = _write(tmp_path, "c.ini", INIT_SWEEP.replace("levels = 2, 3", "level = 3"))
+    assert main(["converge_init", "--config", cfg, "--out", str(tmp_path)]) == 0
+    _, rows = _rows(tmp_path / "init_convergence.csv")
+    assert [row[1] for row in rows] == [f"{0.125:.12e}"]
+
+
+def test_compare_dissipative_honours_cadence_and_fields(tmp_path):
+    # 12 steps recorded at 0, 5, 10 and the last; snapshots at 0 and 12
+    cfg = _write(tmp_path, "c.ini", COMPARE.format(tau=1.0, T=0.012)
+                 + "[output]\ncadence = 5\nfields = true\n")
+    assert main(["compare_dissipative", "--config", cfg, "--out", str(tmp_path)]) == 0
+    data = np.genfromtxt(tmp_path / "energy_compare.csv", delimiter=",", names=True)
+    assert data["time"] == pytest.approx([0.0, 0.005, 0.01, 0.012])
+    assert sorted(p.name for p in tmp_path.glob("*.vtk")) == [
+        "energy_compare_0000.vtk", "energy_compare_0012.vtk"]
+
+
+@pytest.mark.parametrize("subcommand", ["run", "compare_dissipative", "converge"])
+def test_refused_integrator_fails_without_a_step(tmp_path, capsys, subcommand):
+    # every command builds its stepper before its first record
+    cfg = _write(tmp_path, "c.ini", "[problem]\nf0 = 0.3\n[mesh]\nlevel = 2\n"
+                 "[time]\nfinal_time = 0\nintegrator = seprk4\n")
+    assert main([subcommand, "--config", cfg, "--out", str(tmp_path)]) == 1
+    assert ("integrator refused for k=1, h=0.25, preset standing_wave: "
+            in capsys.readouterr().err)
+    assert not list(tmp_path.glob("*.csv"))
+
+
+def test_unknown_log_level_is_an_error(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("SWEHDG_LOG", "verbose")
+    cfg = _write(tmp_path, "c.ini", "[mesh]\nlevel = 1\n")
+    assert main(["run", "--config", cfg, "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == (
+        "swehdg: SWEHDG_LOG=verbose is not a log level; "
+        "use DEBUG, INFO, WARNING, ERROR or CRITICAL\n")
+    assert not list(tmp_path.glob("*.csv"))
+
+
+@pytest.mark.parametrize("threads", ["0", "-3", "two"])
+def test_threads_below_one_are_refused(tmp_path, capsys, threads):
+    cfg = _write(tmp_path, "c.ini", INIT_SWEEP)
+    with pytest.raises(SystemExit) as info:
+        main(["converge_init", "--config", cfg, "--out", str(tmp_path),
+              "--threads", threads])
+    assert info.value.code == 2
+    assert (f"argument --threads: must be an integer of at least 1, got {threads!r}"
+            in capsys.readouterr().err)
+    assert not list(tmp_path.glob("*.csv"))
