@@ -234,13 +234,14 @@ def _run_length(index):
     splits into: the longest b dividing a for which every run of b
     indices is consecutive and starts at a multiple of b.  On the dof
     layout this is k + 1 for the trace dofs of a facet, 2m for the flux
-    or velocity dofs of an element and m for its height dofs."""
+    or velocity dofs of an element and m for its height dofs.  A
+    candidate is tried on the first row before the whole array, so only
+    the length returned is checked over every row."""
     a = index.shape[1]
     for b in range(a, 1, -1):
-        if a % b == 0:
-            runs = index.reshape(-1, b)
-            if not (runs[:, 0] % b).any() and (np.diff(runs, axis=1) == 1).all():
-                return b
+        if a % b == 0 and all(not (runs[:, 0] % b).any() and (np.diff(runs, axis=1) == 1).all()
+                              for runs in (index[:1].reshape(-1, b), index.reshape(-1, b))):
+            return b
     return 1
 
 
@@ -251,9 +252,14 @@ def _blocked(op, rows, cols):
 
     The block shape is the run length (:func:`_run_length`) of ``rows``
     and of ``cols``.  ``op`` is converted to BSR of that block shape when
-    both block dimensions are at least 3 and more than half of the BSR's
-    stored entries are nonzero; otherwise it is returned unchanged.  The
-    conversion copies every entry, so the BSR is the same matrix.
+    both block dimensions are at least 3 and more than half of the
+    entries of its element blocks are nonzero (2 nnz > n a b for n
+    elements of a rows and b columns); otherwise it is returned
+    unchanged, and nothing is converted to decide.  When no two elements
+    share a block and no block is all zero, as for every operator
+    composed here, the element blocks are the blocks the BSR stores, so
+    this is the share of nonzero entries among them.  The conversion
+    copies every entry, so the BSR is the same matrix.
     scipy's BSR product streams each dense block through one small
     matrix-vector kernel instead of gathering entry by entry (the
     register blocking of Im, Yelick and Vuduc, SPARSITY, IJHPCA 18,
@@ -267,10 +273,9 @@ def _blocked(op, rows, cols):
     rotation every operator at k <= 1 stays CSR; with it, the stage
     outputs K fill their 6 x 6 and 3 x 3 blocks and convert."""
     block = (_run_length(rows), _run_length(cols))
-    if min(block) < 3:
+    if min(block) < 3 or 2 * op.nnz <= rows.size * cols.shape[1]:
         return op
-    held = op.tobsr(blocksize=block)
-    return held if 2 * op.nnz > held.data.size else op
+    return op.tobsr(blocksize=block)
 
 
 def _held(matrix):

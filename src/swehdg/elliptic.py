@@ -14,7 +14,9 @@ its simplest instance (the local block is identity plus boundary
 stabilization); the implicit stages of both schemes reuse it with larger
 local blocks, and the init solve eliminates (rotation, height, flux) per
 element onto the (height trace, tangential flux trace) system, with its
-gauge multipliers as extra trace unknowns.
+gauge multipliers as extra trace unknowns.  Every caller hands
+:func:`condense` builders of its element blocks and maps, not the
+arrays, so each array dies at its last read inside the call.
 
 A solve that is repeated for data linear in one vector, and whose
 caller reads a linear output of the solution, is precomposed by the
@@ -22,13 +24,13 @@ caller reads a linear output of the solution, is precomposed by the
 height recovery, its transpose (the bathymetry load), the wave operator
 and every implicit stage then run as one gather, one trace LU solve and
 one scatter; the wave operator H S^-1 G + Mw holds H as G^T and
-Mw = -D Pw, built at its first application.  The one-shot init solve passes its data to :func:`condense` instead, which
-reduces it onto the trace.  Since it solves its trace system once, it
-factors it in single precision and refines the solve in double; it
-builds its element blocks again for the back-substitution.  The
-recovery condenses at its first use and is factored at its first trace
-solve, which an implicit run without bathymetry never makes: the init
-solve gives its initial pair.
+Mw = -D Pw, built at its first application.  The one-shot init solve
+passes its data to :func:`condense` instead, which reduces it onto the
+trace.  Since it solves its trace system once, it factors it in single
+precision and refines the solve in double; it builds its element blocks
+again for the back-substitution.  The recovery condenses at its first
+use and is factored at its first trace solve, which an implicit run
+without bathymetry never makes: the init solve gives its initial pair.
 """
 
 import logging
@@ -62,7 +64,7 @@ def _solve_blocks(local, rhs):
     return out
 
 
-def condense(local, from_trace, to_trace, trace, cols, compose=None, rhs=None):
+def condense(element_blocks, trace, cols, compose=None, rhs=None):
     """Condense a hybridized block system onto its trace dofs: returns the
     trace Schur complement as the CSR matrix :func:`factor_trace` takes,
     and the composed operators (R, K, Kt') of ``compose``, or the reduced
@@ -76,22 +78,29 @@ def condense(local, from_trace, to_trace, trace, cols, compose=None, rhs=None):
 
     A is block diagonal with blocks A_e (n x n); B and C couple element e
     only to the trace dofs ``cols[e]`` of its facets, through the blocks
-    B_e (n x c) and C_e (c x n); T is sparse on the trace.  No A_e is
+    B_e (n x c) and C_e (c x n); T is sparse on the trace.
+    ``element_blocks()`` returns the batched blocks (A_e, B_e, C_e), and
+    condense owns them: it calls the builder once and drops each block
+    after its last read, so the caller holds none of them.  No A_e is
     inverted or held: one batched LU solve of the transposed blocks
     A_e^T against C_e^T gives C_e A_e^-1, and the Schur complement
     T - sum_e C_e A_e^-1 B_e is scattered by
     :func:`~swehdg.assembly._block_rows` after T, its blocks negated in
     place, its duplicates summed and none of its zeros dropped.  Its CSR
     arrays are the CSC arrays of its transpose, the matrix SuperLU
-    factors (see :func:`factor_trace`).  Nothing returned refers to the
-    blocks, so they die with the call, before any factorization, and the
-    Schur complement stores only its entries.
+    factors (see :func:`factor_trace`).  Every dense product is formed
+    before the first scatter, and A_e, C_e, B_e and the maps are dropped
+    after their last product, so no element block or map is alive while
+    the Schur complement and the composed operators are scattered and
+    converted, and none is alive after the call, before any
+    factorization.  The Schur complement stores only its entries.
 
     A caller that solves the system many times for data that a fixed
     linear map of some vector y produces, and that reads only a fixed
     linear map of the solution, passes both maps as
-    ``compose=(Lf, Lg, Kx, Kt, rows, out_rows, shape)``.  Element e reads
-    y at ``rows[e]``: its local data is Lf_e y[rows[e]], and it adds
+    ``compose=(maps, rows, out_rows, shape)``, where ``maps()`` returns
+    the batched blocks (Lf, Lg, Kx, Kt).  Element e reads y at
+    ``rows[e]``: its local data is Lf_e y[rows[e]], and it adds
     Lg_e y[rows[e]] to the trace data in the rows ``cols[e]``.  Its
     output, in the rows ``out_rows[e]``, is Kx_e x_e + Kt_e t[cols[e]].
     A Lf of None is the identity, a Lg or Kt of None is zero, and
@@ -126,51 +135,60 @@ def condense(local, from_trace, to_trace, trace, cols, compose=None, rhs=None):
 
     A singular A_e raises RuntimeError.
     """
-    nt, c = trace.shape[0], to_trace.shape[1]
-    readers = to_trace
+    local, from_trace, readers = element_blocks()
+    nt, c = trace.shape[0], readers.shape[1]
     if compose is not None:
-        kx = compose[2]
+        maps, rows, out_rows, shape = compose
+        lf, lg, kx, kt = maps()
         readers = np.concatenate(
-            [to_trace, np.broadcast_to(kx, (len(local), *kx.shape[-2:]))], axis=1)
+            [readers, np.broadcast_to(kx, (len(local), *kx.shape[-2:]))], axis=1)
+        del kx
     # [C_e; Kx_e] A_e^-1, by one solve of the transposed blocks
     solved = _solve_blocks(local.transpose(0, 2, 1),
                            readers.transpose(0, 2, 1)).transpose(0, 2, 1)
-    del readers
+    del local, readers
+    restrict, readout = solved[:, :c], solved[:, c:]
+    del solved
     out = None
     if compose is not None:
-        out = _compose(solved[:, :c], solved[:, c:], from_trace, cols, nt, compose)
+        # K, R and Kt' blocks; Lf and Lg die after their products
+        out_blocks = readout if lf is None else readout @ lf
+        trace_data = -(restrict if lf is None else restrict @ lf)
+        del lf
+        if lg is not None:
+            trace_data += lg
+        del lg
+        out_trace = -(readout @ from_trace)
+        if kt is not None:
+            out_trace += kt
+        del kt
     elif rhs is not None:
         out = -np.bincount(cols.reshape(-1), minlength=nt, weights=np.einsum(
-            "eci,ei->ec", solved[:, :c], rhs).reshape(-1))
+            "eci,ei->ec", restrict, rhs).reshape(-1))
+    del readout
     # T - sum_e C_e A_e^-1 B_e, its duplicates summed and no zero dropped
-    coupling = solved[:, :c] @ from_trace
-    del solved
+    coupling = restrict @ from_trace
+    del restrict, from_trace
+    if compose is not None:
+        # a K block that is the solve itself keeps it alive until scattered
+        K = _composed(out_blocks, out_rows, rows, shape)
+        del out_blocks
+        R = _composed(trace_data, cols, rows, (nt, shape[1]))
+        del trace_data
+        out = R, K, _composed(out_trace, out_rows, cols, (shape[0], nt))
+        del out_trace
     schur = _block_rows(np.negative(coupling, out=coupling), cols, cols, (nt, nt), head=trace)
     del coupling
     schur.sum_duplicates()
     return _held(schur), out
 
 
-def _compose(restrict, readout, from_trace, cols, nt, compose):
-    """(R, K, Kt') of the ``compose`` maps, from the blocks C A^-1
-    (``restrict``) and Kx A^-1 (``readout``) over ``nt`` trace unknowns,
-    each scattered by :func:`~swehdg.assembly._pairing` and held in the
-    format :func:`~swehdg.assembly._blocked` chooses for its element
-    rows and columns, so no CSR copy outlives the call."""
-    lf, lg, _, kt, rows, out_rows, shape = compose
-
-    def operator(blocks, at, of, size):
-        return _blocked(_pairing(blocks, at, of, size), at, of)
-
-    out = operator(readout if lf is None else readout @ lf, out_rows, rows, shape)
-    trace_data = -(restrict if lf is None else restrict @ lf)
-    if lg is not None:
-        trace_data += lg
-    trace_data = operator(trace_data, cols, rows, (nt, shape[1]))
-    out_trace = -(readout @ from_trace)
-    if kt is not None:
-        out_trace += kt
-    return trace_data, out, operator(out_trace, out_rows, cols, (shape[0], nt))
+def _composed(blocks, rows, cols, shape):
+    """The composed operator of its element ``blocks`` at ``rows`` x
+    ``cols``, scattered by :func:`~swehdg.assembly._pairing` and held in
+    the format :func:`~swehdg.assembly._blocked` chooses, so no CSR copy
+    outlives the call."""
+    return _blocked(_pairing(blocks, rows, cols, shape), rows, cols)
 
 
 class TraceFactor:
@@ -320,14 +338,20 @@ class PhiRecovery:
         if self._G is not None:
             return
         mats, m = self._mats, self._mats.spaces.scalar.dim_local
-        coupling = -mats.stab_mixed_blocks
+
+        def blocks():
+            coupling = -mats.stab_mixed_blocks
+            return mats.stab_local_blocks + np.eye(m), coupling, coupling.transpose(0, 2, 1)
+
+        def maps():
+            return (-mats.div_blocks.transpose(0, 2, 1), mats.flux_blocks.transpose(0, 2, 1),
+                    np.eye(m), None)
+
         try:
             self._trace_matrix, (self._G, self._Pw, self._Pt) = condense(
-                mats.stab_local_blocks + np.eye(m), coupling, coupling.transpose(0, 2, 1),
-                mats.stab_trace, mats.trace_cols,
-                compose=(-mats.div_blocks.transpose(0, 2, 1), mats.flux_blocks.transpose(0, 2, 1),
-                         np.eye(m), None, mats.vdofs.reshape(len(mats.wdofs), -1),
-                         mats.wdofs, (mats.wdofs.size, mats.vdofs.size)))
+                blocks, mats.stab_trace, mats.trace_cols,
+                compose=(maps, mats.vdofs.reshape(len(mats.wdofs), -1), mats.wdofs,
+                         (mats.wdofs.size, mats.vdofs.size)))
         except RuntimeError as err:
             raise RuntimeError(f"recovery factorization failed: {err}") from None
 
@@ -472,9 +496,9 @@ def _solve_once(element_blocks, trace, cols, f, g):
 
     ``element_blocks()`` returns (local, from_trace, to_trace).  It is
     called twice, so that no element block is alive while the trace
-    system is factored: the blocks of the first call die with the
-    condensation, which also reduces f onto the trace, and those of the
-    second back-substitute x_e = A_e^-1 (f_e - B_e t[cols[e]]) by one
+    system is factored: :func:`condense` makes the first call and drops
+    those blocks as it goes, while it reduces f onto the trace, and the
+    blocks of the second back-substitute x_e = A_e^-1 (f_e - B_e t[cols[e]]) by one
     batched solve, once the factor is freed.  The system is solved once,
     so its trace system is factored in single precision and the solve
     refined in double against the double Schur complement
@@ -484,9 +508,7 @@ def _solve_once(element_blocks, trace, cols, f, g):
     relative to max(1, |(f, g)|).  A singular A_e or a failed trace
     factorization raises RuntimeError.
     """
-    local, from_trace, to_trace = element_blocks()
-    schur, reduced = condense(local, from_trace, to_trace, trace, cols, rhs=f)
-    del local, from_trace, to_trace
+    schur, reduced = condense(element_blocks, trace, cols, rhs=f)
     t = _refined_solve(schur, g + reduced)
     del schur
 
@@ -510,11 +532,13 @@ def _tangent_signs(mats, tangential):
     return nperp, np.einsum("efd,efd->ef", tangential.tangent[mats.mesh.element_facets], nperp)
 
 
-def _init_blocks(mats, tangential, alpha):
+def _init_blocks(mats, tangential, alpha, gauge=None):
     """Element blocks (local, from_trace) of the init system, built from
     the shared facet tensors: the local blocks A_e over (sigma_e, phi_e,
     w_e) and the couplings B_e = C_e^T of each element to the (phi_hat,
-    psi_hat) dofs of its facets, in the order of :func:`_init_trace`.
+    psi_hat) dofs of its facets, in the order of :func:`_init_trace`,
+    then to the gauge multipliers: ``gauge`` (ne, 4m, r) holds the local
+    parts of their columns, written into the last r columns of B_e.
     """
     ne, m = mats.wdofs.shape
     ainv = 1.0 / alpha
@@ -545,11 +569,14 @@ def _init_blocks(mats, tangential, alpha):
     local[:, 2 * m:, 2 * m:] = ainv * norm_pen
 
     nc = tang_pair.shape[2]
-    from_trace = np.zeros((ne, 4 * m, 2 * nc))
-    from_trace[:, :m, nc:] = -tang_pair
+    r = 0 if gauge is None else gauge.shape[2]
+    from_trace = np.zeros((ne, 4 * m, 2 * nc + r))
+    from_trace[:, :m, nc:2 * nc] = -tang_pair
     from_trace[:, m:2 * m, :nc] = mats.stab_mixed_blocks
     from_trace[:, 2 * m:, :nc] = mats.flux_blocks
-    from_trace[:, 2 * m:, nc:] = -ainv * tang_flux
+    from_trace[:, 2 * m:, nc:2 * nc] = -ainv * tang_flux
+    if r:
+        from_trace[:, :, 2 * nc:] = gauge
     return local, from_trace
 
 
@@ -659,8 +686,7 @@ def solve_vector_laplacian(mesh, spaces, f, params, matrices=None):
     rhs[:, 2 * m:] = spaces.vector.project(f).coeffs.reshape(ne, 2 * m)
 
     def element_blocks():
-        local, from_trace = _init_blocks(mats, tg, params.alpha)
-        from_trace = np.concatenate([from_trace, gauge_local], axis=2)
+        local, from_trace = _init_blocks(mats, tg, params.alpha, gauge_local)
         return local, from_trace, from_trace.transpose(0, 2, 1)
 
     try:

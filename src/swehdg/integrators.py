@@ -20,6 +20,7 @@ are refused on rotating problems.
 """
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -296,13 +297,14 @@ class DirkIntegrator:
 
     with r0 = R (delta F) and k0 = K (delta F) + z0, z0 the output's
     constant term: one sparse product into the trace, one trace LU solve
-    and two sparse products out.  Each scale is condensed in one call
-    that returns only the trace Schur complement and the composed
-    operators, so the element blocks and maps die before its trace
-    factorization.  The factors, :class:`~swehdg.elliptic.TraceFactor`
-    objects that hold SuperLU's LU of the transposed trace system and
-    solve with the trace system by its transposed solve, are kept in
-    ``trace_factors``, keyed by scale.  A tableau built with
+    and two sparse products out.  Each scale is condensed in one call,
+    which builds the element blocks and maps itself, drops each after its
+    last read and returns only the trace Schur complement and the
+    composed operators, so no block or map is alive while they are
+    scattered or the trace system is factored.  The factors,
+    :class:`~swehdg.elliptic.TraceFactor` objects that hold SuperLU's LU
+    of the transposed trace system and solve with the trace system by its
+    transposed solve, are kept in ``trace_factors``, keyed by scale.  A tableau built with
     ``symplectic=False`` is refused (ValueError).
 
     A scheme passes the trace block and columns of its substep system,
@@ -331,11 +333,9 @@ class DirkIntegrator:
         for delta in 0.5 * self.dt * tableau.b:
             if delta in self._stages:
                 continue
-            # the blocks and maps are built per scale inside the condense
-            # call, so none of them is alive while the factorization runs
             try:
-                schur, (R, K, Kt) = condense(*self._stage_blocks(delta), trace, cols,
-                                             compose=(*self._stage_maps(), rows, out_rows, shape))
+                schur, (R, K, Kt) = condense(partial(self._stage_blocks, delta), trace, cols,
+                                             compose=(self._stage_maps, rows, out_rows, shape))
                 self.trace_factors[delta] = factor_trace(schur)
             except RuntimeError as exc:
                 raise RuntimeError(

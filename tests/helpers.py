@@ -16,6 +16,8 @@ slope.  :func:`straight_schur` is the oracle of the trace Schur
 complements that :func:`swehdg.elliptic.condense` scatters.
 """
 
+from functools import partial
+
 import numpy as np
 from scipy import sparse
 
@@ -339,8 +341,8 @@ def slope_form(stepper):
     m = stepper.system.matrices
     forms = {}
     for delta in stepper.trace_factors:
-        schur, (R, K, Kt) = condense(*stepper._stage_blocks(delta), m.stab_trace, cols,
-                                     compose=(*uw_slope_maps(stepper.system), rows, rows,
+        schur, (R, K, Kt) = condense(partial(stepper._stage_blocks, delta), m.stab_trace, cols,
+                                     compose=(partial(uw_slope_maps, stepper.system), rows, rows,
                                               (forcing.size,) * 2))
         forms[delta] = (factor_trace(schur), R, K, Kt, R @ (delta * forcing),
                         K @ (delta * forcing) + forcing)

@@ -2,7 +2,13 @@
 
 import configparser
 import dataclasses
+import errno
+import os
+import platform
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -939,3 +945,61 @@ def test_threads_below_one_are_refused(tmp_path, capsys, threads):
     assert (f"argument --threads: must be an integer of at least 1, got {threads!r}"
             in capsys.readouterr().err)
     assert not list(tmp_path.glob("*.csv"))
+
+
+def _no_work(*args):
+    raise AssertionError("the run started")
+
+
+@pytest.mark.parametrize("subcommand", ["run", "converge_init"])
+def test_basename_in_a_missing_directory_fails_before_any_work(tmp_path, capsys, monkeypatch,
+                                                              subcommand):
+    cfg = _write(tmp_path, "c.ini", "[mesh]\nlevel = 1\n[output]\nbasename = sub/run\n")
+    out = tmp_path / "out"
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "_flux_run", _no_work)
+        assert main([subcommand, "--config", cfg, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"swehdg: {out / 'sub'}: {os.strerror(errno.ENOENT)}\n")
+    assert not out.exists()
+    (out / "sub").mkdir(parents=True)
+    assert main([subcommand, "--config", cfg, "--out", str(out)]) == 0
+    assert (out / "sub" / "run.csv").exists()
+
+
+def test_out_naming_a_file_fails_before_any_work(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "_flux_run", _no_work)
+    cfg = _write(tmp_path, "c.ini", "[mesh]\nlevel = 1\n")
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    assert main(["run", "--config", cfg, "--out", str(taken)]) == 1
+    assert capsys.readouterr().err == f"swehdg: {taken}: {os.strerror(errno.EEXIST)}\n"
+    assert taken.read_text() == ""
+
+
+_PEAK = ("import sys; from swehdg.cli import main; rc = main(sys.argv[1:]); "
+         "print(next(line for line in open('/proc/self/status') if line.startswith('VmHWM:')))")
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc" or not Path("/proc/self/status").exists(),
+                    reason="reads glibc's peak resident memory from /proc")
+def test_sweep_peaks_at_its_larger_entry(tmp_path):
+    # a sweep holds nothing from one entry to the next, so its peak
+    # resident memory (VmHWM, in a fresh process) is that of its larger
+    # entry run alone; the bound, fixed before measuring, allows 2 MB.
+    # With glibc's dynamic mmap threshold the second entry's arrays came
+    # from heap the first had freed: 89.3 against 85.1 MB for this sweep
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join([str(Path(cli.__file__).parents[1]),
+                                           os.environ.get("PYTHONPATH", "")]))
+
+    def peak_mb(levels):
+        cfg = _write(tmp_path, "c.ini", INIT_SWEEP.replace("degrees = 1", "degrees = 2")
+                     .replace("levels = 2, 3", f"levels = {levels}"))
+        proc = subprocess.run([sys.executable, "-c", _PEAK, "converge_init", "--config", cfg,
+                               "--out", str(tmp_path)],
+                              env=env, capture_output=True, text=True, check=True)
+        return int(proc.stdout.split()[-2]) / 1024
+
+    sweep, alone = peak_mb("3, 4"), peak_mb("4")
+    assert sweep <= alone + 2.0, f"sweep {sweep:.1f} MB, its level-4 entry alone {alone:.1f} MB"

@@ -11,7 +11,7 @@ from scipy import sparse
 from scipy.sparse.linalg import splu
 
 from swehdg import elliptic, integrators
-from swehdg.assembly import PhysicalParams, _block_rows, assemble_all
+from swehdg.assembly import PhysicalParams, _block_rows, _run_length, assemble_all
 from swehdg.elliptic import (
     PhiRecovery,
     _init_blocks,
@@ -372,6 +372,55 @@ def test_block_format_from_degree_two_on(k):
         assert op.format == "bsr" and op.blocksize == expected[name], name
 
 
+def _converting_run_length(index):
+    # every divisor tested over the whole index array
+    a = index.shape[1]
+    for b in range(a, 1, -1):
+        if a % b == 0:
+            runs = index.reshape(-1, b)
+            if not (runs[:, 0] % b).any() and (np.diff(runs, axis=1) == 1).all():
+                return b
+    return 1
+
+
+def _converting_format(op, rows, cols):
+    """(format, block size) of the rule that converts first: a BSR of the
+    run lengths of rows and cols, kept when both are at least 3 and more
+    than half of its stored entries are nonzero."""
+    block = (_converting_run_length(rows), _converting_run_length(cols))
+    if min(block) >= 3 and 2 * op.nnz > op.tobsr(blocksize=block).data.size:
+        return "bsr", block
+    return "csr", None
+
+
+@pytest.mark.parametrize("kind", ["wall", "periodic", "holed-periodic"])
+@pytest.mark.parametrize("rotating", [False, True])
+@pytest.mark.parametrize("k", [0, 1, 2, 3])
+def test_block_format_is_chosen_before_converting(k, rotating, kind, monkeypatch):
+    # every composed operator: G, Pw, Pt, Mw and (R, K, Kt') of a flux and
+    # a height-scheme stage; the run lengths and the format equal those
+    # of the rule that converts every candidate and reads the copy
+    chosen = []
+    real = elliptic._blocked
+
+    def spy(op, rows, cols):
+        held = real(op, rows, cols)
+        chosen.append((op, rows, cols, held))
+        return held
+
+    monkeypatch.setattr(elliptic, "_blocked", spy)
+    params = PARAMS if rotating else {}
+    mesh = _mesh(kind)
+    _held_operators(assemble_all(mesh, build_spaces(mesh, k), PhysicalParams(**params)),
+                    k, params)
+    assert len(chosen) == 10
+    for op, rows, cols, held in chosen:
+        assert (_run_length(rows), _run_length(cols)) == \
+            (_converting_run_length(rows), _converting_run_length(cols))
+        assert (held.format, getattr(held, "blocksize", None)) == \
+            _converting_format(op, rows, cols)
+
+
 @pytest.mark.parametrize("kind", ["wall", "periodic", "holed"])
 @pytest.mark.parametrize("k", [0, 1, 2, 3])
 def test_bathymetry_load_is_the_transposed_height_map(k, kind):
@@ -476,7 +525,7 @@ def test_singular_local_block_names_the_element():
     local[3] = 0.0
     cols = np.array([[0, 1], [1, 2], [2, 3], [3, 0]])
     with pytest.raises(RuntimeError, match="element 2 is singular"):
-        condense(local, np.zeros((4, 3, 2)), np.zeros((4, 2, 3)),
+        condense(lambda: (local, np.zeros((4, 3, 2)), np.zeros((4, 2, 3))),
                  sparse.identity(4, format="csr"), cols)
 
 
@@ -543,6 +592,60 @@ def test_stage_blocks_die_before_the_factorization(monkeypatch):
     assert len(live) == 1
     assert live[0] <= bound, \
         f"live at the factorization {live[0] / 2**20:.2f} MiB, bound {bound / 2**20:.2f} MiB"
+
+
+def _condensed_solve(kind):
+    """A builder of one condensed solve on the L4, k = 2 standing wave,
+    with its matrices assembled: the midpoint stage of the flux scheme,
+    the recovery or the init solve."""
+    spec = make_problem("standing_wave", generate_uniform_square(4), 2)
+    spaces = build_spaces(spec.mesh, 2, tangential=kind == "init")
+    mats = assemble_all(spec.mesh, spaces, spec.params)
+    if kind == "stage":
+        system = SemidiscreteSystem(matrices=mats, recovery=PhiRecovery(mats))
+        return lambda: SdirkIntegrator(system, make_sdirk(2), DT)
+    if kind == "recovery":
+        return PhiRecovery(mats).factor
+    return lambda: solve_vector_laplacian(spec.mesh, spaces, spec.grad_phi0, spec.params,
+                                          matrices=mats)
+
+
+@pytest.mark.parametrize("kind", ["stage", "recovery", "init"])
+def test_element_blocks_die_before_the_schur_scatter(kind, monkeypatch):
+    # traced (numpy) memory live when condense scatters the trace Schur
+    # complement, against a bound fixed before measuring: the coupling
+    # blocks being scattered, the Schur complement condense returns and
+    # what it returns beside it (the composed operators, or the reduced
+    # init data), and 25% for the rest.  The element blocks and maps do
+    # not fit beside them.
+    build = _condensed_solve(kind)
+    live, coupling, returned = [], [], []
+    real_scatter, real_condense = elliptic._block_rows, elliptic.condense
+
+    def scatter(blocks, rows, cols, shape, head=None):
+        if head is not None:
+            live.append(tracemalloc.get_traced_memory()[0])
+            coupling.append(blocks.nbytes)
+        return real_scatter(blocks, rows, cols, shape, head=head)
+
+    def condensed(*args, **kwargs):
+        returned.append(real_condense(*args, **kwargs))
+        return returned[-1]
+
+    monkeypatch.setattr(elliptic, "_block_rows", scatter)
+    monkeypatch.setattr(elliptic, "condense", condensed)
+    monkeypatch.setattr(integrators, "condense", condensed)
+    tracemalloc.start()
+    try:
+        build()
+    finally:
+        tracemalloc.stop()
+    (schur, out), = returned
+    beside = out.nbytes if kind == "init" else sum(map(_nbytes, out))
+    bound = 1.25 * (coupling[0] + _nbytes(schur) + beside)
+    assert len(live) == 1
+    assert live[0] <= bound, \
+        f"live at the Schur scatter {live[0] / 2**20:.2f} MiB, bound {bound / 2**20:.2f} MiB"
 
 
 def test_init_blocks_die_before_the_factorization(monkeypatch):
@@ -955,7 +1058,7 @@ def test_schur_complements_equal_the_straight_scatter(k, kind, monkeypatch):
 
     def condensed(*args, **kwargs):
         out = real_condense(*args, **kwargs)
-        calls.append((args[3], args[4], out[0]))
+        calls.append((args[1], args[2], out[0]))
         return out
 
     def scatter(blocks, rows, cols, shape, head=None):
@@ -1004,9 +1107,10 @@ def test_fill_does_not_depend_on_rounding(monkeypatch):
     # periodic box; the bound on the fill's move is fixed at 0.1%
     calls = []
 
-    def capture(*args, **kwargs):
-        calls.append(args)
-        return condense(*args, **kwargs)
+    def capture(element_blocks, trace, cols, **kwargs):
+        blocks = element_blocks()
+        calls.append((*blocks, trace, cols))
+        return condense(lambda: blocks, trace, cols, **kwargs)
 
     monkeypatch.setattr(elliptic, "condense", capture)
     monkeypatch.setattr(integrators, "condense", capture)
@@ -1021,8 +1125,8 @@ def test_fill_does_not_depend_on_rounding(monkeypatch):
     rng = np.random.default_rng(1)
     for args in (init, stage):
         fills = []
-        for system in (args, [_perturbed(a, rng) for a in args]):
-            lu = factor_trace(condense(*system)[0])
+        for *blocks, trace, cols in (args, [_perturbed(a, rng) for a in args]):
+            lu = factor_trace(condense(lambda: blocks, trace, cols)[0])
             fills.append(lu.L.nnz + lu.U.nnz)
         assert abs(fills[1] - fills[0]) <= 1e-3 * fills[0]
 
