@@ -11,8 +11,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial.legendre import legvander
-from scipy.special import roots_jacobi, roots_legendre
+from numpy.polynomial.legendre import leggauss, legvander
 
 
 _MAX_DEGREE = 40      # of the quadrature rules
@@ -27,6 +26,20 @@ class QuadratureRule:
     degree: int
 
 
+def _gauss_jacobi_10(n):
+    """The n-point Gauss rule on [-1, 1] for the weight 1 - x (Jacobi
+    alpha = 1, beta = 0), ascending nodes: the eigenvalues of the symmetric
+    tridiagonal Jacobi matrix of the weight, and as weights the first
+    eigenvector components squared times the weight's mass 2 (Golub and
+    Welsch, Math. Comp. 23, 1969)."""
+    k = np.arange(n)
+    diagonal = -1.0 / ((2 * k + 1) * (2 * k + 3))
+    k = k[1:]
+    off = np.sqrt(k * (k + 1.0)) / (2 * k + 1)
+    nodes, vectors = np.linalg.eigh(np.diag(diagonal) + np.diag(off, 1) + np.diag(off, -1))
+    return nodes, 2.0 * vectors[0] ** 2
+
+
 def quadrature(domain, degree):
     """Rule exact for polynomials of total degree ``degree``.
 
@@ -39,13 +52,13 @@ def quadrature(domain, degree):
         raise ValueError(f"unsupported quadrature degree {degree}")
     n = max(1, math.ceil((degree + 1) / 2))
     if domain == "segment":
-        x, w = roots_legendre(n)
+        x, w = leggauss(n)
         return QuadratureRule(0.5 * (x + 1.0), 0.5 * w, degree)
     if domain == "triangle":
-        xi, wxi = roots_legendre(n)
+        xi, wxi = leggauss(n)
         xi = 0.5 * (xi + 1.0)
         wxi = 0.5 * wxi
-        xj, wj = roots_jacobi(n, 1.0, 0.0)
+        xj, wj = _gauss_jacobi_10(n)
         eta = 0.5 * (xj + 1.0)
         weta = 0.25 * wj
         pts = np.empty((n * n, 2))

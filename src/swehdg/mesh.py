@@ -1,7 +1,7 @@
 """Conforming triangular meshes with an oriented facet skeleton.
 
-Meshes come from the structured generators below, from the unstructured
-hole generator, or from a plain text file.  Every facet stores its two
+Meshes come from the structured generators below, from the holed-box
+generator, or from a plain text file.  Every facet stores its two
 endpoint nodes (smaller id first), the adjacent elements, a unit normal
 pointing out of the left element, and its periodic partner, if any.
 Every boundary facet without a partner is a wall.  Downstream code
@@ -12,9 +12,6 @@ from here instead of recomputing it.
 import math
 
 import numpy as np
-from scipy.sparse import coo_matrix
-from scipy.sparse.csgraph import connected_components
-from scipy.spatial import Delaunay
 
 # pair_periodic directions and the axes each one pairs
 PERIODIC_AXES = {"x": (0,), "y": (1,), "both": (0, 1)}
@@ -174,6 +171,18 @@ class Mesh:
         return np.where(self.facet_right < 0)[0]
 
 
+def _cell_triangles(nx, ny):
+    """Grid node ids of the two triangles of every cell of an nx by ny grid
+    (nodes numbered row by row), shape (2, nx ny, 3): each cell is split
+    along its bottom-left to top-right diagonal, lower triangle first."""
+    i, j = np.meshgrid(np.arange(nx), np.arange(ny), indexing="xy")
+    v00 = (j * (nx + 1) + i).ravel()
+    v10 = v00 + 1
+    v01 = v00 + (nx + 1)
+    v11 = v01 + 1
+    return np.stack([np.column_stack([v00, v10, v11]), np.column_stack([v00, v11, v01])])
+
+
 def generate_uniform_rect(nx, ny, bounds=(0.0, 1.0, 0.0, 1.0)):
     """Structured triangulation of a rectangle, nx by ny cells.
 
@@ -189,17 +198,8 @@ def generate_uniform_rect(nx, ny, bounds=(0.0, 1.0, 0.0, 1.0)):
     y = np.linspace(ymin, ymax, ny + 1)
     X, Y = np.meshgrid(x, y, indexing="xy")
     nodes = np.column_stack([X.ravel(), Y.ravel()])
-
-    i, j = np.meshgrid(np.arange(nx), np.arange(ny), indexing="xy")
-    v00 = (j * (nx + 1) + i).ravel()
-    v10 = v00 + 1
-    v01 = v00 + (nx + 1)
-    v11 = v01 + 1
-    lower = np.column_stack([v00, v10, v11])
-    upper = np.column_stack([v00, v11, v01])
-    elements = np.vstack([lower, upper])
     h_nom = max((xmax - xmin) / nx, (ymax - ymin) / ny)
-    return Mesh(nodes, elements, h_nominal=h_nom)
+    return Mesh(nodes, _cell_triangles(nx, ny).reshape(-1, 3), h_nominal=h_nom)
 
 
 def generate_uniform_square(levels, bounds=(0.0, 1.0, 0.0, 1.0)):
@@ -211,11 +211,21 @@ def generate_uniform_square(levels, bounds=(0.0, 1.0, 0.0, 1.0)):
 
 
 def generate_rect_with_hole(bounds, center, radius, target_h):
-    """Unstructured triangulation of a rectangle minus a circular hole.
+    """Triangulation of a rectangle minus a circular hole.
 
     The hole boundary is the inscribed polygon with segment length at
-    most ``target_h``.  Outer boundary facets are laid out identically
-    on opposite sides so they can be paired periodically.
+    most ``target_h``.  The rectangle carries a uniform grid of cell size
+    about ``target_h``, without the grid nodes closer to the centre than
+    the clearance ``radius + 0.75 h``.  A cell that keeps its four
+    corners is split along its bottom-left to top-right diagonal, as in
+    ``generate_uniform_rect``.  The band between the hole polygon and the
+    kept corners of the other cells, a loop star-shaped around the
+    centre, is zipped to the polygon in angle order around the centre,
+    and Lawson's edge flips then make every edge inside the band locally
+    Delaunay.  Outer boundary facets are laid out identically on opposite
+    sides so they can be paired periodically.  A clearance that reaches
+    a corner of the rectangle, or a band triangle of non-positive area,
+    raises a ValueError.
     """
     xmin, xmax, ymin, ymax = (float(v) for v in bounds)
     cx, cy = float(center[0]), float(center[1])
@@ -231,6 +241,11 @@ def generate_rect_with_hole(bounds, center, radius, target_h):
     ny = max(1, round((ymax - ymin) / target_h))
     sx = (xmax - xmin) / nx
     sy = (ymax - ymin) / ny
+    clearance = radius + 0.75 * max(sx, sy)
+    for x, y in ((xmin, ymin), (xmax, ymin), (xmin, ymax), (xmax, ymax)):
+        if math.hypot(x - cx, y - cy) <= clearance:
+            raise ValueError(f"the hole's clearance {clearance:g} (radius + 0.75 h) "
+                             f"reaches the box corner ({x:g}, {y:g})")
 
     # inscribed polygon; chord 2 r sin(pi/m) <= 2 pi r / m <= target_h
     m = max(8, math.ceil(2.0 * math.pi * radius / target_h))
@@ -241,24 +256,101 @@ def generate_rect_with_hole(bounds, center, radius, target_h):
     gx, gy = np.meshgrid(np.linspace(xmin, xmax, nx + 1),
                          np.linspace(ymin, ymax, ny + 1), indexing="xy")
     grid = np.column_stack([gx.ravel(), gy.ravel()])
-    dist = np.hypot(grid[:, 0] - cx, grid[:, 1] - cy)
-    keep = dist > radius + 0.75 * max(sx, sy)
+    keep = np.hypot(grid[:, 0] - cx, grid[:, 1] - cy) > clearance
     points = np.vstack([grid[keep], ring])
+    point_of = np.cumsum(keep) - 1               # point id of every kept grid node
 
-    tri = Delaunay(points)
-    cells = tri.simplices
-    centroids = points[cells].mean(axis=1)
-
-    # drop triangles inside the (convex, ccw) hole polygon
-    v0 = ring
-    v1 = np.roll(ring, -1, axis=0)
-    edge = v1 - v0
-    rel = centroids[:, None, :] - v0[None, :, :]
-    cross = edge[None, :, 0] * rel[:, :, 1] - edge[None, :, 1] * rel[:, :, 0]
-    inside = np.all(cross > 0.0, axis=1)
-    cells = cells[~inside]
-
+    halves = _cell_triangles(nx, ny)
+    full = keep[halves].all(axis=(0, 2))
+    # the band's outer loop: the kept corners of the cells that lost one
+    loop = np.unique(halves[:, ~full])
+    loop = loop[keep[loop]]
+    angle = np.arctan2(grid[loop, 1] - cy, grid[loop, 0] - cx) % (2.0 * np.pi)
+    order = np.argsort(angle)
+    band = _zip_loops(points, point_of[loop[order]], angle[order],
+                      len(points) - m + np.arange(m), theta)
+    area2 = _signed_area2(points, band)
+    if np.any(area2 <= 0.0):
+        bad = band[np.argmin(area2)]
+        raise ValueError(f"the band around the hole has a triangle of non-positive area "
+                         f"at {points[bad].mean(axis=0).tolist()}")
+    band = _flip_to_delaunay(points, band)
+    cells = np.vstack([point_of[halves[:, full]].reshape(-1, 3), band])
     return Mesh(points, cells, h_nominal=target_h)
+
+
+def _zip_loops(points, outer, outer_angle, inner, inner_angle):
+    """Triangles (ccw) between two loops around a common centre, the
+    vertex ids of each in increasing angle in [0, 2 pi).  Walking both
+    loops round once, each triangle advances along the loop whose next
+    vertex comes first in angle, or along the other loop where that
+    triangle would not be ccw: a cell corner of the outer loop can hide
+    the next inner vertex from the current one."""
+    xy = points.tolist()
+    outer, inner = outer.tolist(), inner.tolist()
+    no, ni = len(outer), len(inner)
+    next_outer = np.append(outer_angle[1:], outer_angle[0] + 2.0 * np.pi).tolist()
+    next_inner = np.append(inner_angle[1:], inner_angle[0] + 2.0 * np.pi).tolist()
+
+    def ccw(a, b, c):
+        (ax, ay), (bx, by), (cx, cy) = xy[a], xy[b], xy[c]
+        return (bx - ax) * (cy - ay) - (by - ay) * (cx - ax) > 0.0
+
+    tris = []
+    i = j = 0
+    while i < no or j < ni:
+        along_outer = (outer[i % no], outer[(i + 1) % no], inner[j % ni])
+        along_inner = (inner[(j + 1) % ni], inner[j % ni], outer[i % no])
+        take_outer = j == ni or (i < no and next_outer[i] <= next_inner[j])
+        if i < no and j < ni and not ccw(*(along_outer if take_outer else along_inner)):
+            take_outer = not take_outer
+        tris.append(along_outer if take_outer else along_inner)
+        i, j = (i + 1, j) if take_outer else (i, j + 1)
+    return np.array(tris, dtype=np.int64)
+
+
+# relative rounding allowance of the in-circle test: cocircular points
+# (the corners of a grid cell, say) never flip
+_INCIRCLE_TOL = 1e-12
+
+
+def _flip_to_delaunay(points, tris):
+    """Lawson's edge flips (Lawson, 1977) on the ccw triangles ``tris``
+    until every edge two of them share passes a strict in-circle test;
+    the edges that only one of them has stay as they are."""
+    xy = points.tolist()
+    tris = tris.tolist()
+    owner = {}                                   # directed edge -> triangle
+    for t, (a, b, c) in enumerate(tris):
+        owner[a, b] = owner[b, c] = owner[c, a] = t
+    stack = [edge for edge in owner if edge[::-1] in owner]
+    while stack:
+        a, b = stack.pop()
+        t, s = owner.get((a, b)), owner.get((b, a))
+        if t is None or s is None:
+            continue
+        c = tris[t][(tris[t].index(a) + 2) % 3]
+        d = tris[s][(tris[s].index(b) + 2) % 3]
+        if not _inside_circle(xy[a], xy[b], xy[c], xy[d]):
+            continue
+        tris[t], tris[s] = [a, d, c], [d, b, c]
+        del owner[a, b], owner[b, a]
+        owner[a, d] = owner[d, c] = owner[c, a] = t
+        owner[d, b] = owner[b, c] = owner[c, d] = s
+        stack += [(a, d), (d, b), (b, c), (c, a)]
+    return np.array(tris, dtype=np.int64)
+
+
+def _inside_circle(a, b, c, d):
+    """Whether d lies strictly inside the circle through the ccw triangle
+    abc, beyond rounding."""
+    ax, ay = a[0] - d[0], a[1] - d[1]
+    bx, by = b[0] - d[0], b[1] - d[1]
+    cx, cy = c[0] - d[0], c[1] - d[1]
+    la, lb, lc = ax * ax + ay * ay, bx * bx + by * by, cx * cx + cy * cy
+    det = (la * (bx * cy - by * cx) + lb * (cx * ay - cy * ax)
+           + lc * (ax * by - ay * bx))
+    return det > _INCIRCLE_TOL * (la + lb + lc) ** 2
 
 
 def pair_periodic(mesh, direction="both"):
@@ -331,8 +423,17 @@ def hole_boundaries(mesh):
     walls = np.flatnonzero((mesh.facet_right < 0) & (mesh.facet_pair < 0))
     ends = mesh.facet_nodes[walls]
     nn = mesh.num_nodes
-    graph = coo_matrix((np.ones(len(walls)), (ends[:, 0], ends[:, 1])), shape=(nn, nn))
-    component = connected_components(graph, directed=False)[1][ends[:, 0]]
+    # min-label propagation: every node takes the smallest label among its
+    # wall neighbours, then its label's label, until no label changes;
+    # each component ends labelled by its smallest node id
+    label = np.arange(nn)
+    while True:
+        before = label.copy()
+        np.minimum.at(label, ends.ravel(), np.repeat(label[ends].min(axis=1), 2))
+        label = label[label]
+        if np.array_equal(label, before):
+            break
+    component = label[ends[:, 0]]
     closed = np.bincount(ends.ravel(), minlength=nn)[ends] == 2
     area2 = mesh.facet_lengths[walls] * np.einsum(
         "fd,fd->f", mesh.facet_normals[walls], mesh.facet_midpoints[walls])

@@ -434,6 +434,14 @@ def test_out_of_range_values_name_the_file(tmp_path, capsys, text, message):
             in capsys.readouterr().err)
 
 
+def test_hole_clearance_reaching_a_box_corner_names_the_file(tmp_path, capsys):
+    cfg = _write(tmp_path, "c.ini", "[problem]\npreset = moving_bump\n[mesh]\nkind = rect_hole\n"
+                 "center = 0.5, 0.5\nradius = 0.34\ntarget_h = 0.5\n")
+    assert main(["run", "--config", cfg, "--out", str(tmp_path)]) == 1
+    assert (f"swehdg: {cfg}: the hole's clearance 0.715 (radius + 0.75 h) reaches the box "
+            "corner (0, 0)" in capsys.readouterr().err)
+
+
 def test_choices_ignore_case(tmp_path):
     # a mesh file, paired in both directions, with the standing wave
     mesh_file = tmp_path / "square.msh"

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from numpy.polynomial.legendre import leggauss
+from scipy.special import roots_jacobi, roots_legendre
 
 from swehdg.fespace import (
     MAX_K,
@@ -12,6 +14,7 @@ from swehdg.fespace import (
     TangentialTraceSpace,
     TraceSpace,
     VectorSpace,
+    _gauss_jacobi_10,
     quadrature,
 )
 from swehdg.mesh import generate_rect_with_hole, generate_uniform_square, pair_periodic
@@ -46,7 +49,23 @@ def test_quadrature_basics():
         quadrature("cube", 2)
 
 
-@pytest.mark.parametrize("degree", [0, 1, 2, 3, 5, 7, 9, 11])
+@pytest.mark.parametrize("n", range(1, 22))
+def test_gauss_rules_match_scipy_and_are_exact(n):
+    # the rules of every degree quadrature() builds (n = 1..21 points), with
+    # scipy.special as the oracle; each is exact on [-1, 1] up to degree 2n - 1
+    def moment(j):              # of x^j over [-1, 1]
+        return (1 - (-1) ** (j + 1)) / (j + 1)
+
+    for (x, w), (x_ref, w_ref), exact in (
+            (leggauss(n), roots_legendre(n), moment),
+            (_gauss_jacobi_10(n), roots_jacobi(n, 1.0, 0.0), lambda j: moment(j) - moment(j + 1))):
+        assert np.max(np.abs(x - x_ref)) <= 1e-14
+        assert np.max(np.abs(w - w_ref)) <= 1e-14
+        for j in range(2 * n):
+            assert np.dot(w, x ** j) == pytest.approx(exact(j), abs=1e-14)
+
+
+@pytest.mark.parametrize("degree", range(0, 41))
 def test_triangle_quadrature_monomial_exactness(degree):
     rule = quadrature("triangle", degree)
     x, y = rule.points[:, 0], rule.points[:, 1]

@@ -1,9 +1,15 @@
 """Mesh construction, connectivity, periodic pairing, text format."""
 
+import math
 import re
+import types
+from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import connected_components
+from scipy.spatial import Delaunay
 
 from swehdg.mesh import (
     Mesh,
@@ -144,6 +150,133 @@ def test_rect_with_hole_geometry():
 def test_hole_must_be_inside():
     with pytest.raises(ValueError):
         generate_rect_with_hole((-1.0, 1.0, -1.0, 1.0), (0.9, 0.0), 0.5, 0.2)
+
+
+def test_hole_clearance_reaching_a_box_corner_is_refused():
+    # clearance 0.34 + 0.75 * 0.5 = 0.715 clears all four corners (0.707 away)
+    with pytest.raises(ValueError, match=re.escape(
+            "the hole's clearance 0.715 (radius + 0.75 h) reaches the box corner (0, 0)")):
+        generate_rect_with_hole((0.0, 1.0, 0.0, 1.0), (0.5, 0.5), 0.34, 0.5)
+
+
+def _bump_centres():
+    # the hole centres of the benchmark's bump_midpoint workload, seeds 1-10;
+    # its module is executed from source, so no bytecode is written beside it
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    module = types.ModuleType("perfbench_workloads")
+    module.__file__ = str(path)
+    exec(compile(path.read_text(), str(path), "exec"), module.__dict__)
+    bump = module.WORKLOADS["bump_midpoint"]
+    return [bump.centre(seed) for seed in range(1, 11)]
+
+
+# every holed mesh the tests build, and two more, as (bounds, centre,
+# radius, target_h); the first is also configs/moving_bump.ini's
+HOLED = ([pytest.param((-10.0, 10.0, -10.0, 10.0), (3.0, 0.0), 1.0, h, id=f"box20-h{h}")
+          for h in (0.5, 1.0, 1.4, 2.0)]
+         + [pytest.param((0.0, 3.0, 0.0, 3.0), (1.5, 1.5), 0.6, 1.2, id="box3-corners-only"),
+            pytest.param((-2.0, 2.0, -2.0, 2.0), (0.0, 0.0), 0.5, 0.5, id="box4-h0.5"),
+            pytest.param((-2.0, 2.0, -2.0, 2.0), (0.5, 0.0), 0.5, 0.4, id="box4-off-centre"),
+            pytest.param((-2.0, 2.0, -2.0, 2.0), (0.0, 0.0), 0.5, 0.4, id="box4-h0.4"),
+            # holes where a zip in plain angle order makes an inverted triangle
+            pytest.param((-2.0, 2.0, -2.0, 2.0), (-0.42, 0.04), 0.78, 0.51, id="zip-turn"),
+            pytest.param((-2.0, 2.0, -2.0, 2.0), (-1.25, 0.57), 0.58, 0.58, id="zip-turn-side")]
+         + [pytest.param((-10.0, 10.0, -10.0, 10.0), centre, 1.0, 1.0, id=f"bump-seed{seed}")
+            for seed, centre in enumerate(_bump_centres(), start=1)])
+
+
+def _qhull_elements(nodes, ring):
+    """The triangles a Delaunay triangulation of ``nodes`` keeps outside the
+    convex ccw polygon ``ring``, by their centroids."""
+    cells = Delaunay(nodes).simplices
+    rel = nodes[cells].mean(axis=1)[:, None, :] - ring[None]
+    edge = np.roll(ring, -1, axis=0) - ring
+    inside = np.all(edge[None, :, 0] * rel[:, :, 1] - edge[None, :, 1] * rel[:, :, 0] > 0.0,
+                    axis=1)
+    return cells[~inside]
+
+
+def _incircle(a, b, c, d):
+    """Positive when d lies inside the circle through the ccw triangle abc
+    (arrays of points, one per row), with the scale of the determinant."""
+    rows = [p - d for p in (a, b, c)]
+    lift = [np.einsum("id,id->i", r, r) for r in rows]
+    det = sum(lift[i] * (rows[(i + 1) % 3][:, 0] * rows[(i + 2) % 3][:, 1]
+                         - rows[(i + 1) % 3][:, 1] * rows[(i + 2) % 3][:, 0]) for i in range(3))
+    return det, sum(lift) ** 2
+
+
+@pytest.mark.parametrize("bounds,centre,radius,target_h", HOLED)
+def test_rect_with_hole_triangulation(bounds, centre, radius, target_h):
+    mesh = generate_rect_with_hole(bounds, centre, radius, target_h)
+    xmin, xmax, ymin, ymax = bounds
+    m = max(8, math.ceil(2.0 * math.pi * radius / target_h))
+    ring = mesh.nodes[-m:]
+    assert mesh.num_elements == len(_qhull_elements(mesh.nodes, ring))
+    assert np.all(mesh.element_areas > 0.0)
+    assert mesh.num_nodes - mesh.num_facets + mesh.num_elements == 0       # one hole
+    polygon = 0.5 * m * radius ** 2 * math.sin(2.0 * math.pi / m)
+    assert mesh.element_areas.sum() == pytest.approx(
+        (xmax - xmin) * (ymax - ymin) - polygon, rel=1e-12)
+
+    # every cell whose four corners are nodes is split as in generate_uniform_rect
+    nx, ny = max(1, round((xmax - xmin) / target_h)), max(1, round((ymax - ymin) / target_h))
+    at = np.rint((mesh.nodes[:-m] - [xmin, ymin]) / [(xmax - xmin) / nx, (ymax - ymin) / ny])
+    node_of = {(int(i), int(j)): n for n, (i, j) in enumerate(at)}
+    elements = {frozenset(e) for e in mesh.elements.tolist()}
+    full = set()
+    for i in range(nx):
+        for j in range(ny):
+            corners = [node_of.get(c) for c in ((i, j), (i + 1, j), (i, j + 1), (i + 1, j + 1))]
+            if None not in corners:
+                v00, v10, v01, v11 = corners
+                halves = {frozenset((v00, v10, v11)), frozenset((v00, v11, v01))}
+                assert halves <= elements, f"cell ({i}, {j})"
+                full |= halves
+    band = np.array([e for e in mesh.elements.tolist() if frozenset(e) not in full])
+    assert len(band) == mesh.num_elements - len(full)
+
+    # every edge two band triangles share is locally Delaunay: the vertex
+    # across it is not inside the other triangle's circumcircle
+    opposite = {}
+    for a, b, c in band:
+        for u, v, w in ((a, b, c), (b, c, a), (c, a, b)):
+            opposite[u, v] = w
+    shared = [(u, v, w, opposite[v, u]) for (u, v), w in opposite.items() if (v, u) in opposite]
+    assert shared
+    a, b, c, d = (mesh.nodes[list(col)] for col in zip(*shared))
+    det, scale = _incircle(a, b, c, d)
+    assert np.all(det <= 1e-10 * scale)
+
+
+def _hole_boundaries_by_csgraph(mesh):
+    """hole_boundaries with scipy's connected_components as the grouping."""
+    walls = np.flatnonzero((mesh.facet_right < 0) & (mesh.facet_pair < 0))
+    ends = mesh.facet_nodes[walls]
+    nn = mesh.num_nodes
+    graph = coo_matrix((np.ones(len(walls)), (ends[:, 0], ends[:, 1])), shape=(nn, nn))
+    component = connected_components(graph, directed=False)[1][ends[:, 0]]
+    closed = np.bincount(ends.ravel(), minlength=nn)[ends] == 2
+    area2 = mesh.facet_lengths[walls] * np.einsum(
+        "fd,fd->f", mesh.facet_normals[walls], mesh.facet_midpoints[walls])
+    return [walls[component == c] for c in np.unique(component)
+            if closed[component == c].all() and area2[component == c].sum() < 0.0]
+
+
+def test_hole_boundaries_group_walls_as_connected_components():
+    # two square holes (cells (1, 1) and (4, 1) of a 6 x 3 grid) besides the
+    # generated meshes; the holes come out by their smallest node id
+    grid = generate_uniform_rect(6, 3)
+    cut = np.isin(np.arange(grid.num_elements) % 18, [7, 10])
+    two = Mesh(grid.nodes, grid.elements[~cut])
+    meshes = [generate_uniform_square(2), two,
+              generate_rect_with_hole((-2.0, 2.0, -2.0, 2.0), (0.5, 0.0), 0.5, 0.4),
+              generate_rect_with_hole((0.0, 3.0, 0.0, 3.0), (1.5, 1.5), 0.6, 1.2)]
+    assert len(hole_boundaries(two)) == 2
+    for mesh in meshes:
+        for paired in (mesh, *(pair_periodic(mesh, d) for d in ("x", "y", "both"))):
+            got, expected = hole_boundaries(paired), _hole_boundaries_by_csgraph(paired)
+            assert [h.tolist() for h in got] == [h.tolist() for h in expected]
 
 
 def test_hole_boundaries_skip_the_outer_boundary_and_open_chains():
