@@ -66,14 +66,13 @@ class SystemMatrices:
     element blocks below:
 
     - ``div_pair``     (vector x scalar): (phi_i, div z_k) over elements
-    - ``flux_pair``    (vector x trace): <eta_m, z_k . n> over element boundaries
     - ``stab_local``   (scalar x scalar): <tau phi_j, phi_i> over element boundaries
     - ``stab_mixed``   (scalar x trace): <tau eta_m, phi_i>
     - ``stab_trace``   (trace x trace): <tau eta_n, eta_m>
     - ``coriolis``     (vector x vector): (f z_l-perp, z_k), antisymmetric
 
     :func:`assemble_all` scatters ``stab_trace``, which the init solve
-    reads.  The other five are scattered at their first read and kept
+    reads.  The other four are scattered at their first read and kept
     from then on (each is an attribute of the instance once built), so
     a run holds only the pairings it reads: the init solve reads none of
     them, and a convergence sweep never reads ``stab_local`` or
@@ -82,10 +81,14 @@ class SystemMatrices:
     The batched arrays keep the per-element facet tensors and local
     masses, and the properties rebuild from them the element blocks of
     every sparse coupling, so solvers can build element-local Schur
-    complements without touching the global sparse structure.  Element
-    blocks against the trace take their columns in the order of
-    ``trace_cols``: the k+1 trace dofs of each of the element's three
-    facets, facet by facet.
+    complements without touching the global sparse structure.  The flux
+    pairing F, <eta_m, z_k . n> over element boundaries (vector x
+    trace), is read only through its element blocks ``flux_blocks``, so
+    it is never scattered.  Element blocks against the trace take their
+    columns in the order of ``trace_cols``: the k+1 trace dofs of each
+    of the element's three facets, facet by facet, and element blocks
+    over the flux or velocity take their rows in the order of
+    ``vector_rows``.
     """
 
     stab_local_blocks: np.ndarray      # (ne, m, m), tau included
@@ -112,13 +115,8 @@ class SystemMatrices:
 
     @cached_property
     def div_pair(self):
-        return _pairing(self.div_blocks, self._vector_rows, self.wdofs,
+        return _pairing(self.div_blocks, self.vector_rows, self.wdofs,
                         (self.vdofs.size, self.wdofs.size))
-
-    @cached_property
-    def flux_pair(self):
-        return _pairing(self.flux_blocks, self._vector_rows, self.trace_cols,
-                        (self.vdofs.size, self.stab_trace.shape[0]))
 
     @cached_property
     def stab_local(self):
@@ -132,11 +130,12 @@ class SystemMatrices:
 
     @cached_property
     def coriolis(self):
-        return _pairing(self.coriolis_blocks, self._vector_rows, self._vector_rows,
+        return _pairing(self.coriolis_blocks, self.vector_rows, self.vector_rows,
                         (self.vdofs.size, self.vdofs.size))
 
     @property
-    def _vector_rows(self):
+    def vector_rows(self):
+        """(ne, 2m) flux or velocity dofs of each element, x block first."""
         return self.vdofs.reshape(self.wdofs.shape[0], -1)
 
     @property
@@ -151,7 +150,8 @@ class SystemMatrices:
 
     @property
     def flux_blocks(self):
-        """(ne, 2m, 3(k+1)) element blocks of ``flux_pair``."""
+        """(ne, 2m, 3(k+1)) element blocks of the flux pairing F,
+        <eta_m, z_k . n> over the element boundary."""
         return _element_columns(_flux_facet_blocks(self.normals_signed, self.facet_tensor))
 
     @property
@@ -349,4 +349,4 @@ def assemble_bathymetry_load(spaces, grad, phi):
     """Load vector (phi grad b, z_k) of a bathymetry profile b(x, y),
     from its gradient ``grad(x, y) -> (db/dx, db/dy)``.  Returns a dense
     vector over the vector-space dofs."""
-    return phi * spaces.vector.project(grad).coeffs
+    return phi * spaces.vector.project(grad)

@@ -198,9 +198,9 @@ def init_errors(sol, norms):
     """L2 errors of the stationary init fields (rotation, flux, height)
     against the closed forms at time 0; the exact rotation is zero."""
     s_phi, _, s_w = norms.factors(0.0)
-    return {"sigma": norms.error(sol.sigma.coeffs, "height", 0.0),
-            "w": norms.error(sol.w.coeffs, "flow", s_w),
-            "phi": norms.error(sol.phi.coeffs, "height", s_phi)}
+    return {"sigma": norms.error(sol.sigma, "height", 0.0),
+            "w": norms.error(sol.w, "flow", s_w),
+            "phi": norms.error(sol.phi, "height", s_phi)}
 
 
 def eoc(errors, hs):

@@ -41,7 +41,6 @@ from scipy import sparse
 from scipy.sparse.linalg import splu
 
 from .assembly import _block_rows, _blocked, _element_columns, _held, _pairing, assemble_all
-from .fespace import GridFunction, TangentialTraceSpace
 from .mesh import hole_boundaries
 
 log = logging.getLogger(__name__)
@@ -272,7 +271,8 @@ class PhiRecovery:
 
     The height data of the recovery is linear in the flux w: -D_e^T w_e
     in the local rows of element e and F_e^T w_e in its trace rows, with
-    D = div_pair, F = flux_pair and A the local blocks I + S_l.  One
+    D = div_pair, F_e the element blocks of the flux pairing
+    (``flux_blocks``) and A the local blocks I + S_l.  One
     composition onto the height (the ``compose`` maps of
     :func:`condense`) gives the trace data G and the height map
     p = Pw w + Pt p_hat of :meth:`recover`,
@@ -350,7 +350,7 @@ class PhiRecovery:
         try:
             self._trace_matrix, (self._G, self._Pw, self._Pt) = condense(
                 blocks, mats.stab_trace, mats.trace_cols,
-                compose=(maps, mats.vdofs.reshape(len(mats.wdofs), -1), mats.wdofs,
+                compose=(maps, mats.vector_rows, mats.wdofs,
                          (mats.wdofs.size, mats.vdofs.size)))
         except RuntimeError as err:
             raise RuntimeError(f"recovery factorization failed: {err}") from None
@@ -376,7 +376,7 @@ class PhiRecovery:
         self.factor()
         if self._wave is None:
             mats, G = self._mats, self._G
-            rows = mats.vdofs.reshape(len(mats.wdofs), -1)
+            rows = mats.vector_rows
             self._wave = (G.T.asformat(G.format),
                           _blocked(-(mats.div_pair @ self._Pw), rows, rows))
         return self._wave
@@ -430,21 +430,22 @@ class PhiRecovery:
 
 @dataclass
 class InitSolution:
-    """Fields of the stationary init solve, plus solver bookkeeping."""
-    sigma: GridFunction
-    w: GridFunction
-    phi: GridFunction
-    phi_hat: GridFunction
-    w_tangent: GridFunction
+    """Coefficients of the stationary init solve, plus solver bookkeeping:
+    rotation, flux, height, height trace and tangential flux trace."""
+    sigma: np.ndarray
+    w: np.ndarray
+    phi: np.ndarray
+    phi_hat: np.ndarray
+    w_tangent: np.ndarray
     residual: float
     multipliers: np.ndarray
 
 
 @dataclass
 class InitState:
-    """Initial data for time stepping: velocity and flux coefficients."""
-    u: GridFunction
-    w: GridFunction
+    """Initial data for time stepping: the velocity coefficients, and the
+    init solve whose flux ``init.w`` is the initial flux."""
+    u: np.ndarray
     init: InitSolution
 
 
@@ -524,15 +525,19 @@ def _solve_once(element_blocks, trace, cols, f, g):
     return x, t, float(residual)
 
 
-def _tangent_signs(mats, tangential):
+def _tangent_signs(mats):
     """(nperp, tdot) per element edge: the outward normal rotated by -90
-    degrees, and its dot product with the stored facet tangent."""
+    degrees, and its dot product with the unit tangent of the facet that
+    owns the edge's trace dofs (a periodic slave's master).  The
+    tangential flux trace psi_hat is a scalar per owned facet times that
+    tangent, so it has no normal component and is single valued."""
     nk = mats.normals_signed
     nperp = np.stack([nk[..., 1], -nk[..., 0]], axis=-1)     # outward n rotated by -90
-    return nperp, np.einsum("efd,efd->ef", tangential.tangent[mats.mesh.element_facets], nperp)
+    owner = mats.spaces.trace.owner[mats.mesh.element_facets]
+    return nperp, np.einsum("efd,efd->ef", mats.mesh.facet_tangents[owner], nperp)
 
 
-def _init_blocks(mats, tangential, alpha, gauge=None):
+def _init_blocks(mats, alpha, gauge=None):
     """Element blocks (local, from_trace) of the init system, built from
     the shared facet tensors: the local blocks A_e over (sigma_e, phi_e,
     w_e) and the couplings B_e = C_e^T of each element to the (phi_hat,
@@ -548,7 +553,7 @@ def _init_blocks(mats, tangential, alpha, gauge=None):
                            -mats.vol_dx.transpose(0, 2, 1)], axis=1)
     div = mats.div_blocks
 
-    nperp, tdot = _tangent_signs(mats, tangential)
+    nperp, tdot = _tangent_signs(mats)
     wt = mats.facet_tensor
     tang_pair = _element_columns(tdot[..., None, None] * wt)
     tang_flux = _element_columns(tdot[..., None, None] * np.concatenate(
@@ -580,7 +585,7 @@ def _init_blocks(mats, tangential, alpha, gauge=None):
     return local, from_trace
 
 
-def _init_trace(mats, tangential, alpha):
+def _init_trace(mats, alpha):
     """Trace block and columns (trace, cols) of the init system: the block
     diag(-S_t, Z / alpha) over (phi_hat, psi_hat), with Z the tangential
     boundary penalty of the flux trace, and the (phi_hat, psi_hat) dofs
@@ -589,7 +594,7 @@ def _init_trace(mats, tangential, alpha):
     nm = mats.stab_trace.shape[0]
     md = mats.mdofs.shape[1]
     cols_m = mats.mdofs[mats.mesh.element_facets].reshape(3 * ne, md)
-    tdot = _tangent_signs(mats, tangential)[1]
+    tdot = _tangent_signs(mats)[1]
     tang_pen = _pairing(((tdot ** 2)[..., None, None] * mats.facet_trace_mass)
                         .reshape(3 * ne, md, md), cols_m, cols_m, (nm, nm))
     trace = sparse.block_diag([-mats.stab_trace, (1.0 / alpha) * tang_pen], format="csr")
@@ -668,14 +673,11 @@ def solve_vector_laplacian(mesh, spaces, f, params, matrices=None):
     max(1, |rhs|).  A singular local block or trace system raises
     RuntimeError("init solve factorization failed: ...").
     """
-    if spaces.tangential is None:
-        spaces.tangential = TangentialTraceSpace(mesh, spaces.k)
     mats = matrices if matrices is not None else assemble_all(mesh, spaces, params)
 
-    sc, tr, tg = spaces.scalar, spaces.trace, spaces.tangential
     ne, m = mats.wdofs.shape
-    nm = tr.ndof
-    trace, tcols = _init_trace(mats, tg, params.alpha)
+    nm = spaces.trace.ndof
+    trace, tcols = _init_trace(mats, params.alpha)
     n_trace = trace.shape[0]
 
     gauge_local, gauge_trace = _gauge_constraints(mesh, spaces)
@@ -683,10 +685,10 @@ def solve_vector_laplacian(mesh, spaces, f, params, matrices=None):
     tcols = np.concatenate([tcols, np.broadcast_to(n_trace + np.arange(r), (ne, r))], axis=1)
     trace = sparse.bmat([[trace, gauge_trace], [gauge_trace.T, None]], format="csr")
     rhs = np.zeros((ne, 4 * m))
-    rhs[:, 2 * m:] = spaces.vector.project(f).coeffs.reshape(ne, 2 * m)
+    rhs[:, 2 * m:] = spaces.vector.project(f).reshape(ne, 2 * m)
 
     def element_blocks():
-        local, from_trace = _init_blocks(mats, tg, params.alpha, gauge_local)
+        local, from_trace = _init_blocks(mats, params.alpha, gauge_local)
         return local, from_trace, from_trace.transpose(0, 2, 1)
 
     try:
@@ -700,11 +702,11 @@ def solve_vector_laplacian(mesh, spaces, f, params, matrices=None):
                  "of the data", np.abs(lam).max())
 
     return InitSolution(
-        sigma=GridFunction(sc, xe[:, :m].reshape(-1)),
-        phi=GridFunction(sc, xe[:, m:2 * m].reshape(-1)),
-        w=GridFunction(spaces.vector, xe[:, 2 * m:].reshape(-1)),
-        phi_hat=GridFunction(tr, t[:nm]),
-        w_tangent=GridFunction(tg, t[nm:n_trace]),
+        sigma=xe[:, :m].reshape(-1),
+        phi=xe[:, m:2 * m].reshape(-1),
+        w=xe[:, 2 * m:].reshape(-1),
+        phi_hat=t[:nm],
+        w_tangent=t[nm:n_trace],
         residual=residual,
         multipliers=lam,
     )
@@ -726,5 +728,5 @@ def initialize_state(mesh, spaces, phi0, u0, params, grad_phi0=None, matrices=No
             return np.zeros_like(x, dtype=float), np.zeros_like(y, dtype=float)
 
     sol = solve_vector_laplacian(mesh, spaces, grad_phi0, params, matrices=matrices)
-    u = spaces.vector.project(u0) if u0 is not None else GridFunction(spaces.vector)
-    return InitState(u=u, w=sol.w, init=sol)
+    u = spaces.vector.project(u0) if u0 is not None else np.zeros(spaces.vector.ndof)
+    return InitState(u=u, init=sol)

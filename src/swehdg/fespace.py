@@ -4,7 +4,8 @@ Volume spaces are spanned by scaled monomials orthonormalized on each
 physical element, so element mass matrices are the identity and the
 semidiscrete system needs no mass solves.  Facet spaces carry an
 orthonormal Legendre basis per facet; periodic slave facets alias the
-dofs of their master and evaluate through the stored translation.
+dofs of their master and evaluate through the stored translation.  A
+field is its coefficient vector, a plain array over the space's dofs.
 """
 
 import math
@@ -163,11 +164,11 @@ class ScalarSpace:
         return np.einsum("eij,eqj->eqi", self.coeff[elems], mono)
 
     def project(self, func):
-        """L2 projection of ``func(x, y)``; exact for degree <= k data."""
+        """Coefficients of the L2 projection of ``func(x, y)``; exact for
+        degree <= k data."""
         vals = func(self.qpoints[..., 0], self.qpoints[..., 1])
         vals = np.broadcast_to(vals, self.qweights.shape)
-        coeffs = np.einsum("eq,eq,eqi->ei", vals, self.qweights, self.tab)
-        return GridFunction(self, coeffs.ravel())
+        return np.einsum("eq,eq,eqi->ei", vals, self.qweights, self.tab).ravel()
 
 
 class VectorSpace:
@@ -185,14 +186,15 @@ class VectorSpace:
         self.ndof = 2 * scalar.ndof
 
     def project(self, func):
-        """L2 projection of a vector field given as func(x, y) -> (z1, z2)."""
+        """Coefficients of the L2 projection of a vector field given as
+        func(x, y) -> (z1, z2)."""
         s = self.scalar
         z1, z2 = func(s.qpoints[..., 0], s.qpoints[..., 1])
         coeffs = np.stack([
             np.einsum("eq,eq,eqi->ei", np.broadcast_to(z1, s.qweights.shape), s.qweights, s.tab),
             np.einsum("eq,eq,eqi->ei", np.broadcast_to(z2, s.qweights.shape), s.qweights, s.tab),
         ], axis=1)
-        return GridFunction(self, coeffs.ravel())
+        return coeffs.ravel()
 
 
 class TraceSpace:
@@ -243,40 +245,12 @@ class TraceSpace:
         return vander * scale[:, None, :]
 
 
-class TangentialTraceSpace(TraceSpace):
-    """Facet vector fields parallel to the facet tangent.
-
-    Scalar coefficients per owned facet multiply the owner facet's unit
-    tangent, so members have zero normal component on every facet and a
-    single value (hence zero tangential jump) on interior facets by
-    construction.
-    """
-
-    def __init__(self, mesh, k):
-        super().__init__(mesh, k)
-        self.tangent = mesh.facet_tangents[self.owner]
-
-
-class GridFunction:
-    """Coefficient vector bound to a space."""
-
-    def __init__(self, space, coeffs=None):
-        self.space = space
-        if coeffs is None:
-            coeffs = np.zeros(space.ndof)
-        coeffs = np.asarray(coeffs, dtype=float)
-        if coeffs.shape != (space.ndof,):
-            raise ValueError("coefficient vector length does not match the space")
-        self.coeffs = coeffs
-
-
 @dataclass
 class SpaceSet:
     """The spaces of one discretization, all on the same mesh and degree."""
     scalar: ScalarSpace
     vector: VectorSpace
     trace: TraceSpace
-    tangential: TangentialTraceSpace = None
 
     @property
     def mesh(self):
@@ -287,13 +261,10 @@ class SpaceSet:
         return self.scalar.k
 
 
-def build_spaces(mesh, k, tangential=False):
+def build_spaces(mesh, k):
     """Scalar, vector, and trace spaces sharing one set of tabulations."""
     scalar = ScalarSpace(mesh, k)
-    spaces = SpaceSet(scalar, VectorSpace(scalar), TraceSpace(mesh, k))
-    if tangential:
-        spaces.tangential = TangentialTraceSpace(mesh, k)
-    return spaces
+    return SpaceSet(scalar, VectorSpace(scalar), TraceSpace(mesh, k))
 
 
 def _inv_lower(lower):

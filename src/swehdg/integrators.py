@@ -242,9 +242,10 @@ def uw_stage_blocks(matrices, phi, delta):
         D^T w + (I + S_l) p - S_m p_hat              = 0
         -F^T w - S_m^T p + S_t p_hat                 = 0
 
-    with D = div_pair, F = flux_pair, Cor = coriolis and the S blocks the
-    stabilization.  Substituting w = r_w + delta phi u leaves (u, p) as
-    the element-local unknowns, with the blocks
+    with D = div_pair, F the flux pairing of the element blocks
+    ``flux_blocks``, Cor = coriolis and the S blocks the stabilization.
+    Substituting w = r_w + delta phi u leaves (u, p) as the element-local
+    unknowns, with the blocks
 
         A_e = [[I - delta Cor_e, -delta D_e], [delta phi D_e^T, I + S_l,e]]
 
@@ -368,8 +369,7 @@ class SdirkIntegrator(DirkIntegrator):
     def __init__(self, system, tableau, dt):
         self.system = system
         m = system.matrices
-        ne = m.wdofs.shape[0]
-        vdofs = m.vdofs.reshape(ne, -1)
+        vdofs = m.vector_rows
         super().__init__(tableau, dt, m.stab_trace, m.trace_cols,
                          np.concatenate([vdofs, system.nv + vdofs], axis=1),
                          np.concatenate([np.zeros(system.nv), system.forcing]),

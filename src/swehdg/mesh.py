@@ -386,7 +386,8 @@ def _pair_axis(mesh, axis):
     if len(on_lo) != len(on_hi):
         raise ValueError(
             f"periodic pairing along {'xy'[axis]} failed: "
-            f"{len(on_lo)} facets on the low side, {len(on_hi)} on the high side")
+            f"{len(on_lo)} facets on the low side, {len(on_hi)} on the high side"
+            + _unmatched_node(mesh, on_lo, on_hi, other, tol))
 
     shift = np.zeros(2)
     shift[axis] = lo - hi        # carries slave (high side) points to the master
@@ -406,6 +407,21 @@ def _pair_axis(mesh, axis):
         mesh.periodic_x = True
     else:
         mesh.periodic_y = True
+
+
+def _unmatched_node(mesh, on_lo, on_hi, other, tol):
+    """'; the <side> side has no node at <coordinate>' for the lowest node
+    position along axis ``other`` that only one of the two sides has, or
+    '' when both sides have the same positions."""
+    lo, hi = (np.unique(mesh.nodes[mesh.facet_nodes[f], other]) for f in (on_lo, on_hi))
+    alone = []
+    for side, here, there in (("high", lo, hi), ("low", hi, lo)):
+        gap = np.abs(here[:, None] - there[None, :]).min(axis=1, initial=np.inf)
+        alone += [(value, side) for value in here[gap > tol][:1]]
+    if not alone:
+        return ""
+    value, side = min(alone)
+    return f"; the {side} side has no node at {'xy'[other]} = {value:.6g}"
 
 
 def hole_boundaries(mesh):

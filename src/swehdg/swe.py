@@ -216,22 +216,22 @@ def build_uw_system(spec):
     """Assemble the operators and initial state of the conserving scheme:
     the one builder of every flux run.  Its recovery builds nothing until
     read, so a sweep of init solves condenses no recovery."""
-    spaces = build_spaces(spec.mesh, spec.degree, tangential=True)
+    spaces = build_spaces(spec.mesh, spec.degree)
     matrices = assemble_all(spec.mesh, spaces, spec.params)
     state = initialize_state(spec.mesh, spaces, spec.phi0, spec.u0,
                              spec.params, grad_phi0=spec.grad_phi0,
                              matrices=matrices)
     # the init system holds the recovery equations at its flux, so its
     # height trace is the recovered trace of the initial flux
-    recovery = PhiRecovery(matrices, known=(state.w.coeffs, state.init.phi_hat.coeffs))
+    recovery = PhiRecovery(matrices, known=(state.init.w, state.init.phi_hat))
     bath = None
     forcing = None
     if spec.bathymetry is not None:
-        bath = spaces.scalar.project(spec.bathymetry).coeffs
+        bath = spaces.scalar.project(spec.bathymetry)
         forcing = hamiltonian_load(recovery, bath)
     system = SemidiscreteSystem(matrices=matrices, recovery=recovery,
                                 forcing=forcing)
-    y0 = np.concatenate([state.w.coeffs, state.u.coeffs])
+    y0 = np.concatenate([state.init.w, state.u])
     return UwRun(spec=spec, spaces=spaces, system=system, y0=y0,
                  init=state.init, bathymetry_coeffs=bath)
 
@@ -255,10 +255,8 @@ def build_phiu_system(spec, spaces=None, matrices=None):
         matrices = assemble_all(spec.mesh, spaces, spec.params)
     nw = spaces.scalar.ndof
     nv = spaces.vector.ndof
-    q0 = spaces.scalar.project(spec.phi0).coeffs if spec.phi0 is not None \
-        else np.zeros(nw)
-    u0 = spaces.vector.project(spec.u0).coeffs if spec.u0 is not None \
-        else np.zeros(nv)
+    q0 = spaces.scalar.project(spec.phi0) if spec.phi0 is not None else np.zeros(nw)
+    u0 = spaces.vector.project(spec.u0) if spec.u0 is not None else np.zeros(nv)
     forcing = np.zeros(nv)
     if spec.bathymetry is not None:
         if spec.grad_bathymetry is None:
@@ -279,8 +277,8 @@ def phiu_energy(run, y):
 
 def phiu_slope_blocks(matrices, phi):
     """Element blocks (Kx, Kt) of the height scheme's slope, its one
-    definition: with D = div_pair, F = flux_pair, Cor = coriolis and the
-    S blocks the stabilization,
+    definition: with D = div_pair, F the flux pairing of the element blocks
+    ``flux_blocks``, Cor = coriolis and the S blocks the stabilization,
 
         q' = -S_l q - phi D^T u + S_m q_hat,    u' = D q + Cor u - F q_hat,
 
@@ -342,9 +340,8 @@ class PhiuIntegrator(DirkIntegrator):
                     "on the negative real axis")
         self.run = run
         m = run.matrices
-        ne = m.wdofs.shape[0]
         nw = m.wdofs.size
-        rows = np.concatenate([m.wdofs, nw + m.vdofs.reshape(ne, -1)], axis=1)
+        rows = np.concatenate([m.wdofs, nw + m.vector_rows], axis=1)
         forcing = np.concatenate([np.zeros(nw), run.forcing])
         super().__init__(tableau, dt, -m.stab_trace, m.trace_cols, rows, forcing,
                          rows, forcing)

@@ -21,6 +21,7 @@ from functools import partial
 import numpy as np
 from scipy import sparse
 
+from swehdg.assembly import _pairing
 from swehdg.diagnostics import QuantityRecord, _energy_parts, _height_state
 from swehdg.elliptic import condense, factor_trace
 from swehdg.fespace import VectorSpace, element_quadrature
@@ -137,11 +138,11 @@ def locate(mesh, x, y):
     return int(hits[0])
 
 
-def _element_coeffs(gf, e):
-    if isinstance(gf.space, VectorSpace):
-        return vector_blocks(gf.space, gf.coeffs)[e]
-    m = gf.space.dim_local
-    return gf.coeffs[e * m:(e + 1) * m]
+def _element_coeffs(space, coeffs, e):
+    if isinstance(space, VectorSpace):
+        return vector_blocks(space, coeffs)[e]
+    m = space.dim_local
+    return coeffs[e * m:(e + 1) * m]
 
 
 def batch_grads(scalar, elems, pts):
@@ -154,38 +155,39 @@ def batch_grads(scalar, elems, pts):
     return gx, gy
 
 
-def point_value(gf, x, y):
-    """Field value at a point (scalar, or length-2 array)."""
-    e = locate(gf.space.mesh, x, y)
+def point_value(space, coeffs, x, y):
+    """Value of the field with ``coeffs`` in ``space`` at a point (scalar,
+    or length-2 array)."""
+    e = locate(space.mesh, x, y)
     pts = np.array([[[x, y]]])
-    if isinstance(gf.space, VectorSpace):
-        basis = gf.space.scalar.batch_values(np.array([e]), pts)[0, 0]
-        return _element_coeffs(gf, e) @ basis
-    basis = gf.space.batch_values(np.array([e]), pts)[0, 0]
-    return float(_element_coeffs(gf, e) @ basis)
+    if isinstance(space, VectorSpace):
+        basis = space.scalar.batch_values(np.array([e]), pts)[0, 0]
+        return _element_coeffs(space, coeffs, e) @ basis
+    basis = space.batch_values(np.array([e]), pts)[0, 0]
+    return float(_element_coeffs(space, coeffs, e) @ basis)
 
 
-def point_grad(gf, x, y):
+def point_grad(space, coeffs, x, y):
     """Gradient of a scalar field at a point."""
-    e = locate(gf.space.mesh, x, y)
-    gx, gy = batch_grads(gf.space, np.array([e]), np.array([[[x, y]]]))
-    c = _element_coeffs(gf, e)
+    e = locate(space.mesh, x, y)
+    gx, gy = batch_grads(space, np.array([e]), np.array([[[x, y]]]))
+    c = _element_coeffs(space, coeffs, e)
     return np.array([float(c @ gx[0, 0]), float(c @ gy[0, 0])])
 
 
-def point_div(gf, x, y):
+def point_div(space, coeffs, x, y):
     """Divergence of a vector field at a point."""
-    e = locate(gf.space.mesh, x, y)
-    gx, gy = batch_grads(gf.space.scalar, np.array([e]), np.array([[[x, y]]]))
-    c = _element_coeffs(gf, e)
+    e = locate(space.mesh, x, y)
+    gx, gy = batch_grads(space.scalar, np.array([e]), np.array([[[x, y]]]))
+    c = _element_coeffs(space, coeffs, e)
     return float(c[0] @ gx[0, 0] + c[1] @ gy[0, 0])
 
 
-def point_rot(gf, x, y):
+def point_rot(space, coeffs, x, y):
     """rot z = dz2/dx - dz1/dy of a vector field at a point."""
-    e = locate(gf.space.mesh, x, y)
-    gx, gy = batch_grads(gf.space.scalar, np.array([e]), np.array([[[x, y]]]))
-    c = _element_coeffs(gf, e)
+    e = locate(space.mesh, x, y)
+    gx, gy = batch_grads(space.scalar, np.array([e]), np.array([[[x, y]]]))
+    c = _element_coeffs(space, coeffs, e)
     return float(c[1] @ gx[0, 0] - c[0] @ gy[0, 0])
 
 
@@ -214,13 +216,21 @@ def trace_values(trace, coeffs, facets=None):
     return np.einsum("fqj,fj->fq", trace.tvals[facets], c)
 
 
-def tangential_vectors(tangential, coeffs, facets=None):
-    """Vector values of a tangential trace field at the facet quadrature
-    points, (nf, nq, 2)."""
+def tangential_vectors(trace, coeffs, facets=None):
+    """Vector values at the facet quadrature points, (nf, nq, 2), of the
+    tangential flux trace of the init solve: the trace field with
+    ``coeffs`` times the unit tangent of the facet owning its dofs."""
     if facets is None:
-        facets = np.arange(tangential.mesh.num_facets)
-    scal = trace_values(tangential, coeffs, facets)
-    return scal[..., None] * tangential.tangent[facets][:, None, :]
+        facets = np.arange(trace.mesh.num_facets)
+    scal = trace_values(trace, coeffs, facets)
+    return scal[..., None] * trace.mesh.facet_tangents[trace.owner[facets]][:, None, :]
+
+
+def flux_pairing(mats):
+    """The flux pairing F, <eta_m, z_k . n> over element boundaries
+    (vector x trace), scattered from its element blocks ``flux_blocks``."""
+    return _pairing(mats.flux_blocks, mats.vector_rows, mats.trace_cols,
+                    (mats.vdofs.size, mats.stab_trace.shape[0]))
 
 
 def periodic_pairs(mesh):
@@ -252,13 +262,12 @@ def _stage_layout(stepper):
     if isinstance(stepper, PhiuIntegrator):
         run = stepper.run
         m = run.matrices
-        ne, nq = m.wdofs.shape
         nw = m.wdofs.size
-        rows = np.concatenate([m.wdofs, nw + m.vdofs.reshape(ne, -1)], axis=1)
-        return rows, m.trace_cols, np.concatenate([np.zeros(nw), run.forcing]), nq
+        rows = np.concatenate([m.wdofs, nw + m.vector_rows], axis=1)
+        return rows, m.trace_cols, np.concatenate([np.zeros(nw), run.forcing]), m.wdofs.shape[1]
     system = stepper.system
     m = system.matrices
-    vdofs = m.vdofs.reshape(m.wdofs.shape[0], -1)
+    vdofs = m.vector_rows
     rows = np.concatenate([vdofs, system.nv + vdofs], axis=1)
     forcing = np.concatenate([np.zeros(system.nv), system.forcing])
     return rows, m.trace_cols, forcing, vdofs.shape[1]

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from swehdg.assembly import PhysicalParams, assemble_all
+from swehdg.assembly import PhysicalParams, _pairing, assemble_all
 from swehdg.cli import RunConfig, _convergence_task
 from swehdg.diagnostics import conserved_quantities, eoc
 from swehdg.elliptic import PhiRecovery, initialize_state
@@ -222,7 +222,9 @@ def _dense_wave_operator(mats):
     nw = stab_l.shape[0]
     block = np.block([[np.eye(nw) + stab_l, -stab_m],
                       [-stab_m.T, stab_t]])
-    pair = np.hstack([-mats.div_pair.toarray(), mats.flux_pair.toarray()])
+    flux = _pairing(mats.flux_blocks, mats.vector_rows, mats.trace_cols,
+                    (mats.vdofs.size, mats.stab_trace.shape[0]))
+    pair = np.hstack([-mats.div_pair.toarray(), flux.toarray()])
     return pair @ np.linalg.solve(block, pair.T)
 
 
@@ -291,21 +293,21 @@ def test_criterion_8_init_well_posedness():
     ]
     worst = 0.0
     for mesh, preset in cases:
-        spaces = build_spaces(mesh, 1, tangential=True)
+        spaces = build_spaces(mesh, 1)
         state = initialize_state(mesh, spaces, preset.phi0, preset.u0,
                                  preset.params, grad_phi0=preset.grad_phi0)
         worst = max(worst, state.init.residual)
 
     mesh = generate_uniform_square(2)
-    spaces = build_spaces(mesh, 1, tangential=True)
+    spaces = build_spaces(mesh, 1)
     zero = initialize_state(
         mesh, spaces, lambda x, y: np.zeros_like(x),
         lambda x, y: (np.zeros_like(x), np.zeros_like(x)),
         PhysicalParams(),
         grad_phi0=lambda x, y: (np.zeros_like(x), np.zeros_like(x)))
-    zero_norm = max(np.abs(zero.init.sigma.coeffs).max(),
-                    np.abs(zero.init.w.coeffs).max(),
-                    np.abs(zero.init.phi.coeffs).max())
+    zero_norm = max(np.abs(zero.init.sigma).max(),
+                    np.abs(zero.init.w).max(),
+                    np.abs(zero.init.phi).max())
     _verdict(8, "init solve well-posedness",
              worst <= 1e-10 and zero_norm <= 1e-12,
              f"worst residual {worst:.2e} over {len(cases)} meshes, "

@@ -22,10 +22,25 @@ from swehdg.elliptic import solve_vector_laplacian
 from swehdg.fespace import build_spaces
 from swehdg.mesh import Mesh, generate_rect_with_hole, generate_uniform_square, pair_periodic
 
-from helpers import div_values, dofs_of_facet, scalar_values, trace_values, vector_blocks
+from helpers import (
+    div_values,
+    dofs_of_facet,
+    flux_pairing,
+    scalar_values,
+    trace_values,
+    vector_blocks,
+)
 
 REF_TRI = Mesh([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]], [[0, 1, 2]])
-PAIRINGS_ON_READ = ("div_pair", "flux_pair", "stab_local", "stab_mixed", "coriolis")
+PAIRINGS_ON_READ = ("div_pair", "stab_local", "stab_mixed", "coriolis")
+
+
+def _pairings(mats):
+    """Every pairing of ``mats`` by name, with the flux pairing F scattered
+    from its element blocks as the tests build it."""
+    pairings = {name: getattr(mats, name) for name in PAIRINGS_ON_READ + ("stab_trace",)}
+    pairings["flux_pair"] = flux_pairing(mats)
+    return pairings
 
 
 def _assembled(mesh, k, **params):
@@ -58,9 +73,7 @@ def test_pairings_are_canonical_without_stored_zeros(k):
     # the same trace dofs, so the blocks overlap
     mats, _ = _assembled(pair_periodic(generate_uniform_square(1), "both"), k,
                          f0=0.3, beta=0.2)
-    for name in ("div_pair", "flux_pair", "stab_local", "stab_mixed", "stab_trace",
-                 "coriolis"):
-        mat = getattr(mats, name)
+    for name, mat in _pairings(mats).items():
         assert mat.format == "csr", name
         assert all(np.all(np.diff(mat.indices[a:b]) > 0)
                    for a, b in zip(mat.indptr[:-1], mat.indptr[1:])), name
@@ -72,16 +85,15 @@ def test_pairings_store_only_their_entries(k):
     # summing the duplicates of the trace mass halves its entries, and a
     # view of the unsummed arrays would be held for the whole run
     mats, _ = _assembled(generate_uniform_square(3), k, f0=0.3, beta=0.2)
-    for name in ("div_pair", "flux_pair", "stab_local", "stab_mixed", "stab_trace",
-                 "coriolis"):
-        mat = getattr(mats, name)
+    for name, mat in _pairings(mats).items():
         for array in (mat.data, mat.indices):
             assert array.base is None or array.base.size == mat.nnz, name
 
 
 def _eager_pairings(mats):
     """The five pairings as assemble_all once scattered them all, before
-    any was read: the oracle of those built at their first read."""
+    any was read: the oracle of those built at their first read, and of
+    the flux pairing F the tests scatter."""
     ne, m = mats.wdofs.shape
     nw, nv, nm = ne * m, 2 * ne * m, mats.stab_trace.shape[0]
     rows_v, cols = mats.vdofs.reshape(ne, 2 * m), mats.trace_cols
@@ -200,10 +212,11 @@ PAIRING_MESHES = {
 def test_pairings_built_on_read_equal_the_eager_scatter(k, kind):
     mats, _ = _assembled(PAIRING_MESHES[kind](), k, f0=0.3, beta=0.2)
     assert not set(PAIRINGS_ON_READ) & set(vars(mats))
-    eager = _eager_pairings(mats)
+    eager, built = _eager_pairings(mats), _pairings(mats)
     for name in PAIRINGS_ON_READ:
-        mat, expected = getattr(mats, name), eager[name]
-        assert getattr(mats, name) is mat, name
+        assert getattr(mats, name) is built[name], name
+    for name, expected in eager.items():
+        mat = built[name]
         assert mat.shape == expected.shape, name
         for part in ("data", "indices", "indptr"):
             assert np.array_equal(getattr(mat, part), getattr(expected, part)), (name, part)
@@ -211,7 +224,7 @@ def test_pairings_built_on_read_equal_the_eager_scatter(k, kind):
 
 def test_init_solve_builds_no_pairing_it_does_not_read():
     mesh = generate_uniform_square(2)
-    spaces = build_spaces(mesh, 2, tangential=True)
+    spaces = build_spaces(mesh, 2)
     params = PhysicalParams(f0=0.3, beta=0.2)
     mats = assemble_all(mesh, spaces, params)
     sol = solve_vector_laplacian(mesh, spaces, lambda x, y: (np.sin(x), np.cos(y)), params,
@@ -245,7 +258,7 @@ def test_flux_pair_reference_entry():
     bottom = next(f for f in range(mesh.num_facets)
                   if np.allclose(mesh.nodes[mesh.facet_nodes[f]][:, 1], 0.0))
     col = spaces.trace.owner_row[bottom]
-    flux = mats.flux_pair.toarray()
+    flux = flux_pairing(mats).toarray()
     assert flux[1, col] == pytest.approx(-np.sqrt(2.0), rel=1e-13)
     assert flux[0, col] == pytest.approx(0.0, abs=1e-14)
 
@@ -270,7 +283,7 @@ def test_flux_pair_adjoint_identity():
     rng = np.random.default_rng(1)
     z = rng.standard_normal(spaces.vector.ndof)
     eta = rng.standard_normal(tr.ndof)
-    lhs = z @ (mats.flux_pair @ eta)
+    lhs = z @ (flux_pairing(mats) @ eta)
     # recompute by summing facet quadrature element by element
     rhs = 0.0
     zc = vector_blocks(spaces.vector, z)

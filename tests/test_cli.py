@@ -442,6 +442,16 @@ def test_hole_clearance_reaching_a_box_corner_names_the_file(tmp_path, capsys):
             "corner (0, 0)" in capsys.readouterr().err)
 
 
+def test_hole_clearance_reaching_a_periodic_side_names_the_node(tmp_path, capsys):
+    cfg = _write(tmp_path, "c.ini", "[problem]\npreset = moving_bump\n[mesh]\nkind = rect_hole\n"
+                 "bounds = -2, 2, -2, 2\ncenter = 1.2, 0\nradius = 0.5\ntarget_h = 0.4\n"
+                 "periodic = both\n")
+    assert main(["run", "--config", cfg, "--out", str(tmp_path)]) == 1
+    assert (f"swehdg: {cfg}: periodic pairing along x failed: 10 facets on the low side, "
+            "9 on the high side; the high side has no node at y = 0"
+            in capsys.readouterr().err)
+
+
 def test_choices_ignore_case(tmp_path):
     # a mesh file, paired in both directions, with the standing wave
     mesh_file = tmp_path / "square.msh"

@@ -46,6 +46,7 @@ from swehdg.swe import (
 
 from helpers import (
     SUBSTEP_WEIGHTS,
+    flux_pairing,
     midpoint_composition,
     slope_form,
     slope_form_step,
@@ -99,9 +100,9 @@ def _monolithic_uw_stage(m, phi, delta):
     eye_w = sparse.identity(m.stab_local.shape[0], format="csr")
     return splu(sparse.bmat([
         [eye_v, -delta * phi * eye_v, None, None],
-        [None, eye_v - delta * m.coriolis, -delta * m.div_pair, delta * m.flux_pair],
+        [None, eye_v - delta * m.coriolis, -delta * m.div_pair, delta * flux_pairing(m)],
         [m.div_pair.T, None, eye_w + m.stab_local, -m.stab_mixed],
-        [-m.flux_pair.T, None, -m.stab_mixed.T, m.stab_trace],
+        [-flux_pairing(m).T, None, -m.stab_mixed.T, m.stab_trace],
     ], format="csc"))
 
 
@@ -111,8 +112,8 @@ def _monolithic_phiu_stage(m, phi, delta):
     eye_v = sparse.identity(nv, format="csr")
     return splu(sparse.bmat([
         [eye_w + delta * m.stab_local, delta * phi * m.div_pair.T, -delta * m.stab_mixed],
-        [-delta * m.div_pair, eye_v - delta * m.coriolis, delta * m.flux_pair],
-        [m.stab_mixed.T, phi * m.flux_pair.T, -m.stab_trace],
+        [-delta * m.div_pair, eye_v - delta * m.coriolis, delta * flux_pairing(m)],
+        [m.stab_mixed.T, phi * flux_pairing(m).T, -m.stab_trace],
     ], format="csc"))
 
 
@@ -128,7 +129,7 @@ def _oracle_uw_step(system, tab, dt, y):
                                      np.zeros(nw + nm)]))
         u, p, phat = x[nv:2 * nv], x[2 * nv:2 * nv + nw], x[2 * nv + nw:]
         slopes[i, :nv] = system.phi * u
-        slopes[i, nv:] = (m.div_pair @ p - m.flux_pair @ phat + m.coriolis @ u
+        slopes[i, nv:] = (m.div_pair @ p - flux_pairing(m) @ phat + m.coriolis @ u
                           + system.forcing)
     return y + dt * (tab.b @ slopes)
 
@@ -147,7 +148,7 @@ def _oracle_phiu_stages(run, tab, dt, y):
         q, u, qhat = x[:nw], x[nw:nw + nv], x[nw + nv:]
         stages.append((q, u, qhat))
         slopes[i, :nw] = -phi * (m.div_pair.T @ u) - m.stab_local @ q + m.stab_mixed @ qhat
-        slopes[i, nw:] = (m.div_pair @ q - m.flux_pair @ qhat + m.coriolis @ u
+        slopes[i, nw:] = (m.div_pair @ q - flux_pairing(m) @ qhat + m.coriolis @ u
                           + run.forcing)
     return y + dt * (tab.b @ slopes), stages
 
@@ -243,7 +244,7 @@ def _old_recover(mats, w):
     def local_solve(r):
         return np.einsum("eij,ej->ei", local_inv, r.reshape(ne, m)).reshape(-1)
 
-    r_local, r_trace = -(mats.div_pair.T @ w), mats.flux_pair.T @ w
+    r_local, r_trace = -(mats.div_pair.T @ w), flux_pairing(mats).T @ w
     phat = schur.solve(r_trace + mats.stab_mixed.T @ local_solve(r_local))
     return local_solve(r_local + mats.stab_mixed @ phat), phat
 
@@ -275,7 +276,7 @@ def test_one_pass_apply_matches_recovery(k, kind):
     rng = np.random.default_rng(400 + k)
     for w in rng.standard_normal((3, spaces.vector.ndof)):
         p, phat = rec.recover(w)
-        assert _rel(rec.apply(w), mats.flux_pair @ phat - mats.div_pair @ p) <= 1e-13
+        assert _rel(rec.apply(w), flux_pairing(mats) @ phat - mats.div_pair @ p) <= 1e-13
 
 
 def _row_blocks(blocks, cols, ncols):
@@ -293,12 +294,12 @@ def _hand_written_wave_operator(mats):
     mixed = mats.stab_mixed_blocks
     local_inv = np.linalg.inv(mats.stab_local_blocks + np.eye(mixed.shape[1]))
     nm = mats.stab_trace.shape[0]
-    div_t, flux_t = mats.div_pair.T.tocsr(), mats.flux_pair.T.tocsr()
+    div_t, flux_t = mats.div_pair.T.tocsr(), flux_pairing(mats).T.tocsr()
     lift = _row_blocks(local_inv @ -mixed, mats.trace_cols, nm)                    # A^-1 B
     restrict = _row_blocks((-mixed.transpose(0, 2, 1) @ local_inv).transpose(0, 2, 1),
                            mats.trace_cols, nm).T.tocsr()                          # C A^-1
     local_inv = _row_blocks(local_inv, mats.wdofs, mats.wdofs.size)
-    return (flux_t + restrict @ div_t, mats.flux_pair + mats.div_pair @ lift,
+    return (flux_t + restrict @ div_t, flux_pairing(mats) + mats.div_pair @ lift,
             mats.div_pair @ local_inv @ div_t)
 
 
@@ -430,7 +431,7 @@ def test_bathymetry_load_is_the_transposed_height_map(k, kind):
     nw = spaces.scalar.ndof
     saddle = sparse.bmat([[sparse.identity(nw) + mats.stab_local, -mats.stab_mixed],
                           [-mats.stab_mixed.T, mats.stab_trace]]).toarray()
-    data = sparse.vstack([-mats.div_pair.T, mats.flux_pair.T]).toarray()
+    data = sparse.vstack([-mats.div_pair.T, flux_pairing(mats).T]).toarray()
     height_map = np.linalg.solve(saddle, data)[:nw]
     rec = PhiRecovery(mats)
     rng = np.random.default_rng(500 + k)
@@ -537,10 +538,10 @@ def test_init_solve_holds_no_block_inverse_or_products():
     # takes), and 25% for the rest.  Holding A_e^-1, A^-1 B or C A^-1
     # beside them does not fit.  SuperLU's own factor is not traced.
     spec = make_problem("standing_wave", generate_uniform_square(4), 2)
-    spaces = build_spaces(spec.mesh, 2, tangential=True)
+    spaces = build_spaces(spec.mesh, 2)
     mats = assemble_all(spec.mesh, spaces, spec.params)
-    local, from_trace = _init_blocks(mats, spaces.tangential, spec.params.alpha)
-    trace, cols = _init_trace(mats, spaces.tangential, spec.params.alpha)
+    local, from_trace = _init_blocks(mats, spec.params.alpha)
+    trace, cols = _init_trace(mats, spec.params.alpha)
     ne, c = cols.shape
     pattern = abs(trace) + _block_rows(np.ones((ne, c, c)), cols, cols, trace.shape)
     pattern.sum_duplicates()
@@ -599,7 +600,7 @@ def _condensed_solve(kind):
     with its matrices assembled: the midpoint stage of the flux scheme,
     the recovery or the init solve."""
     spec = make_problem("standing_wave", generate_uniform_square(4), 2)
-    spaces = build_spaces(spec.mesh, 2, tangential=kind == "init")
+    spaces = build_spaces(spec.mesh, 2)
     mats = assemble_all(spec.mesh, spaces, spec.params)
     if kind == "stage":
         system = SemidiscreteSystem(matrices=mats, recovery=PhiRecovery(mats))
@@ -655,9 +656,9 @@ def test_init_blocks_die_before_the_factorization(monkeypatch):
     # blocks (local and coupling).  The blocks themselves do not fit
     # beside it: they are built again for the back-substitution.
     spec = make_problem("standing_wave", generate_uniform_square(4), 2)
-    spaces = build_spaces(spec.mesh, 2, tangential=True)
+    spaces = build_spaces(spec.mesh, 2)
     mats = assemble_all(spec.mesh, spaces, spec.params)
-    local, from_trace = _init_blocks(mats, spaces.tangential, spec.params.alpha)
+    local, from_trace = _init_blocks(mats, spec.params.alpha)
     block_bytes = local.nbytes + from_trace.nbytes
     del local, from_trace
     live, factored = [], []
@@ -690,7 +691,7 @@ def test_init_holds_only_what_it_reads_at_the_factorization(monkeypatch):
     # single-precision copy of its values, and 15% for the rest.  The
     # pairings the init does not read do not fit beside them.
     spec = make_problem("standing_wave", generate_uniform_square(4), 2)
-    spaces = build_spaces(spec.mesh, 2, tangential=True)
+    spaces = build_spaces(spec.mesh, 2)
     live, factored = [], []
     real = elliptic.splu
 
@@ -707,7 +708,7 @@ def test_init_holds_only_what_it_reads_at_the_factorization(monkeypatch):
                                      matrices=mats)
     finally:
         tracemalloc.stop()
-    trace = _init_trace(mats, spaces.tangential, spec.params.alpha)[0]
+    trace = _init_trace(mats, spec.params.alpha)[0]
     schur = factored[0]
     arrays = sum(v.nbytes for v in vars(mats).values() if isinstance(v, np.ndarray))
     bound = 1.15 * (arrays + _nbytes(mats.stab_trace) + _nbytes(trace)
@@ -731,7 +732,7 @@ def _init_trace_solve(kind, k, monkeypatch):
 
     monkeypatch.setattr(elliptic, "_refined_solve", capture)
     mesh = _mesh(kind)
-    spaces = build_spaces(mesh, k, tangential=True)
+    spaces = build_spaces(mesh, k)
     sol = solve_vector_laplacian(mesh, spaces, _init_data, PhysicalParams(**INIT_PARAMS))
     assert len(captured) == 1
     return sol, *captured[0]
@@ -867,7 +868,7 @@ def test_every_held_factor_is_on_the_trace():
 # the init solve as first written: the five-block system in (sigma, phi,
 # w, phi_hat, psi_hat) assembled whole, bordered, and factored by one LU
 
-def _monolithic_init_couplings(mats, tangential):
+def _monolithic_init_couplings(mats):
     mesh = mats.mesh
     sc, tr = mats.spaces.scalar, mats.spaces.trace
     ne, m, md = mesh.num_elements, sc.dim_local, tr.dim_local
@@ -880,7 +881,8 @@ def _monolithic_init_couplings(mats, tangential):
 
     nk = mats.normals_signed
     nperp = np.stack([nk[..., 1], -nk[..., 0]], axis=-1)
-    tdot = np.einsum("efd,efd->ef", tangential.tangent[ef], nperp)
+    # psi_hat multiplies the unit tangent of the facet owning its dofs
+    tdot = np.einsum("efd,efd->ef", mesh.facet_tangents[tr.owner[ef]], nperp)
 
     wt = mats.facet_tensor
     rows_w = np.broadcast_to(mats.wdofs[:, None, :], (ne, 3, m)).reshape(3 * ne, m)
@@ -934,14 +936,14 @@ def _monolithic_init(mesh, kind, spaces, f, params, mats):
     the monolithic bordered solve."""
     nw, nv, nm = spaces.scalar.ndof, spaces.vector.ndof, spaces.trace.ndof
     curl_pair, tang_pair, tang_flux, norm_pen, tang_pen = \
-        _monolithic_init_couplings(mats, spaces.tangential)
+        _monolithic_init_couplings(mats)
     ainv = 1.0 / params.alpha
     eye_w = sparse.identity(nw, format="csr")
     system = sparse.bmat([
         [-eye_w, None, curl_pair.T, None, -tang_pair],
         [None, -(mats.stab_local + eye_w), -mats.div_pair.T, mats.stab_mixed, None],
-        [curl_pair, -mats.div_pair, ainv * norm_pen, mats.flux_pair, -ainv * tang_flux],
-        [None, mats.stab_mixed.T, mats.flux_pair.T, -mats.stab_trace, None],
+        [curl_pair, -mats.div_pair, ainv * norm_pen, flux_pairing(mats), -ainv * tang_flux],
+        [None, mats.stab_mixed.T, flux_pairing(mats).T, -mats.stab_trace, None],
         [-tang_pair.T, None, -ainv * tang_flux.T, None, ainv * tang_pen],
     ], format="csr")
     total = 2 * nw + nv + 2 * nm
@@ -963,7 +965,7 @@ def _monolithic_init(mesh, kind, spaces, f, params, mats):
             w_mat = np.column_stack([d for d, _ in fixes] + [p for _, p in fixes])
             c_mat = np.kron(np.array([[0.0, 1.0], [1.0, 0.0]]), np.eye(r))
     rhs = np.zeros(system.shape[0])
-    rhs[2 * nw:2 * nw + nv] = spaces.vector.project(f).coeffs
+    rhs[2 * nw:2 * nw + nv] = spaces.vector.project(f)
     lu = splu(system.tocsc())
     x = lu.solve(rhs)
     if w_mat is not None:
@@ -991,13 +993,12 @@ INIT_KINDS = ["wall", "periodic", "holed", "holed-periodic"]
 @pytest.mark.parametrize("k", [0, 1, 2, 3])
 def test_init_solve_matches_monolithic_oracle(k, kind):
     mesh = _mesh(kind)
-    spaces = build_spaces(mesh, k, tangential=True)
+    spaces = build_spaces(mesh, k)
     params = PhysicalParams(**INIT_PARAMS)
     mats = assemble_all(mesh, spaces, params)
     sol = solve_vector_laplacian(mesh, spaces, _init_data, params, matrices=mats)
     ref, ref_residual = _monolithic_init(mesh, kind, spaces, _init_data, params, mats)
-    got = [sol.sigma.coeffs, sol.phi.coeffs, sol.w.coeffs, sol.phi_hat.coeffs,
-           sol.w_tangent.coeffs, sol.multipliers]
+    got = [sol.sigma, sol.phi, sol.w, sol.phi_hat, sol.w_tangent, sol.multipliers]
     expected_gauges = {"wall": 0, "periodic": 2, "holed": 1, "holed-periodic": 3}[kind]
     assert sol.multipliers.size == expected_gauges
     for field, expected in zip(got, ref):
@@ -1013,13 +1014,13 @@ def test_init_solve_pins_the_circulation_round_the_hole(k, kind):
     # the gauge removes the hole's harmonic field: the clockwise
     # circulation of psi_hat round the hole vanishes
     mesh = _mesh(kind)
-    spaces = build_spaces(mesh, k, tangential=True)
+    spaces = build_spaces(mesh, k)
     sol = solve_vector_laplacian(mesh, spaces, _init_data, PhysicalParams(**INIT_PARAMS))
     ring, signs = _hole_ring(mesh, kind)
-    tg = spaces.tangential
-    first = sol.w_tangent.coeffs.reshape(-1, tg.dim_local)[tg.owner_row[ring], 0]
+    tr = spaces.trace
+    first = sol.w_tangent.reshape(-1, tr.dim_local)[tr.owner_row[ring], 0]
     circulation = np.sum(signs * np.sqrt(mesh.facet_lengths[ring]) * first)
-    assert abs(circulation) <= 1e-12 * np.linalg.norm(sol.w_tangent.coeffs)
+    assert abs(circulation) <= 1e-12 * np.linalg.norm(sol.w_tangent)
 
 
 @pytest.mark.parametrize("kind", INIT_KINDS)
@@ -1028,10 +1029,10 @@ def test_init_local_blocks_invertible(k, kind):
     # (sigma, phi) part negative definite; the w Schur complement
     # N/alpha + curl curl^T + D (I + S_l)^-1 D^T positive definite
     mesh = _mesh(kind)
-    spaces = build_spaces(mesh, k, tangential=True)
+    spaces = build_spaces(mesh, k)
     params = PhysicalParams(**INIT_PARAMS)
     mats = assemble_all(mesh, spaces, params)
-    local = _init_blocks(mats, spaces.tangential, params.alpha)[0]
+    local = _init_blocks(mats, params.alpha)[0]
     m = spaces.scalar.dim_local
     assert np.abs(local - local.transpose(0, 2, 1)).max() == 0.0
     head, cross, tail = local[:, :2 * m, :2 * m], local[:, 2 * m:, :2 * m], local[:, 2 * m:, 2 * m:]
@@ -1070,7 +1071,7 @@ def test_schur_complements_equal_the_straight_scatter(k, kind, monkeypatch):
     monkeypatch.setattr(integrators, "condense", condensed)
     monkeypatch.setattr(elliptic, "_block_rows", scatter)
     mesh = _mesh(kind)
-    spaces = build_spaces(mesh, k, tangential=True)
+    spaces = build_spaces(mesh, k)
     params = PhysicalParams(**INIT_PARAMS)
     mats = assemble_all(mesh, spaces, params)
     solve_vector_laplacian(mesh, spaces, _init_data, params, matrices=mats)

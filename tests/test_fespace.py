@@ -9,9 +9,7 @@ from scipy.special import roots_jacobi, roots_legendre
 
 from swehdg.fespace import (
     MAX_K,
-    GridFunction,
     ScalarSpace,
-    TangentialTraceSpace,
     TraceSpace,
     VectorSpace,
     _gauss_jacobi_10,
@@ -117,19 +115,17 @@ def test_basis_spans_monomials():
     rng = np.random.default_rng(7)
     for a in range(k + 1):
         for b in range(k + 1 - a):
-            gf = sp.project(lambda x, y, a=a, b=b: x ** a * y ** b)
+            coeffs = sp.project(lambda x, y, a=a, b=b: x ** a * y ** b)
             pts = rng.random((20, 2))
             for x, y in pts:
-                assert point_value(gf, x, y) == pytest.approx(x ** a * y ** b, abs=1e-10)
+                assert point_value(sp, coeffs, x, y) == pytest.approx(x ** a * y ** b, abs=1e-10)
 
 
-def test_project_zero_and_mismatch():
+def test_project_zero():
     mesh = generate_uniform_square(1)
     sp = ScalarSpace(mesh, 2)
-    gf = sp.project(lambda x, y: 0.0 * x)
-    assert np.all(gf.coeffs == 0.0)
-    with pytest.raises(ValueError):
-        GridFunction(sp, np.zeros(sp.ndof + 1))
+    coeffs = sp.project(lambda x, y: 0.0 * x)
+    assert coeffs.shape == (sp.ndof,) and np.all(coeffs == 0.0)
 
 
 def test_projection_convergence_ratio():
@@ -138,9 +134,9 @@ def test_projection_convergence_ratio():
     for levels in (3, 4):
         mesh = generate_uniform_square(levels)
         sp = ScalarSpace(mesh, 3)
-        gf = sp.project(lambda x, y: np.cos(np.pi * x) * np.cos(np.pi * y))
+        coeffs = sp.project(lambda x, y: np.cos(np.pi * x) * np.cos(np.pi * y))
         exact = np.cos(np.pi * sp.qpoints[..., 0]) * np.cos(np.pi * sp.qpoints[..., 1])
-        diff = scalar_values(sp, gf.coeffs) - exact
+        diff = scalar_values(sp, coeffs) - exact
         errs.append(np.sqrt(np.sum(sp.qweights * diff ** 2)))
     ratio = errs[0] / errs[1]
     assert 14.0 <= ratio <= 18.0
@@ -149,31 +145,31 @@ def test_projection_convergence_ratio():
 def test_vector_projection_and_rot():
     mesh = generate_uniform_square(2)
     vec = VectorSpace(ScalarSpace(mesh, 2))
-    gf = vec.project(lambda x, y: (-0.5 * y, 0.5 * x))
+    coeffs = vec.project(lambda x, y: (-0.5 * y, 0.5 * x))
     rng = np.random.default_rng(3)
     for x, y in rng.random((5, 2)):
-        assert point_rot(gf, x, y) == pytest.approx(1.0, abs=1e-12)
-        assert point_div(gf, x, y) == pytest.approx(0.0, abs=1e-12)
-        assert np.allclose(point_value(gf, x, y), [-0.5 * y, 0.5 * x], atol=1e-12)
+        assert point_rot(vec, coeffs, x, y) == pytest.approx(1.0, abs=1e-12)
+        assert point_div(vec, coeffs, x, y) == pytest.approx(0.0, abs=1e-12)
+        assert np.allclose(point_value(vec, coeffs, x, y), [-0.5 * y, 0.5 * x], atol=1e-12)
     const = vec.project(lambda x, y: (1.0 + 0.0 * x, 2.0 + 0.0 * y))
-    assert point_rot(const, 0.3, 0.4) == pytest.approx(0.0, abs=1e-12)
+    assert point_rot(vec, const, 0.3, 0.4) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_eval_grad_matches_finite_differences():
     mesh = generate_uniform_square(2)
     sp = ScalarSpace(mesh, 3)
-    gf = sp.project(lambda x, y: np.sin(x) * np.cos(y) + x * y ** 2)
+    coeffs = sp.project(lambda x, y: np.sin(x) * np.cos(y) + x * y ** 2)
     rng = np.random.default_rng(11)
     eps = 1e-6
     for x, y in 0.25 + 0.5 * rng.random((10, 2)):
-        g = point_grad(gf, x, y)
+        g = point_grad(sp, coeffs, x, y)
         fd = np.array([
-            (point_value(gf, x + eps, y) - point_value(gf, x - eps, y)) / (2 * eps),
-            (point_value(gf, x, y + eps) - point_value(gf, x, y - eps)) / (2 * eps),
-        ])
+            point_value(sp, coeffs, x + eps, y) - point_value(sp, coeffs, x - eps, y),
+            point_value(sp, coeffs, x, y + eps) - point_value(sp, coeffs, x, y - eps),
+        ]) / (2 * eps)
         assert np.allclose(g, fd, atol=1e-5)
     gconst = sp.project(lambda x, y: 3.0 + 0.0 * x)
-    assert np.allclose(point_grad(gconst, 0.5, 0.5), 0.0, atol=1e-12)
+    assert np.allclose(point_grad(sp, gconst, 0.5, 0.5), 0.0, atol=1e-12)
 
 
 @pytest.mark.parametrize("k", [0, 1, 2, 3])
@@ -216,19 +212,22 @@ def test_periodic_trace_single_valued():
 
 
 def test_tangential_trace_normal_free():
+    # the init solve's tangential flux trace is a trace field times the
+    # unit tangent of the facet owning its dofs: a periodic slave takes
+    # its master's tangent, which is parallel to its own
     mesh = pair_periodic(generate_uniform_square(2), "x")
-    tg = TangentialTraceSpace(mesh, 2)
+    tr = TraceSpace(mesh, 2)
     rng = np.random.default_rng(9)
-    coeffs = rng.standard_normal(tg.ndof)
-    vec = tangential_vectors(tg, coeffs)
+    coeffs = rng.standard_normal(tr.ndof)
+    vec = tangential_vectors(tr, coeffs)
     ndot = np.einsum("fqd,fd->fq", vec, mesh.facet_normals)
     assert np.abs(ndot).max() == 0.0
     tdot = np.einsum("fqd,fd->fq", vec, mesh.facet_tangents)
-    assert np.abs(np.abs(tdot) - np.abs(trace_values(tg, coeffs))).max() <= 1e-13
+    assert np.abs(np.abs(tdot) - np.abs(trace_values(tr, coeffs))).max() <= 1e-13
 
 
 def test_project_reproduces_linear_field():
     mesh = generate_uniform_square(1)
     sp = ScalarSpace(mesh, 1)
-    gf = sp.project(lambda x, y: 2.0 * x - y)
-    assert point_value(gf, 0.3, 0.7) == pytest.approx(2.0 * 0.3 - 0.7, abs=1e-12)
+    coeffs = sp.project(lambda x, y: 2.0 * x - y)
+    assert point_value(sp, coeffs, 0.3, 0.7) == pytest.approx(2.0 * 0.3 - 0.7, abs=1e-12)

@@ -163,7 +163,7 @@ def _standing_wave_state(levels, k, **kw):
                                 -np.pi * np.cos(np.pi * x) * np.sin(np.pi * y)),
         matrices=mats)
     system = SemidiscreteSystem(matrices=mats, recovery=PhiRecovery(mats))
-    y0 = np.concatenate([state.w.coeffs, state.u.coeffs])
+    y0 = np.concatenate([state.init.w, state.u])
     return system, y0
 
 
@@ -351,7 +351,7 @@ def test_order_matrix(scheme, feature):
         spaces, system = _make_system(mesh, 1, **params)
         if load == "bathymetry":
             system.forcing = hamiltonian_load(system.recovery,
-                                              spaces.scalar.project(_bed).coeffs)
+                                              spaces.scalar.project(_bed))
         if load == "forcing":
             system.forcing = rng.standard_normal(system.nv)
         refusal = ("drops to first order with rotation"
@@ -639,7 +639,7 @@ def test_only_an_explicit_stepper_builds_the_wave_operator(name):
 
 def test_implicit_runs_beside_the_height_scheme_build_no_unread_pairing():
     # the loop of compare_dissipative: neither scheme's stages nor the
-    # records read D, F or the rotation as sparse pairings, and an
+    # records read D or the rotation as sparse pairings, and an
     # implicit run without bathymetry never applies the recovery
     uw = build_uw_system(make_problem("standing_wave", generate_uniform_square(3), 1))
     phiu = build_phiu_system(uw.spec, spaces=uw.spaces, matrices=uw.matrices)
@@ -650,7 +650,7 @@ def test_implicit_runs_beside_the_height_scheme_build_no_unread_pairing():
         runs = [(stepper, stepper.step(y)) for stepper, y in runs]
         total_energy(uw, runs[0][1])
         phiu_energy(phiu, runs[1][1])
-    assert not {"div_pair", "flux_pair", "coriolis"} & set(vars(uw.matrices))
+    assert not {"div_pair", "coriolis"} & set(vars(uw.matrices))
     assert uw.recovery.schur is None and uw.recovery._wave is None
 
 

@@ -119,6 +119,28 @@ def test_pair_periodic_unmatched_raises():
         pair_periodic(mesh, "y")
 
 
+@pytest.mark.parametrize("axes,make,message", [
+    # a hole whose clearance reaches one box side drops that side's node
+    ("both", lambda: generate_rect_with_hole((-2.0, 2.0, -2.0, 2.0), (1.2, 0.0), 0.5, 0.4),
+     "along x failed: 10 facets on the low side, 9 on the high side; "
+     "the high side has no node at y = 0"),
+    ("both", lambda: generate_rect_with_hole((-2.0, 2.0, -2.0, 2.0), (-1.2, 0.0), 0.5, 0.4),
+     "along x failed: 9 facets on the low side, 10 on the high side; "
+     "the low side has no node at y = 0"),
+    ("both", lambda: generate_rect_with_hole((-2.0, 2.0, -2.0, 2.0), (0.0, 1.2), 0.5, 0.4),
+     "along y failed: 10 facets on the low side, 9 on the high side; "
+     "the high side has no node at x = 0"),
+    # two facets on top, one on the bottom
+    ("y", lambda: Mesh([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [0.5, 1.0]],
+                       [[0, 1, 3], [0, 3, 4], [0, 4, 2]]),
+     "along y failed: 1 facets on the low side, 2 on the high side; "
+     "the low side has no node at x = 0.5"),
+], ids=["hole-x-high", "hole-x-low", "hole-y-high", "facets-y-low"])
+def test_pairing_that_fails_names_a_node_one_side_lacks(axes, make, message):
+    with pytest.raises(ValueError, match=re.escape(f"periodic pairing {message}")):
+        pair_periodic(make(), axes)
+
+
 def test_rect_with_hole_geometry():
     mesh = generate_rect_with_hole((-10.0, 10.0, -10.0, 10.0), (3.0, 0.0), 1.0, 0.5)
     assert np.all(mesh.element_areas > 0)

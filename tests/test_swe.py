@@ -4,9 +4,14 @@ import numpy as np
 import pytest
 
 from swehdg.assembly import PhysicalParams, assemble_bathymetry_load
-from swehdg.fespace import build_spaces
+from swehdg.fespace import TraceSpace, build_spaces
 from swehdg.integrators import make_integrator, make_sdirk
-from swehdg.mesh import generate_uniform_rect, generate_uniform_square
+from swehdg.mesh import (
+    generate_rect_with_hole,
+    generate_uniform_rect,
+    generate_uniform_square,
+    pair_periodic,
+)
 from swehdg.swe import (
     ManufacturedSolution,
     PhiuIntegrator,
@@ -20,7 +25,7 @@ from swehdg.swe import (
     step_count,
 )
 
-from helpers import iterate_steps, phiu_trace_mismatch, stage_loop
+from helpers import flux_pairing, iterate_steps, phiu_trace_mismatch, stage_loop
 
 _CSTEP = 1e-30
 
@@ -72,10 +77,10 @@ def test_exact_state_projection_values():
     mesh = generate_uniform_square(2)
     spaces = build_spaces(mesh, 2)
     ms = ManufacturedSolution()
-    flow = np.linalg.norm(spaces.vector.project(ms.flow).coeffs)
+    flow = np.linalg.norm(spaces.vector.project(ms.flow))
     s_phi, s_u, s_w = ms.factors(0.0)
     assert get_preset("standing_wave").u0 is None and s_u == 0.0 and s_phi == 1.0
-    assert np.linalg.norm(spaces.scalar.project(ms.height).coeffs) > 0.1
+    assert np.linalg.norm(spaces.scalar.project(ms.height)) > 0.1
     assert abs(s_w) * flow > 0.01
     assert ms.height(0.5, 0.5) == pytest.approx(0.0, abs=1e-15)
     assert abs(ms.factors(0.3)[1]) * flow > 0.01
@@ -145,6 +150,24 @@ def test_build_uw_standing_wave_has_no_rotation_or_forcing():
     assert np.linalg.norm(run.y0) > 0.0
 
 
+def test_build_uw_tabulates_one_trace_space(monkeypatch):
+    # the init solve's flux trace reads its tangents from the mesh, so a
+    # flux run tabulates the trace basis once
+    built = []
+    tabulate = TraceSpace.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(type(self))
+        tabulate(self, *args, **kwargs)
+
+    monkeypatch.setattr(TraceSpace, "__init__", counted)
+    mesh = pair_periodic(generate_rect_with_hole((0.0, 3.0, 0.0, 3.0), (1.5, 1.5), 0.6, 1.2),
+                         "both")
+    run = build_uw_system(make_problem("moving_bump", mesh, 1))
+    assert run.init.residual <= 1e-12
+    assert built == [TraceSpace]
+
+
 def test_build_uw_empty_data_gives_zero_state():
     mesh = generate_uniform_square(2)
     spec = ProblemSpec(mesh=mesh, degree=1, params=PhysicalParams())
@@ -198,7 +221,7 @@ def test_phiu_midpoint_dissipation_identity():
         y_new, stages = stage_loop(stepper, y)
         q_s, u_s, qhat_s = stages[0]
         # trace row enforces the numerical-flux continuity at the stage
-        res = m.stab_mixed.T @ q_s + phi * (m.flux_pair.T @ u_s) \
+        res = m.stab_mixed.T @ q_s + phi * (flux_pairing(m).T @ u_s) \
             - m.stab_trace @ qhat_s
         assert np.linalg.norm(res) <= 1e-10 * max(1.0, np.linalg.norm(q_s))
         e_new = phiu_energy(run, y_new)
@@ -257,7 +280,7 @@ def test_chain_load_equals_quadrature_load_for_polynomial_bathymetry():
     def bath_grad(x, y):
         return 1.0 + 0.5 * y, -2.0 + 0.5 * x
 
-    coeffs = spaces.scalar.project(bath).coeffs
+    coeffs = spaces.scalar.project(bath)
     chain = hamiltonian_load(recovery, coeffs)
     quad = -assemble_bathymetry_load(spaces, bath_grad, params.phi) / params.phi
     scale = np.linalg.norm(quad)
@@ -280,7 +303,7 @@ def test_chain_load_converges_to_quadrature_load():
         spaces = build_spaces(mesh, 2)
         mats = assemble_all(mesh, spaces, PhysicalParams())
         recovery = PhiRecovery(mats)
-        coeffs = spaces.scalar.project(bath).coeffs
+        coeffs = spaces.scalar.project(bath)
         chain = hamiltonian_load(recovery, coeffs)
         quad = -assemble_bathymetry_load(spaces, bath_grad, 1.0)
         rel.append(np.linalg.norm(chain - quad) / np.linalg.norm(quad))
