@@ -104,10 +104,10 @@ class SystemMatrices:
     vdofs: np.ndarray                  # (ne, 2, m)
     mdofs: np.ndarray                  # (nf, k+1)
 
-    spaces: object = field(repr=False, default=None)
-    params: PhysicalParams = field(repr=False, default=None)
+    spaces: object = field(repr=False)
+    params: PhysicalParams = field(repr=False)
 
-    stab_trace: sparse.csr_matrix = None
+    stab_trace: sparse.csr_matrix
 
     @property
     def mesh(self):
@@ -290,7 +290,7 @@ def _held(matrix):
     return matrix
 
 
-def assemble_all(mesh, spaces, params):
+def assemble_all(spaces, params):
     """Assemble every coupling block of the semidiscrete system.
 
     Periodic slave facets carry no trace dofs of their own; their
@@ -298,7 +298,7 @@ def assemble_all(mesh, spaces, params):
     space tabulation, which is what folds the periodic identification
     into the sparse structure.
     """
-    sc, tr = spaces.scalar, spaces.trace
+    mesh, sc, tr = spaces.mesh, spaces.scalar, spaces.trace
     ne = mesh.num_elements
     m = sc.dim_local
     md = tr.dim_local
@@ -344,9 +344,3 @@ def assemble_all(mesh, spaces, params):
         vol_dx=vol_dx, vol_dy=vol_dy, wdofs=wdofs, vdofs=vdofs, mdofs=mdofs,
         spaces=spaces, params=params, stab_trace=stab_trace)
 
-
-def assemble_bathymetry_load(spaces, grad, phi):
-    """Load vector (phi grad b, z_k) of a bathymetry profile b(x, y),
-    from its gradient ``grad(x, y) -> (db/dx, db/dy)``.  Returns a dense
-    vector over the vector-space dofs."""
-    return phi * spaces.vector.project(grad)

@@ -479,12 +479,9 @@ def write_vtk_snapshot(path, run, y, frame):
 def _convergence_task(cfg, degree, level, with_time):
     """One sweep entry: returns (h, error dict).  Raises RunFailure with
     the (k, h) identity on any solver problem."""
-    ms = get_preset(cfg.preset).manufactured
-    if ms is None:
-        raise RunFailure(f"preset {cfg.preset} has no closed-form solution")
     label, run = _flux_run(cfg, degree, level)
     h = run.spec.mesh.h_nominal
-    norms = ErrorNorms(run.spaces, ms)
+    norms = ErrorNorms(run.spaces, run.spec.manufactured)
     if not with_time:
         return h, init_errors(run.init, norms)
 
@@ -502,6 +499,8 @@ def _sweep(cfg, out_dir, threads, command, with_time):
         raise RunFailure("convergence sweeps need [mesh] levels")
     if cfg.mesh_kind.lower() != "uniform_square":
         raise RunFailure("convergence sweeps run on uniform_square meshes")
+    if get_preset(cfg.preset).manufactured is None:
+        raise RunFailure(f"preset {cfg.preset} has no closed-form solution")
     tasks = [(k, level) for k in cfg.degrees for level in cfg.levels]
 
     def work(task):
@@ -550,7 +549,7 @@ def _single_run(cfg, out_dir, threads, command, dissipative=False):
     label, run = _flux_run(cfg, cfg.degree, (cfg.levels or (command.level,))[0])
     name, stepper, nsteps, dt, cadence = _flux_stepper(cfg, command, label, run)
     if dissipative:
-        phiu = build_phiu_system(run.spec, spaces=run.spaces, matrices=run.matrices)
+        phiu = build_phiu_system(run.spec, matrices=run.matrices)
         phiu_stepper = _build_stepper(label, PhiuIntegrator, phiu, make_sdirk(2), dt)
         runs = (("conserving", stepper, run.y0), ("dissipative", phiu_stepper, phiu.y0))
         header = ["time", "energy_conserving", "energy_dissipative"]

@@ -40,7 +40,7 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse.linalg import splu
 
-from .assembly import _block_rows, _blocked, _element_columns, _held, _pairing, assemble_all
+from .assembly import _block_rows, _blocked, _element_columns, _held, _pairing
 from .mesh import hole_boundaries
 
 log = logging.getLogger(__name__)
@@ -601,7 +601,7 @@ def _init_trace(mats, alpha):
     return trace, np.concatenate([mats.trace_cols, nm + mats.trace_cols], axis=1)
 
 
-def _gauge_constraints(mesh, spaces):
+def _gauge_constraints(spaces):
     """Gauge multiplier columns of the init system, one per constraint.
 
     On periodic domains the init operator has constant flux fields in its
@@ -620,7 +620,7 @@ def _gauge_constraints(mesh, spaces):
     coefficient of each hole facet.  Columns are normalized, periodic x
     and y first.
     """
-    sc, tr = spaces.scalar, spaces.trace
+    mesh, sc, tr = spaces.mesh, spaces.scalar, spaces.trace
     ne, m = mesh.num_elements, sc.dim_local
     axes = [axis for axis, active in ((0, mesh.periodic_x), (1, mesh.periodic_y))
             if active]
@@ -638,7 +638,7 @@ def _gauge_constraints(mesh, spaces):
     return local, trace
 
 
-def solve_vector_laplacian(mesh, spaces, f, params, matrices=None):
+def solve_vector_laplacian(matrices, f):
     """Stationary vector-Laplacian solve for the initial flux field.
 
     Unknowns are the rotation sigma, height phi, flux w, height trace
@@ -673,14 +673,14 @@ def solve_vector_laplacian(mesh, spaces, f, params, matrices=None):
     max(1, |rhs|).  A singular local block or trace system raises
     RuntimeError("init solve factorization failed: ...").
     """
-    mats = matrices if matrices is not None else assemble_all(mesh, spaces, params)
+    spaces, alpha = matrices.spaces, matrices.params.alpha
 
-    ne, m = mats.wdofs.shape
+    ne, m = matrices.wdofs.shape
     nm = spaces.trace.ndof
-    trace, tcols = _init_trace(mats, params.alpha)
+    trace, tcols = _init_trace(matrices, alpha)
     n_trace = trace.shape[0]
 
-    gauge_local, gauge_trace = _gauge_constraints(mesh, spaces)
+    gauge_local, gauge_trace = _gauge_constraints(spaces)
     r = gauge_local.shape[2]
     tcols = np.concatenate([tcols, np.broadcast_to(n_trace + np.arange(r), (ne, r))], axis=1)
     trace = sparse.bmat([[trace, gauge_trace], [gauge_trace.T, None]], format="csr")
@@ -688,7 +688,7 @@ def solve_vector_laplacian(mesh, spaces, f, params, matrices=None):
     rhs[:, 2 * m:] = spaces.vector.project(f).reshape(ne, 2 * m)
 
     def element_blocks():
-        local, from_trace = _init_blocks(mats, params.alpha, gauge_local)
+        local, from_trace = _init_blocks(matrices, alpha, gauge_local)
         return local, from_trace, from_trace.transpose(0, 2, 1)
 
     try:
@@ -712,21 +712,16 @@ def solve_vector_laplacian(mesh, spaces, f, params, matrices=None):
     )
 
 
-def initialize_state(mesh, spaces, phi0, u0, params, grad_phi0=None, matrices=None):
-    """Initial (u, w) pair: w from the stationary solve driven by the
-    gradient ``grad_phi0`` of the height profile, u by L2 projection.
-
-    Without a gradient the surface is flat (w = 0); a height profile
-    ``phi0`` given without its gradient is refused (ValueError).
-    """
+def initialize_state(matrices, grad_phi0=None, u0=None):
+    """Initial (u, w) pair on the spaces of ``matrices``: w from the
+    stationary solve driven by the gradient ``grad_phi0`` of the height
+    profile, u by L2 projection of ``u0``.  Without a gradient the surface
+    is flat (w = 0)."""
     if grad_phi0 is None:
-        if phi0 is not None:
-            raise ValueError("initialize_state needs grad_phi0, the gradient of the "
-                             "height profile phi0")
-
         def grad_phi0(x, y):
             return np.zeros_like(x, dtype=float), np.zeros_like(y, dtype=float)
 
-    sol = solve_vector_laplacian(mesh, spaces, grad_phi0, params, matrices=matrices)
-    u = spaces.vector.project(u0) if u0 is not None else np.zeros(spaces.vector.ndof)
+    sol = solve_vector_laplacian(matrices, grad_phi0)
+    vector = matrices.spaces.vector
+    u = vector.project(u0) if u0 is not None else np.zeros(vector.ndof)
     return InitState(u=u, init=sol)

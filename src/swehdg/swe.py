@@ -12,15 +12,15 @@ bathymetry forcing, :func:`hamiltonian_load`, is the transpose of the
 height recovery, so the bed pairs with the height the energy uses.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from functools import cached_property
 
 import numpy as np
 
-from .assembly import PhysicalParams, assemble_all, assemble_bathymetry_load
+from .assembly import PhysicalParams, assemble_all
 from .diagnostics import RecordFunctionals
 from .elliptic import InitSolution, PhiRecovery, initialize_state
-from .fespace import SpaceSet, build_spaces
+from .fespace import build_spaces
 from .integrators import DirkIntegrator, SemidiscreteSystem
 from .mesh import Mesh
 
@@ -99,7 +99,10 @@ def _shelf_bathymetry_grad(x, y):
 
 @dataclass(frozen=True)
 class Preset:
-    """Initial data plus the physical parameters it assumes."""
+    """Initial data plus the physical parameters it assumes.  A height
+    profile ``phi0`` or a ``bathymetry`` comes with its gradient, which
+    the init solve and the height scheme's forcing read (ValueError
+    naming the missing field otherwise)."""
     params: PhysicalParams
     phi0: object = None
     u0: object = None
@@ -107,6 +110,11 @@ class Preset:
     bathymetry: object = None
     grad_bathymetry: object = None
     manufactured: ManufacturedSolution = None
+
+    def __post_init__(self):
+        for profile, grad in (("phi0", "grad_phi0"), ("bathymetry", "grad_bathymetry")):
+            if getattr(self, profile) is not None and getattr(self, grad) is None:
+                raise ValueError(f"{profile} needs {grad}, its gradient")
 
 
 def _standing_wave():
@@ -139,30 +147,22 @@ def get_preset(name):
     return build()
 
 
-@dataclass
-class ProblemSpec:
-    """Everything needed to build one problem."""
+@dataclass(frozen=True, kw_only=True)
+class ProblemSpec(Preset):
+    """Everything needed to build one problem: a preset's data on a mesh
+    at a degree."""
     mesh: Mesh
     degree: int
-    params: PhysicalParams
-    phi0: object = None
-    u0: object = None
-    grad_phi0: object = None
-    bathymetry: object = None
-    grad_bathymetry: object = None
 
 
 def make_problem(preset_name, mesh, degree, **param_overrides):
     """ProblemSpec from a preset, with optional parameter overrides
     (tau=..., alpha=..., f0=..., and so on)."""
     preset = get_preset(preset_name)
-    params = replace(preset.params, **param_overrides) if param_overrides \
-        else preset.params
-    return ProblemSpec(mesh=mesh, degree=degree, params=params,
-                       phi0=preset.phi0, u0=preset.u0,
-                       grad_phi0=preset.grad_phi0,
-                       bathymetry=preset.bathymetry,
-                       grad_bathymetry=preset.grad_bathymetry)
+    data = {f.name: getattr(preset, f.name) for f in fields(Preset)}
+    if param_overrides:
+        data["params"] = replace(preset.params, **param_overrides)
+    return ProblemSpec(mesh=mesh, degree=degree, **data)
 
 
 def step_count(final_time, dt):
@@ -178,7 +178,6 @@ def step_count(final_time, dt):
 class UwRun:
     """Runnable flux-scheme problem: system plus initial coefficients."""
     spec: ProblemSpec
-    spaces: SpaceSet
     system: SemidiscreteSystem
     y0: np.ndarray
     init: InitSolution
@@ -187,6 +186,10 @@ class UwRun:
     @property
     def matrices(self):
         return self.system.matrices
+
+    @property
+    def spaces(self):
+        return self.matrices.spaces
 
     @property
     def recovery(self):
@@ -217,10 +220,8 @@ def build_uw_system(spec):
     the one builder of every flux run.  Its recovery builds nothing until
     read, so a sweep of init solves condenses no recovery."""
     spaces = build_spaces(spec.mesh, spec.degree)
-    matrices = assemble_all(spec.mesh, spaces, spec.params)
-    state = initialize_state(spec.mesh, spaces, spec.phi0, spec.u0,
-                             spec.params, grad_phi0=spec.grad_phi0,
-                             matrices=matrices)
+    matrices = assemble_all(spaces, spec.params)
+    state = initialize_state(matrices, grad_phi0=spec.grad_phi0, u0=spec.u0)
     # the init system holds the recovery equations at its flux, so its
     # height trace is the recovered trace of the initial flux
     recovery = PhiRecovery(matrices, known=(state.init.w, state.init.phi_hat))
@@ -232,40 +233,39 @@ def build_uw_system(spec):
     system = SemidiscreteSystem(matrices=matrices, recovery=recovery,
                                 forcing=forcing)
     y0 = np.concatenate([state.init.w, state.u])
-    return UwRun(spec=spec, spaces=spaces, system=system, y0=y0,
-                 init=state.init, bathymetry_coeffs=bath)
+    return UwRun(spec=spec, system=system, y0=y0, init=state.init,
+                 bathymetry_coeffs=bath)
 
 
 @dataclass
 class PhiuRun:
     """Runnable dissipative-scheme problem (primal height unknown)."""
     spec: ProblemSpec
-    spaces: SpaceSet
     matrices: object
     forcing: np.ndarray
     y0: np.ndarray
 
+    @property
+    def spaces(self):
+        return self.matrices.spaces
 
-def build_phiu_system(spec, spaces=None, matrices=None):
-    """Assemble the dissipative height scheme; the state is the pair of
-    height and velocity coefficients, initialized by direct projection."""
-    if spaces is None:
-        spaces = build_spaces(spec.mesh, spec.degree)
+
+def build_phiu_system(spec, matrices=None):
+    """Assemble the dissipative height scheme, or take the operators of
+    ``matrices``; the state is the pair of height and velocity
+    coefficients, initialized by direct projection."""
     if matrices is None:
-        matrices = assemble_all(spec.mesh, spaces, spec.params)
+        matrices = assemble_all(build_spaces(spec.mesh, spec.degree), spec.params)
+    spaces = matrices.spaces
     nw = spaces.scalar.ndof
     nv = spaces.vector.ndof
     q0 = spaces.scalar.project(spec.phi0) if spec.phi0 is not None else np.zeros(nw)
     u0 = spaces.vector.project(spec.u0) if spec.u0 is not None else np.zeros(nv)
-    forcing = np.zeros(nv)
-    if spec.bathymetry is not None:
-        if spec.grad_bathymetry is None:
-            raise ValueError("the height scheme needs grad_bathymetry, the gradient "
-                             "of the bathymetry profile")
-        load = assemble_bathymetry_load(spaces, spec.grad_bathymetry, spec.params.phi)
-        forcing = -load / spec.params.phi
-    return PhiuRun(spec=spec, spaces=spaces, matrices=matrices,
-                   forcing=forcing, y0=np.concatenate([q0, u0]))
+    # the bed's slope, -(grad b, z_k)
+    forcing = (-spaces.vector.project(spec.grad_bathymetry) if spec.bathymetry is not None
+               else np.zeros(nv))
+    return PhiuRun(spec=spec, matrices=matrices, forcing=forcing,
+                   y0=np.concatenate([q0, u0]))
 
 
 def phiu_energy(run, y):

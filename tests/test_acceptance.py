@@ -233,7 +233,7 @@ def test_criterion_7_oracle_equivalence():
     for nx, ny, k in ((1, 1, 0), (1, 1, 1), (2, 1, 0), (2, 1, 1), (1, 2, 1)):
         mesh = generate_uniform_rect(nx, ny)
         spaces = build_spaces(mesh, k)
-        mats = assemble_all(mesh, spaces, PhysicalParams(tau=0.8))
+        mats = assemble_all(spaces, PhysicalParams(tau=0.8))
         rec = PhiRecovery(mats)
         dense = _dense_wave_operator(mats)
         applied = np.column_stack([rec.apply(col)
@@ -251,7 +251,7 @@ def test_criterion_7_oracle_equivalence():
             ("seprk4", 0.0, SeprkIntegrator, make_seprk(4))):
         mesh = generate_uniform_rect(1, 1)
         spaces = build_spaces(mesh, 1)
-        mats = assemble_all(mesh, spaces, PhysicalParams(f0=f0))
+        mats = assemble_all(spaces, PhysicalParams(f0=f0))
         system = SemidiscreteSystem(matrices=mats, recovery=PhiRecovery(mats))
         y0 = rng.standard_normal(2 * system.nv)
         gen = np.column_stack([system.rhs(col)
@@ -294,17 +294,16 @@ def test_criterion_8_init_well_posedness():
     worst = 0.0
     for mesh, preset in cases:
         spaces = build_spaces(mesh, 1)
-        state = initialize_state(mesh, spaces, preset.phi0, preset.u0,
-                                 preset.params, grad_phi0=preset.grad_phi0)
+        state = initialize_state(assemble_all(spaces, preset.params),
+                                 grad_phi0=preset.grad_phi0, u0=preset.u0)
         worst = max(worst, state.init.residual)
 
     mesh = generate_uniform_square(2)
     spaces = build_spaces(mesh, 1)
     zero = initialize_state(
-        mesh, spaces, lambda x, y: np.zeros_like(x),
-        lambda x, y: (np.zeros_like(x), np.zeros_like(x)),
-        PhysicalParams(),
-        grad_phi0=lambda x, y: (np.zeros_like(x), np.zeros_like(x)))
+        assemble_all(spaces, PhysicalParams()),
+        grad_phi0=lambda x, y: (np.zeros_like(x), np.zeros_like(x)),
+        u0=lambda x, y: (np.zeros_like(x), np.zeros_like(x)))
     zero_norm = max(np.abs(zero.init.sigma).max(),
                     np.abs(zero.init.w).max(),
                     np.abs(zero.init.phi).max())

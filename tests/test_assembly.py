@@ -16,7 +16,6 @@ from swehdg.assembly import (
     _pairing,
     _run_length,
     assemble_all,
-    assemble_bathymetry_load,
 )
 from swehdg.elliptic import solve_vector_laplacian
 from swehdg.fespace import build_spaces
@@ -45,7 +44,7 @@ def _pairings(mats):
 
 def _assembled(mesh, k, **params):
     spaces = build_spaces(mesh, k)
-    return assemble_all(mesh, spaces, PhysicalParams(**params)), spaces
+    return assemble_all(spaces, PhysicalParams(**params)), spaces
 
 
 def test_params_validation():
@@ -226,9 +225,8 @@ def test_init_solve_builds_no_pairing_it_does_not_read():
     mesh = generate_uniform_square(2)
     spaces = build_spaces(mesh, 2)
     params = PhysicalParams(f0=0.3, beta=0.2)
-    mats = assemble_all(mesh, spaces, params)
-    sol = solve_vector_laplacian(mesh, spaces, lambda x, y: (np.sin(x), np.cos(y)), params,
-                                 matrices=mats)
+    mats = assemble_all(spaces, params)
+    sol = solve_vector_laplacian(mats, lambda x, y: (np.sin(x), np.cos(y)))
     assert sol.residual <= 1e-12
     assert not set(PAIRINGS_ON_READ) & set(vars(mats))
 
@@ -328,7 +326,7 @@ def test_stab_trace_counts_facet_sides():
 def test_bathymetry_load_linear_profile():
     mesh = generate_uniform_square(1)
     spaces = build_spaces(mesh, 0)
-    load = assemble_bathymetry_load(spaces, lambda x, y: (1.0 + 0.0 * x, 0.0 * y), phi=2.0)
+    load = spaces.vector.project(lambda x, y: (1.0 + 0.0 * x, 0.0 * y))
     per_elem = load.reshape(mesh.num_elements, 2)
-    assert np.allclose(per_elem[:, 0], 2.0 * np.sqrt(mesh.element_areas), rtol=1e-13)
+    assert np.allclose(per_elem[:, 0], np.sqrt(mesh.element_areas), rtol=1e-13)
     assert np.abs(per_elem[:, 1]).max() == 0.0

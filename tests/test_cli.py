@@ -104,6 +104,21 @@ def test_converge_init_residual_names_the_run(tmp_path, capsys, monkeypatch):
     assert not (tmp_path / "init_convergence.csv").exists()
 
 
+@pytest.mark.parametrize("threads", ["1", "2"])
+@pytest.mark.parametrize("command, text", [("converge_init", INIT_SWEEP),
+                                           ("converge", TIME_SWEEP)])
+def test_sweep_refuses_a_preset_without_closed_form(tmp_path, capsys, monkeypatch,
+                                                    command, text, threads):
+    # refused once, before any entry builds a run
+    built = []
+    monkeypatch.setattr(cli, "build_uw_system", lambda spec: built.append(spec))
+    cfg = _write(tmp_path, "c.ini", text.replace("standing_wave", "moving_bump"))
+    assert main([command, "--config", cfg, "--out", str(tmp_path), "--threads", threads]) == 1
+    assert "preset moving_bump has no closed-form solution" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.csv"))
+    assert built == []
+
+
 def test_converge_schema_and_orders(tmp_path):
     cfg = _write(tmp_path, "c.ini", TIME_SWEEP)
     assert main(["converge", "--config", cfg, "--out", str(tmp_path)]) == 0

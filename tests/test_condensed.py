@@ -89,7 +89,7 @@ def _hole_ring(mesh, kind):
 def _matrices(kind, k):
     mesh = _mesh(kind)
     spaces = build_spaces(mesh, k)
-    return spaces, assemble_all(mesh, spaces, PhysicalParams(**PARAMS))
+    return spaces, assemble_all(spaces, PhysicalParams(**PARAMS))
 
 
 # monolithic stage systems, factored whole: the oracles of the condensed solves
@@ -360,7 +360,7 @@ def test_block_format_from_degree_two_on(k):
     # dofs per element
     mesh = generate_uniform_square(3)
     spaces = build_spaces(mesh, k)
-    held = _held_operators(assemble_all(mesh, spaces, PhysicalParams()), k, {})
+    held = _held_operators(assemble_all(spaces, PhysicalParams()), k, {})
     if k <= 1:
         assert {op.format for op in held.values()} == {"csr"}
         return
@@ -412,7 +412,7 @@ def test_block_format_is_chosen_before_converting(k, rotating, kind, monkeypatch
     monkeypatch.setattr(elliptic, "_blocked", spy)
     params = PARAMS if rotating else {}
     mesh = _mesh(kind)
-    _held_operators(assemble_all(mesh, build_spaces(mesh, k), PhysicalParams(**params)),
+    _held_operators(assemble_all(build_spaces(mesh, k), PhysicalParams(**params)),
                     k, params)
     assert len(chosen) == 10
     for op, rows, cols, held in chosen:
@@ -539,7 +539,7 @@ def test_init_solve_holds_no_block_inverse_or_products():
     # beside them does not fit.  SuperLU's own factor is not traced.
     spec = make_problem("standing_wave", generate_uniform_square(4), 2)
     spaces = build_spaces(spec.mesh, 2)
-    mats = assemble_all(spec.mesh, spaces, spec.params)
+    mats = assemble_all(spaces, spec.params)
     local, from_trace = _init_blocks(mats, spec.params.alpha)
     trace, cols = _init_trace(mats, spec.params.alpha)
     ne, c = cols.shape
@@ -551,8 +551,7 @@ def test_init_solve_holds_no_block_inverse_or_products():
 
     tracemalloc.start()
     try:
-        sol = solve_vector_laplacian(spec.mesh, spaces, spec.grad_phi0, spec.params,
-                                     matrices=mats)
+        sol = solve_vector_laplacian(mats, spec.grad_phi0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -572,7 +571,7 @@ def test_stage_blocks_die_before_the_factorization(monkeypatch):
     # blocks and maps of the stage do not fit beside them.
     spec = make_problem("standing_wave", generate_uniform_square(4), 2)
     spaces = build_spaces(spec.mesh, 2)
-    mats = assemble_all(spec.mesh, spaces, spec.params)
+    mats = assemble_all(spaces, spec.params)
     system = SemidiscreteSystem(matrices=mats, recovery=PhiRecovery(mats))
     live, factored = [], []
     real = elliptic.splu
@@ -601,14 +600,13 @@ def _condensed_solve(kind):
     the recovery or the init solve."""
     spec = make_problem("standing_wave", generate_uniform_square(4), 2)
     spaces = build_spaces(spec.mesh, 2)
-    mats = assemble_all(spec.mesh, spaces, spec.params)
+    mats = assemble_all(spaces, spec.params)
     if kind == "stage":
         system = SemidiscreteSystem(matrices=mats, recovery=PhiRecovery(mats))
         return lambda: SdirkIntegrator(system, make_sdirk(2), DT)
     if kind == "recovery":
         return PhiRecovery(mats).factor
-    return lambda: solve_vector_laplacian(spec.mesh, spaces, spec.grad_phi0, spec.params,
-                                          matrices=mats)
+    return lambda: solve_vector_laplacian(mats, spec.grad_phi0)
 
 
 @pytest.mark.parametrize("kind", ["stage", "recovery", "init"])
@@ -657,7 +655,7 @@ def test_init_blocks_die_before_the_factorization(monkeypatch):
     # beside it: they are built again for the back-substitution.
     spec = make_problem("standing_wave", generate_uniform_square(4), 2)
     spaces = build_spaces(spec.mesh, 2)
-    mats = assemble_all(spec.mesh, spaces, spec.params)
+    mats = assemble_all(spaces, spec.params)
     local, from_trace = _init_blocks(mats, spec.params.alpha)
     block_bytes = local.nbytes + from_trace.nbytes
     del local, from_trace
@@ -672,8 +670,7 @@ def test_init_blocks_die_before_the_factorization(monkeypatch):
     monkeypatch.setattr(elliptic, "splu", spy)
     tracemalloc.start()
     try:
-        sol = solve_vector_laplacian(spec.mesh, spaces, spec.grad_phi0, spec.params,
-                                     matrices=mats)
+        sol = solve_vector_laplacian(mats, spec.grad_phi0)
     finally:
         tracemalloc.stop()
     bound = _nbytes(factored[0]) + 0.5 * block_bytes
@@ -703,9 +700,8 @@ def test_init_holds_only_what_it_reads_at_the_factorization(monkeypatch):
     monkeypatch.setattr(elliptic, "splu", spy)
     tracemalloc.start()
     try:
-        mats = assemble_all(spec.mesh, spaces, spec.params)
-        sol = solve_vector_laplacian(spec.mesh, spaces, spec.grad_phi0, spec.params,
-                                     matrices=mats)
+        mats = assemble_all(spaces, spec.params)
+        sol = solve_vector_laplacian(mats, spec.grad_phi0)
     finally:
         tracemalloc.stop()
     trace = _init_trace(mats, spec.params.alpha)[0]
@@ -733,7 +729,7 @@ def _init_trace_solve(kind, k, monkeypatch):
     monkeypatch.setattr(elliptic, "_refined_solve", capture)
     mesh = _mesh(kind)
     spaces = build_spaces(mesh, k)
-    sol = solve_vector_laplacian(mesh, spaces, _init_data, PhysicalParams(**INIT_PARAMS))
+    sol = solve_vector_laplacian(assemble_all(spaces, PhysicalParams(**INIT_PARAMS)), _init_data)
     assert len(captured) == 1
     return sol, *captured[0]
 
@@ -813,7 +809,7 @@ def test_stage_failures_name_the_scale():
     zero = replace(mats, stab_trace=0.0 * mats.stab_trace,
                    facet_tensor=0.0 * mats.facet_tensor)
     spec = make_problem("standing_wave", mats.mesh, 1)
-    run = replace(build_phiu_system(spec, spaces=spaces, matrices=mats), matrices=zero)
+    run = replace(build_phiu_system(spec, matrices=mats), matrices=zero)
     with pytest.raises(RuntimeError, match=r"stage scale 0\.025: trace factorization failed"):
         PhiuIntegrator(run, make_sdirk(2), 0.05)
     # the recovery condenses at its first read and factors at its first solve
@@ -995,8 +991,8 @@ def test_init_solve_matches_monolithic_oracle(k, kind):
     mesh = _mesh(kind)
     spaces = build_spaces(mesh, k)
     params = PhysicalParams(**INIT_PARAMS)
-    mats = assemble_all(mesh, spaces, params)
-    sol = solve_vector_laplacian(mesh, spaces, _init_data, params, matrices=mats)
+    mats = assemble_all(spaces, params)
+    sol = solve_vector_laplacian(mats, _init_data)
     ref, ref_residual = _monolithic_init(mesh, kind, spaces, _init_data, params, mats)
     got = [sol.sigma, sol.phi, sol.w, sol.phi_hat, sol.w_tangent, sol.multipliers]
     expected_gauges = {"wall": 0, "periodic": 2, "holed": 1, "holed-periodic": 3}[kind]
@@ -1015,7 +1011,7 @@ def test_init_solve_pins_the_circulation_round_the_hole(k, kind):
     # circulation of psi_hat round the hole vanishes
     mesh = _mesh(kind)
     spaces = build_spaces(mesh, k)
-    sol = solve_vector_laplacian(mesh, spaces, _init_data, PhysicalParams(**INIT_PARAMS))
+    sol = solve_vector_laplacian(assemble_all(spaces, PhysicalParams(**INIT_PARAMS)), _init_data)
     ring, signs = _hole_ring(mesh, kind)
     tr = spaces.trace
     first = sol.w_tangent.reshape(-1, tr.dim_local)[tr.owner_row[ring], 0]
@@ -1031,7 +1027,7 @@ def test_init_local_blocks_invertible(k, kind):
     mesh = _mesh(kind)
     spaces = build_spaces(mesh, k)
     params = PhysicalParams(**INIT_PARAMS)
-    mats = assemble_all(mesh, spaces, params)
+    mats = assemble_all(spaces, params)
     local = _init_blocks(mats, params.alpha)[0]
     m = spaces.scalar.dim_local
     assert np.abs(local - local.transpose(0, 2, 1)).max() == 0.0
@@ -1073,13 +1069,13 @@ def test_schur_complements_equal_the_straight_scatter(k, kind, monkeypatch):
     mesh = _mesh(kind)
     spaces = build_spaces(mesh, k)
     params = PhysicalParams(**INIT_PARAMS)
-    mats = assemble_all(mesh, spaces, params)
-    solve_vector_laplacian(mesh, spaces, _init_data, params, matrices=mats)
+    mats = assemble_all(spaces, params)
+    solve_vector_laplacian(mats, _init_data)
     PhiRecovery(mats).factor()
     SdirkIntegrator(SemidiscreteSystem(matrices=mats, recovery=PhiRecovery(mats)),
                     make_sdirk(4), DT)
     PhiuIntegrator(build_phiu_system(make_problem("moving_bump", mesh, k, **INIT_PARAMS),
-                                     spaces=spaces, matrices=mats), make_sdirk(2), DT)
+                                     matrices=mats), make_sdirk(2), DT)
 
     assert len(calls) == len(couplings) == 5
     gauges = calls[0][2].shape[0] - 2 * spaces.trace.ndof

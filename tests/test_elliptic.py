@@ -23,7 +23,7 @@ from helpers import flux_pairing, scalar_values, vector_values
 
 def _setup(mesh, k, **kw):
     spaces = build_spaces(mesh, k)
-    mats = assemble_all(mesh, spaces, PhysicalParams(**kw))
+    mats = assemble_all(spaces, PhysicalParams(**kw))
     return spaces, mats, PhiRecovery(mats)
 
 
@@ -126,8 +126,8 @@ def test_wave_operator_quadratic_form():
 def test_init_zero_data_gives_zero():
     mesh = generate_uniform_square(2)
     spaces = build_spaces(mesh, 1)
-    sol = solve_vector_laplacian(mesh, spaces, lambda x, y: (0.0 * x, 0.0 * y),
-                                 PhysicalParams())
+    sol = solve_vector_laplacian(assemble_all(spaces, PhysicalParams()),
+                                 lambda x, y: (0.0 * x, 0.0 * y))
     assert sol.residual <= 1e-12
     for field in (sol.sigma, sol.w, sol.phi, sol.phi_hat, sol.w_tangent):
         assert np.abs(field).max() <= 1e-12
@@ -139,8 +139,8 @@ def test_init_solve_leaves_the_spaces_unchanged():
     mesh = pair_periodic(generate_uniform_square(2), "x")
     spaces = build_spaces(mesh, 1)
     before = dict(vars(spaces))
-    sol = solve_vector_laplacian(mesh, spaces, lambda x, y: (np.sin(x), np.cos(y)),
-                                 PhysicalParams())
+    sol = solve_vector_laplacian(assemble_all(spaces, PhysicalParams()),
+                                 lambda x, y: (np.sin(x), np.cos(y)))
     assert sol.residual <= 1e-12
     assert vars(spaces).keys() == before.keys()
     assert all(vars(spaces)[name] is value for name, value in before.items())
@@ -154,7 +154,7 @@ def test_init_polynomial_exactness():
     mesh = generate_uniform_square(2)
     spaces = build_spaces(mesh, 2)
     sol = solve_vector_laplacian(
-        mesh, spaces, lambda x, y: (2.0 + 0.0 * x, -2.0 + 0.0 * y), PhysicalParams())
+        assemble_all(spaces, PhysicalParams()), lambda x, y: (2.0 + 0.0 * x, -2.0 + 0.0 * y))
     assert sol.residual <= 1e-10
     assert _l2_error_vector(spaces.vector, sol.w,
                             lambda x, y: (x - x ** 2, y ** 2 - y)) <= 1e-10
@@ -172,10 +172,9 @@ def test_init_convergence_against_reference_errors():
         mesh = generate_uniform_square(levels)
         spaces = build_spaces(mesh, 1)
         sol = solve_vector_laplacian(
-            mesh, spaces,
+            assemble_all(spaces, PhysicalParams()),
             lambda x, y: (-np.pi * np.sin(np.pi * x) * np.cos(np.pi * y),
-                          -np.pi * np.cos(np.pi * x) * np.sin(np.pi * y)),
-            PhysicalParams())
+                          -np.pi * np.cos(np.pi * x) * np.sin(np.pi * y)))
         e_sigma = _l2_error_scalar(spaces.scalar, sol.sigma, lambda x, y: 0.0 * x)
         e_w = _l2_error_vector(spaces.vector, sol.w, lambda x, y: (
             -np.sin(np.pi * x) * np.cos(np.pi * y) / (2.0 * np.pi),
@@ -196,11 +195,9 @@ def test_init_on_periodic_domain_with_hole():
         generate_rect_with_hole((-10.0, 10.0, -10.0, 10.0), (3.0, 0.0), 1.0, 2.0),
         "both")
     spaces = build_spaces(mesh, 2)
-    mats = assemble_all(mesh, spaces, PhysicalParams(f0=0.5))
+    mats = assemble_all(spaces, PhysicalParams(f0=0.5))
     sol = solve_vector_laplacian(
-        mesh, spaces,
-        lambda x, y: (-(x + 5.0) * np.exp(-0.5 * (x + 5.0) ** 2), 0.0 * y),
-        PhysicalParams(f0=0.5), matrices=mats)
+        mats, lambda x, y: (-(x + 5.0) * np.exp(-0.5 * (x + 5.0) ** 2), 0.0 * y))
     assert sol.residual <= 1e-10
 
     # the recovery applied to the init flux reproduces the init heights
@@ -218,14 +215,10 @@ def test_init_on_periodic_domain_with_hole():
 def test_initialize_state_matches_init_fields():
     mesh = generate_uniform_square(2)
     spaces = build_spaces(mesh, 2)
-    mats = assemble_all(mesh, spaces, PhysicalParams())
+    mats = assemble_all(spaces, PhysicalParams())
     state = initialize_state(
-        mesh, spaces,
-        phi0=lambda x, y: np.cos(np.pi * x) * np.cos(np.pi * y),
-        u0=None, params=PhysicalParams(),
-        grad_phi0=lambda x, y: (-np.pi * np.sin(np.pi * x) * np.cos(np.pi * y),
-                                -np.pi * np.cos(np.pi * x) * np.sin(np.pi * y)),
-        matrices=mats)
+        mats, grad_phi0=lambda x, y: (-np.pi * np.sin(np.pi * x) * np.cos(np.pi * y),
+                                      -np.pi * np.cos(np.pi * x) * np.sin(np.pi * y)))
     assert np.abs(state.u).max() == 0.0
 
     rec = PhiRecovery(mats)
@@ -235,14 +228,6 @@ def test_initialize_state_matches_init_fields():
     err = _l2_error_scalar(spaces.scalar, p,
                            lambda x, y: np.cos(np.pi * x) * np.cos(np.pi * y))
     assert err <= 1e-2
-
-
-def test_initialize_state_needs_the_height_gradient():
-    mesh = generate_uniform_square(1)
-    spaces = build_spaces(mesh, 1)
-    with pytest.raises(ValueError, match="grad_phi0"):
-        initialize_state(mesh, spaces, phi0=lambda x, y: np.sin(x) * np.sin(y),
-                         u0=None, params=PhysicalParams())
 
 
 # largest max-norm distance, relative to a fresh solve, of the recovered
@@ -272,6 +257,6 @@ def test_init_seeds_the_recovered_trace(mesh, k):
 def test_zero_state_shortcut():
     mesh = generate_uniform_square(1)
     spaces = build_spaces(mesh, 1)
-    state = initialize_state(mesh, spaces, phi0=None, u0=None, params=PhysicalParams())
+    state = initialize_state(assemble_all(spaces, PhysicalParams()))
     assert np.abs(state.init.w).max() == 0.0
     assert np.abs(state.u).max() == 0.0

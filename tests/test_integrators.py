@@ -144,7 +144,7 @@ def test_sdirk_oscillator_order(order, dt):
 def _make_system(mesh, k, forcing=None, **kw):
     spaces = build_spaces(mesh, k)
     params = PhysicalParams(**kw)
-    mats = assemble_all(mesh, spaces, params)
+    mats = assemble_all(spaces, params)
     system = SemidiscreteSystem(matrices=mats, recovery=PhiRecovery(mats),
                                 forcing=forcing)
     return spaces, system
@@ -154,14 +154,10 @@ def _standing_wave_state(levels, k, **kw):
     mesh = generate_uniform_square(levels)
     spaces = build_spaces(mesh, k)
     params = PhysicalParams(**kw)
-    mats = assemble_all(mesh, spaces, params)
+    mats = assemble_all(spaces, params)
     state = initialize_state(
-        mesh, spaces,
-        phi0=lambda x, y: np.cos(np.pi * x) * np.cos(np.pi * y),
-        u0=None, params=params,
-        grad_phi0=lambda x, y: (-np.pi * np.sin(np.pi * x) * np.cos(np.pi * y),
-                                -np.pi * np.cos(np.pi * x) * np.sin(np.pi * y)),
-        matrices=mats)
+        mats, grad_phi0=lambda x, y: (-np.pi * np.sin(np.pi * x) * np.cos(np.pi * y),
+                                      -np.pi * np.cos(np.pi * x) * np.sin(np.pi * y)))
     system = SemidiscreteSystem(matrices=mats, recovery=PhiRecovery(mats))
     y0 = np.concatenate([state.init.w, state.u])
     return system, y0
@@ -642,7 +638,7 @@ def test_implicit_runs_beside_the_height_scheme_build_no_unread_pairing():
     # records read D or the rotation as sparse pairings, and an
     # implicit run without bathymetry never applies the recovery
     uw = build_uw_system(make_problem("standing_wave", generate_uniform_square(3), 1))
-    phiu = build_phiu_system(uw.spec, spaces=uw.spaces, matrices=uw.matrices)
+    phiu = build_phiu_system(uw.spec, matrices=uw.matrices)
     runs = [(make_integrator("midpoint", uw.system, 0.01), uw.y0),
             (PhiuIntegrator(phiu, make_sdirk(2), 0.01), phiu.y0)]
     total_energy(uw, uw.y0)
@@ -708,7 +704,7 @@ def test_implicit_step_leaves_its_argument(scheme):
     if scheme == "uw":
         stepper = make_integrator("sdirk4", run.system, 0.01)
     else:
-        run = build_phiu_system(run.spec, spaces=run.spaces, matrices=run.matrices)
+        run = build_phiu_system(run.spec, matrices=run.matrices)
         stepper = PhiuIntegrator(run, make_sdirk(2), 0.01)
     y = np.random.default_rng(900).standard_normal(run.y0.size)
     kept = y.copy()

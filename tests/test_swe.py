@@ -1,9 +1,11 @@
 """Tests for problem presets, system builders, and the dissipative stepper."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from swehdg.assembly import PhysicalParams, assemble_bathymetry_load
+from swehdg.assembly import PhysicalParams
 from swehdg.fespace import TraceSpace, build_spaces
 from swehdg.integrators import make_integrator, make_sdirk
 from swehdg.mesh import (
@@ -15,6 +17,7 @@ from swehdg.mesh import (
 from swehdg.swe import (
     ManufacturedSolution,
     PhiuIntegrator,
+    Preset,
     ProblemSpec,
     build_phiu_system,
     build_uw_system,
@@ -271,7 +274,7 @@ def test_chain_load_equals_quadrature_load_for_polynomial_bathymetry():
     params = PhysicalParams(phi=1.5, tau=0.9)
     from swehdg.assembly import assemble_all
     from swehdg.elliptic import PhiRecovery
-    mats = assemble_all(mesh, spaces, params)
+    mats = assemble_all(spaces, params)
     recovery = PhiRecovery(mats)
 
     def bath(x, y):
@@ -282,7 +285,7 @@ def test_chain_load_equals_quadrature_load_for_polynomial_bathymetry():
 
     coeffs = spaces.scalar.project(bath)
     chain = hamiltonian_load(recovery, coeffs)
-    quad = -assemble_bathymetry_load(spaces, bath_grad, params.phi) / params.phi
+    quad = -spaces.vector.project(bath_grad)
     scale = np.linalg.norm(quad)
     assert np.linalg.norm(chain - quad) <= 1e-11 * scale
 
@@ -301,11 +304,11 @@ def test_chain_load_converges_to_quadrature_load():
     for level in (2, 3, 4):
         mesh = generate_uniform_square(level)
         spaces = build_spaces(mesh, 2)
-        mats = assemble_all(mesh, spaces, PhysicalParams())
+        mats = assemble_all(spaces, PhysicalParams())
         recovery = PhiRecovery(mats)
         coeffs = spaces.scalar.project(bath)
         chain = hamiltonian_load(recovery, coeffs)
-        quad = -assemble_bathymetry_load(spaces, bath_grad, 1.0)
+        quad = -spaces.vector.project(bath_grad)
         rel.append(np.linalg.norm(chain - quad) / np.linalg.norm(quad))
     # the gap contracts at the projection rate of the gradient
     assert rel[0] / rel[1] >= 3.0
@@ -313,11 +316,22 @@ def test_chain_load_converges_to_quadrature_load():
     assert rel[2] <= 5e-3
 
 
-def test_phiu_refuses_a_bathymetry_without_its_gradient():
-    spec = make_problem("gaussian_pulse", generate_uniform_square(1), 1)
-    spec.grad_bathymetry = None
-    with pytest.raises(ValueError, match="grad_bathymetry"):
-        build_phiu_system(spec)
+@pytest.mark.parametrize("profile, grad", [("phi0", "grad_phi0"),
+                                           ("bathymetry", "grad_bathymetry")])
+def test_a_profile_needs_its_gradient(profile, grad):
+    # the init solve reads grad_phi0 and the height scheme grad_bathymetry,
+    # so a profile without its gradient is refused where it is defined
+    def flat(x, y):
+        return 0.0 * x
+
+    mesh = generate_uniform_square(1)
+    with pytest.raises(ValueError, match=f"{profile} needs {grad}"):
+        Preset(params=PhysicalParams(), **{profile: flat})
+    with pytest.raises(ValueError, match=f"{profile} needs {grad}"):
+        ProblemSpec(mesh=mesh, degree=1, params=PhysicalParams(), **{profile: flat})
+    spec = make_problem("gaussian_pulse", mesh, 1)
+    with pytest.raises(ValueError, match=f"{profile} needs {grad}"):
+        replace(spec, **{grad: None})
 
 
 def test_uw_bathymetry_shifted_energy_is_conserved():
