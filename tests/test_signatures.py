@@ -36,11 +36,12 @@ def test_no_callable_takes_an_input_beside_its_holder():
     checked, found = 0, []
     for name, obj in _public_callables():
         try:
-            params = inspect.signature(obj).parameters
+            signature = inspect.signature(obj)
         except ValueError:      # no signature to read
             continue
         checked += 1
-        found += [f"{name}{inspect.signature(obj)}: {held} beside {holder}"
-                  for held, holder in REDUNDANT if held in params and holder in params]
+        found += [f"{name}{signature}: {held} beside {holder}"
+                  for held, holder in REDUNDANT
+                  if held in signature.parameters and holder in signature.parameters]
     assert checked > 50
     assert not found
